@@ -106,14 +106,12 @@ from .ttscheme import (
     keyset_dumps,
     keyset_loads,
     linear_scan_report,
-    linear_scan_trace,
     tr_enc,
     tr_enc_index,
     tt_dec,
     tt_dec_circuit,
     tt_enc,
     tt_gen,
-    tt_trace,
     tt_trace_report,
     zeros_pirate,
 )

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, prg_params_gen
-from .errors import InputShapeError, SanitizerFailure
+from .errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
 from .fpcode import fp_feasible
 from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
 from .seeds import derive_seed, stream
@@ -63,7 +63,11 @@ class AttackConfig:
             raise InputShapeError("the experiment needs at least two users")
         if self.trials < 1:
             raise InputShapeError("need at least one trial")
-        if self.scheme not in (LOCAL_PRG, PRF):
+        if self.scheme == PRF:
+            raise UnsupportedSchemeError(
+                "the attack compiles ciphertexts into circuits; PRF keys have none"
+            )
+        if self.scheme != LOCAL_PRG:
             raise InputShapeError(f"unknown scheme {self.scheme!r}")
         if self.mode not in (LITERAL, FOLDED):
             raise InputShapeError(f"unknown circuit mode {self.mode!r}")
@@ -105,6 +109,10 @@ def pirate_from_sanitizer(
     sanitizer machinery is rethrown as SanitizerFailure so experiment
     runners can count the trial as an availability violation.
     """
+    if params.scheme != LOCAL_PRG:
+        raise UnsupportedSchemeError(
+            "a sanitizer pirate needs decryption circuits; only LOCAL_PRG keys have them"
+        )
     db = Database(np.asarray(coalition_rows, dtype=np.uint8))
     if db.d != params.kappa:
         raise InputShapeError(
@@ -214,12 +222,6 @@ class AttackReport:
         return obj
 
 
-def _shared_prg(cfg: AttackConfig):
-    if cfg.scheme != LOCAL_PRG:
-        return None
-    return prg_params_gen(derive_seed(cfg.seed, "attack", "prg"), cfg.kappa // 2)
-
-
 def _run_trial(cfg: AttackConfig, prg, tag: str, coalition: tuple[int, ...], t: int) -> TrialRecord:
     ks = tt_gen(
         cfg.kappa, cfg.n, cfg.scheme, stream(cfg.seed, "attack", tag, t, "keys"), prg=prg
@@ -268,6 +270,16 @@ def _run_experiment(
     return ExperimentStats(tag, coalition, tuple(records))
 
 
+def worker_count(jobs: int, trials: int, cpus: int) -> int:
+    """Processes to run trials on: jobs clamped to the trials and the cpus.
+
+    Rejects jobs < 1, so a bad request fails before any work starts.
+    """
+    if jobs < 1:
+        raise InputShapeError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, trials, cpus)
+
+
 def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     """Both experiments, deterministically seeded; jobs never affects output.
 
@@ -277,7 +289,8 @@ def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     trial of experiment 1 accused anyone there is no i*; experiment 2
     is skipped and the audit can only be inconclusive.
     """
-    prg = _shared_prg(cfg)
+    jobs = worker_count(jobs, cfg.trials, os.cpu_count() or 1)
+    prg = prg_params_gen(derive_seed(cfg.seed, "attack", "prg"), cfg.kappa // 2)
     exp_full = _run_experiment(cfg, prg, EXP_FULL, range(cfg.n), jobs)
     counts = exp_full.accused_counts()
     if counts:

@@ -123,9 +123,15 @@ def prg_expand(params: LocalPrgParams, seed: np.ndarray) -> np.ndarray:
 
 
 def prg_bits_at(params: LocalPrgParams, seed: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """G(seed) at selected output positions, without expanding everything."""
-    arr = _check_seed(params, seed)
+    """G(seed) at selected output positions.
+
+    At least ell positions cost more to gather one by one than to
+    expand all ell bits once and index them; fewer are gathered.
+    """
     pos = np.asarray(positions, dtype=np.int64)
+    if pos.size >= params.ell:
+        return prg_expand(params, seed)[pos]
+    arr = _check_seed(params, seed)
     packed = arr[params.index_sets[pos]] @ _pow2(params.locality)
     return params.table[packed]
 

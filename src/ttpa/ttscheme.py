@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -86,20 +86,31 @@ class TTKeySet:
 
 @dataclass(frozen=True, eq=False)
 class TTCiphertext:
-    """One component ciphertext per user, stored columnar for bulk work."""
+    """A batch of k ciphertexts: row j is ciphertext j, column u user u's components.
 
-    rs: np.ndarray      # (n,) int64
-    masked: np.ndarray  # (n,) uint8
+    A single ciphertext is the k=1 batch, and ct[j] is ciphertext j as
+    one.  Every consumer reads the batch whole or by user column.
+    """
+
+    rs: np.ndarray      # (k, n) int64; object for PRF nonces
+    masked: np.ndarray  # (k, n) uint8
+
+    def __post_init__(self):
+        if self.rs.ndim != 2 or self.rs.shape != self.masked.shape:
+            raise MalformedCiphertextError(
+                f"ciphertext arrays must both be (k, n), got {self.rs.shape}"
+                f" and {self.masked.shape}"
+            )
 
     @property
     def n(self) -> int:
+        return int(self.rs.shape[1])
+
+    def __len__(self) -> int:
         return int(self.rs.shape[0])
 
-    @property
-    def components(self) -> tuple[EncCiphertext, ...]:
-        return tuple(
-            EncCiphertext(int(r), int(m)) for r, m in zip(self.rs, self.masked)
-        )
+    def __getitem__(self, j: int) -> "TTCiphertext":
+        return TTCiphertext(self.rs[[j]], self.masked[[j]])
 
 
 def tt_gen(
@@ -156,8 +167,8 @@ def decode_key_row(params: TTParams, row: np.ndarray) -> tuple[np.ndarray, int]:
     return arr[:ke], idx
 
 
-def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> list[TTCiphertext]:
-    """Tracing ciphertexts: column j carries W[u, j] to user u, for every j."""
+def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphertext:
+    """Tracing batch: ciphertext j carries W[u, j] to user u, for every j."""
     w = np.asarray(words, dtype=np.uint8)
     if w.ndim != 2 or w.shape[0] != ks.params.n:
         raise InputShapeError(
@@ -167,13 +178,13 @@ def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> list[TT
     n = ks.params.n
     # PRF nonces are kappa/2-bit ints; int64 would overflow past 63 bits
     rdtype = np.int64 if ks.params.scheme == LOCAL_PRG else object
-    rs = np.empty((k, n), dtype=rdtype)
-    ms = np.empty((k, n), dtype=np.uint8)
+    # filled user by user and kept column-major, so every per-user
+    # column (what decryption and the query family read) is contiguous
+    rs = np.empty((n, k), dtype=rdtype)
+    ms = np.empty((n, k), dtype=np.uint8)
     for u in range(n):
-        ru, mu = enc_encrypt_many(ks.key(u), w[u], rng)
-        rs[:, u] = ru
-        ms[:, u] = mu
-    return [TTCiphertext(rs[j], ms[j]) for j in range(k)]
+        rs[u], ms[u] = enc_encrypt_many(ks.key(u), w[u], rng)
+    return TTCiphertext(rs.T, ms.T)
 
 
 def tt_enc(ks: TTKeySet, bit: int, rng: np.random.Generator) -> TTCiphertext:
@@ -182,7 +193,7 @@ def tt_enc(ks: TTKeySet, bit: int, rng: np.random.Generator) -> TTCiphertext:
     if bit not in (0, 1):
         raise InputShapeError(f"plaintext bit must be 0/1, got {bit!r}")
     col = np.full((ks.params.n, 1), bit, dtype=np.uint8)
-    return tr_enc(ks, col, rng)[0]
+    return tr_enc(ks, col, rng)
 
 
 def tr_enc_index(ks: TTKeySet, i: int, rng: np.random.Generator) -> TTCiphertext:
@@ -191,28 +202,32 @@ def tr_enc_index(ks: TTKeySet, i: int, rng: np.random.Generator) -> TTCiphertext
     if not 0 <= i <= n:
         raise InputShapeError(f"level must be in [0, {n}], got {i}")
     col = (np.arange(n) < i).astype(np.uint8)[:, None]
-    return tr_enc(ks, col, rng)[0]
+    return tr_enc(ks, col, rng)
+
+
+def _check_single(ct: TTCiphertext, params: TTParams) -> None:
+    if len(ct) != 1:
+        raise MalformedCiphertextError(f"expected one ciphertext, got a batch of {len(ct)}")
+    if ct.n != params.n:
+        raise MalformedCiphertextError(
+            f"ciphertext has {ct.n} components, scheme has {params.n} users"
+        )
 
 
 def tt_dec(params: TTParams, row: np.ndarray, ct: TTCiphertext) -> int:
-    """Decrypt with any single user key row (its own component)."""
+    """Decrypt one (k=1) ciphertext with any single user key row (its own component)."""
     key_bits, idx = decode_key_row(params, row)
     if idx >= params.n:
         raise InputShapeError(
             f"decoded index {idx} outside the {params.n}-user key space"
         )
-    if ct.n != params.n:
-        raise MalformedCiphertextError(
-            f"ciphertext has {ct.n} components, scheme has {params.n} users"
-        )
+    _check_single(ct, params)
     key = EncKey(params.scheme, key_bits, params.prg)
-    return int(
-        enc_decrypt_many(key, ct.rs[idx : idx + 1], ct.masked[idx : idx + 1])[0]
-    )
+    return int(enc_decrypt_many(key, ct.rs[:, idx], ct.masked[:, idx])[0])
 
 
 def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Circuit:
-    """Decryption circuit of a fixed ciphertext over the kappa key-row wires.
+    """Decryption circuit of a fixed (k=1) ciphertext over the kappa key-row wires.
 
     Per user: an indicator conjunction over the index wires joined with
     that user's component decryption circuit; one outer OR.  Built from
@@ -223,10 +238,7 @@ def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Ci
         raise UnsupportedSchemeError(
             "decryption circuits exist only for LOCAL_PRG keys"
         )
-    if ct.n != params.n:
-        raise MalformedCiphertextError(
-            f"ciphertext has {ct.n} components, scheme has {params.n} users"
-        )
+    _check_single(ct, params)
     ke, iw, n = params.enc_bits, params.index_bits, params.n
     b = CircuitBuilder(params.kappa)
     user_terms = []
@@ -238,7 +250,7 @@ def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Ci
         else:
             ind = [b.const(1)]
         comp = append_dec_component(
-            b, EncCiphertext(int(ct.rs[u]), int(ct.masked[u])), params.prg, mode
+            b, EncCiphertext(int(ct.rs[0, u]), int(ct.masked[0, u])), params.prg, mode
         )
         user_terms.append(b.and_((*ind, comp)))
     return b.build(b.or_(user_terms))
@@ -251,13 +263,13 @@ class PirateOracle:
     a second call raises.
     """
 
-    def __init__(self, fn: Callable[[Sequence[TTCiphertext], "PirateOracle"], np.ndarray], label: str = "pirate"):
+    def __init__(self, fn: Callable[[TTCiphertext, "PirateOracle"], np.ndarray], label: str = "pirate"):
         self._fn = fn
         self._spent = False
         self.label = label
         self.stats: dict = {}
 
-    def answer(self, cts: Sequence[TTCiphertext]) -> np.ndarray:
+    def answer(self, cts: TTCiphertext) -> np.ndarray:
         if self._spent:
             raise OneShotViolationError(f"{self.label} oracle already consumed")
         self._spent = True
@@ -271,23 +283,14 @@ class PirateOracle:
         return bits
 
 
-def _batch_arrays(cts: Sequence[TTCiphertext]) -> tuple[np.ndarray, np.ndarray]:
-    rs = np.stack([c.rs for c in cts])
-    ms = np.stack([c.masked for c in cts])
-    return rs, ms
-
-
 def honest_pirate(ks: TTKeySet, user: int) -> PirateOracle:
     """Decrypts every ciphertext with one user's key, honestly."""
     if not 0 <= user < ks.params.n:
         raise InputShapeError(f"no user {user} in a {ks.params.n}-user key set")
     key = ks.key(user)
 
-    def fn(cts: Sequence[TTCiphertext], _o: PirateOracle) -> np.ndarray:
-        if not cts:
-            return np.zeros(0, dtype=np.uint8)
-        rs, ms = _batch_arrays(cts)
-        return enc_decrypt_many(key, rs[:, user], ms[:, user])
+    def fn(cts: TTCiphertext, _o: PirateOracle) -> np.ndarray:
+        return enc_decrypt_many(key, cts.rs[:, user], cts.masked[:, user])
 
     return PirateOracle(fn, label=f"honest:{user}")
 
@@ -311,14 +314,13 @@ class TTDecQueryFamily:
     """
 
     params: TTParams
-    rs: np.ndarray      # (k, n) int64
-    masked: np.ndarray  # (k, n) uint8
+    cts: TTCiphertext
     mode: str = FOLDED
 
     @classmethod
     def from_ciphertexts(
         cls,
-        cts: Sequence[TTCiphertext],
+        cts: TTCiphertext,
         params: TTParams,
         mode: str = FOLDED,
     ) -> "TTDecQueryFamily":
@@ -326,28 +328,24 @@ class TTDecQueryFamily:
             raise UnsupportedSchemeError(
                 "decryption circuits exist only for LOCAL_PRG keys"
             )
-        if not cts:
-            return cls(params, np.zeros((0, params.n), np.int64), np.zeros((0, params.n), np.uint8), mode)
-        rs, ms = _batch_arrays(cts)
-        if rs.shape[1] != params.n:
+        if cts.n != params.n:
             raise MalformedCiphertextError(
-                f"ciphertexts have {rs.shape[1]} components, scheme has {params.n} users"
+                f"ciphertexts have {cts.n} components, scheme has {params.n} users"
             )
+        rs = cts.rs
         if rs.size and (rs.min() < 0 or rs.max() >= params.prg.ell):
             raise MalformedCiphertextError("PRG index outside stretch range")
-        return cls(params, rs, ms, mode)
+        return cls(params, cts, mode)
 
     def __len__(self) -> int:
-        return int(self.rs.shape[0])
+        return len(self.cts)
 
     @property
     def input_width(self) -> int:
         return self.params.kappa
 
     def circuit(self, j: int) -> Circuit:
-        return tt_dec_circuit(
-            TTCiphertext(self.rs[j], self.masked[j]), self.params, self.mode
-        )
+        return tt_dec_circuit(self.cts[j], self.params, self.mode)
 
     def evaluate_on_rows(self, rows: np.ndarray) -> np.ndarray:
         """(k, m) bit matrix: circuit j on row m, for arbitrary kappa-bit rows."""
@@ -359,6 +357,7 @@ class TTDecQueryFamily:
         p = self.params
         ke, iw, n = p.enc_bits, p.index_bits, p.n
         m = arr.shape[0]
+        rs, masked = self.cts.rs, self.cts.masked
         out = np.zeros((len(self), m), dtype=np.uint8)
         if iw:
             weights = (1 << np.arange(iw - 1, -1, -1)).astype(np.int64)
@@ -370,7 +369,7 @@ class TTDecQueryFamily:
             if u >= n:
                 continue  # no indicator fires; the circuit outputs 0
             expansion = prg_expand(p.prg, arr[mi, :ke])
-            out[:, mi] = expansion[self.rs[:, u]] ^ self.masked[:, u]
+            out[:, mi] = expansion[rs[:, u]] ^ masked[:, u]
         return out
 
 
@@ -397,16 +396,6 @@ def tt_trace_report(
     cts = tr_enc(ks, cb.words, rng)
     word = pirate.answer(cts)
     return TraceOutcome(fp_trace(cb, word), word, cb)
-
-
-def tt_trace(
-    ks: TTKeySet,
-    pirate: PirateOracle,
-    eps_fp: float,
-    rng: np.random.Generator,
-    a: float = 100.0,
-) -> int | None:
-    return tt_trace_report(ks, pirate, eps_fp, rng, a=a).accused
 
 
 def default_scan_repetitions(n: int, beta: float = 0.05) -> int:
@@ -454,16 +443,6 @@ def linear_scan_report(
             accused = i
             break
     return ScanOutcome(accused, counts / float(s), counts, s)
-
-
-def linear_scan_trace(
-    ks: TTKeySet,
-    pirate: PirateOracle,
-    rng: np.random.Generator,
-    repetitions: int | None = None,
-    beta: float = 0.05,
-) -> int | None:
-    return linear_scan_report(ks, pirate, rng, repetitions, beta).accused
 
 
 def keyset_to_json(ks: TTKeySet) -> dict:

@@ -36,6 +36,7 @@ from ttpa.fpcode import COPY_ONE, MAJORITY, STRATEGIES, run_code_experiment
 from ttpa.sanitize import EXACT, SanitizerConfig
 from ttpa.seeds import stream
 from ttpa.ttscheme import (
+    TTCiphertext,
     TTDecQueryFamily,
     honest_pirate,
     linear_scan_report,
@@ -51,6 +52,13 @@ from ttpa.ttscheme import (
 def all_rows(width: int) -> np.ndarray:
     cols = np.arange(1 << width, dtype=np.int64)
     return ((cols[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def concat(*cts: TTCiphertext) -> TTCiphertext:
+    """One batch holding the given ciphertexts, in order."""
+    return TTCiphertext(
+        np.concatenate([c.rs for c in cts]), np.concatenate([c.masked for c in cts])
+    )
 
 
 def wilson_lower(successes: int, trials: int) -> float:
@@ -125,7 +133,7 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     rng = stream(0, "acceptance-2", "tt")
     ks = tt_gen(16, 3, LOCAL_PRG, rng)
     rows16 = all_rows(16)
-    cts = [tt_enc(ks, 1, rng), tt_enc(ks, 0, rng), tr_enc_index(ks, 2, rng)]
+    cts = concat(tt_enc(ks, 1, rng), tt_enc(ks, 0, rng), tr_enc_index(ks, 2, rng))
     fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params, FOLDED)
     bulk = fam.evaluate_on_rows(rows16)
     for j, ct in enumerate(cts):
@@ -147,7 +155,7 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     rng = stream(0, "acceptance-2", "big")
     ks64 = tt_gen(64, 16, LOCAL_PRG, rng)
     rows_s = rng.integers(0, 2, size=(10_000, 64), dtype=np.uint8)
-    cts64 = [tt_enc(ks64, 1, rng), tt_enc(ks64, 0, rng), tr_enc_index(ks64, 8, rng)]
+    cts64 = concat(tt_enc(ks64, 1, rng), tt_enc(ks64, 0, rng), tr_enc_index(ks64, 8, rng))
     fam64 = TTDecQueryFamily.from_ciphertexts(cts64, ks64.params, FOLDED)
     bulk64 = fam64.evaluate_on_rows(rows_s)
     for j, ct in enumerate(cts64):
@@ -158,7 +166,7 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     prg32 = prg_params_gen(9, 32, ell=64)
     ks64s = tt_gen(64, 16, LOCAL_PRG, rng, prg=prg32)
     ct_s = tt_enc(ks64s, 1, rng)
-    fam_s = TTDecQueryFamily.from_ciphertexts([ct_s], ks64s.params, FOLDED)
+    fam_s = TTDecQueryFamily.from_ciphertexts(ct_s, ks64s.params, FOLDED)
     bulk_s = fam_s.evaluate_on_rows(rows_s)
     for mode in (LITERAL, FOLDED):
         got = eval_on_rows(tt_dec_circuit(ct_s, ks64s.params, mode), rows_s)

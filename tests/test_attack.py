@@ -15,9 +15,10 @@ from ttpa.attack import (
     pirate_from_sanitizer,
     run_attack,
     wilson_interval,
+    worker_count,
 )
-from ttpa.crypto import LOCAL_PRG, prg_params_gen
-from ttpa.errors import InputShapeError, SanitizerFailure
+from ttpa.crypto import LOCAL_PRG, PRF, prg_params_gen
+from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
 from ttpa.fpcode import fp_feasible
 from ttpa.sanitize import LAPLACE, SanitizerConfig
 from ttpa.seeds import stream
@@ -144,6 +145,11 @@ class TestConfig:
         with pytest.raises(InputShapeError):
             AttackConfig(mode="tabular")
 
+    def test_prf_rejected_at_construction(self):
+        # PRF keys have no decryption circuits, so no trial could run
+        with pytest.raises(UnsupportedSchemeError):
+            AttackConfig(scheme=PRF)
+
     def test_to_dict_shape(self):
         d = AttackConfig().to_dict()
         assert set(d) == {
@@ -200,6 +206,11 @@ class TestSanitizerPirate:
         )
         # coalition {0,1}: column means 1.0 and 0.5 -> word (1, 1)
         assert pirate.answer(cts).tolist() == [1, 1]
+
+    def test_prf_keys_rejected_before_an_oracle_exists(self):
+        ks = tt_gen(16, 2, PRF, stream(45, "prf"))
+        with pytest.raises(UnsupportedSchemeError):
+            pirate_from_sanitizer(ks.params, ks.rows, SanitizerConfig(), stream(45, "p"))
 
     def test_width_mismatch(self):
         ks = small_keyset(seed=45)
@@ -291,6 +302,18 @@ class TestRunAttack:
         a1 = dp_audit(r1, 1.0, 0.01)
         assert r1.to_dict(a1) == r2.to_dict(dp_audit(r2, 1.0, 0.01))
         assert r1.to_dict(a1) == r3.to_dict(dp_audit(r3, 1.0, 0.01))
+
+    def test_jobs_validated_and_clamped(self):
+        for bad in (0, -3):
+            with pytest.raises(InputShapeError):
+                worker_count(bad, 200, 2)
+            with pytest.raises(InputShapeError):
+                run_attack(self.small_cfg(), jobs=bad)
+        # pure arithmetic: no pool or process is started here
+        assert worker_count(10**6, 200, 2) == 2
+        assert worker_count(10**6, 3, 64) == 3
+        assert worker_count(4, 200, 64) == 4
+        assert worker_count(1, 200, 64) == 1
 
     def test_seed_changes_output(self):
         r1 = run_attack(self.small_cfg())

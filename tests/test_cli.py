@@ -392,6 +392,12 @@ class TestAttackCommand:
         )
         assert code == 2 and "two users" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_rejects_jobs_below_one(self, capsys, tmp_path, jobs):
+        code, _out, err, _path = self.run(capsys, tmp_path, "r.json", "--jobs", jobs)
+        assert code == 2 and "jobs must be >= 1" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_flag(self, capsys):
         code, _out, _err = run_cli(capsys, "attack", "run", "--frobnicate")
         assert code == 2

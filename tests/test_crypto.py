@@ -118,6 +118,12 @@ class TestPrgParams:
             assert len(set(row.tolist())) == params.locality
 
 
+def gathered_bits(params, seed, pos):
+    """G(seed) at pos, one index set per position: the reference gather."""
+    pow2 = 1 << np.arange(params.locality - 1, -1, -1)
+    return params.table[seed[params.index_sets[pos]] @ pow2]
+
+
 class TestPrgExpand:
     def test_zero_seed_zero_output(self):
         params = prg_params_gen(3, 10, ell=64)
@@ -137,10 +143,18 @@ class TestPrgExpand:
             assert out[i] == params.table[idx]
 
     def test_bits_at_agrees_with_expand(self):
+        # below ell the positions are gathered, from ell up expanded and indexed
         params = prg_params_gen(5, 12, ell=50)
-        seed = np.random.default_rng(12).integers(0, 2, 12, dtype=np.uint8)
-        pos = np.array([0, 17, 17, 49, 3])
-        assert np.array_equal(prg_bits_at(params, seed, pos), prg_expand(params, seed)[pos])
+        rng = np.random.default_rng(12)
+        seed = rng.integers(0, 2, 12, dtype=np.uint8)
+        for size in (0, 1, 5, 49, 50, 51, 400):
+            pos = rng.integers(0, 50, size)
+            if size >= 5:
+                pos[:5] = [0, 17, 17, 49, 3]  # repeats and both ends
+            got = prg_bits_at(params, seed, pos)
+            assert got.dtype == np.uint8 and got.shape == (size,)
+            assert np.array_equal(got, prg_expand(params, seed)[pos])
+            assert np.array_equal(got, gathered_bits(params, seed, pos))
 
     def test_seed_shape_checked(self):
         params = prg_params_gen(0, 8, ell=4)
@@ -281,6 +295,19 @@ class TestEncRoundtrip:
         assert np.array_equal(enc_decrypt_many(key, rs, ms), bits)
         singles = [enc_decrypt(key, EncCiphertext(int(r), int(m))) for r, m in zip(rs, ms)]
         assert np.array_equal(np.array(singles), bits)
+
+    @pytest.mark.parametrize("k", [1, 513])
+    def test_batch_encrypt_bits_exact_on_both_paths(self, k):
+        # k=1 gathers, k > ell=512 expands: the ciphertexts are the same bits
+        rng = np.random.default_rng(9)
+        key = enc_gen(8, LOCAL_PRG, rng, prg=prg_params_gen(2, 8))
+        assert key.prg.ell == 512
+        bits = rng.integers(0, 2, k, dtype=np.uint8)
+        draw = np.random.default_rng(10)
+        rs, ms = enc_encrypt_many(key, bits, draw)
+        assert np.array_equal(rs, np.random.default_rng(10).integers(0, 512, k, dtype=np.int64))
+        assert np.array_equal(ms, gathered_bits(key.prg, key.bits, rs) ^ bits)
+        assert np.array_equal(enc_decrypt_many(key, rs, ms), bits)
 
     def test_batch_roundtrip_prf_wide_nonces(self):
         # regression: 64-bit nonces overflowed a fixed-width index array

@@ -26,14 +26,12 @@ from ttpa.ttscheme import (
     keyset_loads,
     keyset_to_json,
     linear_scan_report,
-    linear_scan_trace,
     tr_enc,
     tr_enc_index,
     tt_dec,
     tt_dec_circuit,
     tt_enc,
     tt_gen,
-    tt_trace,
     tt_trace_report,
     zeros_pirate,
 )
@@ -129,6 +127,25 @@ class TestEncryptDecrypt:
             got = [tt_dec(ks.params, ks.rows[u], ct) for ct in cts]
             assert got == words[u].tolist()
 
+    def test_batch_is_one_columnar_object(self):
+        rng = stream(5, "batch")
+        ks = tt_gen(16, 3, LOCAL_PRG, rng)
+        words = rng.integers(0, 2, (3, 7), dtype=np.uint8)
+        cts = tr_enc(ks, words, rng)
+        assert isinstance(cts, TTCiphertext)
+        assert len(cts) == 7 and cts.n == 3
+        assert cts.rs.shape == cts.masked.shape == (7, 3)
+        one = cts[4]
+        assert len(one) == 1
+        assert np.array_equal(one.rs[0], cts.rs[4])
+        assert np.array_equal(one.masked, cts[-3].masked)
+        assert len(list(cts)) == 7
+        assert len(tt_enc(ks, 1, rng)) == 1
+        with pytest.raises(MalformedCiphertextError):
+            TTCiphertext(cts.rs[0], cts.masked[0])
+        with pytest.raises(MalformedCiphertextError):
+            TTCiphertext(cts.rs, cts.masked[:, :2])
+
     def test_indexed_levels(self):
         rng = stream(6, "lvl")
         ks = tt_gen(16, 4, LOCAL_PRG, rng)
@@ -148,7 +165,9 @@ class TestEncryptDecrypt:
             tr_enc(ks, np.zeros((3, 4), dtype=np.uint8), rng)
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
-            tt_dec(ks.params, ks.rows[0], TTCiphertext(ct.rs[:1], ct.masked[:1]))
+            tt_dec(ks.params, ks.rows[0], TTCiphertext(ct.rs[:, :1], ct.masked[:, :1]))
+        with pytest.raises(MalformedCiphertextError):
+            tt_dec(ks.params, ks.rows[0], tr_enc(ks, np.zeros((2, 2), dtype=np.uint8), rng))
         ks3 = small_keyset()
         ct3 = tt_enc(ks3, 0, rng)
         row = ks3.rows[0].copy()
@@ -185,7 +204,7 @@ class TestDecCircuit:
         circ = tt_dec_circuit(ct, ks.params, FOLDED)
         comp_max = max(
             circuit_metrics(
-                enc_dec_circuit(EncCiphertext(int(ct.rs[u]), int(ct.masked[u])), ks.params.prg, FOLDED)
+                enc_dec_circuit(EncCiphertext(int(ct.rs[0, u]), int(ct.masked[0, u])), ks.params.prg, FOLDED)
             ).size
             for u in range(8)
         )
@@ -213,7 +232,9 @@ class TestDecCircuit:
         rng = stream(13, "mm")
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
-            tt_dec_circuit(TTCiphertext(ct.rs[:2], ct.masked[:2]), ks.params)
+            tt_dec_circuit(TTCiphertext(ct.rs[:, :2], ct.masked[:, :2]), ks.params)
+        with pytest.raises(MalformedCiphertextError):
+            tt_dec_circuit(tr_enc(ks, np.ones((3, 2), dtype=np.uint8), rng), ks.params)
 
 
 class TestQueryFamily:
@@ -251,28 +272,30 @@ class TestQueryFamily:
 
     def test_empty_batch(self):
         ks = small_keyset()
-        fam = TTDecQueryFamily.from_ciphertexts([], ks.params)
+        empty = tr_enc(ks, np.zeros((3, 0), dtype=np.uint8), stream(0, "empty"))
+        fam = TTDecQueryFamily.from_ciphertexts(empty, ks.params)
         assert len(fam) == 0
         assert fam.evaluate_on_rows(np.zeros((5, 16), dtype=np.uint8)).shape == (0, 5)
+        assert honest_pirate(ks, 1).answer(empty).shape == (0,)
 
     def test_validation(self):
         ks = small_keyset()
         rng = stream(17, "fam-bad")
         ct = tt_enc(ks, 0, rng)
-        bad = TTCiphertext(np.full(3, ks.params.prg.ell, dtype=np.int64), ct.masked)
+        bad = TTCiphertext(np.full((1, 3), ks.params.prg.ell, dtype=np.int64), ct.masked)
         with pytest.raises(MalformedCiphertextError):
-            TTDecQueryFamily.from_ciphertexts([bad], ks.params)
+            TTDecQueryFamily.from_ciphertexts(bad, ks.params)
         with pytest.raises(MalformedCiphertextError):
             TTDecQueryFamily.from_ciphertexts(
-                [TTCiphertext(ct.rs[:2], ct.masked[:2])], ks.params
+                TTCiphertext(ct.rs[:, :2], ct.masked[:, :2]), ks.params
             )
-        fam = TTDecQueryFamily.from_ciphertexts([ct], ks.params)
+        fam = TTDecQueryFamily.from_ciphertexts(ct, ks.params)
         with pytest.raises(InputShapeError):
             fam.evaluate_on_rows(np.zeros((2, 15), dtype=np.uint8))
         pks = tt_gen(16, 2, PRF, rng)
         pct = tt_enc(pks, 0, rng)
         with pytest.raises(UnsupportedSchemeError):
-            TTDecQueryFamily.from_ciphertexts([pct], pks.params)
+            TTDecQueryFamily.from_ciphertexts(pct, pks.params)
 
 
 class TestPirates:
@@ -280,7 +303,7 @@ class TestPirates:
         ks = small_keyset()
         rng = stream(18, "shot")
         p = honest_pirate(ks, 0)
-        cts = [tt_enc(ks, 1, rng)]
+        cts = tt_enc(ks, 1, rng)
         assert p.answer(cts).tolist() == [1]
         with pytest.raises(OneShotViolationError):
             p.answer(cts)
@@ -290,10 +313,10 @@ class TestPirates:
         ks = small_keyset()
         rng = stream(19, "shape")
         with pytest.raises(InputShapeError):
-            bad.answer([tt_enc(ks, 0, rng)])
+            bad.answer(tt_enc(ks, 0, rng))
         nonbit = PirateOracle(lambda cts, _o: np.full(len(cts), 2, dtype=np.uint8))
         with pytest.raises(InputShapeError):
-            nonbit.answer([tt_enc(ks, 0, rng)])
+            nonbit.answer(tt_enc(ks, 0, rng))
 
     def test_honest_pirate_bounds(self):
         ks = small_keyset()
@@ -306,7 +329,8 @@ class TestFingerprintTracing:
         rng = stream(0, "tt-honest")
         ks = tt_gen(32, 10, LOCAL_PRG, rng)
         for u in range(10):
-            assert tt_trace(ks, honest_pirate(ks, u), 0.05, stream(0, "tt-honest", u)) == u
+            out = tt_trace_report(ks, honest_pirate(ks, u), 0.05, stream(0, "tt-honest", u))
+            assert out.accused == u
 
     def test_trace_report_word_matches_user(self):
         rng = stream(20, "rep")
@@ -318,7 +342,7 @@ class TestFingerprintTracing:
     def test_zeros_pirate_never_accused(self):
         rng = stream(21, "z")
         ks = tt_gen(32, 4, LOCAL_PRG, rng)
-        assert tt_trace(ks, zeros_pirate(), 0.05, stream(21, "z", "t")) is None
+        assert tt_trace_report(ks, zeros_pirate(), 0.05, stream(21, "z", "t")).accused is None
 
 
 class TestLinearScan:
@@ -345,7 +369,7 @@ class TestLinearScan:
     def test_repetition_validation(self):
         ks = small_keyset()
         with pytest.raises(InputShapeError):
-            linear_scan_trace(ks, zeros_pirate(), stream(0, "s"), repetitions=0)
+            linear_scan_report(ks, zeros_pirate(), stream(0, "s"), repetitions=0)
 
 
 class TestSerialization:
