@@ -35,6 +35,7 @@ from .ttscheme import (
     PirateOracle,
     TTDecQueryFamily,
     TTParams,
+    check_tracing_batch,
     tt_gen,
     tt_trace_report,
 )
@@ -71,6 +72,7 @@ class AttackConfig:
             raise InputShapeError(f"unknown scheme {self.scheme!r}")
         if self.mode not in (LITERAL, FOLDED):
             raise InputShapeError(f"unknown circuit mode {self.mode!r}")
+        check_tracing_batch(self.n, self.eps_fp, self.a)
 
     def to_dict(self) -> dict:
         s = self.sanitizer

@@ -18,6 +18,7 @@ fast are far below anything cryptographically meaningful.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -108,32 +109,105 @@ def _pow2(locality: int) -> np.ndarray:
     return (1 << np.arange(locality - 1, -1, -1)).astype(np.int64)
 
 
-def _check_seed(params: LocalPrgParams, seed: np.ndarray) -> np.ndarray:
-    arr = np.asarray(seed, dtype=np.uint8)
-    if arr.shape != (params.kappa,):
-        raise InputShapeError(f"seed must be {params.kappa} bits, got shape {arr.shape}")
+def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
+    arr = np.asarray(seeds, dtype=np.uint8)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != params.kappa:
+        raise InputShapeError(
+            f"seeds must be ({params.kappa},) or (m, {params.kappa}) bits,"
+            f" got shape {arr.shape}"
+        )
     return arr
 
 
-def prg_expand(params: LocalPrgParams, seed: np.ndarray) -> np.ndarray:
-    """All ell output bits of G(seed)."""
-    arr = _check_seed(params, seed)
-    packed = arr[params.index_sets] @ _pow2(params.locality)
-    return params.table[packed]
+def _anf(table: np.ndarray) -> np.ndarray:
+    """Algebraic normal form of a truth table: its Moebius transform over GF(2).
 
-
-def prg_bits_at(params: LocalPrgParams, seed: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """G(seed) at selected output positions.
-
-    At least ell positions cost more to gather one by one than to
-    expand all ell bits once and index them; fewer are gathered.
+    Entry S is 1 iff the AND of the variables in S is a monomial of the
+    predicate written as an XOR of ANDs; S indexes variables the way the
+    table does (bit L-1-t is variable t), and S = 0 is the constant 1.
     """
+    anf = table.astype(np.uint8)
+    step = 1
+    while step < anf.size:
+        blocks = anf.reshape(-1, 2 * step)
+        blocks[:, step:] ^= blocks[:, :step]
+        step *= 2
+    return anf
+
+
+_LANES = 64  # seeds per uint64 lane word
+_LANE_SHIFTS = np.arange(_LANES, dtype=np.uint64)
+
+
+def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
+    """All ell output bits: seed (kappa,) -> (ell,), stack (m, kappa) -> (m, ell).
+
+    Bit-sliced (Biham 1997): bit p of up to 64 seeds packs into one
+    uint64 lane word, each index-set column gathers those words, and the
+    predicate runs as its algebraic normal form, an XOR of ANDs, so each
+    word operation evaluates it for every lane at once.
+    """
+    arr = _check_seeds(params, seeds)
+    if arr.size and arr.max() > 1:  # a 2 would spill into the next lane
+        raise InputShapeError("seed entries must be bits")
+    stack = arr.reshape(-1, params.kappa)
+    loc = params.locality
+    terms = [
+        [t for t in range(loc) if (s >> (loc - 1 - t)) & 1]
+        for s in np.flatnonzero(_anf(params.table))
+    ]
+    out = np.empty((stack.shape[0], params.ell), dtype=np.uint8)
+    for lo in range(0, stack.shape[0], _LANES):
+        block = stack[lo : lo + _LANES]
+        lanes = len(block)
+        words = np.bitwise_or.reduce(
+            block.astype(np.uint64) << _LANE_SHIFTS[:lanes, None], axis=0
+        )
+        acc = np.zeros(params.ell, dtype=np.uint64)
+        for term in terms:
+            if term:
+                # gathered per term, not kept per column: the tracing
+                # predicate reads each variable once, so this costs no
+                # extra gathers there and holds two columns, not L
+                cols = (np.take(words, params.index_sets[:, t]) for t in term)
+                acc ^= functools.reduce(np.bitwise_and, cols)
+            else:
+                np.invert(acc, out=acc)
+        # byte b of every lane word, contiguous: lane i is bit i % 8 of byte i // 8
+        lane_bytes = acc.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        planes = np.ascontiguousarray(lane_bytes[:, : (lanes + 7) // 8].T)
+        for i in range(lanes):
+            row = out[lo + i]
+            np.right_shift(planes[i >> 3], i & 7, out=row)
+            row &= 1
+    return out.reshape(arr.shape[:-1] + (params.ell,))
+
+
+def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """G at selected output positions: (k,) for one seed, (m, k) for a stack of m.
+
+    Row i of a stack reads seed i.  At least ell positions in all cost
+    more to gather one by one than to expand every seed once and index
+    the expansions; fewer are gathered.
+    """
+    arr = _check_seeds(params, seeds)
     pos = np.asarray(positions, dtype=np.int64)
+    if pos.ndim != arr.ndim or pos.shape[:-1] != arr.shape[:-1]:
+        raise InputShapeError(
+            f"positions {pos.shape} do not match seeds {arr.shape}: need one row per seed"
+        )
     if pos.size >= params.ell:
-        return prg_expand(params, seed)[pos]
-    arr = _check_seed(params, seed)
-    packed = arr[params.index_sets[pos]] @ _pow2(params.locality)
-    return params.table[packed]
+        expanded = prg_expand(params, arr)
+        if arr.ndim == 1:
+            return expanded[pos]
+        out = np.empty(pos.shape, dtype=np.uint8)
+        for i in range(arr.shape[0]):  # about 5x faster than np.take_along_axis
+            np.take(expanded[i], pos[i], out=out[i])
+        return out
+    sets = params.index_sets[pos]
+    if arr.ndim == 2:  # seed i's bits start at i * kappa in the flat stack
+        sets = sets + (params.kappa * np.arange(arr.shape[0]))[:, None, None]
+    return params.table[arr.ravel()[sets] @ _pow2(params.locality)]
 
 
 def prg_bit_circuit(params: LocalPrgParams, i: int) -> Circuit:
@@ -277,7 +351,10 @@ def enc_decrypt(key: EncKey, ct: EncCiphertext) -> int:
 
 
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:
-    ms = np.asarray(masked, dtype=np.uint8)
+    ms = np.asarray(masked)
+    if ms.size and (ms.min() < 0 or ms.max() > 1):
+        raise MalformedCiphertextError("masked bits must be 0/1")
+    ms = ms.astype(np.uint8, copy=False)
     if key.scheme == LOCAL_PRG:
         idx = np.asarray(rs, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= key.prg.ell):

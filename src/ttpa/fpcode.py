@@ -43,6 +43,9 @@ DEFAULT_LENGTH_CONSTANT = 100.0
 
 
 def code_length(n: int, eps_fp: float, a: float = DEFAULT_LENGTH_CONSTANT) -> int:
+    _check_params(n, eps_fp)
+    if a <= 0:
+        raise InputShapeError(f"length constant must be positive, got {a}")
     return math.ceil(a * n * n * math.log(n / eps_fp))
 
 
@@ -79,9 +82,6 @@ def fp_gen(
     n: int, eps_fp: float, rng: np.random.Generator, a: float = DEFAULT_LENGTH_CONSTANT
 ) -> Codebook:
     """Draw biases from the truncated arcsine density, then the word matrix."""
-    _check_params(n, eps_fp)
-    if a <= 0:
-        raise InputShapeError(f"length constant must be positive, got {a}")
     ell = code_length(n, eps_fp, a)
     t = bias_cutoff(n)
     z = accusation_threshold(n, eps_fp)

@@ -37,6 +37,7 @@ from .crypto import (
     enc_decrypt_many,
     enc_encrypt_many,
     enc_gen,
+    prg_bits_at,
     prg_expand,
     prg_params_gen,
 )
@@ -47,7 +48,10 @@ from .errors import (
     OneShotViolationError,
     UnsupportedSchemeError,
 )
-from .fpcode import Codebook, fp_gen, fp_trace
+from .fpcode import Codebook, code_length, fp_gen, fp_trace
+
+# largest tracing batch (rs, masked and codebook words) built before refusing
+MAX_TRACING_BATCH_BYTES = 2 << 30
 
 
 def index_width(n: int) -> int:
@@ -101,6 +105,8 @@ class TTCiphertext:
                 f"ciphertext arrays must both be (k, n), got {self.rs.shape}"
                 f" and {self.masked.shape}"
             )
+        if self.masked.size and (self.masked.min() < 0 or self.masked.max() > 1):
+            raise MalformedCiphertextError("masked components must be bits")
 
     @property
     def n(self) -> int:
@@ -174,13 +180,21 @@ def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphe
         raise InputShapeError(
             f"word matrix must be (n={ks.params.n}, k), got shape {w.shape}"
         )
-    k = w.shape[1]
-    n = ks.params.n
-    # PRF nonces are kappa/2-bit ints; int64 would overflow past 63 bits
-    rdtype = np.int64 if ks.params.scheme == LOCAL_PRG else object
+    n, k = w.shape
     # filled user by user and kept column-major, so every per-user
     # column (what decryption and the query family read) is contiguous
-    rs = np.empty((n, k), dtype=rdtype)
+    if ks.params.scheme == LOCAL_PRG:
+        if w.size and w.max() > 1:
+            raise InputShapeError("plaintext bits must be 0/1")
+        prg = ks.params.prg
+        rs = np.empty((n, k), dtype=np.int64)
+        for u in range(n):  # one draw per user, in user order: the RNG stream
+            rs[u] = rng.integers(0, prg.ell, k, dtype=np.int64)
+        ms = prg_bits_at(prg, ks.rows[:, : ks.params.enc_bits], rs)
+        ms ^= w
+        return TTCiphertext(rs.T, ms.T)
+    # PRF nonces are kappa/2-bit ints; int64 would overflow past 63 bits
+    rs = np.empty((n, k), dtype=object)
     ms = np.empty((n, k), dtype=np.uint8)
     for u in range(n):
         rs[u], ms[u] = enc_encrypt_many(ks.key(u), w[u], rng)
@@ -364,13 +378,28 @@ class TTDecQueryFamily:
             idxs = arr[:, ke : ke + iw].astype(np.int64) @ weights
         else:
             idxs = np.zeros(m, dtype=np.int64)
-        for mi in range(m):
-            u = int(idxs[mi])
-            if u >= n:
-                continue  # no indicator fires; the circuit outputs 0
-            expansion = prg_expand(p.prg, arr[mi, :ke])
+        # rows whose index names no user fire no indicator: their column stays 0
+        live = np.flatnonzero(idxs < n)
+        expansions = prg_expand(p.prg, arr[live, :ke])
+        # one gather per row: a single (k, m) gather would build a (k, m) int64 index
+        for mi, expansion in zip(live, expansions):
+            u = idxs[mi]
             out[:, mi] = expansion[rs[:, u]] ^ masked[:, u]
         return out
+
+
+def check_tracing_batch(n: int, eps_fp: float, a: float) -> int:
+    """Bytes of one tracing batch, ell_FP * n * 10 (int64 rs, uint8 masked and words).
+
+    Raises above MAX_TRACING_BATCH_BYTES, so callers refuse before allocating.
+    """
+    need = code_length(n, eps_fp, a) * n * 10
+    if need > MAX_TRACING_BATCH_BYTES:
+        raise InputShapeError(
+            f"a tracing batch at n={n}, eps_fp={eps_fp}, a={a} needs about"
+            f" {need / 2**30:.1f} GiB, over the {MAX_TRACING_BATCH_BYTES / 2**30:.0f} GiB limit"
+        )
+    return need
 
 
 @dataclass(frozen=True)
@@ -392,6 +421,7 @@ def tt_trace_report(
     Draws a fresh codebook, sends all ell_FP tracing ciphertexts in a
     single batch, and accuses whoever the code's scorer singles out.
     """
+    check_tracing_batch(ks.params.n, eps_fp, a)
     cb = fp_gen(ks.params.n, eps_fp, rng, a=a)
     cts = tr_enc(ks, cb.words, rng)
     word = pirate.answer(cts)

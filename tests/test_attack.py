@@ -144,6 +144,10 @@ class TestConfig:
             AttackConfig(scheme="OTP")
         with pytest.raises(InputShapeError):
             AttackConfig(mode="tabular")
+        with pytest.raises(InputShapeError, match="eps_fp"):
+            AttackConfig(eps_fp=0.0)
+        with pytest.raises(InputShapeError, match="GiB"):
+            AttackConfig(n=100)  # a 7 GiB tracing batch, refused unallocated
 
     def test_prf_rejected_at_construction(self):
         # PRF keys have no decryption circuits, so no trial could run

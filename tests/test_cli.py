@@ -392,6 +392,16 @@ class TestAttackCommand:
         )
         assert code == 2 and "two users" in err
 
+    def test_rejects_oversized_tracing_batch(self, capsys, tmp_path):
+        # the defaults eps_fp=0.05, a=100 at n=100: a 7 GiB batch, refused
+        # before any key, codebook or worker process exists
+        out_path = tmp_path / "r.json"
+        code, _out, err = run_cli(
+            capsys, "attack", "run", "--n", "100", "--jobs", "2", "--out", str(out_path)
+        )
+        assert code == 2 and "GiB" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_rejects_jobs_below_one(self, capsys, tmp_path, jobs):
         code, _out, err, _path = self.run(capsys, tmp_path, "r.json", "--jobs", jobs)

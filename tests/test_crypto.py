@@ -124,6 +124,17 @@ def gathered_bits(params, seed, pos):
     return params.table[seed[params.index_sets[pos]] @ pow2]
 
 
+def scalar_bits(params, seed):
+    """G(seed) bit by bit in pure Python: the reference recompute."""
+    out = []
+    for row in params.index_sets:
+        idx = 0
+        for p in row:
+            idx = (idx << 1) | int(seed[p])
+        out.append(int(params.table[idx]))
+    return np.array(out, dtype=np.uint8)
+
+
 class TestPrgExpand:
     def test_zero_seed_zero_output(self):
         params = prg_params_gen(3, 10, ell=64)
@@ -136,11 +147,23 @@ class TestPrgExpand:
         rng = np.random.default_rng(11)
         seed = rng.integers(0, 2, 12, dtype=np.uint8)
         out = prg_expand(params, seed)
-        for i in range(50):
-            idx = 0
-            for p in params.index_sets[i]:
-                idx = (idx << 1) | int(seed[p])
-            assert out[i] == params.table[idx]
+        assert np.array_equal(out, scalar_bits(params, seed))
+        # stacked seeds across the 64-lane word boundary, under every kind of
+        # table: table[0] is the constant term of the ANF the kernel evaluates
+        tables = [xor_and_table(3), xor_and_table(4), xor_and_table(5)]
+        for _ in range(3):
+            tables.append(rng.integers(0, 2, 32, dtype=np.uint8))
+        tables[-1][0], tables[-2][0] = 1, 0
+        tables.append(np.zeros(32, dtype=np.uint8))
+        for table in tables:
+            loc = table.size.bit_length() - 1
+            params = prg_params_gen(6, 12, ell=20, locality=loc, table=table)
+            for m in (0, 1, 63, 64, 65, 130):
+                seeds = rng.integers(0, 2, (m, 12), dtype=np.uint8)
+                got = prg_expand(params, seeds)
+                assert got.dtype == np.uint8 and got.shape == (m, 20)
+                for row, seed in zip(got, seeds):
+                    assert np.array_equal(row, scalar_bits(params, seed))
 
     def test_bits_at_agrees_with_expand(self):
         # below ell the positions are gathered, from ell up expanded and indexed
@@ -155,11 +178,35 @@ class TestPrgExpand:
             assert got.dtype == np.uint8 and got.shape == (size,)
             assert np.array_equal(got, prg_expand(params, seed)[pos])
             assert np.array_equal(got, gathered_bits(params, seed, pos))
+        # a stack of 3 seeds, one position row each: the rule counts all 3k
+        seeds = rng.integers(0, 2, (3, 12), dtype=np.uint8)
+        for k in (0, 1, 16, 17, 140):  # 3k = 0, 3, 48 gather; 51, 420 expand
+            pos = rng.integers(0, 50, (3, k))
+            got = prg_bits_at(params, seeds, pos)
+            assert got.dtype == np.uint8 and got.shape == (3, k)
+            for row, s, p in zip(got, seeds, pos):
+                assert np.array_equal(row, prg_expand(params, s)[p])
+                assert np.array_equal(row, gathered_bits(params, s, p))
 
     def test_seed_shape_checked(self):
         params = prg_params_gen(0, 8, ell=4)
         with pytest.raises(InputShapeError):
             prg_expand(params, np.zeros(9, dtype=np.uint8))
+        with pytest.raises(InputShapeError):
+            prg_expand(params, np.zeros((2, 9), dtype=np.uint8))
+        with pytest.raises(InputShapeError):
+            prg_expand(params, np.zeros((2, 3, 8), dtype=np.uint8))
+        with pytest.raises(InputShapeError):
+            prg_expand(params, np.full((2, 8), 2, dtype=np.uint8))
+        with pytest.raises(InputShapeError):
+            prg_bits_at(params, np.zeros((2, 3, 8), dtype=np.uint8), np.zeros((2, 3, 1)))
+        with pytest.raises(InputShapeError):
+            prg_bits_at(params, np.zeros((2, 9), dtype=np.uint8), np.zeros((2, 1)))
+        for positions in (np.zeros((3, 4)), np.zeros(4), np.zeros((1, 4))):
+            with pytest.raises(InputShapeError):
+                prg_bits_at(params, np.zeros((2, 8), dtype=np.uint8), positions)
+        with pytest.raises(InputShapeError):
+            prg_bits_at(params, np.zeros(8, dtype=np.uint8), np.zeros((1, 4)))
 
 
 class TestPrgBitCircuit:

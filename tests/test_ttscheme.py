@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from ttpa.circuit import circuit_metrics, eval_on_rows
-from ttpa.crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, enc_dec_circuit, EncCiphertext, prg_params_gen
+from ttpa.crypto import (
+    FOLDED,
+    LITERAL,
+    LOCAL_PRG,
+    PRF,
+    EncCiphertext,
+    enc_dec_circuit,
+    enc_decrypt_many,
+    prg_params_gen,
+)
 from ttpa.errors import (
     FileFormatError,
     InputShapeError,
@@ -17,6 +26,7 @@ from ttpa.ttscheme import (
     TTDecQueryFamily,
     TTKeySet,
     TTParams,
+    check_tracing_batch,
     decode_key_row,
     default_scan_repetitions,
     honest_pirate,
@@ -163,6 +173,8 @@ class TestEncryptDecrypt:
             tt_enc(ks, 2, rng)
         with pytest.raises(InputShapeError):
             tr_enc(ks, np.zeros((3, 4), dtype=np.uint8), rng)
+        with pytest.raises(InputShapeError):
+            tr_enc(ks, np.full((2, 4), 2, dtype=np.uint8), rng)
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
             tt_dec(ks.params, ks.rows[0], TTCiphertext(ct.rs[:, :1], ct.masked[:, :1]))
@@ -174,6 +186,25 @@ class TestEncryptDecrypt:
         row[8] = row[9] = 1  # index bits decode to 3 in a 3-user scheme
         with pytest.raises(InputShapeError):
             tt_dec(ks3.params, row, ct3)
+
+
+    def test_non_bit_masked_component_rejected(self):
+        ks = small_keyset()
+        rng = stream(8, "masked")
+        ct = tt_enc(ks, 1, rng)
+        masked = ct.masked.copy()
+        masked[0, 1] = 2
+        with pytest.raises(MalformedCiphertextError):
+            TTCiphertext(ct.rs, masked)
+        # no batch with a non-bit component reaches tt_dec_circuit or the
+        # query family; the decryption routes also check the arrays they read
+        ct.masked[0, 1] = 2
+        with pytest.raises(MalformedCiphertextError):
+            tt_dec(ks.params, ks.rows[1], ct)
+        with pytest.raises(MalformedCiphertextError):
+            honest_pirate(ks, 1).answer(ct)
+        with pytest.raises(MalformedCiphertextError):
+            enc_decrypt_many(ks.key(1), ct.rs[:, 1], np.array([-1]))
 
 
 class TestDecCircuit:
@@ -343,6 +374,20 @@ class TestFingerprintTracing:
         rng = stream(21, "z")
         ks = tt_gen(32, 4, LOCAL_PRG, rng)
         assert tt_trace_report(ks, zeros_pirate(), 0.05, stream(21, "z", "t")).accused is None
+
+    def test_oversized_batch_refused_before_allocation(self):
+        # n=100 needs ell_FP = 7,600,903 columns, about 7.1 GiB: refused
+        # before the codebook is drawn, so neither the rng nor the oracle moves
+        assert check_tracing_batch(10, 0.05, 100.0) == 52984 * 10 * 10
+        with pytest.raises(InputShapeError, match="7.1 GiB"):
+            check_tracing_batch(100, 0.05, 100.0)
+        ks = tt_gen(16, 100, LOCAL_PRG, stream(22, "big"))
+        rng = stream(22, "big", "t")
+        pirate = zeros_pirate()
+        with pytest.raises(InputShapeError, match="GiB"):
+            tt_trace_report(ks, pirate, 0.05, rng)
+        assert rng.integers(1 << 30) == stream(22, "big", "t").integers(1 << 30)
+        assert pirate.answer(tt_enc(ks, 0, rng)).tolist() == [0]
 
 
 class TestLinearScan:
