@@ -13,7 +13,7 @@ pushed onto literals.  Multi-bit values are big-endian throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +44,18 @@ class Circuit:
     input_width: int
     gates: tuple[Gate, ...]
     output: int
+    # length of the leading run where gate w is INPUT w; evaluation takes
+    # those values straight from the input columns (derived, so it takes
+    # no part in equality, hashing or repr)
+    input_prefix: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        k = 0
+        for op, _args, aux in self.gates:
+            if op != INPUT or aux != k:
+                break
+            k += 1
+        object.__setattr__(self, "input_prefix", k)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -131,11 +143,13 @@ def _eval_packed(circ: Circuit, cols: Sequence[int], mask: int) -> int:
     """Forward pass with one machine word (or bigint) per gate.
 
     cols[w] holds the bits of wire w across all evaluation points; the
-    return value holds the output bit for each point.
+    return value holds the output bit for each point.  The leading input
+    gates are not walked: their values are the first columns themselves.
     """
-    vals: list[int] = []
+    k = circ.input_prefix
+    vals = list(cols[:k])
     append = vals.append
-    for op, args, aux in circ.gates:
+    for op, args, aux in circ.gates[k:]:
         if op == AND:
             v = vals[args[0]]
             for a in args[1:]:
@@ -304,14 +318,20 @@ def table_of_function(fn: Callable[[tuple[int, ...]], int], width: int) -> list[
     return table
 
 
-def _prune_dead(circ: Circuit) -> Circuit:
-    """Rebuild keeping only gates reachable from the output."""
+def _live_gates(circ: Circuit) -> bytearray:
+    """needed[i] is 1 iff gate i is reachable from the output."""
     needed = bytearray(len(circ.gates))
     needed[circ.output] = 1
     for i in range(len(circ.gates) - 1, -1, -1):
         if needed[i]:
             for a in circ.gates[i].args:
                 needed[a] = 1
+    return needed
+
+
+def _prune_dead(circ: Circuit) -> Circuit:
+    """Rebuild keeping only gates reachable from the output."""
+    needed = _live_gates(circ)
     b = CircuitBuilder(circ.input_width)
     remap = [0] * len(circ.gates)
     for i, (op, args, aux) in enumerate(circ.gates):
@@ -338,13 +358,7 @@ def constant_fold(circ: Circuit) -> Circuit:
     AND/OR become aliases; unreachable gates are pruned, including ones
     orphaned by the propagation itself.
     """
-    needed = bytearray(len(circ.gates))
-    needed[circ.output] = 1
-    for i in range(len(circ.gates) - 1, -1, -1):
-        if needed[i]:
-            for a in circ.gates[i].args:
-                needed[a] = 1
-
+    needed = _live_gates(circ)
     b = CircuitBuilder(circ.input_width)
     # each needed gate folds to ("c", bit) or ("g", new id)
     folded: list[tuple[str, int] | None] = [None] * len(circ.gates)

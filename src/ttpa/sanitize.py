@@ -32,8 +32,15 @@ ADVANCED = "ADVANCED"
 
 @dataclass(eq=False)
 class Database:
+    """m rows of d bits.  The rows are read-only once built: m, d, the
+    all-ones mask over m points and the packed columns are taken from
+    them once, because every counting query reads them."""
+
     rows: np.ndarray  # (m, d) uint8
     _packed: list[int] | None = field(default=None, repr=False)
+    m: int = field(init=False)
+    d: int = field(init=False)
+    mask: int = field(init=False, repr=False)  # (1 << m) - 1
 
     def __post_init__(self):
         arr = np.asarray(self.rows, dtype=np.uint8)
@@ -42,14 +49,8 @@ class Database:
         if arr.size and arr.max() > 1:
             raise InputShapeError("database entries must be bits")
         self.rows = arr
-
-    @property
-    def m(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def d(self) -> int:
-        return int(self.rows.shape[1])
+        self.m, self.d = (int(s) for s in arr.shape)
+        self.mask = (1 << self.m) - 1
 
     def packed_columns(self) -> list[int]:
         if self._packed is None:
@@ -110,7 +111,7 @@ def evaluate_query(query: Circuit, db: Database) -> float:
         )
     if db.m == 0:
         raise InputShapeError("cannot evaluate queries on an empty database")
-    hits = _eval_packed(query, db.packed_columns(), (1 << db.m) - 1)
+    hits = _eval_packed(query, db.packed_columns(), db.mask)
     return hits.bit_count() / db.m
 
 

@@ -515,6 +515,18 @@ def keyset_from_json(obj: dict) -> TTKeySet:
                 .reshape(g_ell, g_loc)
                 .astype(np.int32)
             )
+            if g_kappa != kappa // 2:
+                raise FileFormatError(f"prg.kappa {g_kappa} must be kappa/2 = {kappa // 2}")
+            if g_ell < 1:
+                raise FileFormatError(f"prg.ell {g_ell} must be >= 1")
+            if not 1 <= g_loc <= g_kappa:
+                raise FileFormatError(f"prg.locality {g_loc} must be in 1..{g_kappa}")
+            if table.size != 1 << g_loc:
+                raise FileFormatError(f"prg.table has {table.size} bits, need 2^{g_loc}")
+            if sets.size and sets.max() >= g_kappa:
+                raise FileFormatError(
+                    f"prg.index_sets position {sets.max()} outside the {g_kappa}-bit seed"
+                )
             prg = LocalPrgParams(g_kappa, g_ell, g_loc, sets, table.astype(np.uint8))
         raw_rows = obj["rows"]
         rows = np.zeros((n, kappa), dtype=np.uint8)

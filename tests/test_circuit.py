@@ -14,6 +14,7 @@ from ttpa.circuit import (
     CircuitBuilder,
     CircuitMetrics,
     Gate,
+    _eval_packed,
     append_minterm_dnf,
     circuit_dumps,
     circuit_from_json,
@@ -54,6 +55,53 @@ def circuits(draw, max_width=6, max_gates=25):
             args = draw(st.lists(st.sampled_from(wires), min_size=1, max_size=4))
             wires.append(b.and_(args) if kind == "and" else b.or_(args))
     return b.build(draw(st.sampled_from(wires)))
+
+
+@st.composite
+def json_netlists(draw, max_width=5, max_gates=20):
+    """Netlist JSON in any gate order: an ordered INPUT run of random
+    length up front, then INPUT gates anywhere, for any wire, repeated."""
+    width = draw(st.integers(1, max_width))
+    gates = [
+        {"op": INPUT, "args": [], "input_index": w}
+        for w in range(draw(st.integers(0, width)))
+    ]
+    for _ in range(draw(st.integers(0 if gates else 1, max_gates))):
+        kind = draw(st.sampled_from((INPUT, CONST, NOT, AND, OR) if gates else (INPUT, CONST)))
+        if kind == INPUT:
+            g = {"op": INPUT, "args": [], "input_index": draw(st.integers(0, width - 1))}
+        elif kind == CONST:
+            g = {"op": CONST, "args": [], "value": draw(st.integers(0, 1))}
+        else:
+            earlier = st.integers(0, len(gates) - 1)
+            size = (1, 1) if kind == NOT else (1, 4)
+            g = {"op": kind, "args": draw(st.lists(earlier, min_size=size[0], max_size=size[1]))}
+        gates.append(g)
+    for i, g in enumerate(gates):
+        g["id"] = i
+    return {
+        "input_width": width,
+        "gates": gates,
+        "output": draw(st.integers(0, len(gates) - 1)),
+    }
+
+
+def reference_eval(circ: Circuit, bits) -> int:
+    """Gate-by-gate walk on one point, input gates included."""
+    vals = []
+    for op, args, aux in circ.gates:
+        if op == INPUT:
+            v = int(bits[aux])
+        elif op == CONST:
+            v = aux
+        elif op == NOT:
+            v = 1 - vals[args[0]]
+        elif op == AND:
+            v = int(all(vals[a] for a in args))
+        else:
+            v = int(any(vals[a] for a in args))
+        vals.append(v)
+    return vals[circ.output]
 
 
 class TestEval:
@@ -105,6 +153,38 @@ class TestEval:
         want = [eval_circuit(c, r) for r in rows]
         got = [(tt >> i) & 1 for i in range(len(rows))]
         assert got == want
+
+    @given(json_netlists(), st.data())
+    def test_any_gate_order_matches_reference_walk(self, obj, data):
+        c = circuit_from_json(obj)
+        prefix = 0
+        while prefix < len(obj["gates"]) and obj["gates"][prefix].get("input_index") == prefix:
+            prefix += 1
+        assert c.input_prefix == prefix
+        width = c.input_width
+        m = data.draw(st.integers(1, 11))
+        cols = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=width, max_size=width))
+        packed = _eval_packed(c, cols, (1 << m) - 1)
+        for i in range(m):
+            point = [(col >> i) & 1 for col in cols]
+            assert (packed >> i) & 1 == reference_eval(c, point)
+        rows = np.array([[(col >> i) & 1 for col in cols] for i in range(m)], dtype=np.uint8)
+        assert eval_on_rows(c, rows).tolist() == [reference_eval(c, r) for r in rows]
+        tt = truth_table(c)
+        assert [(tt >> i) & 1 for i in range(1 << width)] == [
+            reference_eval(c, r) for r in all_rows(width)
+        ]
+
+    def test_input_prefix_takes_no_part_in_equality(self):
+        b = CircuitBuilder(4)
+        c = b.build(b.input(3))
+        other = Circuit(c.input_width, c.gates, c.output)
+        object.__setattr__(other, "input_prefix", 0)
+        assert (c.input_prefix, other.input_prefix) == (4, 0)
+        assert c == other
+        assert hash(c) == hash(other)
+        assert repr(c) == repr(other)
+        assert "input_prefix" not in repr(c)
 
     def test_exhaustive_columns_are_assignment_bits(self):
         width = 4

@@ -249,6 +249,29 @@ class TestTTCommands:
         )
         assert code == 2 and "LOCAL_PRG" in err
 
+    @pytest.mark.parametrize("field,changes", [
+        ("index_sets", {}),  # position 40, past the 8-bit seed
+        ("kappa", {"kappa": 16}),
+        ("table", {"table": "96"}),  # 8 of the 32 bits a locality-5 predicate needs
+        ("ell", {"ell": 0, "index_sets": ""}),
+        ("locality", {"locality": 0, "index_sets": "", "table": "80"}),
+    ])
+    def test_trace_rejects_malformed_prg(self, capsys, tmp_path, field, changes):
+        _c, _o, _e, path = self.keygen(capsys, tmp_path)
+        obj = json.load(open(path))
+        prg = obj["prg"]
+        if field == "index_sets":
+            prg["index_sets"] = "0028" + prg["index_sets"][4:]
+        prg.update(changes)
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        code, out, err = run_cli(
+            capsys, "tt", "trace", "--keys", path, "--pirate", "sanitizer:exact",
+            "--coalition", "0,1", "--eps-fp", "0.2", "--seed", "3",
+        )
+        assert code == 2 and out == ""
+        assert "prg." + field in err and "Traceback" not in err
+
     def test_missing_keys_file(self, capsys, tmp_path):
         code, _out, _err = run_cli(
             capsys, "tt", "trace", "--keys", str(tmp_path / "nope.json"),

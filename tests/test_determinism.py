@@ -1,20 +1,25 @@
 """Byte-level determinism gate.
 
-The digests below were taken from the implementation that encrypted
-tracing batches one TTCiphertext object per column.  Any refactor of
-the encryption, the pirate oracles or the query family must keep RNG
-draw order, and so keep every one of these bytes.
+The attack, trace and scan digests were taken from the implementation
+that encrypted tracing batches one TTCiphertext object per column; the
+Laplace demo and ``sanitize run`` digests from the one that walked every
+gate of an explicit netlist, input gates included.  Any refactor of the
+encryption, the pirate oracles, the query family or circuit evaluation
+must keep RNG draw order and answers, and so keep every one of these
+bytes.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ttpa.attack import pirate_from_sanitizer
-from ttpa.cli import main
+from ttpa.circuit import circuit_to_json
+from ttpa.cli import canonical_json, main
 from ttpa.crypto import LOCAL_PRG
-from ttpa.sanitize import SanitizerConfig
+from ttpa.sanitize import Database, SanitizerConfig, dictator_circuit, save_database
 from ttpa.seeds import stream
 from ttpa.ttscheme import linear_scan_report, tt_gen
 
@@ -32,6 +37,47 @@ TRACE_STDOUT = {
     (3, "sanitizer:exact"): "bd13ff9069f26886a893d32b0a779d9e44dc4360177a418208666e6556a6a1be",
     (3, "honest:2"): "9612cb77f3159d689016861cb512aa75b10f8506937dd2bbca789f9611703600",
 }
+
+TIGHTNESS_REPORT = "781f8c591046498b68f2c68f58e8c8ec75dc9fa6fc2ce37851263a2c7b00192e"
+
+SANITIZE_STDOUT = {
+    "exact": "dd5a48324bbc1abafa0fd1a942123a2ce0f5145253646a0ddaf00993c8d7bebe",
+    "laplace": "fdc9cdbc04566e6b28c596cc56818a5ea684233d223bcb061a6387afa5641f13",
+}
+
+# Width-16 netlists whose INPUT gates are not the leading run 0, 1, 2, ...:
+# a constant and a NOT before any input, a wire read twice, inputs
+# interleaved with logic, and a prefix that breaks off after two wires.
+HAND_NETLISTS = [
+    {
+        "input_width": 16,
+        "gates": [
+            {"id": 0, "op": "CONST", "args": [], "value": 1},
+            {"id": 1, "op": "INPUT", "args": [], "input_index": 5},
+            {"id": 2, "op": "INPUT", "args": [], "input_index": 0},
+            {"id": 3, "op": "NOT", "args": [1]},
+            {"id": 4, "op": "INPUT", "args": [], "input_index": 5},
+            {"id": 5, "op": "AND", "args": [2, 3]},
+            {"id": 6, "op": "INPUT", "args": [], "input_index": 15},
+            {"id": 7, "op": "OR", "args": [5, 6, 4]},
+            {"id": 8, "op": "AND", "args": [7, 0]},
+        ],
+        "output": 8,
+    },
+    {
+        "input_width": 16,
+        "gates": [
+            {"id": 0, "op": "INPUT", "args": [], "input_index": 0},
+            {"id": 1, "op": "INPUT", "args": [], "input_index": 1},
+            {"id": 2, "op": "INPUT", "args": [], "input_index": 3},
+            {"id": 3, "op": "INPUT", "args": [], "input_index": 2},
+            {"id": 4, "op": "OR", "args": [0, 2]},
+            {"id": 5, "op": "NOT", "args": [3]},
+            {"id": 6, "op": "AND", "args": [4, 5, 1]},
+        ],
+        "output": 6,
+    },
+]
 
 
 def sha256(data: bytes) -> str:
@@ -79,3 +125,27 @@ def test_linear_scan_counts():
     assert out.repetitions == 340
     assert out.counts.tolist() == [0, 0, 0, 340, 340]
     assert out.accused == 3
+
+
+def test_laplace_demo_report_bytes(tightness_report):
+    assert sha256(canonical_json(tightness_report).encode()) == TIGHTNESS_REPORT
+
+
+@pytest.mark.parametrize("kind", sorted(SANITIZE_STDOUT))
+def test_sanitize_run_stdout_bytes(capsys, kind):
+    # 333 rows, so the packed columns end in a partial byte
+    rows = np.random.default_rng(11).integers(0, 2, (333, 16), dtype=np.uint8)
+    save_database(Database(rows), "db.txt")
+    with open("dictators.json", "w") as f:
+        json.dump([circuit_to_json(dictator_circuit(w, 16)) for w in (0, 7, 15)], f)
+    with open("hand.json", "w") as f:
+        json.dump(HAND_NETLISTS, f)
+    run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--out", "keys.json",
+            "--seed", "5")
+    run_cli(capsys, "tt", "export-circuit", "--keys", "keys.json", "--out", "export.json",
+            "--seed", "5")
+    noise = ("--eps", "50", "--amp-rounds", "3") if kind == "laplace" else ()
+    out = run_cli(capsys, "sanitize", "run", "--db", "db.txt", "--queries", "dictators.json",
+                  "export.json", "hand.json", "--kind", kind, *noise, "--seed", "9")
+    assert json.loads(out)["k"] == 6
+    assert sha256(out.encode()) == SANITIZE_STDOUT[kind]

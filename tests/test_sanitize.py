@@ -44,6 +44,17 @@ class TestDatabase:
         assert db.packed_columns() == [0b101, 0b110]
         assert db.packed_columns() is db.packed_columns()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 2), (100, 7)])
+    def test_size_and_mask_follow_rows(self, shape):
+        db = Database(np.ones(shape, dtype=np.uint8))
+        assert (db.m, db.d) == shape
+        assert db.mask == (1 << shape[0]) - 1
+
+    def test_empty_database_refuses_queries(self):
+        db = Database(np.zeros((0, 3), dtype=np.uint8))
+        with pytest.raises(InputShapeError):
+            evaluate_query(dictator_circuit(0, 3), db)
+
     def test_validation(self):
         with pytest.raises(InputShapeError):
             Database(np.zeros((2, 2, 2), dtype=np.uint8))
