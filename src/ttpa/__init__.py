@@ -31,15 +31,12 @@ from .crypto import (
     LITERAL,
     LOCAL_PRG,
     PRF,
-    EncCiphertext,
     EncKey,
     LocalPrgParams,
     collision_bound,
     default_stretch,
     enc_dec_circuit,
-    enc_decrypt,
     enc_decrypt_many,
-    enc_encrypt,
     enc_encrypt_many,
     enc_gen,
     prg_bit_circuit,

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, prg_params_gen
+from .crypto import LOCAL_PRG, prg_params_gen
 from .errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
 from .fpcode import fp_feasible
 from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
@@ -35,6 +35,7 @@ from .ttscheme import (
     PirateOracle,
     TTDecQueryFamily,
     TTParams,
+    check_key_shape,
     check_tracing_batch,
     tt_gen,
     tt_trace_report,
@@ -54,8 +55,6 @@ class AttackConfig:
     eps_fp: float = 0.05
     trials: int = 200
     sanitizer: SanitizerConfig = field(default_factory=SanitizerConfig)
-    scheme: str = LOCAL_PRG
-    mode: str = FOLDED
     a: float = 100.0
     seed: int = 0
 
@@ -64,14 +63,7 @@ class AttackConfig:
             raise InputShapeError("the experiment needs at least two users")
         if self.trials < 1:
             raise InputShapeError("need at least one trial")
-        if self.scheme == PRF:
-            raise UnsupportedSchemeError(
-                "the attack compiles ciphertexts into circuits; PRF keys have none"
-            )
-        if self.scheme != LOCAL_PRG:
-            raise InputShapeError(f"unknown scheme {self.scheme!r}")
-        if self.mode not in (LITERAL, FOLDED):
-            raise InputShapeError(f"unknown circuit mode {self.mode!r}")
+        check_key_shape(self.kappa, self.n)
         check_tracing_batch(self.n, self.eps_fp, self.a)
 
     def to_dict(self) -> dict:
@@ -81,8 +73,6 @@ class AttackConfig:
             "kappa": self.kappa,
             "eps_fp": self.eps_fp,
             "trials": self.trials,
-            "scheme": self.scheme,
-            "mode": self.mode,
             "a": self.a,
             "seed": self.seed,
             "sanitizer": {
@@ -100,7 +90,6 @@ def pirate_from_sanitizer(
     coalition_rows: np.ndarray,
     cfg: SanitizerConfig,
     rng: np.random.Generator,
-    mode: str = FOLDED,
 ) -> PirateOracle:
     """Wrap a sanitizer over the pooled coalition rows as a one-shot decoder.
 
@@ -122,7 +111,7 @@ def pirate_from_sanitizer(
         )
 
     def fn(cts, oracle: PirateOracle) -> np.ndarray:
-        family = TTDecQueryFamily.from_ciphertexts(cts, params, mode)
+        family = TTDecQueryFamily.from_ciphertexts(cts, params)
         try:
             truths = evaluate_batch(family, db)
             answers = sanitize_truths(cfg, truths, db.m, rng)
@@ -226,15 +215,11 @@ class AttackReport:
 
 def _run_trial(cfg: AttackConfig, prg, tag: str, coalition: tuple[int, ...], t: int) -> TrialRecord:
     ks = tt_gen(
-        cfg.kappa, cfg.n, cfg.scheme, stream(cfg.seed, "attack", tag, t, "keys"), prg=prg
+        cfg.kappa, cfg.n, LOCAL_PRG, stream(cfg.seed, "attack", tag, t, "keys"), prg=prg
     )
     rows = ks.rows[list(coalition)]
     pirate = pirate_from_sanitizer(
-        ks.params,
-        rows,
-        cfg.sanitizer,
-        stream(cfg.seed, "attack", tag, t, "pirate"),
-        cfg.mode,
+        ks.params, rows, cfg.sanitizer, stream(cfg.seed, "attack", tag, t, "pirate")
     )
     try:
         out = tt_trace_report(
@@ -324,6 +309,12 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return lo, hi
 
 
+def check_audit_budget(epsilon: float, delta: float) -> None:
+    """An audited (epsilon, delta) claim needs both nonnegative."""
+    if epsilon < 0 or delta < 0:
+        raise InputShapeError("epsilon and delta must be nonnegative")
+
+
 def dp_audit(
     report: AttackReport, epsilon: float, delta: float, min_trials: int = 20
 ) -> dict:
@@ -336,8 +327,7 @@ def dp_audit(
     margin > 0 means violated.  Fewer than min_trials trials on either
     side (or no i*) leaves the verdict inconclusive, never violated.
     """
-    if epsilon < 0 or delta < 0:
-        raise InputShapeError("epsilon and delta must be nonnegative")
+    check_audit_budget(epsilon, delta)
     out = {
         "epsilon": epsilon,
         "delta": delta,

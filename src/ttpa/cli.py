@@ -21,7 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .attack import AttackConfig, dp_audit, pirate_from_sanitizer, run_attack
+from .attack import (
+    AttackConfig,
+    check_audit_budget,
+    dp_audit,
+    pirate_from_sanitizer,
+    run_attack,
+)
 from .circuit import circuit_dumps, circuit_from_json, circuit_metrics
 from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, collision_bound
 from .errors import FileFormatError, InputShapeError
@@ -284,10 +290,7 @@ def _build_pirate(spec: str, ks, args, rng):
         coalition = _parse_coalition(args.coalition, ks.params.n)
         cfg = _sanitizer_cfg(kind, args)
         rows = ks.rows[list(coalition)]
-        return (
-            pirate_from_sanitizer(ks.params, rows, cfg, rng, _MODES[args.mode]),
-            coalition,
-        )
+        return pirate_from_sanitizer(ks.params, rows, cfg, rng), coalition
     raise InputShapeError(
         f"unknown pirate {spec!r}; use honest[:user], zeros, or sanitizer:{{exact|laplace}}"
     )
@@ -316,7 +319,6 @@ def _cmd_tt_trace(args) -> int:
             "pirate": args.pirate,
             "eps_fp": args.eps_fp,
             "a": args.a,
-            "mode": args.mode,
             "coalition": args.coalition,
             "seed": seed,
         },
@@ -477,9 +479,7 @@ def emit_summary(report: dict) -> str:
     san = params.get("sanitizer") or {}
     lines = [
         "attack report",
-        "  n={n} kappa={kappa} scheme={scheme} mode={mode} trials={trials}".format(
-            **{k: params.get(k) for k in ("n", "kappa", "scheme", "mode", "trials")}
-        ),
+        f"  n={params.get('n')} kappa={params.get('kappa')} trials={params.get('trials')}",
         f"  eps_fp={params.get('eps_fp')} a={params.get('a')} seed={params.get('seed')}",
         f"  sanitizer: kind={san.get('kind')} epsilon={san.get('epsilon')}"
         f" delta={san.get('delta')} composition={san.get('composition')}",
@@ -538,10 +538,10 @@ def _cmd_attack_run(args) -> int:
         eps_fp=args.eps_fp,
         trials=args.trials,
         sanitizer=_sanitizer_cfg(args.sanitizer, args),
-        mode=_MODES[args.mode],
         a=args.a,
         seed=seed,
     )
+    check_audit_budget(args.eps, args.delta)
     report = run_attack(cfg, jobs=args.jobs)
     obj = report.to_dict(dp_audit(report, args.eps, args.delta))
     _write_json(obj, args.out)
@@ -650,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eps-fp", type=float, default=0.05)
     p.add_argument("--a", type=float, default=100.0)
-    p.add_argument("--mode", choices=sorted(_MODES), default="folded")
     p.add_argument("--coalition", help="users behind a sanitizer pirate (default all)")
     p.add_argument("--out", help="also write the report JSON here")
     _add_sanitizer_flags(p)
@@ -693,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sanitizer", choices=("exact", "laplace"), default="exact")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--a", type=float, default=100.0)
-    p.add_argument("--mode", choices=sorted(_MODES), default="folded")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", default="report.json")
     p.add_argument("--summary-csv", help="also write the frequency/accuracy CSV")

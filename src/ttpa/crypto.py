@@ -22,7 +22,6 @@ import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -219,13 +218,6 @@ def prg_bit_circuit(params: LocalPrgParams, i: int) -> Circuit:
     return b.build(out)
 
 
-class EncCiphertext(NamedTuple):
-    """(r, masked): PRG output index or PRF nonce, and the masked bit."""
-
-    r: int
-    masked: int
-
-
 @dataclass(frozen=True, eq=False)
 class EncKey:
     scheme: str
@@ -276,27 +268,6 @@ def _prf_bit(key_bytes: bytes, r: int, kappa: int) -> int:
     return hmac.new(key_bytes, nonce, hashlib.sha256).digest()[0] & 1
 
 
-def _check_bit(bit: int) -> int:
-    bit = int(bit)
-    if bit not in (0, 1):
-        raise InputShapeError(f"plaintext bit must be 0/1, got {bit!r}")
-    return bit
-
-
-def enc_encrypt(key: EncKey, bit: int, rng: np.random.Generator) -> EncCiphertext:
-    bit = _check_bit(bit)
-    if key.scheme == LOCAL_PRG:
-        r = int(rng.integers(key.prg.ell))
-        mask = int(prg_bits_at(key.prg, key.bits, np.array([r]))[0])
-    else:
-        nonce_bits = rng.integers(0, 2, key.kappa, dtype=np.uint8)
-        r = int.from_bytes(np.packbits(nonce_bits).tobytes(), "big") >> (
-            (8 - key.kappa % 8) % 8
-        )
-        mask = _prf_bit(_key_bytes(key), r, key.kappa)
-    return EncCiphertext(r, mask ^ bit)
-
-
 def enc_encrypt_many(
     key: EncKey, bits: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,31 +296,6 @@ def enc_encrypt_many(
     return rs, ms
 
 
-def _check_index(key: EncKey, r: int) -> int:
-    r = int(r)
-    if key.scheme == LOCAL_PRG:
-        if not 0 <= r < key.prg.ell:
-            raise MalformedCiphertextError(
-                f"PRG index {r} outside [0, {key.prg.ell})"
-            )
-    else:
-        if not 0 <= r < (1 << key.kappa):
-            raise MalformedCiphertextError(
-                f"nonce {r} does not fit in {key.kappa} bits"
-            )
-    return r
-
-
-def enc_decrypt(key: EncKey, ct: EncCiphertext) -> int:
-    r = _check_index(key, ct.r)
-    masked = _check_bit(ct.masked)
-    if key.scheme == LOCAL_PRG:
-        mask = int(prg_bits_at(key.prg, key.bits, np.array([r]))[0])
-    else:
-        mask = _prf_bit(_key_bytes(key), r, key.kappa)
-    return mask ^ masked
-
-
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:
     ms = np.asarray(masked)
     if ms.size and (ms.min() < 0 or ms.max() > 1):
@@ -363,17 +309,21 @@ def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndar
     kb = _key_bytes(key)
     out = np.empty(ms.shape[0], dtype=np.uint8)
     for j in range(ms.shape[0]):
-        out[j] = _prf_bit(kb, _check_index(key, int(rs[j])), key.kappa) ^ ms[j]
+        r = int(rs[j])
+        if not 0 <= r < (1 << key.kappa):
+            raise MalformedCiphertextError(f"nonce {r} does not fit in {key.kappa} bits")
+        out[j] = _prf_bit(kb, r, key.kappa) ^ ms[j]
     return out
 
 
 def append_dec_component(
     b: CircuitBuilder,
-    ct: EncCiphertext,
+    r: int,
+    masked: int,
     prg: LocalPrgParams,
     mode: str = LITERAL,
 ) -> int:
-    """Append the decryption function of a fixed ciphertext onto seed wires 0..kappa-1.
+    """Append the decryption function of ciphertext (r, masked) onto seed wires 0..kappa-1.
 
     literal: one conjunction per PRG output index — a CONST indicator
     [i == r] ANDed with (G_i(s) xor masked), all joined by one OR.  The
@@ -384,10 +334,11 @@ def append_dec_component(
     constant-folding the literal build yields, depth <= 2).  This is the
     only build that stays small at real stretch values.
     """
-    r = int(ct.r)
+    r, masked = int(r), int(masked)
     if not 0 <= r < prg.ell:
         raise MalformedCiphertextError(f"PRG index {r} outside [0, {prg.ell})")
-    masked = _check_bit(ct.masked)
+    if masked not in (0, 1):
+        raise InputShapeError(f"masked bit must be 0/1, got {masked!r}")
     table = prg.table
     if mode == FOLDED:
         eff = (table ^ masked).tolist()
@@ -406,15 +357,15 @@ def append_dec_component(
 
 
 def enc_dec_circuit(
-    ct: EncCiphertext, prg: LocalPrgParams | None, mode: str = LITERAL
+    r: int, masked: int, prg: LocalPrgParams | None, mode: str = LITERAL
 ) -> Circuit:
-    """Decryption circuit Dec_ct over the kappa seed wires (LOCAL_PRG only)."""
+    """Decryption circuit of ciphertext (r, masked) over the kappa seed wires (LOCAL_PRG only)."""
     if prg is None:
         raise UnsupportedSchemeError(
             "PRF decryption has no small circuit; only LOCAL_PRG keys export one"
         )
     b = CircuitBuilder(prg.kappa)
-    return b.build(append_dec_component(b, ct, prg, mode))
+    return b.build(append_dec_component(b, r, masked, prg, mode))
 
 
 def collision_bound(ell: int, k: int) -> float:

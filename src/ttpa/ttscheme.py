@@ -27,16 +27,13 @@ import numpy as np
 from .circuit import Circuit, CircuitBuilder
 from .crypto import (
     FOLDED,
-    LITERAL,
     LOCAL_PRG,
     PRF,
-    EncCiphertext,
     EncKey,
     LocalPrgParams,
     append_dec_component,
     enc_decrypt_many,
     enc_encrypt_many,
-    enc_gen,
     prg_bits_at,
     prg_expand,
     prg_params_gen,
@@ -119,6 +116,32 @@ class TTCiphertext:
         return TTCiphertext(self.rs[[j]], self.masked[[j]])
 
 
+def check_key_shape(kappa: int, n: int) -> None:
+    """Key sets have kappa even and >= 16, and 1 <= n <= 2^(kappa/2) users."""
+    if kappa % 2:
+        raise InputShapeError(f"kappa must be even, got {kappa}")
+    if kappa < 16:
+        raise InputShapeError(f"kappa must be >= 16 (component keys need >= 8 bits)")
+    if n < 1:
+        raise InputShapeError(f"need at least one user, got {n}")
+    if n > (1 << (kappa // 2)):
+        raise InputShapeError(f"n={n} exceeds 2^(kappa/2) with kappa={kappa}")
+
+
+def _check_scheme(scheme: str, prg: LocalPrgParams | None, ke: int) -> None:
+    """LOCAL_PRG keys carry a PRG over ke-bit seeds, PRF keys none."""
+    if scheme == LOCAL_PRG:
+        if prg is None:
+            raise InputShapeError("LOCAL_PRG keys need a PRG description")
+        if prg.kappa != ke:
+            raise InputShapeError(f"prg.kappa {prg.kappa} must be kappa/2 = {ke}")
+    elif scheme == PRF:
+        if prg is not None:
+            raise InputShapeError("PRF keys carry no PRG description")
+    else:
+        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
+
+
 def tt_gen(
     kappa: int,
     n: int,
@@ -131,25 +154,11 @@ def tt_gen(
     The PRG description is public and shared across users; pass one to
     pin it, otherwise it is derived from the rng.
     """
-    if kappa % 2:
-        raise InputShapeError(f"kappa must be even, got {kappa}")
-    if kappa < 16:
-        raise InputShapeError(f"kappa must be >= 16 (component keys need >= 8 bits)")
-    if n < 1:
-        raise InputShapeError(f"need at least one user, got {n}")
-    if n > (1 << (kappa // 2)):
-        raise InputShapeError(f"n={n} exceeds 2^(kappa/2) with kappa={kappa}")
+    check_key_shape(kappa, n)
     ke = kappa // 2
-    if scheme == LOCAL_PRG:
-        if prg is None:
-            prg = prg_params_gen(int(rng.integers(1 << 63)), ke)
-        if prg.kappa != ke:
-            raise InputShapeError(f"PRG seed length {prg.kappa} != kappa/2 = {ke}")
-    elif scheme == PRF:
-        if prg is not None:
-            raise InputShapeError("PRF keys carry no PRG description")
-    else:
-        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
+    if scheme == LOCAL_PRG and prg is None:
+        prg = prg_params_gen(int(rng.integers(1 << 63)), ke)
+    _check_scheme(scheme, prg, ke)
     params = TTParams(kappa, n, scheme, prg)
     iw = params.index_bits
     rows = np.zeros((n, kappa), dtype=np.uint8)
@@ -263,9 +272,7 @@ def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Ci
             ]
         else:
             ind = [b.const(1)]
-        comp = append_dec_component(
-            b, EncCiphertext(int(ct.rs[0, u]), int(ct.masked[0, u])), params.prg, mode
-        )
+        comp = append_dec_component(b, ct.rs[0, u], ct.masked[0, u], params.prg, mode)
         user_terms.append(b.and_((*ind, comp)))
     return b.build(b.or_(user_terms))
 
@@ -329,15 +336,9 @@ class TTDecQueryFamily:
 
     params: TTParams
     cts: TTCiphertext
-    mode: str = FOLDED
 
     @classmethod
-    def from_ciphertexts(
-        cls,
-        cts: TTCiphertext,
-        params: TTParams,
-        mode: str = FOLDED,
-    ) -> "TTDecQueryFamily":
+    def from_ciphertexts(cls, cts: TTCiphertext, params: TTParams) -> "TTDecQueryFamily":
         if params.scheme != LOCAL_PRG:
             raise UnsupportedSchemeError(
                 "decryption circuits exist only for LOCAL_PRG keys"
@@ -349,7 +350,7 @@ class TTDecQueryFamily:
         rs = cts.rs
         if rs.size and (rs.min() < 0 or rs.max() >= params.prg.ell):
             raise MalformedCiphertextError("PRG index outside stretch range")
-        return cls(params, cts, mode)
+        return cls(params, cts)
 
     def __len__(self) -> int:
         return len(self.cts)
@@ -358,8 +359,8 @@ class TTDecQueryFamily:
     def input_width(self) -> int:
         return self.params.kappa
 
-    def circuit(self, j: int) -> Circuit:
-        return tt_dec_circuit(self.cts[j], self.params, self.mode)
+    def circuit(self, j: int, mode: str = FOLDED) -> Circuit:
+        return tt_dec_circuit(self.cts[j], self.params, mode)
 
     def evaluate_on_rows(self, rows: np.ndarray) -> np.ndarray:
         """(k, m) bit matrix: circuit j on row m, for arbitrary kappa-bit rows."""
@@ -501,6 +502,7 @@ def keyset_to_json(ks: TTKeySet) -> dict:
 def keyset_from_json(obj: dict) -> TTKeySet:
     try:
         kappa, n, scheme = int(obj["kappa"]), int(obj["n"]), obj["scheme"]
+        check_key_shape(kappa, n)
         prg_obj = obj["prg"]
         prg = None
         if prg_obj is not None:
@@ -515,8 +517,6 @@ def keyset_from_json(obj: dict) -> TTKeySet:
                 .reshape(g_ell, g_loc)
                 .astype(np.int32)
             )
-            if g_kappa != kappa // 2:
-                raise FileFormatError(f"prg.kappa {g_kappa} must be kappa/2 = {kappa // 2}")
             if g_ell < 1:
                 raise FileFormatError(f"prg.ell {g_ell} must be >= 1")
             if not 1 <= g_loc <= g_kappa:
@@ -528,6 +528,7 @@ def keyset_from_json(obj: dict) -> TTKeySet:
                     f"prg.index_sets position {sets.max()} outside the {g_kappa}-bit seed"
                 )
             prg = LocalPrgParams(g_kappa, g_ell, g_loc, sets, table.astype(np.uint8))
+        _check_scheme(scheme, prg, kappa // 2)
         raw_rows = obj["rows"]
         rows = np.zeros((n, kappa), dtype=np.uint8)
         for u, hexrow in enumerate(raw_rows):

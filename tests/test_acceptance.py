@@ -27,8 +27,8 @@ from ttpa.crypto import (
     LOCAL_PRG,
     PRF,
     enc_dec_circuit,
-    enc_decrypt,
-    enc_encrypt,
+    enc_decrypt_many,
+    enc_encrypt_many,
     enc_gen,
     prg_params_gen,
 )
@@ -84,7 +84,8 @@ def test_criterion_01_perfect_correctness(acceptance):
         for _ in range(trials):
             key = enc_gen(64, scheme, rng, prg=prg)
             bit = int(rng.integers(2))
-            if enc_decrypt(key, enc_encrypt(key, bit, rng)) != bit:
+            rs, ms = enc_encrypt_many(key, np.array([bit]), rng)
+            if enc_decrypt_many(key, rs, ms)[0] != bit:
                 failures += 1
 
     tt_trials = 0
@@ -119,13 +120,13 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     key = enc_gen(10, LOCAL_PRG, rng, prg=prg)
     rows10 = all_rows(10)
     for bit in (0, 1):
-        ct = enc_encrypt(key, bit, rng)
+        rs, ms = enc_encrypt_many(key, np.array([bit]), rng)
         want = np.array(
-            [enc_decrypt(EncKey(LOCAL_PRG, r, prg), ct) for r in rows10],
+            [enc_decrypt_many(EncKey(LOCAL_PRG, r, prg), rs, ms)[0] for r in rows10],
             dtype=np.uint8,
         )
         for mode in (LITERAL, FOLDED):
-            got = eval_on_rows(enc_dec_circuit(ct, prg, mode), rows10)
+            got = eval_on_rows(enc_dec_circuit(rs[0], ms[0], prg, mode), rows10)
             mismatches += int((got != want).sum())
             compared += rows10.shape[0]
 
@@ -134,7 +135,7 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     ks = tt_gen(16, 3, LOCAL_PRG, rng)
     rows16 = all_rows(16)
     cts = concat(tt_enc(ks, 1, rng), tt_enc(ks, 0, rng), tr_enc_index(ks, 2, rng))
-    fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params, FOLDED)
+    fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params)
     bulk = fam.evaluate_on_rows(rows16)
     for j, ct in enumerate(cts):
         for mode in (LITERAL, FOLDED):
@@ -156,7 +157,7 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     ks64 = tt_gen(64, 16, LOCAL_PRG, rng)
     rows_s = rng.integers(0, 2, size=(10_000, 64), dtype=np.uint8)
     cts64 = concat(tt_enc(ks64, 1, rng), tt_enc(ks64, 0, rng), tr_enc_index(ks64, 8, rng))
-    fam64 = TTDecQueryFamily.from_ciphertexts(cts64, ks64.params, FOLDED)
+    fam64 = TTDecQueryFamily.from_ciphertexts(cts64, ks64.params)
     bulk64 = fam64.evaluate_on_rows(rows_s)
     for j, ct in enumerate(cts64):
         got = eval_on_rows(tt_dec_circuit(ct, ks64.params, FOLDED), rows_s)
@@ -166,7 +167,7 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     prg32 = prg_params_gen(9, 32, ell=64)
     ks64s = tt_gen(64, 16, LOCAL_PRG, rng, prg=prg32)
     ct_s = tt_enc(ks64s, 1, rng)
-    fam_s = TTDecQueryFamily.from_ciphertexts(ct_s, ks64s.params, FOLDED)
+    fam_s = TTDecQueryFamily.from_ciphertexts(ct_s, ks64s.params)
     bulk_s = fam_s.evaluate_on_rows(rows_s)
     for mode in (LITERAL, FOLDED):
         got = eval_on_rows(tt_dec_circuit(ct_s, ks64s.params, mode), rows_s)
@@ -191,9 +192,9 @@ def test_criterion_03_depth_bounds(acceptance):
     rng = stream(0, "acceptance-3", "enc")
     key = enc_gen(16, LOCAL_PRG, rng, prg=prg)
     for _ in range(100):
-        ct = enc_encrypt(key, int(rng.integers(2)), rng)
+        rs, ms = enc_encrypt_many(key, np.array([rng.integers(2)]), rng)
         for mode in (LITERAL, FOLDED):
-            d = circuit_metrics(enc_dec_circuit(ct, prg, mode)).depth
+            d = circuit_metrics(enc_dec_circuit(rs[0], ms[0], prg, mode)).depth
             worst_enc = max(worst_enc, d)
             checked += 1
 
@@ -210,9 +211,9 @@ def test_criterion_03_depth_bounds(acceptance):
     rng = stream(0, "acceptance-3", "full")
     key64 = enc_gen(64, LOCAL_PRG, rng)
     for _ in range(3):
-        ct = enc_encrypt(key64, int(rng.integers(2)), rng)
+        rs, ms = enc_encrypt_many(key64, np.array([rng.integers(2)]), rng)
         worst_enc = max(
-            worst_enc, circuit_metrics(enc_dec_circuit(ct, key64.prg, FOLDED)).depth
+            worst_enc, circuit_metrics(enc_dec_circuit(rs[0], ms[0], key64.prg, FOLDED)).depth
         )
         checked += 1
     ks64 = tt_gen(64, 16, LOCAL_PRG, rng)
@@ -308,9 +309,7 @@ def test_criterion_08_linear_scan(acceptance):
         for t in range(50):
             rng = stream(0, "acceptance-8", n, t)
             ks = tt_gen(32, n, LOCAL_PRG, rng, prg=prg)
-            pirate = pirate_from_sanitizer(
-                ks.params, ks.rows, SanitizerConfig(EXACT), rng, FOLDED
-            )
+            pirate = pirate_from_sanitizer(ks.params, ks.rows, SanitizerConfig(EXACT), rng)
             res = linear_scan_report(ks, pirate, rng)
             runs += 1
             ok = (

@@ -140,24 +140,19 @@ class TestConfig:
             AttackConfig(n=1)
         with pytest.raises(InputShapeError):
             AttackConfig(trials=0)
-        with pytest.raises(InputShapeError):
-            AttackConfig(scheme="OTP")
-        with pytest.raises(InputShapeError):
-            AttackConfig(mode="tabular")
+        with pytest.raises(InputShapeError, match="even"):
+            AttackConfig(n=4, kappa=15)
+        with pytest.raises(InputShapeError, match="exceeds"):
+            AttackConfig(n=300, kappa=16, a=0.01)  # a small batch, but 300 > 2^8 users
         with pytest.raises(InputShapeError, match="eps_fp"):
             AttackConfig(eps_fp=0.0)
         with pytest.raises(InputShapeError, match="GiB"):
             AttackConfig(n=100)  # a 7 GiB tracing batch, refused unallocated
 
-    def test_prf_rejected_at_construction(self):
-        # PRF keys have no decryption circuits, so no trial could run
-        with pytest.raises(UnsupportedSchemeError):
-            AttackConfig(scheme=PRF)
-
     def test_to_dict_shape(self):
         d = AttackConfig().to_dict()
         assert set(d) == {
-            "n", "kappa", "eps_fp", "trials", "scheme", "mode", "a", "seed", "sanitizer",
+            "n", "kappa", "eps_fp", "trials", "a", "seed", "sanitizer",
         }
         assert set(d["sanitizer"]) == {
             "kind", "epsilon", "delta", "composition", "amplification_rounds",

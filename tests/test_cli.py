@@ -20,6 +20,8 @@ from ttpa.fpcode import codebook_loads
 from ttpa.sanitize import Database, dictator_circuit, save_database
 from ttpa.ttscheme import keyset_loads
 
+import ttpa.attack as attack_mod
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -272,6 +274,28 @@ class TestTTCommands:
         assert code == 2 and out == ""
         assert "prg." + field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("scheme,keep_prg,why", [
+        ("FOO", True, "unknown scheme"),
+        ("LOCAL_PRG", False, "need a PRG"),
+        ("PRF", True, "carry no PRG"),
+    ])
+    def test_trace_rejects_scheme_that_does_not_fit(
+        self, capsys, tmp_path, scheme, keep_prg, why
+    ):
+        _c, _o, _e, path = self.keygen(capsys, tmp_path)
+        obj = json.load(open(path))
+        obj["scheme"] = scheme
+        if not keep_prg:
+            obj["prg"] = None
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        code, out, err = run_cli(
+            capsys, "tt", "trace", "--keys", path, "--pirate", "honest:1",
+            "--eps-fp", "0.2", "--seed", "3",
+        )
+        assert code == 2 and out == ""
+        assert why in err and "Traceback" not in err
+
     def test_missing_keys_file(self, capsys, tmp_path):
         code, _out, _err = run_cli(
             capsys, "tt", "trace", "--keys", str(tmp_path / "nope.json"),
@@ -431,9 +455,27 @@ class TestAttackCommand:
         assert code == 2 and "jobs must be >= 1" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--eps", "-1"), ("--delta", "-0.5")])
+    def test_rejects_negative_audit_budget_before_any_trial(
+        self, capsys, tmp_path, monkeypatch, flag, value
+    ):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the audit budget was checked")
+
+        monkeypatch.setattr(attack_mod, "_run_trial", no_trial)
+        code, out, err, out_path = self.run(capsys, tmp_path, "r.json", flag, value)
+        assert code == 2 and out == "" and "nonnegative" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_flag(self, capsys):
         code, _out, _err = run_cli(capsys, "attack", "run", "--frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("attack", "run"), ("tt", "trace", "--keys", "k.json")])
+    def test_mode_is_not_an_option(self, capsys, argv):
+        # the bulk query family answers the same in either circuit mode
+        code, _out, err = run_cli(capsys, *argv, "--mode", "folded")
+        assert code == 2 and "unrecognized arguments: --mode" in err
 
     def test_unknown_subcommand(self, capsys):
         code, _out, _err = run_cli(capsys, "attack", "foo")
@@ -444,8 +486,7 @@ class TestSummaryFormats:
     def sample_report(self):
         return {
             "params": {
-                "n": 3, "kappa": 16, "scheme": "LOCAL_PRG", "mode": "folded",
-                "trials": 40, "eps_fp": 0.2, "a": 2.0, "seed": 5,
+                "n": 3, "kappa": 16, "trials": 40, "eps_fp": 0.2, "a": 2.0, "seed": 5,
                 "sanitizer": {
                     "kind": "EXACT", "epsilon": None, "delta": None,
                     "composition": "BASIC", "amplification_rounds": 0,
@@ -478,6 +519,7 @@ class TestSummaryFormats:
 
     def test_emit_summary_tables_and_verdict(self):
         text = emit_summary(self.sample_report())
+        assert "  n=3 kappa=16 trials=40\n" in text
         assert "[exp1]" in text and "[exp2]" in text
         assert "VIOLATED" in text
         assert "NONE  0.200000" in text

@@ -14,15 +14,12 @@ from ttpa.crypto import (
     LITERAL,
     LOCAL_PRG,
     PRF,
-    EncCiphertext,
     EncKey,
     append_dec_component,
     collision_bound,
     default_stretch,
     enc_dec_circuit,
-    enc_decrypt,
     enc_decrypt_many,
-    enc_encrypt,
     enc_encrypt_many,
     enc_gen,
     prg_bit_circuit,
@@ -276,13 +273,13 @@ class TestEncGen:
 
 
 class _StubIndexRng:
-    """Stands in for a Generator when the test pins the drawn PRG index."""
+    """Stands in for a Generator when the test pins the drawn PRG indices."""
 
     def __init__(self, value: int):
         self.value = value
 
-    def integers(self, *args, **kwargs):
-        return self.value
+    def integers(self, low, high, size, dtype):
+        return np.full(size, self.value, dtype=dtype)
 
 
 class TestEncRoundtrip:
@@ -292,7 +289,8 @@ class TestEncRoundtrip:
         rng = np.random.default_rng(42)
         key = enc_gen(16, scheme, rng)
         for _ in range(20):
-            assert enc_decrypt(key, enc_encrypt(key, bit, rng)) == bit
+            rs, ms = enc_encrypt_many(key, np.array([bit]), rng)
+            assert enc_decrypt_many(key, rs, ms).tolist() == [bit]
 
     def test_pinned_index_instance(self):
         params = prg_params_gen(0, 8, ell=8)
@@ -302,12 +300,12 @@ class TestEncRoundtrip:
             if prg_expand(params, bits_of(v, 8))[3] == 1
         )
         key = EncKey(LOCAL_PRG, seed, params)
-        ct = enc_encrypt(key, 0, _StubIndexRng(3))
-        assert ct == EncCiphertext(3, 1)
-        assert enc_decrypt(key, ct) == 0
-        ct1 = enc_encrypt(key, 1, _StubIndexRng(3))
-        assert ct1 == EncCiphertext(3, 0)
-        assert enc_decrypt(key, ct1) == 1
+        rs, ms = enc_encrypt_many(key, np.array([0]), _StubIndexRng(3))
+        assert (rs.tolist(), ms.tolist()) == ([3], [1])
+        assert enc_decrypt_many(key, rs, ms).tolist() == [0]
+        rs1, ms1 = enc_encrypt_many(key, np.array([1]), _StubIndexRng(3))
+        assert (rs1.tolist(), ms1.tolist()) == ([3], [0])
+        assert enc_decrypt_many(key, rs1, ms1).tolist() == [1]
 
     def test_masked_bit_roughly_balanced(self):
         rng = np.random.default_rng(77)
@@ -319,9 +317,9 @@ class TestEncRoundtrip:
         rng = np.random.default_rng(0)
         key = enc_gen(16, LOCAL_PRG, rng)
         with pytest.raises(InputShapeError):
-            enc_encrypt(key, 2, rng)
-        with pytest.raises(InputShapeError):
-            enc_decrypt(key, EncCiphertext(0, 2))
+            enc_encrypt_many(key, np.array([2]), rng)
+        with pytest.raises(MalformedCiphertextError):
+            enc_decrypt_many(key, np.array([0]), np.array([2]))
 
     def test_index_out_of_range_rejected(self):
         rng = np.random.default_rng(0)
@@ -329,10 +327,10 @@ class TestEncRoundtrip:
         ell = key.prg.ell
         for bad in (ell, -1):
             with pytest.raises(MalformedCiphertextError):
-                enc_decrypt(key, EncCiphertext(bad, 0))
+                enc_decrypt_many(key, np.array([bad]), np.array([0]))
         pkey = enc_gen(16, PRF, rng)
         with pytest.raises(MalformedCiphertextError):
-            enc_decrypt(pkey, EncCiphertext(1 << 16, 0))
+            enc_decrypt_many(pkey, np.array([1 << 16]), np.array([0]))
 
     def test_batch_roundtrip_local_prg(self):
         rng = np.random.default_rng(8)
@@ -340,7 +338,7 @@ class TestEncRoundtrip:
         bits = rng.integers(0, 2, 200, dtype=np.uint8)
         rs, ms = enc_encrypt_many(key, bits, rng)
         assert np.array_equal(enc_decrypt_many(key, rs, ms), bits)
-        singles = [enc_decrypt(key, EncCiphertext(int(r), int(m))) for r, m in zip(rs, ms)]
+        singles = [enc_decrypt_many(key, rs[[j]], ms[[j]])[0] for j in range(len(rs))]
         assert np.array_equal(np.array(singles), bits)
 
     @pytest.mark.parametrize("k", [1, 513])
@@ -391,20 +389,19 @@ class TestDecCircuit:
 
     def test_prf_has_no_circuit(self):
         with pytest.raises(UnsupportedSchemeError):
-            enc_dec_circuit(EncCiphertext(0, 0), None)
+            enc_dec_circuit(0, 0, None)
 
     @pytest.mark.parametrize("masked", [0, 1])
     @pytest.mark.parametrize("r", [0, 3, 5])
     def test_exhaustive_agreement_both_modes(self, r, masked):
         params = self._params()
-        ct = EncCiphertext(r, masked)
         rows = all_rows(10)
         expected = np.array(
-            [enc_decrypt(EncKey(LOCAL_PRG, row, params), ct) for row in rows],
+            [enc_decrypt_many(EncKey(LOCAL_PRG, row, params), [r], [masked])[0] for row in rows],
             dtype=np.uint8,
         )
-        lit = enc_dec_circuit(ct, params, LITERAL)
-        fol = enc_dec_circuit(ct, params, FOLDED)
+        lit = enc_dec_circuit(r, masked, params, LITERAL)
+        fol = enc_dec_circuit(r, masked, params, FOLDED)
         assert lit.input_width == 10 and fol.input_width == 10
         assert np.array_equal(eval_on_rows(lit, rows), expected)
         assert np.array_equal(eval_on_rows(fol, rows), expected)
@@ -412,25 +409,23 @@ class TestDecCircuit:
     def test_depth_bounds(self):
         params = self._params()
         for masked in (0, 1):
-            ct = EncCiphertext(2, masked)
-            assert circuit_metrics(enc_dec_circuit(ct, params, LITERAL)).depth == 4
-            assert circuit_metrics(enc_dec_circuit(ct, params, FOLDED)).depth == 2
+            assert circuit_metrics(enc_dec_circuit(2, masked, params, LITERAL)).depth == 4
+            assert circuit_metrics(enc_dec_circuit(2, masked, params, FOLDED)).depth == 2
 
     def test_folding_the_literal_build_matches_folded_mode(self):
         params = self._params()
-        ct = EncCiphertext(4, 1)
         rows = all_rows(10)
-        folded_lit = constant_fold(enc_dec_circuit(ct, params, LITERAL))
+        folded_lit = constant_fold(enc_dec_circuit(4, 1, params, LITERAL))
         assert circuit_metrics(folded_lit).depth <= 2
         assert np.array_equal(
             eval_on_rows(folded_lit, rows),
-            eval_on_rows(enc_dec_circuit(ct, params, FOLDED), rows),
+            eval_on_rows(enc_dec_circuit(4, 1, params, FOLDED), rows),
         )
 
     def test_folded_stays_small_at_full_stretch(self):
         params = prg_params_gen(13, 16)
         assert params.ell == 4096
-        m = circuit_metrics(enc_dec_circuit(EncCiphertext(4095, 1), params, FOLDED))
+        m = circuit_metrics(enc_dec_circuit(4095, 1, params, FOLDED))
         assert m.depth <= 2
         assert m.size <= 40
 
@@ -438,9 +433,11 @@ class TestDecCircuit:
         params = self._params()
         b = CircuitBuilder(10)
         with pytest.raises(InputShapeError):
-            append_dec_component(b, EncCiphertext(0, 0), params, mode="nope")
+            append_dec_component(b, 0, 0, params, mode="nope")
+        with pytest.raises(InputShapeError):
+            append_dec_component(b, 0, 2, params)
         with pytest.raises(MalformedCiphertextError):
-            enc_dec_circuit(EncCiphertext(6, 0), params)
+            enc_dec_circuit(6, 0, params)
 
 
 class TestCollisionBound:

@@ -3,10 +3,13 @@
 The attack, trace and scan digests were taken from the implementation
 that encrypted tracing batches one TTCiphertext object per column; the
 Laplace demo and ``sanitize run`` digests from the one that walked every
-gate of an explicit netlist, input gates included.  Any refactor of the
-encryption, the pirate oracles, the query family or circuit evaluation
-must keep RNG draw order and answers, and so keep every one of these
-bytes.
+gate of an explicit netlist, input gates included; the export-circuit
+digests from the one that built each user's decryption component from
+a single-ciphertext object.  Any refactor of the encryption, the pirate
+oracles, the query family or circuit construction and evaluation must
+keep RNG draw order and answers, and so keep every one of these bytes.
+The attack and trace digests predate the removal of the ``mode`` and
+``scheme`` echoes, which are put back before hashing.
 """
 
 import hashlib
@@ -39,6 +42,14 @@ TRACE_STDOUT = {
 }
 
 TIGHTNESS_REPORT = "781f8c591046498b68f2c68f58e8c8ec75dc9fa6fc2ce37851263a2c7b00192e"
+
+# netlist files written by `tt export-circuit` (keys: kappa=16, n=3, seed 5)
+EXPORT_CIRCUIT = {
+    ("literal", None): "d179a5424456ad34a359f2c9f0545051073c70518e5c4b85d4a4c85778baf57a",
+    ("literal", 2): "42f88c605648512e087bf0d50da46937e10cabfa24446ffbbd7129516cb86076",
+    ("folded", None): "d3fca954c08d2c90c31aa883db51e9ccafd7e36c52c5e3053a6945c6eb58b32a",
+    ("folded", 2): "8df837eb3f59e0391b81561aabe760d00a7ed89657949c59ce083d7e70add383",
+}
 
 SANITIZE_STDOUT = {
     "exact": "dd5a48324bbc1abafa0fd1a942123a2ce0f5145253646a0ddaf00993c8d7bebe",
@@ -96,14 +107,27 @@ def run_cli(capsys, *argv) -> str:
     return capsys.readouterr().out
 
 
+def with_removed_keys(obj: dict, section: str, **keys) -> bytes:
+    """The pinned bytes, with the keys an older report carried put back.
+
+    Reports no longer echo settings that changed no output; everything
+    else must be byte-identical to what the digests were taken from.
+    """
+    assert not set(keys) & set(obj[section])
+    obj[section].update(keys)
+    return (canonical_json(obj) + "\n").encode()
+
+
 @pytest.mark.parametrize("seed", sorted(ATTACK_REPORTS))
 def test_attack_report_bytes(capsys, seed):
     run_cli(
         capsys, "attack", "run", "--n", "4", "--kappa", "16", "--eps-fp", "0.2",
         "--trials", "3", "--seed", str(seed), "--out", "r.json",
     )
-    with open("r.json", "rb") as f:
-        assert sha256(f.read()) == ATTACK_REPORTS[seed]
+    with open("r.json") as f:
+        obj = json.load(f)
+    old = with_removed_keys(obj, "params", mode="folded", scheme="LOCAL_PRG")
+    assert sha256(old) == ATTACK_REPORTS[seed]
 
 
 @pytest.mark.parametrize("seed,pirate", sorted(TRACE_STDOUT))
@@ -112,8 +136,9 @@ def test_tt_trace_stdout_bytes(capsys, seed, pirate):
             "--seed", str(seed))
     out = run_cli(capsys, "tt", "trace", "--keys", "keys.json", "--pirate", pirate,
                   "--eps-fp", "0.2", "--seed", str(seed))
-    assert json.loads(out)["feasible"] is True
-    assert sha256(out.encode()) == TRACE_STDOUT[(seed, pirate)]
+    obj = json.loads(out)
+    assert obj["feasible"] is True
+    assert sha256(with_removed_keys(obj, "config", mode="folded")) == TRACE_STDOUT[(seed, pirate)]
 
 
 def test_linear_scan_counts():
@@ -149,3 +174,14 @@ def test_sanitize_run_stdout_bytes(capsys, kind):
                   "export.json", "hand.json", "--kind", kind, *noise, "--seed", "9")
     assert json.loads(out)["k"] == 6
     assert sha256(out.encode()) == SANITIZE_STDOUT[kind]
+
+
+@pytest.mark.parametrize("mode,level", sorted(EXPORT_CIRCUIT, key=str))
+def test_export_circuit_bytes(capsys, mode, level):
+    run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--out", "keys.json",
+            "--seed", "5")
+    which = () if level is None else ("--level", str(level))
+    run_cli(capsys, "tt", "export-circuit", "--keys", "keys.json", "--mode", mode, *which,
+            "--out", "c.json", "--seed", "5")
+    with open("c.json", "rb") as f:
+        assert sha256(f.read()) == EXPORT_CIRCUIT[(mode, level)]

@@ -7,7 +7,6 @@ from ttpa.crypto import (
     LITERAL,
     LOCAL_PRG,
     PRF,
-    EncCiphertext,
     enc_dec_circuit,
     enc_decrypt_many,
     prg_params_gen,
@@ -235,7 +234,7 @@ class TestDecCircuit:
         circ = tt_dec_circuit(ct, ks.params, FOLDED)
         comp_max = max(
             circuit_metrics(
-                enc_dec_circuit(EncCiphertext(int(ct.rs[0, u]), int(ct.masked[0, u])), ks.params.prg, FOLDED)
+                enc_dec_circuit(ct.rs[0, u], ct.masked[0, u], ks.params.prg, FOLDED)
             ).size
             for u in range(8)
         )
@@ -285,11 +284,11 @@ class TestQueryFamily:
         ks = small_keyset(kappa=16, n=3, seed=15, ell=8)
         rng = stream(15, "fam-lit")
         cts = tr_enc(ks, rng.integers(0, 2, (3, 4), dtype=np.uint8), rng)
-        fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params, LITERAL)
+        fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params)
         rows = all_rows(16)
         bulk = fam.evaluate_on_rows(rows)
         for j in range(4):
-            assert np.array_equal(bulk[j], eval_on_rows(fam.circuit(j), rows))
+            assert np.array_equal(bulk[j], eval_on_rows(fam.circuit(j, LITERAL), rows))
 
     def test_sampled_equivalence_at_working_size(self):
         ks = small_keyset(kappa=32, n=8, seed=16)
