@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .crypto import LOCAL_PRG, prg_params_gen
-from .errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
+from .crypto import LOCAL_PRG, check_prg_draw, circuit_prg, prg_params_gen
+from .errors import InputShapeError, SanitizerFailure
 from .fpcode import fp_feasible
 from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
 from .seeds import derive_seed, stream
@@ -64,6 +64,7 @@ class AttackConfig:
         if self.trials < 1:
             raise InputShapeError("need at least one trial")
         check_key_shape(self.kappa, self.n)
+        check_prg_draw(self.kappa // 2)
         check_tracing_batch(self.n, self.eps_fp, self.a)
 
     def to_dict(self) -> dict:
@@ -100,10 +101,7 @@ def pirate_from_sanitizer(
     sanitizer machinery is rethrown as SanitizerFailure so experiment
     runners can count the trial as an availability violation.
     """
-    if params.scheme != LOCAL_PRG:
-        raise UnsupportedSchemeError(
-            "a sanitizer pirate needs decryption circuits; only LOCAL_PRG keys have them"
-        )
+    circuit_prg(params.prg)  # refuse PRF keys before handing out an oracle
     db = Database(np.asarray(coalition_rows, dtype=np.uint8))
     if db.d != params.kappa:
         raise InputShapeError(

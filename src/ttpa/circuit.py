@@ -26,7 +26,8 @@ NOT = "NOT"
 AND = "AND"
 OR = "OR"
 
-_OPS = (INPUT, CONST, NOT, AND, OR)
+# JSON field holding a gate's aux value, by op
+_AUX_FIELDS = {INPUT: "input_index", CONST: "value"}
 
 # widths where 2^width bitmask tricks stay cheap
 _MAX_EXHAUSTIVE_WIDTH = 20
@@ -50,12 +51,34 @@ class Circuit:
     input_prefix: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        k = 0
-        for op, _args, aux in self.gates:
-            if op != INPUT or aux != k:
-                break
-            k += 1
-        object.__setattr__(self, "input_prefix", k)
+        width = self.input_width
+        if width < 0:
+            raise CircuitFormatError(f"input width must be >= 0, got {width}")
+        prefix = 0
+        for pos, (op, args, aux) in enumerate(self.gates):
+            if args and (min(args) < 0 or max(args) >= pos):
+                raise CircuitFormatError(
+                    f"gate {pos} arguments {args} must point at earlier gates"
+                )
+            if op == INPUT:
+                if args or not 0 <= aux < width:
+                    raise CircuitFormatError(f"INPUT gate {pos} malformed")
+                if aux == prefix == pos:
+                    prefix += 1
+            elif op == CONST:
+                if args or aux not in (0, 1):
+                    raise CircuitFormatError(f"CONST gate {pos} malformed")
+            elif op == NOT:
+                if len(args) != 1:
+                    raise CircuitFormatError(f"NOT gate {pos} needs exactly one argument")
+            elif op == AND or op == OR:
+                if not args:
+                    raise CircuitFormatError(f"{op} gate {pos} needs fan-in >= 1")
+            else:
+                raise CircuitFormatError(f"unknown op {op!r}")
+        if not 0 <= self.output < len(self.gates):
+            raise CircuitFormatError(f"output gate {self.output} out of range")
+        object.__setattr__(self, "input_prefix", prefix)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -72,12 +95,11 @@ class CircuitBuilder:
 
     Input gates for all wires are created up front, so wire w is gate w.
     NOT and CONST gates are deduplicated (they are pure and cheap to
-    share); AND/OR gates are not.
+    share); AND/OR gates are not.  Gates are appended unchecked: build()
+    hands them to Circuit, which refuses a netlist that breaks its rules.
     """
 
     def __init__(self, input_width: int):
-        if input_width < 0:
-            raise InputShapeError(f"input width must be >= 0, got {input_width}")
         self._width = input_width
         self._gates: list[Gate] = [Gate(INPUT, (), w) for w in range(input_width)]
         self._not_cache: dict[int, int] = {}
@@ -87,13 +109,13 @@ class CircuitBuilder:
         return len(self._gates)
 
     def input(self, wire: int) -> int:
+        # a wire past the width would alias a later gate, which the
+        # netlist rules in Circuit cannot tell apart from a real argument
         if not 0 <= wire < self._width:
             raise InputShapeError(f"input wire {wire} outside width {self._width}")
         return wire
 
     def const(self, value: int) -> int:
-        if value not in (0, 1):
-            raise CircuitFormatError(f"CONST value must be 0 or 1, got {value!r}")
         got = self._const_cache.get(value)
         if got is None:
             got = self._append(Gate(CONST, (), value))
@@ -101,7 +123,6 @@ class CircuitBuilder:
         return got
 
     def not_(self, arg: int) -> int:
-        self._check_arg(arg)
         got = self._not_cache.get(arg)
         if got is None:
             got = self._append(Gate(NOT, (arg,)))
@@ -109,34 +130,22 @@ class CircuitBuilder:
         return got
 
     def and_(self, args: Iterable[int]) -> int:
-        return self._append(Gate(AND, self._check_fanin(args)))
+        return self._append(Gate(AND, tuple(args)))
 
     def or_(self, args: Iterable[int]) -> int:
-        return self._append(Gate(OR, self._check_fanin(args)))
+        return self._append(Gate(OR, tuple(args)))
 
     def literal(self, wire: int, positive: bool) -> int:
         w = self.input(wire)
         return w if positive else self.not_(w)
 
     def build(self, output: int) -> Circuit:
-        self._check_arg(output)
+        """The netlist so far; Circuit refuses any gate that breaks its rules."""
         return Circuit(self._width, tuple(self._gates), output)
 
     def _append(self, gate: Gate) -> int:
         self._gates.append(gate)
         return len(self._gates) - 1
-
-    def _check_arg(self, arg: int) -> None:
-        if not 0 <= arg < len(self._gates):
-            raise CircuitFormatError(f"gate argument {arg} not yet defined")
-
-    def _check_fanin(self, args: Iterable[int]) -> tuple[int, ...]:
-        t = tuple(args)
-        if not t:
-            raise CircuitFormatError("AND/OR gates need fan-in >= 1")
-        for a in t:
-            self._check_arg(a)
-        return t
 
 
 def _eval_packed(circ: Circuit, cols: Sequence[int], mask: int) -> int:
@@ -420,44 +429,21 @@ def circuit_dumps(circ: Circuit) -> str:
 
 
 def circuit_from_json(obj: dict) -> Circuit:
+    """Parse a netlist object; Circuit checks the gates it gets."""
     try:
         width = int(obj["input_width"])
-        raw_gates = obj["gates"]
         output = int(obj["output"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CircuitFormatError(f"netlist missing or malformed field: {e}") from e
-    if width < 0:
-        raise CircuitFormatError("input_width must be >= 0")
-    gates: list[Gate] = []
-    for pos, g in enumerate(raw_gates):
-        if int(g.get("id", -1)) != pos:
-            raise CircuitFormatError(f"gate ids must be dense from 0; got {g.get('id')!r} at {pos}")
-        op = g.get("op")
-        if op not in _OPS:
-            raise CircuitFormatError(f"unknown op {op!r}")
-        args = tuple(int(a) for a in g.get("args", ()))
-        for a in args:
-            if not 0 <= a < pos:
-                raise CircuitFormatError(f"gate {pos} argument {a} must point at an earlier gate")
-        if op == INPUT:
-            aux = int(g.get("input_index", -1))
-            if args or not 0 <= aux < width:
-                raise CircuitFormatError(f"INPUT gate {pos} malformed")
-        elif op == CONST:
-            aux = int(g.get("value", -1))
-            if args or aux not in (0, 1):
-                raise CircuitFormatError(f"CONST gate {pos} malformed")
-        elif op == NOT:
-            aux = -1
-            if len(args) != 1:
-                raise CircuitFormatError(f"NOT gate {pos} needs exactly one argument")
-        else:
-            aux = -1
-            if not args:
-                raise CircuitFormatError(f"{op} gate {pos} needs fan-in >= 1")
-        gates.append(Gate(op, args, aux))
-    if not 0 <= output < len(gates):
-        raise CircuitFormatError("output gate id out of range")
+        gates: list[Gate] = []
+        for pos, g in enumerate(obj["gates"]):
+            if int(g.get("id", -1)) != pos:
+                raise CircuitFormatError(
+                    f"gate ids must be dense from 0; got {g.get('id')!r} at {pos}"
+                )
+            op = g.get("op")
+            aux = int(g.get(_AUX_FIELDS[op], -1)) if op in _AUX_FIELDS else -1
+            gates.append(Gate(op, tuple(int(a) for a in g.get("args", ())), aux))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CircuitFormatError(f"malformed netlist: {e}") from e
     return Circuit(width, tuple(gates), output)
 
 

@@ -30,7 +30,7 @@ from .attack import (
 )
 from .circuit import circuit_dumps, circuit_from_json, circuit_metrics
 from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, collision_bound
-from .errors import FileFormatError, InputShapeError
+from .errors import FileFormatError, InputShapeError, bits_from_hex
 from .fpcode import (
     MAJORITY,
     MINORITY,
@@ -117,21 +117,6 @@ def _read_json(path: str):
             raise FileFormatError(f"{path}: not valid JSON: {e}") from e
 
 
-def _bits_from_hex(text: str, nbits: int) -> np.ndarray:
-    try:
-        raw = bytes.fromhex(text.strip())
-    except ValueError as e:
-        raise InputShapeError(f"word must be a hex string: {e}") from e
-    if len(raw) != (nbits + 7) // 8:
-        raise InputShapeError(
-            f"word is {len(raw)} bytes, expected {(nbits + 7) // 8} for {nbits} bits"
-        )
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits[nbits:].any():
-        raise InputShapeError("word has nonzero padding bits")
-    return bits[:nbits]
-
-
 def _parse_coalition(text: str | None, n: int) -> tuple[int, ...]:
     if text is None:
         return tuple(range(n))
@@ -199,7 +184,7 @@ def _cmd_fpcode_trace(args) -> int:
     if hex_word is None:
         with open(args.word_file) as f:
             hex_word = f.read()
-    word = _bits_from_hex(hex_word, cb.ell)
+    word = bits_from_hex(hex_word, cb.ell, "word")
     scores = fp_scores(cb, word)
     print(
         canonical_json(

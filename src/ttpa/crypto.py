@@ -39,6 +39,10 @@ PRF = "PRF"
 DEFAULT_LOCALITY = 5
 MIN_KEY_BITS = 8
 
+# largest array the library allocates before refusing: a PRG index-set
+# draw or a tracing batch
+MAX_ALLOC_BYTES = 2 << 30
+
 LITERAL = "literal"
 FOLDED = "folded"
 
@@ -69,9 +73,42 @@ class LocalPrgParams:
     index_sets: np.ndarray  # (ell, L) int32, ordered distinct positions
     table: np.ndarray       # (2^L,) uint8 predicate truth table
 
+    def __post_init__(self):
+        kappa, ell, loc = self.kappa, self.ell, self.locality
+        if ell < 1:
+            raise InputShapeError(f"prg.ell {ell} must be >= 1")
+        if not 1 <= loc <= kappa:
+            raise InputShapeError(f"prg.locality {loc} must be in 1..{kappa}")
+        table = np.asarray(self.table)
+        if table.shape != (1 << loc,) or ((table != 0) & (table != 1)).any():
+            raise InputShapeError(f"prg.table must be 2^{loc} bits, got shape {table.shape}")
+        sets = np.asarray(self.index_sets)
+        if sets.shape != (ell, loc) or sets.min() < 0 or sets.max() >= kappa:
+            raise InputShapeError(
+                f"prg.index_sets must be ({ell}, {loc}) positions in the {kappa}-bit"
+                f" seed, got shape {sets.shape}"
+            )
+        object.__setattr__(self, "table", table.astype(np.uint8, copy=False))
+
 
 def default_stretch(kappa: int) -> int:
     return kappa ** 3
+
+
+def check_prg_draw(kappa: int, ell: int | None = None) -> int:
+    """Bytes prg_params_gen holds while it draws: an (ell, kappa) float64
+    matrix and its argsort.  Raises above MAX_ALLOC_BYTES, so callers
+    refuse before allocating.
+    """
+    ell = default_stretch(kappa) if ell is None else ell
+    need = ell * kappa * 16
+    if need > MAX_ALLOC_BYTES:
+        raise InputShapeError(
+            f"PRG index sets over a {kappa}-bit seed at stretch {ell} need about"
+            f" {need / 2**30:.1f} GiB to draw, over the"
+            f" {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
+        )
+    return need
 
 
 def prg_params_gen(
@@ -86,19 +123,11 @@ def prg_params_gen(
     Each output's L positions are a uniform ordered draw without
     replacement from the kappa seed positions.
     """
-    if kappa < locality:
-        raise InputShapeError(f"seed length {kappa} < locality {locality}")
     if ell is None:
         ell = default_stretch(kappa)
-    if ell < 1:
-        raise InputShapeError("stretch must be >= 1")
+    check_prg_draw(kappa, ell)
     if table is None:
         table = xor_and_table(locality)
-    table = np.asarray(table, dtype=np.uint8)
-    if table.shape != (1 << locality,):
-        raise InputShapeError(
-            f"predicate table must have 2^{locality} entries, got {table.shape}"
-        )
     rng = stream(master_seed, "prg-index-sets", kappa, ell, locality)
     sets = np.argsort(rng.random((ell, kappa)), axis=1)[:, :locality].astype(np.int32)
     return LocalPrgParams(kappa, ell, locality, sets, table)
@@ -218,11 +247,40 @@ def prg_bit_circuit(params: LocalPrgParams, i: int) -> Circuit:
     return b.build(out)
 
 
+def check_scheme(scheme: str, prg: LocalPrgParams | None, seed_bits: int) -> None:
+    """LOCAL_PRG keys need a PRG over their seed_bits-bit seed, PRF keys have none."""
+    if scheme == LOCAL_PRG:
+        if prg is None:
+            raise InputShapeError("LOCAL_PRG keys need a PRG description")
+        if prg.kappa != seed_bits:
+            raise InputShapeError(
+                f"prg.kappa {prg.kappa} must be the key's seed length {seed_bits}"
+            )
+    elif scheme == PRF:
+        if prg is not None:
+            raise InputShapeError("PRF keys carry no PRG description")
+    else:
+        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
+
+
+def circuit_prg(prg: LocalPrgParams | None) -> LocalPrgParams:
+    """The PRG a decryption circuit computes; PRF keys have none to compile."""
+    if prg is None:
+        raise UnsupportedSchemeError(
+            "decryption circuits exist only for LOCAL_PRG keys;"
+            " PRF decryption has no small circuit"
+        )
+    return prg
+
+
 @dataclass(frozen=True, eq=False)
 class EncKey:
     scheme: str
     bits: np.ndarray             # (kappa,) uint8 — the PRG seed / PRF key
     prg: LocalPrgParams | None   # public PRG description for LOCAL_PRG
+
+    def __post_init__(self):
+        check_scheme(self.scheme, self.prg, self.kappa)
 
     @property
     def kappa(self) -> int:
@@ -243,20 +301,9 @@ def enc_gen(
     """
     if kappa < MIN_KEY_BITS:
         raise InputShapeError(f"key length must be >= {MIN_KEY_BITS}, got {kappa}")
-    if scheme == LOCAL_PRG:
-        if prg is None:
-            prg = prg_params_gen(int(rng.integers(1 << 63)), kappa)
-        if prg.kappa != kappa:
-            raise InputShapeError(
-                f"PRG seed length {prg.kappa} != key length {kappa}"
-            )
-    elif scheme == PRF:
-        if prg is not None:
-            raise InputShapeError("PRF keys carry no PRG description")
-    else:
-        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
-    bits = rng.integers(0, 2, kappa, dtype=np.uint8)
-    return EncKey(scheme, bits, prg)
+    if scheme == LOCAL_PRG and prg is None:
+        prg = prg_params_gen(int(rng.integers(1 << 63)), kappa)
+    return EncKey(scheme, rng.integers(0, 2, kappa, dtype=np.uint8), prg)
 
 
 def _key_bytes(key: EncKey) -> bytes:
@@ -360,10 +407,7 @@ def enc_dec_circuit(
     r: int, masked: int, prg: LocalPrgParams | None, mode: str = LITERAL
 ) -> Circuit:
     """Decryption circuit of ciphertext (r, masked) over the kappa seed wires (LOCAL_PRG only)."""
-    if prg is None:
-        raise UnsupportedSchemeError(
-            "PRF decryption has no small circuit; only LOCAL_PRG keys export one"
-        )
+    prg = circuit_prg(prg)
     b = CircuitBuilder(prg.kappa)
     return b.build(append_dec_component(b, r, masked, prg, mode))
 

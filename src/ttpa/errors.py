@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the hex bit-row rule every file format shares.
 
 Everything derives from ValueError so callers that only care about
 "bad input" can catch one thing; the CLI maps these to exit code 2.
 """
+
+import numpy as np
 
 
 class InputShapeError(ValueError):
@@ -35,3 +37,25 @@ class SanitizerFailure(RuntimeError):
     Experiment runners record this as an availability violation for the
     trial instead of aborting the whole run.
     """
+
+
+def bits_from_hex(text: str, nbits: int, what: str) -> np.ndarray:
+    """Unpack a hex bit row, most significant bit first, zero-padded to whole bytes.
+
+    Key rows, codebook words, database rows and pirate words are all
+    stored this way: exactly ceil(nbits / 8) bytes, with every padding
+    bit 0.  what names the row in the error.
+    """
+    try:
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError) as e:
+        raise InputShapeError(f"{what} must be a hex string: {e}") from e
+    nbytes = (nbits + 7) // 8
+    if len(raw) != nbytes:
+        raise InputShapeError(
+            f"{what} is {len(raw)} bytes, expected {nbytes} for {nbits} bits"
+        )
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[nbits:].any():
+        raise InputShapeError(f"{what} has nonzero padding bits")
+    return bits[:nbits]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, InputShapeError
+from .errors import FileFormatError, InputShapeError, bits_from_hex
 from .seeds import stream
 
 MAJORITY = "MAJORITY"
@@ -69,6 +69,18 @@ class Codebook:
     threshold: float
     biases: np.ndarray  # (ell,) float64 in [cutoff, 1-cutoff]
     words: np.ndarray   # (n, ell) uint8
+
+    def __post_init__(self):
+        # the words are not scanned for bits: fp_gen draws one codebook
+        # per tracing trial, and its words are bits by construction
+        if self.biases.shape != (self.ell,) or self.words.shape != (self.n, self.ell):
+            raise InputShapeError(
+                f"codebook biases {self.biases.shape} and words {self.words.shape}"
+                f" must be ({self.ell},) and ({self.n}, {self.ell})"
+            )
+        # the scores divide by p and by 1 - p
+        if not ((self.biases > 0.0) & (self.biases < 1.0)).all():
+            raise InputShapeError("codebook biases must lie strictly inside (0, 1)")
 
 
 def _check_params(n: int, eps_fp: float) -> None:
@@ -248,28 +260,20 @@ def adversary_view_json(cb: Codebook, coalition: list[int]) -> dict:
 
 def codebook_from_json(obj: dict) -> Codebook:
     try:
-        n, ell = int(obj["n"]), int(obj["ell"])
-        biases = np.asarray(obj["biases"], dtype=np.float64)
-        words = np.zeros((n, ell), dtype=np.uint8)
-        for u, hexrow in enumerate(obj["words"]):
-            words[u] = np.unpackbits(
-                np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8)
-            )[:ell]
-        cb = Codebook(
-            n,
+        ell = int(obj["ell"])
+        words = [bits_from_hex(h, ell, f"word {u}") for u, h in enumerate(obj["words"])]
+        return Codebook(
+            int(obj["n"]),
             ell,
             float(obj["eps_fp"]),
             float(obj["a"]),
             float(obj["cutoff"]),
             float(obj["threshold"]),
-            biases,
-            words,
+            np.asarray(obj["biases"], dtype=np.float64),
+            np.array(words, dtype=np.uint8).reshape(len(words), ell),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad codebook JSON: {e}") from e
-    if biases.shape != (ell,) or len(obj["words"]) != n:
-        raise FileFormatError("codebook dimensions are inconsistent")
-    return cb
 
 
 def codebook_dumps(cb: Codebook) -> str:

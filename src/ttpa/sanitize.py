@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _eval_packed, pack_rows
-from .errors import FileFormatError, InputShapeError
+from .errors import FileFormatError, InputShapeError, bits_from_hex
 from .seeds import stream
 
 EXACT = "EXACT"
@@ -192,24 +192,14 @@ def load_database(path: str) -> Database:
             raise FileFormatError(f"bad width in header {header!r}") from e
         if d < 1:
             raise FileFormatError("database width must be >= 1")
-        nbytes = (d + 7) // 8
         rows = []
         for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                raw = bytes.fromhex(line)
-            except ValueError as e:
-                raise FileFormatError(f"line {lineno}: not hex") from e
-            if len(raw) != nbytes:
-                raise FileFormatError(
-                    f"line {lineno}: expected {nbytes} bytes for {d} bits"
-                )
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            if bits[d:].any():
-                raise FileFormatError(f"line {lineno}: nonzero padding bits")
-            rows.append(bits[:d])
+                rows.append(bits_from_hex(line, d, f"line {lineno}"))
+            except InputShapeError as e:
+                raise FileFormatError(str(e)) from e
     if not rows:
         raise FileFormatError("database has no rows")
     return Database(np.stack(rows))

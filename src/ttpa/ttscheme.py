@@ -28,10 +28,12 @@ from .circuit import Circuit, CircuitBuilder
 from .crypto import (
     FOLDED,
     LOCAL_PRG,
-    PRF,
+    MAX_ALLOC_BYTES,
     EncKey,
     LocalPrgParams,
     append_dec_component,
+    check_scheme,
+    circuit_prg,
     enc_decrypt_many,
     enc_encrypt_many,
     prg_bits_at,
@@ -43,12 +45,9 @@ from .errors import (
     InputShapeError,
     MalformedCiphertextError,
     OneShotViolationError,
-    UnsupportedSchemeError,
+    bits_from_hex,
 )
 from .fpcode import Codebook, code_length, fp_gen, fp_trace
-
-# largest tracing batch (rs, masked and codebook words) built before refusing
-MAX_TRACING_BATCH_BYTES = 2 << 30
 
 
 def index_width(n: int) -> int:
@@ -64,6 +63,10 @@ class TTParams:
     n: int
     scheme: str
     prg: LocalPrgParams | None
+
+    def __post_init__(self):
+        check_key_shape(self.kappa, self.n)
+        check_scheme(self.scheme, self.prg, self.enc_bits)
 
     @property
     def enc_bits(self) -> int:
@@ -128,20 +131,6 @@ def check_key_shape(kappa: int, n: int) -> None:
         raise InputShapeError(f"n={n} exceeds 2^(kappa/2) with kappa={kappa}")
 
 
-def _check_scheme(scheme: str, prg: LocalPrgParams | None, ke: int) -> None:
-    """LOCAL_PRG keys carry a PRG over ke-bit seeds, PRF keys none."""
-    if scheme == LOCAL_PRG:
-        if prg is None:
-            raise InputShapeError("LOCAL_PRG keys need a PRG description")
-        if prg.kappa != ke:
-            raise InputShapeError(f"prg.kappa {prg.kappa} must be kappa/2 = {ke}")
-    elif scheme == PRF:
-        if prg is not None:
-            raise InputShapeError("PRF keys carry no PRG description")
-    else:
-        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
-
-
 def tt_gen(
     kappa: int,
     n: int,
@@ -158,7 +147,6 @@ def tt_gen(
     ke = kappa // 2
     if scheme == LOCAL_PRG and prg is None:
         prg = prg_params_gen(int(rng.integers(1 << 63)), ke)
-    _check_scheme(scheme, prg, ke)
     params = TTParams(kappa, n, scheme, prg)
     iw = params.index_bits
     rows = np.zeros((n, kappa), dtype=np.uint8)
@@ -257,10 +245,7 @@ def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Ci
     the ciphertext and public parameters only — no key material.  Depth
     <= 6 in literal mode, <= 4 folded.
     """
-    if params.scheme != LOCAL_PRG:
-        raise UnsupportedSchemeError(
-            "decryption circuits exist only for LOCAL_PRG keys"
-        )
+    prg = circuit_prg(params.prg)
     _check_single(ct, params)
     ke, iw, n = params.enc_bits, params.index_bits, params.n
     b = CircuitBuilder(params.kappa)
@@ -272,7 +257,7 @@ def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Ci
             ]
         else:
             ind = [b.const(1)]
-        comp = append_dec_component(b, ct.rs[0, u], ct.masked[0, u], params.prg, mode)
+        comp = append_dec_component(b, ct.rs[0, u], ct.masked[0, u], prg, mode)
         user_terms.append(b.and_((*ind, comp)))
     return b.build(b.or_(user_terms))
 
@@ -339,16 +324,13 @@ class TTDecQueryFamily:
 
     @classmethod
     def from_ciphertexts(cls, cts: TTCiphertext, params: TTParams) -> "TTDecQueryFamily":
-        if params.scheme != LOCAL_PRG:
-            raise UnsupportedSchemeError(
-                "decryption circuits exist only for LOCAL_PRG keys"
-            )
+        prg = circuit_prg(params.prg)
         if cts.n != params.n:
             raise MalformedCiphertextError(
                 f"ciphertexts have {cts.n} components, scheme has {params.n} users"
             )
         rs = cts.rs
-        if rs.size and (rs.min() < 0 or rs.max() >= params.prg.ell):
+        if rs.size and (rs.min() < 0 or rs.max() >= prg.ell):
             raise MalformedCiphertextError("PRG index outside stretch range")
         return cls(params, cts)
 
@@ -392,13 +374,13 @@ class TTDecQueryFamily:
 def check_tracing_batch(n: int, eps_fp: float, a: float) -> int:
     """Bytes of one tracing batch, ell_FP * n * 10 (int64 rs, uint8 masked and words).
 
-    Raises above MAX_TRACING_BATCH_BYTES, so callers refuse before allocating.
+    Raises above MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
     need = code_length(n, eps_fp, a) * n * 10
-    if need > MAX_TRACING_BATCH_BYTES:
+    if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
             f"a tracing batch at n={n}, eps_fp={eps_fp}, a={a} needs about"
-            f" {need / 2**30:.1f} GiB, over the {MAX_TRACING_BATCH_BYTES / 2**30:.0f} GiB limit"
+            f" {need / 2**30:.1f} GiB, over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
         )
     return need
 
@@ -500,52 +482,35 @@ def keyset_to_json(ks: TTKeySet) -> dict:
 
 
 def keyset_from_json(obj: dict) -> TTKeySet:
+    """Parse a key set object; TTParams and LocalPrgParams check what they get."""
     try:
-        kappa, n, scheme = int(obj["kappa"]), int(obj["n"]), obj["scheme"]
-        check_key_shape(kappa, n)
-        prg_obj = obj["prg"]
+        kappa, n = int(obj["kappa"]), int(obj["n"])
+        g = obj["prg"]
         prg = None
-        if prg_obj is not None:
-            g_kappa = int(prg_obj["kappa"])
-            g_ell = int(prg_obj["ell"])
-            g_loc = int(prg_obj["locality"])
-            table = np.unpackbits(
-                np.frombuffer(bytes.fromhex(prg_obj["table"]), dtype=np.uint8)
-            )[: 1 << g_loc]
-            sets = (
-                np.frombuffer(bytes.fromhex(prg_obj["index_sets"]), dtype=">u2")
-                .reshape(g_ell, g_loc)
-                .astype(np.int32)
+        if g is not None:
+            g_ell, g_loc = int(g["ell"]), int(g["locality"])
+            sets = np.frombuffer(bytes.fromhex(g["index_sets"]), dtype=">u2")
+            prg = LocalPrgParams(
+                int(g["kappa"]),
+                g_ell,
+                g_loc,
+                sets.reshape(g_ell, g_loc).astype(np.int32),
+                bits_from_hex(g["table"], 1 << g_loc, "prg.table"),
             )
-            if g_ell < 1:
-                raise FileFormatError(f"prg.ell {g_ell} must be >= 1")
-            if not 1 <= g_loc <= g_kappa:
-                raise FileFormatError(f"prg.locality {g_loc} must be in 1..{g_kappa}")
-            if table.size != 1 << g_loc:
-                raise FileFormatError(f"prg.table has {table.size} bits, need 2^{g_loc}")
-            if sets.size and sets.max() >= g_kappa:
-                raise FileFormatError(
-                    f"prg.index_sets position {sets.max()} outside the {g_kappa}-bit seed"
-                )
-            prg = LocalPrgParams(g_kappa, g_ell, g_loc, sets, table.astype(np.uint8))
-        _check_scheme(scheme, prg, kappa // 2)
+        params = TTParams(kappa, n, obj["scheme"], prg)
         raw_rows = obj["rows"]
-        rows = np.zeros((n, kappa), dtype=np.uint8)
-        for u, hexrow in enumerate(raw_rows):
-            rows[u] = np.unpackbits(
-                np.frombuffer(bytes.fromhex(hexrow), dtype=np.uint8)
-            )[:kappa]
+        if len(raw_rows) != n:
+            raise FileFormatError(f"expected {n} rows, found {len(raw_rows)}")
+        rows = np.array(
+            [bits_from_hex(h, kappa, f"row {u}") for u, h in enumerate(raw_rows)]
+        )
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad key set JSON: {e}") from e
-    if len(raw_rows) != n:
-        raise FileFormatError(f"expected {n} rows, found {len(raw_rows)}")
-    params = TTParams(kappa, n, scheme, prg)
-    ks = TTKeySet(params, rows)
     for u in range(n):
         _bits, idx = decode_key_row(params, rows[u])
         if idx != u:
             raise FileFormatError(f"row {u} decodes to index {idx}")
-    return ks
+    return TTKeySet(params, rows)
 
 
 def keyset_dumps(ks: TTKeySet) -> str:

@@ -149,6 +149,11 @@ class TestConfig:
         with pytest.raises(InputShapeError, match="GiB"):
             AttackConfig(n=100)  # a 7 GiB tracing batch, refused unallocated
 
+    def test_prg_too_large_to_draw_refused(self):
+        # kappa=256 holds 128 seed bits: a 4 GiB index-set draw, refused unallocated
+        with pytest.raises(InputShapeError, match="PRG"):
+            AttackConfig(kappa=256)
+
     def test_to_dict_shape(self):
         d = AttackConfig().to_dict()
         assert set(d) == {

@@ -378,16 +378,55 @@ class TestJson:
         with pytest.raises(CircuitFormatError):
             circuit_from_json(obj)
 
+    def test_rejects_gate_that_is_not_an_object(self):
+        with pytest.raises(CircuitFormatError):
+            circuit_from_json({"input_width": 1, "gates": [5], "output": 0})
+
     def test_rejects_non_json_text(self):
         with pytest.raises(CircuitFormatError):
             circuit_loads("{not json")
 
 
+class TestNetlistRules:
+    """Circuit checks its own gates, whoever builds it."""
+
+    def test_argument_past_the_gate_refused(self):
+        with pytest.raises(CircuitFormatError, match="earlier gates"):
+            Circuit(2, (Gate(INPUT, (), 0), Gate(AND, (5,))), 1)
+
+    @pytest.mark.parametrize("width,gates,output", [
+        (1, (Gate(INPUT, (), 0), Gate("XOR", (0,))), 1),
+        (1, (Gate(INPUT, (), 0), Gate(NOT, (1,))), 1),       # points at itself
+        (1, (Gate(INPUT, (), 0), Gate(NOT, (-1,))), 1),
+        (1, (Gate(INPUT, (), 0), Gate(NOT, (0, 0))), 1),
+        (1, (Gate(INPUT, (), 0), Gate(OR, ())), 1),
+        (1, (Gate(INPUT, (), 0), Gate(CONST, (), 2)), 1),
+        (1, (Gate(INPUT, (), 0), Gate(CONST, (0,), 1)), 1),
+        (1, (Gate(INPUT, (), 1),), 0),                       # wire past the width
+        (1, (Gate(INPUT, (), 0),), 1),                       # output past the end
+        (-1, (), 0),
+    ])
+    def test_malformed_netlists_refused(self, width, gates, output):
+        with pytest.raises(CircuitFormatError):
+            Circuit(width, gates, output)
+
+    def test_builder_errors_surface_at_build(self):
+        for append in (lambda b: b.const(2), lambda b: b.not_(7), lambda b: b.or_([0, 9])):
+            b = CircuitBuilder(2)
+            g = append(b)
+            with pytest.raises(CircuitFormatError):
+                b.build(g)
+        with pytest.raises(CircuitFormatError, match="output"):
+            CircuitBuilder(2).build(2)
+
+
 class TestBuilder:
     def test_empty_fanin_rejected(self):
+        # gates are appended unchecked; the netlist rules run at build()
         b = CircuitBuilder(1)
+        g = b.and_([])
         with pytest.raises(CircuitFormatError):
-            b.and_([])
+            b.build(g)
 
     def test_not_and_const_are_deduplicated(self):
         b = CircuitBuilder(1)

@@ -138,6 +138,19 @@ class TestFpcodeCommands:
         )
         assert code == 2
 
+    def test_trace_refuses_zero_bias_codebook(self, capsys, tmp_path):
+        # a bias of 0 used to load and print "max_score":NaN with exit 0
+        _code, _out, _err, path = self.gen(capsys, tmp_path)
+        obj = json.load(open(path))
+        obj["biases"][0] = 0.0
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        code, out, err = run_cli(
+            capsys, "fpcode", "trace", "--codebook", path, "--word", obj["words"][0]
+        )
+        assert code == 2 and out == ""
+        assert "biases" in err and "Traceback" not in err
+
     def test_trace_missing_codebook(self, capsys, tmp_path):
         code, _out, _err = run_cli(
             capsys, "fpcode", "trace", "--codebook", str(tmp_path / "nope.json"),
@@ -447,6 +460,18 @@ class TestAttackCommand:
             capsys, "attack", "run", "--n", "100", "--jobs", "2", "--out", str(out_path)
         )
         assert code == 2 and "GiB" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("attack", "run", "--kappa", "256"),
+        ("tt", "keygen", "--kappa", "256", "--n", "2"),
+    ])
+    def test_rejects_prg_too_large_to_draw(self, capsys, tmp_path, argv):
+        # 128 seed bits at the cubic stretch: a 4 GiB index-set draw, refused
+        # before it is allocated
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 2 and out == "" and "GiB" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,11 @@ from ttpa.crypto import (
     LITERAL,
     LOCAL_PRG,
     PRF,
+    MAX_ALLOC_BYTES,
     EncKey,
+    LocalPrgParams,
     append_dec_component,
+    check_prg_draw,
     collision_bound,
     default_stretch,
     enc_dec_circuit,
@@ -107,6 +112,41 @@ class TestPrgParams:
             prg_params_gen(0, 8, ell=0)
         with pytest.raises(InputShapeError):
             prg_params_gen(0, 8, ell=4, table=np.zeros(7, dtype=np.uint8))
+
+    def test_non_bit_table_refused(self):
+        # a 2 in the table would make prg_expand and prg_bits_at disagree
+        with pytest.raises(InputShapeError, match="prg.table"):
+            prg_params_gen(0, 8, table=[2] * 32)
+
+    def test_description_checks_itself(self):
+        good = prg_params_gen(1, 8, ell=4)
+        sets, table = good.index_sets, good.table
+        LocalPrgParams(8, 4, 5, sets, table)
+        for field, args in [
+            ("prg.ell", (8, 0, 5, sets[:0], table)),
+            ("prg.locality", (4, 4, 5, sets, table)),
+            ("prg.table", (8, 4, 5, sets, table[:16])),
+            ("prg.index_sets", (8, 4, 5, sets[:, :4], table)),
+            ("prg.index_sets", (8, 4, 5, np.where(sets == sets[0, 0], 8, sets), table)),
+            ("prg.index_sets", (8, 4, 5, sets - 8, table)),
+        ]:
+            with pytest.raises(InputShapeError, match=field):
+                LocalPrgParams(*args)
+
+    def test_oversized_draw_refused_before_allocation(self):
+        # kappa=128 seed bits at the cubic stretch would sort a 4 GiB draw
+        assert check_prg_draw(64, default_stretch(64)) == 64**4 * 16
+        with pytest.raises(InputShapeError, match="GiB"):
+            check_prg_draw(128, default_stretch(128))
+        assert 128**4 * 16 > MAX_ALLOC_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputShapeError, match="GiB"):
+                prg_params_gen(0, 128)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(st.integers(0, 2**32), st.integers(5, 12), st.integers(1, 40))
     def test_index_sets_always_distinct(self, seed, kappa, ell):
@@ -256,6 +296,20 @@ class TestEncGen:
             enc_gen(16, PRF, rng, prg=prg_params_gen(0, 16))
         with pytest.raises(InputShapeError):
             enc_gen(32, LOCAL_PRG, rng, prg=prg_params_gen(0, 16))
+
+    def test_key_checks_its_scheme(self):
+        bits = np.zeros(16, dtype=np.uint8)
+        prg = prg_params_gen(0, 16, ell=8)
+        EncKey(LOCAL_PRG, bits, prg)
+        EncKey(PRF, bits, None)
+        with pytest.raises(InputShapeError, match="need a PRG"):
+            EncKey(LOCAL_PRG, bits, None)
+        with pytest.raises(InputShapeError, match="prg.kappa"):
+            EncKey(LOCAL_PRG, bits[:8], prg)
+        with pytest.raises(InputShapeError, match="carry no PRG"):
+            EncKey(PRF, bits, prg)
+        with pytest.raises(UnsupportedSchemeError, match="unknown scheme"):
+            EncKey("OTP", bits, None)
 
     def test_keys_distinct_across_draws(self):
         rng = np.random.default_rng(123)

@@ -288,6 +288,32 @@ class TestSerialization:
         with pytest.raises(FileFormatError):
             codebook_from_json(bad)
 
+    @pytest.mark.parametrize("bias", [0.0, 1.0, -0.5, float("nan")])
+    def test_bias_outside_open_interval_refused(self, bias):
+        # the scores divide by p and by 1 - p
+        good = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-bias"), a=1.0))
+        good["biases"][3] = bias
+        with pytest.raises(FileFormatError, match="biases"):
+            codebook_from_json(good)
+
+    def test_codebook_checks_its_shapes(self):
+        cb = fp_gen(3, 0.2, stream(4, "fp-shape"), a=1.0)
+        fields = (cb.n, cb.ell, cb.eps_fp, cb.a, cb.cutoff, cb.threshold)
+        with pytest.raises(InputShapeError):
+            Codebook(*fields, cb.biases[:-1], cb.words)
+        with pytest.raises(InputShapeError):
+            Codebook(*fields, cb.biases, cb.words[:2])
+
+    @pytest.mark.parametrize("suffix,why", [("ff", "bytes"), (None, "padding")])
+    def test_word_rows_must_fit_exactly(self, suffix, why):
+        # ell=10: two bytes per word, the last six bits padding
+        obj = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-hex"), a=1.0))
+        assert obj["ell"] == 10
+        w = obj["words"][1]
+        obj["words"][1] = w + suffix if suffix else w[:2] + f"{int(w[2:], 16) | 1:02x}"
+        with pytest.raises(FileFormatError, match=f"word 1 .*{why}"):
+            codebook_from_json(obj)
+
     def test_dumps_is_canonical(self):
         cb = fp_gen(2, 0.2, stream(4, "fp-canon"), a=1.0)
         text = codebook_dumps(cb)

@@ -1,0 +1,47 @@
+"""The README's library example and the scripts/ front ends still run."""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DEMO = os.path.join(ROOT, "scripts", "run_attack_demo.py")
+
+
+def test_readme_library_block_runs(capsys):
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    section = text[text.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "'violated'" in capsys.readouterr().out
+
+
+def run_demo(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "TTPA_SEED"}
+    return subprocess.run(
+        [sys.executable, DEMO, *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_attack_demo_refuses_bad_budget_before_any_trial(tmp_path):
+    proc = run_demo("--quick", "--eps", "-1", "--out-dir", str(tmp_path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "nonnegative" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_attack_demo_quick_run_is_pinned(tmp_path):
+    proc = run_demo("--quick", "--seed", "0", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0
+    assert proc.stdout.endswith(f"summary: {tmp_path / 'summary.csv'}\n")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report.json", "summary.csv")
+    }
+    assert digests == {
+        "report.json": "03902f9e0540c4e116faaab3be1b874644c6b3996a8ca63eb9925e931d5a2f9e",
+        "summary.csv": "1462664287a5bd1b90abb4ebbac0fd542fc1d5a78b7bc5a1adec4492aad791fc",
+    }

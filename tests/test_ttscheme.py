@@ -103,6 +103,18 @@ class TestKeyLayout:
         with pytest.raises(InputShapeError):
             tt_gen(32, 2, LOCAL_PRG, rng, prg=prg_params_gen(0, 8))
 
+    def test_params_check_themselves(self):
+        prg = prg_params_gen(0, 8, ell=8)
+        TTParams(16, 2, LOCAL_PRG, prg)
+        with pytest.raises(InputShapeError, match="even"):
+            TTParams(15, 2, LOCAL_PRG, prg)
+        with pytest.raises(InputShapeError, match="need a PRG"):
+            TTParams(16, 2, LOCAL_PRG, None)
+        with pytest.raises(InputShapeError, match="prg.kappa"):
+            TTParams(32, 2, LOCAL_PRG, prg)
+        with pytest.raises(UnsupportedSchemeError, match="unknown scheme"):
+            TTParams(16, 2, "OTP", None)
+
     def test_decode_validation(self):
         ks = small_keyset()
         with pytest.raises(InputShapeError):
@@ -452,3 +464,24 @@ class TestSerialization:
             keyset_from_json(swapped)
         with pytest.raises(FileFormatError):
             keyset_from_json(dict(obj, rows=obj["rows"][:2]))
+
+    def test_extra_rows_rejected(self):
+        obj = keyset_to_json(small_keyset(seed=27))
+        obj["rows"].append(obj["rows"][0])
+        with pytest.raises(FileFormatError, match="expected 3 rows"):
+            keyset_from_json(obj)
+
+    @pytest.mark.parametrize("field,edit", [
+        ("row 1", lambda obj: obj["rows"].__setitem__(1, obj["rows"][1] + "ff")),
+        ("row 2", lambda obj: obj["rows"].__setitem__(2, obj["rows"][2][:-2] + "01")),
+        ("prg.table", lambda obj: obj["prg"].__setitem__("table", obj["prg"]["table"] + "00")),
+    ])
+    def test_hex_rows_must_fit_exactly(self, field, edit):
+        # kappa=18 rows are 3 bytes with 6 padding bits; a row with a byte
+        # appended or a padding bit set used to load silently
+        ks = tt_gen(18, 3, LOCAL_PRG, stream(26, "hex"), prg=prg_params_gen(26, 9, ell=16))
+        obj = keyset_to_json(ks)
+        assert keyset_from_json(obj).rows.tolist() == ks.rows.tolist()
+        edit(obj)
+        with pytest.raises(FileFormatError, match=field):
+            keyset_from_json(obj)
