@@ -4,7 +4,8 @@
 Three checks: mean |noise| vs the configured scale, tail exceedance vs
 exp(-margin/scale), and the same (eps, delta) budget giving an accurate
 batch on a large database but a useless one on a small database.  Takes
-a few seconds; add --out to keep the JSON.
+a few seconds; add --out to keep the JSON.  TTPA_SEED overrides --seed,
+as in every ttpa command.
 """
 
 import argparse
@@ -13,17 +14,23 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ttpa.cli import canonical_json
+from ttpa.cli import canonical_json, resolve_seed
 from ttpa.sanitize import laplace_tightness_demo
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument(
+        "--seed", type=int, default=None, help="master seed (TTPA_SEED overrides)"
+    )
     ap.add_argument("--out", help="write the full report JSON here")
     args = ap.parse_args()
 
-    report = laplace_tightness_demo(args.seed)
+    try:
+        seed = resolve_seed(args.seed)
+    except ValueError as e:
+        ap.error(str(e))
+    report = laplace_tightness_demo(seed)
     cal = report["calibration"]
     print(f"scale {cal['scale']:.6g}, {cal['draws']} draws")
     print(

@@ -14,9 +14,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     CircuitMetrics,
-    circuit_dumps,
     circuit_from_json,
-    circuit_loads,
     circuit_metrics,
     circuit_to_json,
     circuits_equivalent,
@@ -64,8 +62,6 @@ from .fpcode import (
     accusation_threshold,
     bias_cutoff,
     code_length,
-    codebook_dumps,
-    codebook_loads,
     fp_adversary,
     fp_critical,
     fp_feasible,
@@ -100,8 +96,6 @@ from .ttscheme import (
     TTKeySet,
     TTParams,
     honest_pirate,
-    keyset_dumps,
-    keyset_loads,
     linear_scan_report,
     tr_enc,
     tr_enc_index,

@@ -21,7 +21,7 @@ import math
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +47,9 @@ EXP_MINUS = "minus"
 # two-sided 95% normal quantile, used by the Wilson intervals
 Z_95 = 1.959963984540054
 
+# fewer trials than this on either side leave an audit inconclusive
+MIN_AUDIT_TRIALS = 20
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -66,24 +69,6 @@ class AttackConfig:
         check_key_shape(self.kappa, self.n)
         check_prg_draw(self.kappa // 2)
         check_tracing_batch(self.n, self.eps_fp, self.a)
-
-    def to_dict(self) -> dict:
-        s = self.sanitizer
-        return {
-            "n": self.n,
-            "kappa": self.kappa,
-            "eps_fp": self.eps_fp,
-            "trials": self.trials,
-            "a": self.a,
-            "seed": self.seed,
-            "sanitizer": {
-                "kind": s.kind,
-                "epsilon": s.epsilon,
-                "delta": s.delta,
-                "composition": s.composition,
-                "amplification_rounds": s.amplification_rounds,
-            },
-        }
 
 
 def pirate_from_sanitizer(
@@ -180,15 +165,7 @@ class ExperimentStats:
                 "mean": float(np.mean(errs)) if errs else None,
                 "max": float(np.max(errs)) if errs else None,
             },
-            "trial_records": [
-                {
-                    "accused": r.accused,
-                    "feasible": r.feasible,
-                    "max_abs_err": r.max_abs_err,
-                    "failed": r.failed,
-                }
-                for r in self.records
-            ],
+            "trial_records": [r._asdict() for r in self.records],
         }
 
 
@@ -201,7 +178,7 @@ class AttackReport:
 
     def to_dict(self, audit: dict | None = None) -> dict:
         obj = {
-            "params": self.config.to_dict(),
+            "params": asdict(self.config),
             "i_star": -1 if self.i_star is None else self.i_star,
             "exp1": self.exp_full.to_dict(),
             "exp2": None if self.exp_minus is None else self.exp_minus.to_dict(),
@@ -313,17 +290,15 @@ def check_audit_budget(epsilon: float, delta: float) -> None:
         raise InputShapeError("epsilon and delta must be nonnegative")
 
 
-def dp_audit(
-    report: AttackReport, epsilon: float, delta: float, min_trials: int = 20
-) -> dict:
+def dp_audit(report: AttackReport, epsilon: float, delta: float) -> dict:
     """Test the claimed (epsilon, delta) against the measured accusation drop.
 
     Violated iff p_full(i*) > e^eps * p_minus(i*) + delta + eps_stat,
     where eps_stat is the 95% Wilson slack on both frequencies; the
     test is equivalent to comparing the Wilson lower bound of p_full
     against e^eps times the Wilson upper bound of p_minus plus delta.
-    margin > 0 means violated.  Fewer than min_trials trials on either
-    side (or no i*) leaves the verdict inconclusive, never violated.
+    margin > 0 means violated.  Fewer than MIN_AUDIT_TRIALS trials on
+    either side (or no i*) leaves the verdict inconclusive, never violated.
     """
     check_audit_budget(epsilon, delta)
     out = {
@@ -349,7 +324,7 @@ def dp_audit(
     grow = math.exp(epsilon)
     eps_stat = (p1 - lo1) + grow * (hi2 - p2)
     margin = p1 - (grow * p2 + delta + eps_stat)
-    conclusive = t1 >= min_trials and t2 >= min_trials
+    conclusive = t1 >= MIN_AUDIT_TRIALS and t2 >= MIN_AUDIT_TRIALS
     out.update(
         p_full=p1,
         p_minus=p2,

@@ -12,7 +12,6 @@ pushed onto literals.  Multi-bit values are big-endian throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -423,11 +422,6 @@ def circuit_to_json(circ: Circuit) -> dict:
     return {"input_width": circ.input_width, "gates": gates, "output": circ.output}
 
 
-def circuit_dumps(circ: Circuit) -> str:
-    """Canonical JSON netlist text (stable key order, no whitespace)."""
-    return json.dumps(circuit_to_json(circ), sort_keys=True, separators=(",", ":"))
-
-
 def circuit_from_json(obj: dict) -> Circuit:
     """Parse a netlist object; Circuit checks the gates it gets."""
     try:
@@ -445,13 +439,3 @@ def circuit_from_json(obj: dict) -> Circuit:
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CircuitFormatError(f"malformed netlist: {e}") from e
     return Circuit(width, tuple(gates), output)
-
-
-def circuit_loads(text: str) -> Circuit:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CircuitFormatError(f"netlist is not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise CircuitFormatError("netlist JSON must be an object")
-    return circuit_from_json(obj)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +28,15 @@ from .attack import (
     pirate_from_sanitizer,
     run_attack,
 )
-from .circuit import circuit_dumps, circuit_from_json, circuit_metrics
+from .circuit import circuit_from_json, circuit_metrics, circuit_to_json
 from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, collision_bound
-from .errors import FileFormatError, InputShapeError, bits_from_hex
+from .errors import (
+    FileFormatError,
+    InputShapeError,
+    bits_from_hex,
+    canonical_json,
+    read_json,
+)
 from .fpcode import (
     MAJORITY,
     MINORITY,
@@ -60,8 +66,8 @@ from .sanitize import (
 from .seeds import stream
 from .ttscheme import (
     honest_pirate,
-    keyset_dumps,
-    keyset_loads,
+    keyset_from_json,
+    keyset_to_json,
     tr_enc_index,
     tt_dec_circuit,
     tt_enc,
@@ -81,10 +87,6 @@ _STRATEGY_FLAGS = {
 }
 
 CSV_HEADER = ["section", "experiment", "key", "value"]
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def resolve_seed(explicit: int | None) -> int:
@@ -107,14 +109,6 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_json(obj, path: str) -> None:
     _write_text(path, canonical_json(obj))
-
-
-def _read_json(path: str):
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(f"{path}: not valid JSON: {e}") from e
 
 
 def _parse_coalition(text: str | None, n: int) -> tuple[int, ...]:
@@ -179,7 +173,7 @@ def _cmd_fpcode_gen(args) -> int:
 
 def _cmd_fpcode_trace(args) -> int:
     seed = resolve_seed(args.seed)
-    cb = codebook_from_json(_read_json(args.codebook))
+    cb = codebook_from_json(read_json(args.codebook))
     hex_word = args.word
     if hex_word is None:
         with open(args.word_file) as f:
@@ -242,7 +236,7 @@ def _cmd_tt_keygen(args) -> int:
     seed = resolve_seed(args.seed)
     scheme = _SCHEMES[args.scheme]
     ks = tt_gen(args.kappa, args.n, scheme, stream(seed, "tt-keygen"))
-    _write_text(args.out, keyset_dumps(ks))
+    _write_json(keyset_to_json(ks), args.out)
     print(
         canonical_json(
             {
@@ -283,8 +277,7 @@ def _build_pirate(spec: str, ks, args, rng):
 
 def _cmd_tt_trace(args) -> int:
     seed = resolve_seed(args.seed)
-    with open(args.keys) as f:
-        ks = keyset_loads(f.read())
+    ks = keyset_from_json(read_json(args.keys))
     pirate, coalition = _build_pirate(
         args.pirate, ks, args, stream(seed, "tt-trace", "pirate")
     )
@@ -325,15 +318,14 @@ def _cmd_tt_trace(args) -> int:
 
 def _cmd_tt_export_circuit(args) -> int:
     seed = resolve_seed(args.seed)
-    with open(args.keys) as f:
-        ks = keyset_loads(f.read())
+    ks = keyset_from_json(read_json(args.keys))
     rng = stream(seed, "tt-export")
     if args.level is not None:
         ct = tr_enc_index(ks, args.level, rng)
     else:
         ct = tt_enc(ks, args.bit, rng)
     circ = tt_dec_circuit(ct, ks.params, _MODES[args.mode])
-    _write_text(args.out, circuit_dumps(circ))
+    _write_json(circuit_to_json(circ), args.out)
     met = circuit_metrics(circ)
     print(
         canonical_json(
@@ -361,7 +353,7 @@ def _cmd_tt_export_circuit(args) -> int:
 def _load_queries(paths: Sequence[str]) -> list:
     queries = []
     for path in paths:
-        obj = _read_json(path)
+        obj = read_json(path)
         items = obj if isinstance(obj, list) else [obj]
         for item in items:
             if not isinstance(item, dict):
@@ -386,11 +378,7 @@ def _cmd_sanitize_run(args) -> int:
         "config": {
             "db": args.db,
             "queries": list(args.queries),
-            "kind": cfg.kind,
-            "epsilon": cfg.epsilon,
-            "delta": cfg.delta,
-            "composition": cfg.composition,
-            "amplification_rounds": cfg.amplification_rounds,
+            **asdict(cfg),
             "seed": seed,
         },
         "m": db.m,

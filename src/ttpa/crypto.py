@@ -63,6 +63,11 @@ def xor_and_table(locality: int = DEFAULT_LOCALITY) -> np.ndarray:
     return ((parity ^ both) & 1).astype(np.uint8)
 
 
+def check_stretch(ell: int) -> None:
+    if ell < 1:
+        raise InputShapeError(f"prg.ell {ell} must be >= 1")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalPrgParams:
     """Public description of the local PRG: who reads which seed bits."""
@@ -75,8 +80,7 @@ class LocalPrgParams:
 
     def __post_init__(self):
         kappa, ell, loc = self.kappa, self.ell, self.locality
-        if ell < 1:
-            raise InputShapeError(f"prg.ell {ell} must be >= 1")
+        check_stretch(ell)
         if not 1 <= loc <= kappa:
             raise InputShapeError(f"prg.locality {loc} must be in 1..{kappa}")
         table = np.asarray(self.table)
@@ -97,10 +101,11 @@ def default_stretch(kappa: int) -> int:
 
 def check_prg_draw(kappa: int, ell: int | None = None) -> int:
     """Bytes prg_params_gen holds while it draws: an (ell, kappa) float64
-    matrix and its argsort.  Raises above MAX_ALLOC_BYTES, so callers
-    refuse before allocating.
+    matrix and its argsort.  Raises for a stretch below 1 or above
+    MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
     ell = default_stretch(kappa) if ell is None else ell
+    check_stretch(ell)
     need = ell * kappa * 16
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(

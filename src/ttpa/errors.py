@@ -1,8 +1,13 @@
-"""Shared exception types, and the hex bit-row rule every file format shares.
+"""Shared exception types, and the codec every file format shares.
 
 Everything derives from ValueError so callers that only care about
 "bad input" can catch one thing; the CLI maps these to exit code 2.
+Every JSON artifact and report is written as canonical JSON and read
+with read_json; every bit row is one hex string (bits_to_hex,
+bits_from_hex).
 """
+
+import json
 
 import numpy as np
 
@@ -37,6 +42,24 @@ class SanitizerFailure(RuntimeError):
     Experiment runners record this as an availability violation for the
     trial instead of aborting the whole run.
     """
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, no whitespace: the same object always gives the same bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def read_json(path: str):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise FileFormatError(f"{path}: not valid JSON: {e}") from e
+
+
+def bits_to_hex(bits: np.ndarray) -> str:
+    """The hex row bits_from_hex reads back."""
+    return np.packbits(bits).tobytes().hex()
 
 
 def bits_from_hex(text: str, nbits: int, what: str) -> np.ndarray:

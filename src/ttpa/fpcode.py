@@ -23,13 +23,12 @@ probability.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, InputShapeError, bits_from_hex
+from .errors import FileFormatError, InputShapeError, bits_from_hex, bits_to_hex
 from .seeds import stream
 
 MAJORITY = "MAJORITY"
@@ -43,9 +42,7 @@ DEFAULT_LENGTH_CONSTANT = 100.0
 
 
 def code_length(n: int, eps_fp: float, a: float = DEFAULT_LENGTH_CONSTANT) -> int:
-    _check_params(n, eps_fp)
-    if a <= 0:
-        raise InputShapeError(f"length constant must be positive, got {a}")
+    _check_params(n, eps_fp, a)
     return math.ceil(a * n * n * math.log(n / eps_fp))
 
 
@@ -71,6 +68,10 @@ class Codebook:
     words: np.ndarray   # (n, ell) uint8
 
     def __post_init__(self):
+        _check_params(self.n, self.eps_fp, self.a)
+        # an all-zero word scores 0 for everyone and must accuse no one
+        if not self.threshold > 0:
+            raise InputShapeError(f"threshold must be positive, got {self.threshold}")
         # the words are not scanned for bits: fp_gen draws one codebook
         # per tracing trial, and its words are bits by construction
         if self.biases.shape != (self.ell,) or self.words.shape != (self.n, self.ell):
@@ -83,11 +84,13 @@ class Codebook:
             raise InputShapeError("codebook biases must lie strictly inside (0, 1)")
 
 
-def _check_params(n: int, eps_fp: float) -> None:
+def _check_params(n: int, eps_fp: float, a: float) -> None:
     if n < 2:
         raise InputShapeError(f"codebooks need n >= 2 users, got {n}")
     if not 0.0 < eps_fp < 1.0:
         raise InputShapeError(f"eps_fp must be in (0,1), got {eps_fp}")
+    if not a > 0:
+        raise InputShapeError(f"length constant must be positive, got {a}")
 
 
 def fp_gen(
@@ -238,7 +241,7 @@ def codebook_to_json(cb: Codebook) -> dict:
         "cutoff": cb.cutoff,
         "threshold": cb.threshold,
         "biases": cb.biases.tolist(),
-        "words": [np.packbits(w).tobytes().hex() for w in cb.words],
+        "words": [bits_to_hex(w) for w in cb.words],
     }
 
 
@@ -252,8 +255,7 @@ def adversary_view_json(cb: Codebook, coalition: list[int]) -> dict:
         "ell": cb.ell,
         "coalition": sorted(int(u) for u in coalition),
         "words": {
-            str(u): np.packbits(cb.words[u]).tobytes().hex()
-            for u in sorted(coalition)
+            str(u): bits_to_hex(cb.words[u]) for u in sorted(coalition)
         },
     }
 
@@ -274,15 +276,3 @@ def codebook_from_json(obj: dict) -> Codebook:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad codebook JSON: {e}") from e
-
-
-def codebook_dumps(cb: Codebook) -> str:
-    return json.dumps(codebook_to_json(cb), sort_keys=True, separators=(",", ":"))
-
-
-def codebook_loads(text: str) -> Codebook:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"codebook is not valid JSON: {e}") from e
-    return codebook_from_json(obj)

@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _eval_packed, pack_rows
-from .errors import FileFormatError, InputShapeError, bits_from_hex
+from .errors import FileFormatError, InputShapeError, bits_from_hex, bits_to_hex
 from .seeds import stream
 
 EXACT = "EXACT"
@@ -37,7 +37,7 @@ class Database:
     them once, because every counting query reads them."""
 
     rows: np.ndarray  # (m, d) uint8
-    _packed: list[int] | None = field(default=None, repr=False)
+    _packed: list[int] | None = field(default=None, init=False, repr=False)
     m: int = field(init=False)
     d: int = field(init=False)
     mask: int = field(init=False, repr=False)  # (1 << m) - 1
@@ -178,7 +178,7 @@ def save_database(db: Database, path: str) -> None:
     with open(path, "w") as f:
         f.write(f"d={db.d}\n")
         for row in db.rows:
-            f.write(np.packbits(row).tobytes().hex() + "\n")
+            f.write(bits_to_hex(row) + "\n")
 
 
 def load_database(path: str) -> Database:

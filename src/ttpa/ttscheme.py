@@ -17,7 +17,6 @@ conjunction and an outer disjunction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -46,6 +45,7 @@ from .errors import (
     MalformedCiphertextError,
     OneShotViolationError,
     bits_from_hex,
+    bits_to_hex,
 )
 from .fpcode import Codebook, code_length, fp_gen, fp_trace
 
@@ -464,7 +464,7 @@ def keyset_to_json(ks: TTKeySet) -> dict:
         "kappa": p.kappa,
         "n": p.n,
         "scheme": p.scheme,
-        "rows": [np.packbits(r).tobytes().hex() for r in ks.rows],
+        "rows": [bits_to_hex(r) for r in ks.rows],
     }
     if p.prg is not None:
         g = p.prg
@@ -472,7 +472,7 @@ def keyset_to_json(ks: TTKeySet) -> dict:
             "kappa": g.kappa,
             "ell": g.ell,
             "locality": g.locality,
-            "table": np.packbits(g.table).tobytes().hex(),
+            "table": bits_to_hex(g.table),
             # 2-byte big-endian per position, row-major
             "index_sets": g.index_sets.astype(">u2").tobytes().hex(),
         }
@@ -489,7 +489,13 @@ def keyset_from_json(obj: dict) -> TTKeySet:
         prg = None
         if g is not None:
             g_ell, g_loc = int(g["ell"]), int(g["locality"])
-            sets = np.frombuffer(bytes.fromhex(g["index_sets"]), dtype=">u2")
+            text = g["index_sets"]
+            if len(text) != 4 * g_ell * g_loc:
+                raise FileFormatError(
+                    f"prg.index_sets is {len(text)} hex digits, expected"
+                    f" {4 * g_ell * g_loc} for ({g_ell}, {g_loc}) 2-byte positions"
+                )
+            sets = np.frombuffer(bytes.fromhex(text), dtype=">u2")
             prg = LocalPrgParams(
                 int(g["kappa"]),
                 g_ell,
@@ -511,15 +517,3 @@ def keyset_from_json(obj: dict) -> TTKeySet:
         if idx != u:
             raise FileFormatError(f"row {u} decodes to index {idx}")
     return TTKeySet(params, rows)
-
-
-def keyset_dumps(ks: TTKeySet) -> str:
-    return json.dumps(keyset_to_json(ks), sort_keys=True, separators=(",", ":"))
-
-
-def keyset_loads(text: str) -> TTKeySet:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"key set is not valid JSON: {e}") from e
-    return keyset_from_json(obj)

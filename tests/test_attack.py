@@ -155,7 +155,8 @@ class TestConfig:
             AttackConfig(kappa=256)
 
     def test_to_dict_shape(self):
-        d = AttackConfig().to_dict()
+        stats = ExperimentStats(EXP_FULL, (0,), (TrialRecord(0, True, 0.0, False),))
+        d = AttackReport(AttackConfig(), stats, None, None).to_dict()["params"]
         assert set(d) == {
             "n", "kappa", "eps_fp", "trials", "a", "seed", "sanitizer",
         }

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,9 +17,7 @@ from ttpa.circuit import (
     Gate,
     _eval_packed,
     append_minterm_dnf,
-    circuit_dumps,
     circuit_from_json,
-    circuit_loads,
     circuit_metrics,
     circuit_to_json,
     circuits_equivalent,
@@ -32,7 +31,13 @@ from ttpa.circuit import (
     table_of_function,
     truth_table,
 )
-from ttpa.errors import CircuitFormatError, InputShapeError
+from ttpa.errors import (
+    CircuitFormatError,
+    FileFormatError,
+    InputShapeError,
+    canonical_json,
+    read_json,
+)
 
 
 def all_rows(width: int) -> np.ndarray:
@@ -322,7 +327,7 @@ class TestConstantFold:
 class TestJson:
     @given(circuits())
     def test_roundtrip(self, c):
-        back = circuit_loads(circuit_dumps(c))
+        back = circuit_from_json(json.loads(canonical_json(circuit_to_json(c))))
         assert back.input_width == c.input_width
         assert back.output == c.output
         assert back.gates == c.gates
@@ -382,9 +387,10 @@ class TestJson:
         with pytest.raises(CircuitFormatError):
             circuit_from_json({"input_width": 1, "gates": [5], "output": 0})
 
-    def test_rejects_non_json_text(self):
-        with pytest.raises(CircuitFormatError):
-            circuit_loads("{not json")
+    def test_rejects_non_json_text(self, tmp_path):
+        (tmp_path / "c.json").write_text("{not json")
+        with pytest.raises(FileFormatError):
+            read_json(str(tmp_path / "c.json"))
 
 
 class TestNetlistRules:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ttpa.circuit import circuit_from_json, circuit_to_json, circuit_dumps
+from ttpa.circuit import circuit_from_json, circuit_to_json
 from ttpa.cli import (
     CSV_HEADER,
     canonical_json,
@@ -15,10 +15,10 @@ from ttpa.cli import (
     resolve_seed,
     summary_csv,
 )
-from ttpa.errors import FileFormatError, InputShapeError
-from ttpa.fpcode import codebook_loads
+from ttpa.errors import FileFormatError, InputShapeError, read_json
+from ttpa.fpcode import codebook_from_json
 from ttpa.sanitize import Database, dictator_circuit, save_database
-from ttpa.ttscheme import keyset_loads
+from ttpa.ttscheme import keyset_from_json
 
 import ttpa.attack as attack_mod
 
@@ -79,7 +79,7 @@ class TestFpcodeCommands:
     def test_gen_writes_loadable_codebook(self, capsys, tmp_path):
         code, out, _err, path = self.gen(capsys, tmp_path)
         assert code == 0
-        cb = codebook_loads(open(path).read())
+        cb = codebook_from_json(read_json(path))
         assert cb.n == 2 and cb.ell == 922
         echo = stdout_json(out)
         assert echo["ell"] == 922
@@ -151,6 +151,19 @@ class TestFpcodeCommands:
         assert code == 2 and out == ""
         assert "biases" in err and "Traceback" not in err
 
+    def test_trace_refuses_codebook_scalars(self, capsys, tmp_path):
+        # n=1, eps_fp=5, a=-1 and threshold=-100 used to accuse user 0 with exit 0
+        _code, _out, _err, path = self.gen(capsys, tmp_path)
+        obj = json.load(open(path))
+        obj.update(n=1, eps_fp=5.0, a=-1.0, threshold=-100.0, words=obj["words"][:1])
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        code, out, err = run_cli(
+            capsys, "fpcode", "trace", "--codebook", path, "--word", obj["words"][0]
+        )
+        assert code == 2 and out == ""
+        assert "n >= 2" in err and "Traceback" not in err
+
     def test_trace_missing_codebook(self, capsys, tmp_path):
         code, _out, _err = run_cli(
             capsys, "fpcode", "trace", "--codebook", str(tmp_path / "nope.json"),
@@ -183,7 +196,7 @@ class TestTTCommands:
         code, out, _err, path = self.keygen(capsys, tmp_path)
         assert code == 0
         assert stdout_json(out)["stretch"] == 512
-        ks = keyset_loads(open(path).read())
+        ks = keyset_from_json(read_json(path))
         assert ks.params.n == 3 and ks.params.kappa == 16
 
     def test_keygen_prf_has_no_stretch(self, capsys, tmp_path):
@@ -309,6 +322,21 @@ class TestTTCommands:
         assert code == 2 and out == ""
         assert why in err and "Traceback" not in err
 
+    def test_trace_rejects_index_sets_of_the_wrong_length(self, capsys, tmp_path):
+        # a truncated string used to fail in numpy's reshape, naming no field
+        _c, _o, _e, path = self.keygen(capsys, tmp_path)
+        obj = json.load(open(path))
+        obj["prg"]["index_sets"] = obj["prg"]["index_sets"][:-2]
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        code, out, err = run_cli(
+            capsys, "tt", "trace", "--keys", path, "--pirate", "honest:1",
+            "--eps-fp", "0.2", "--seed", "3",
+        )
+        assert code == 2 and out == ""
+        assert "prg.index_sets is 10238 hex digits, expected 10240" in err
+        assert "Traceback" not in err
+
     def test_missing_keys_file(self, capsys, tmp_path):
         code, _out, _err = run_cli(
             capsys, "tt", "trace", "--keys", str(tmp_path / "nope.json"),
@@ -323,7 +351,7 @@ class TestTTCommands:
         )
         capsys.readouterr()
         assert code == 0
-        assert keyset_loads(open(path).read()).params.n == 2
+        assert keyset_from_json(read_json(path)).params.n == 2
 
 
 class TestSanitizeCommand:
@@ -334,7 +362,7 @@ class TestSanitizeCommand:
         save_database(Database(rows), db_path)
         q0 = str(tmp_path / "q0.json")
         with open(q0, "w") as f:
-            f.write(circuit_dumps(dictator_circuit(0, 3)))
+            f.write(canonical_json(circuit_to_json(dictator_circuit(0, 3))))
         qs = str(tmp_path / "qs.json")
         with open(qs, "w") as f:
             json.dump(
@@ -399,7 +427,7 @@ class TestSanitizeCommand:
         assert code == 2
         wide_q = str(tmp_path / "wide.json")
         with open(wide_q, "w") as f:
-            f.write(circuit_dumps(dictator_circuit(0, 5)))
+            f.write(canonical_json(circuit_to_json(dictator_circuit(0, 5))))
         code, _out, _err = run_cli(
             capsys, "sanitize", "run", "--db", db_path, "--queries", wide_q,
             "--kind", "exact",
@@ -568,6 +596,23 @@ class TestSummaryFormats:
     def test_parse_rejects_missing_header(self):
         with pytest.raises(FileFormatError):
             parse_summary_csv("a,b\n1,2\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("fpcode", "trace", "--codebook", "{path}", "--word", "00"),
+        ("tt", "trace", "--keys", "{path}", "--pirate", "zeros"),
+        ("tt", "export-circuit", "--keys", "{path}", "--out", "c.json"),
+        ("sanitize", "run", "--db", "{db}", "--queries", "{path}", "--kind", "exact"),
+    ])
+    def test_invalid_json_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        db = tmp_path / "db.txt"
+        db.write_text("d=3\na0\n")
+        code, out, err = run_cli(
+            capsys, *(a.format(path=path, db=db) for a in argv)
+        )
+        assert code == 2 and out == ""
+        assert "not valid JSON" in err and "Traceback" not in err
 
     def test_canonical_json_is_sorted_and_tight(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'

@@ -113,6 +113,13 @@ class TestPrgParams:
         with pytest.raises(InputShapeError):
             prg_params_gen(0, 8, ell=4, table=np.zeros(7, dtype=np.uint8))
 
+    def test_negative_stretch_refused_before_the_draw(self):
+        # used to fail inside rng.random with "negative dimensions are not allowed"
+        with pytest.raises(InputShapeError, match="prg.ell -3"):
+            prg_params_gen(0, 8, ell=-3)
+        with pytest.raises(InputShapeError, match="prg.ell"):
+            check_prg_draw(8, -3)
+
     def test_non_bit_table_refused(self):
         # a 2 in the table would make prg_expand and prg_bits_at disagree
         with pytest.raises(InputShapeError, match="prg.table"):

@@ -9,7 +9,10 @@ a single-ciphertext object.  Any refactor of the encryption, the pirate
 oracles, the query family or circuit construction and evaluation must
 keep RNG draw order and answers, and so keep every one of these bytes.
 The attack and trace digests predate the removal of the ``mode`` and
-``scheme`` echoes, which are put back before hashing.
+``scheme`` echoes, which are put back before hashing.  The key,
+codebook, adversary-view and database files, and the stdout of
+``tt keygen`` and ``fpcode gen``, were pinned while every format wrote
+its own JSON and hex rows, before one codec wrote them all.
 """
 
 import hashlib
@@ -50,6 +53,24 @@ EXPORT_CIRCUIT = {
     ("folded", None): "d3fca954c08d2c90c31aa883db51e9ccafd7e36c52c5e3053a6945c6eb58b32a",
     ("folded", 2): "8df837eb3f59e0391b81561aabe760d00a7ed89657949c59ce083d7e70add383",
 }
+
+# `tt keygen --kappa 16 --n 3 --seed 5`: the key file and stdout per scheme
+KEYGEN = {
+    ("local-prg", "keys.json"): "c1caa0a9d16d25c8898bb259f0e3d37393e18d137a8f2cd0b05861bb82eb2cce",
+    ("local-prg", "stdout"): "0a6c4031438e014685a865c51abc547e9493fe443a466d10b99e28314bcf6f9d",
+    ("prf", "keys.json"): "db1ffa7d7bf6e604a3ba4d56c7fe6ebb7c52a17efdd9e2c36b2fdb694599aef7",
+    ("prf", "stdout"): "714f74e115db81264cd16bcb582f8d3eabdc877bfd3e9be90fee620a75bb449a",
+}
+
+# `fpcode gen --n 3 --eps-fp 0.2 --a 2 --coalition 0,2 --seed 5`
+FPCODE_GEN = {
+    "codebook.json": "2e2611300bb9dc5e88f6f72a28367b71da3b5fe13bac8b82c2da5d144fdc4c12",
+    "view.json": "c20f17c2dca47b3805b2be53d553739d1173a1e2aa7e473009b74ae485ccd5fe",
+    "stdout": "db5d7132ebd4bd3a85b1e32b8c5a67c03093837296fc5fe9d07f811cd0df18bf",
+}
+
+# save_database of 333 seeded 13-bit rows, so each row ends in padding bits
+DATABASE_FILE = "c8c186800644a105a4440180a8a75b26939f6208eb1655f7d79451affd31b70b"
 
 SANITIZE_STDOUT = {
     "exact": "dd5a48324bbc1abafa0fd1a942123a2ce0f5145253646a0ddaf00993c8d7bebe",
@@ -154,6 +175,33 @@ def test_linear_scan_counts():
 
 def test_laplace_demo_report_bytes(tightness_report):
     assert sha256(canonical_json(tightness_report).encode()) == TIGHTNESS_REPORT
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as f:
+        return sha256(f.read())
+
+
+@pytest.mark.parametrize("scheme", ["local-prg", "prf"])
+def test_keygen_bytes(capsys, scheme):
+    out = run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--scheme", scheme,
+                  "--out", "keys.json", "--seed", "5")
+    got = {"keys.json": file_digest("keys.json"), "stdout": sha256(out.encode())}
+    assert got == {what: KEYGEN[(scheme, what)] for what in got}
+
+
+def test_fpcode_gen_bytes(capsys):
+    out = run_cli(capsys, "fpcode", "gen", "--n", "3", "--eps-fp", "0.2", "--a", "2",
+                  "--out", "codebook.json", "--adversary-view", "view.json",
+                  "--coalition", "0,2", "--seed", "5")
+    got = {name: file_digest(name) for name in ("codebook.json", "view.json")}
+    assert {**got, "stdout": sha256(out.encode())} == FPCODE_GEN
+
+
+def test_database_file_bytes():
+    rows = np.random.default_rng(11).integers(0, 2, (333, 13), dtype=np.uint8)
+    save_database(Database(rows), "db.txt")
+    assert file_digest("db.txt") == DATABASE_FILE
 
 
 @pytest.mark.parametrize("kind", sorted(SANITIZE_STDOUT))

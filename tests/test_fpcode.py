@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttpa.errors import FileFormatError, InputShapeError
+from ttpa.errors import FileFormatError, InputShapeError, canonical_json, read_json
 from ttpa.fpcode import (
     COPY_ONE,
     MAJORITY,
@@ -17,9 +17,7 @@ from ttpa.fpcode import (
     adversary_view_json,
     bias_cutoff,
     code_length,
-    codebook_dumps,
     codebook_from_json,
-    codebook_loads,
     codebook_to_json,
     fp_adversary,
     fp_critical,
@@ -258,7 +256,7 @@ class TestExperiment:
 class TestSerialization:
     def test_roundtrip(self):
         cb = fp_gen(3, 0.2, stream(4, "fp-json"), a=1.0)
-        back = codebook_loads(codebook_dumps(cb))
+        back = codebook_from_json(json.loads(canonical_json(codebook_to_json(cb))))
         assert back.n == cb.n and back.ell == cb.ell
         assert back.eps_fp == cb.eps_fp and back.a == cb.a
         assert back.cutoff == cb.cutoff and back.threshold == cb.threshold
@@ -278,9 +276,10 @@ class TestSerialization:
         with pytest.raises(InputShapeError):
             adversary_view_json(cb, [4])
 
-    def test_malformed_json_rejected(self):
+    def test_malformed_json_rejected(self, tmp_path):
+        (tmp_path / "cb.json").write_text("{")
         with pytest.raises(FileFormatError):
-            codebook_loads("{")
+            read_json(str(tmp_path / "cb.json"))
         with pytest.raises(FileFormatError):
             codebook_from_json({"n": 2})
         good = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-bad"), a=1.0))
@@ -304,6 +303,24 @@ class TestSerialization:
         with pytest.raises(InputShapeError):
             Codebook(*fields, cb.biases, cb.words[:2])
 
+    @pytest.mark.parametrize("field,value,why", [
+        ("n", 1, "n >= 2"),
+        ("eps_fp", 5.0, "eps_fp"),
+        ("eps_fp", 0.0, "eps_fp"),
+        ("a", -1.0, "length constant"),
+        ("threshold", -100.0, "threshold"),
+        ("threshold", 0.0, "threshold"),
+    ])
+    def test_codebook_checks_its_scalars(self, field, value, why):
+        # fp_gen never draws these, but a codebook file used to carry them
+        # into fp_trace, which then accused user 0 of an all-zero word
+        obj = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-scalar"), a=1.0))
+        obj[field] = value
+        if field == "n":
+            obj["words"] = obj["words"][:1]
+        with pytest.raises(FileFormatError, match=why):
+            codebook_from_json(obj)
+
     @pytest.mark.parametrize("suffix,why", [("ff", "bytes"), (None, "padding")])
     def test_word_rows_must_fit_exactly(self, suffix, why):
         # ell=10: two bytes per word, the last six bits padding
@@ -316,5 +333,5 @@ class TestSerialization:
 
     def test_dumps_is_canonical(self):
         cb = fp_gen(2, 0.2, stream(4, "fp-canon"), a=1.0)
-        text = codebook_dumps(cb)
+        text = canonical_json(codebook_to_json(cb))
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))

@@ -1,6 +1,7 @@
 """The README's library example and the scripts/ front ends still run."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scripts", "run_attack_demo.py")
+TIGHTNESS = os.path.join(ROOT, "scripts", "laplace_tightness.py")
 
 
 def test_readme_library_block_runs(capsys):
@@ -45,3 +47,24 @@ def test_attack_demo_quick_run_is_pinned(tmp_path):
         "report.json": "03902f9e0540c4e116faaab3be1b874644c6b3996a8ca63eb9925e931d5a2f9e",
         "summary.csv": "1462664287a5bd1b90abb4ebbac0fd542fc1d5a78b7bc5a1adec4492aad791fc",
     }
+
+
+def test_laplace_tightness_honours_env_seed(tmp_path):
+    # TTPA_SEED=3 used to be ignored, and the report said "seed": 0
+    out = tmp_path / "r.json"
+    env = dict(os.environ, TTPA_SEED="3")
+    proc = subprocess.run(
+        [sys.executable, TIGHTNESS, "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["seed"] == 3
+
+
+def test_laplace_tightness_refuses_bad_env_seed():
+    env = dict(os.environ, TTPA_SEED="x")
+    proc = subprocess.run(
+        [sys.executable, TIGHTNESS], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "TTPA_SEED must be an integer" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from ttpa.errors import (
     MalformedCiphertextError,
     OneShotViolationError,
     UnsupportedSchemeError,
+    canonical_json,
+    read_json,
 )
 from ttpa.seeds import stream
 from ttpa.ttscheme import (
@@ -30,9 +34,7 @@ from ttpa.ttscheme import (
     default_scan_repetitions,
     honest_pirate,
     index_width,
-    keyset_dumps,
     keyset_from_json,
-    keyset_loads,
     keyset_to_json,
     linear_scan_report,
     tr_enc,
@@ -428,10 +430,15 @@ class TestLinearScan:
             linear_scan_report(ks, zeros_pirate(), stream(0, "s"), repetitions=0)
 
 
+def through_text(ks: TTKeySet) -> TTKeySet:
+    """Write the key set as canonical JSON text and parse it back."""
+    return keyset_from_json(json.loads(canonical_json(keyset_to_json(ks))))
+
+
 class TestSerialization:
     def test_local_prg_roundtrip(self):
         ks = small_keyset(kappa=16, n=3, seed=22)
-        back = keyset_loads(keyset_dumps(ks))
+        back = through_text(ks)
         assert back.params.kappa == 16 and back.params.n == 3
         assert back.params.scheme == LOCAL_PRG
         assert np.array_equal(back.rows, ks.rows)
@@ -441,21 +448,22 @@ class TestSerialization:
 
     def test_roundtrip_preserves_behavior(self):
         ks = small_keyset(kappa=16, n=3, seed=23)
-        back = keyset_loads(keyset_dumps(ks))
+        back = through_text(ks)
         rng = stream(23, "behave")
         ct = tt_enc(ks, 1, rng)
         assert all(tt_dec(back.params, back.rows[u], ct) == 1 for u in range(3))
 
     def test_prf_roundtrip(self):
         ks = tt_gen(16, 2, PRF, stream(24, "prf-json"))
-        back = keyset_loads(keyset_dumps(ks))
+        back = through_text(ks)
         assert back.params.scheme == PRF and back.params.prg is None
         assert np.array_equal(back.rows, ks.rows)
 
-    def test_malformed_rejected(self):
+    def test_malformed_rejected(self, tmp_path):
         ks = small_keyset(seed=25)
+        (tmp_path / "ks.json").write_text("{")
         with pytest.raises(FileFormatError):
-            keyset_loads("{")
+            read_json(str(tmp_path / "ks.json"))
         with pytest.raises(FileFormatError):
             keyset_from_json({"kappa": 16, "n": 2})
         obj = keyset_to_json(ks)
@@ -484,4 +492,14 @@ class TestSerialization:
         assert keyset_from_json(obj).rows.tolist() == ks.rows.tolist()
         edit(obj)
         with pytest.raises(FileFormatError, match=field):
+            keyset_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda h: h[:-1], lambda h: h[:-2], lambda h: h + "0000"]
+    )
+    def test_index_sets_length_checked_before_reshape(self, edit):
+        # a wrong length used to reach numpy's reshape, whose message names no field
+        obj = keyset_to_json(small_keyset(kappa=16, n=3, seed=28))
+        obj["prg"]["index_sets"] = edit(obj["prg"]["index_sets"])
+        with pytest.raises(FileFormatError, match="prg.index_sets is .* expected 10240"):
             keyset_from_json(obj)
