@@ -28,7 +28,7 @@ import numpy as np
 
 from .crypto import LOCAL_PRG, check_prg_draw, circuit_prg, prg_params_gen
 from .errors import InputShapeError, SanitizerFailure
-from .fpcode import fp_feasible
+from .fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, fp_feasible
 from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
 from .seeds import derive_seed, stream
 from .ttscheme import (
@@ -55,10 +55,10 @@ MIN_AUDIT_TRIALS = 20
 class AttackConfig:
     n: int = 10
     kappa: int = 64
-    eps_fp: float = 0.05
+    eps_fp: float = DEFAULT_EPS_FP
     trials: int = 200
     sanitizer: SanitizerConfig = field(default_factory=SanitizerConfig)
-    a: float = 100.0
+    a: float = DEFAULT_LENGTH_CONSTANT
     seed: int = 0
 
     def __post_init__(self):

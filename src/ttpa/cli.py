@@ -41,6 +41,8 @@ from .fpcode import (
     MAJORITY,
     MINORITY,
     COPY_ONE,
+    DEFAULT_EPS_FP,
+    DEFAULT_LENGTH_CONSTANT,
     RANDOM_FEASIBLE,
     STRATEGIES,
     adversary_view_json,
@@ -111,6 +113,14 @@ def _write_json(obj, path: str) -> None:
     _write_text(path, canonical_json(obj))
 
 
+def _report(obj: dict, out: str | None) -> int:
+    """Print a command's report, and write it to out when one is named."""
+    if out:
+        _write_json(obj, out)
+    print(canonical_json(obj))
+    return 0
+
+
 def _parse_coalition(text: str | None, n: int) -> tuple[int, ...]:
     if text is None:
         return tuple(range(n))
@@ -142,12 +152,12 @@ def _sanitizer_cfg(kind: str, args) -> SanitizerConfig:
 
 def _cmd_fpcode_gen(args) -> int:
     seed = resolve_seed(args.seed)
+    if args.adversary_view and args.coalition is None:
+        raise InputShapeError("--adversary-view needs --coalition")
+    coalition = _parse_coalition(args.coalition, args.n) if args.adversary_view else None
     cb = fp_gen(args.n, args.eps_fp, stream(seed, "fpcode-gen"), a=args.a)
     _write_json(codebook_to_json(cb), args.out)
-    if args.adversary_view:
-        if args.coalition is None:
-            raise InputShapeError("--adversary-view needs --coalition")
-        coalition = _parse_coalition(args.coalition, args.n)
+    if coalition:
         _write_json(adversary_view_json(cb, list(coalition)), args.adversary_view)
     print(
         canonical_json(
@@ -224,10 +234,7 @@ def _cmd_fpcode_bench(args) -> int:
         },
         "results": results,
     }
-    if args.out:
-        _write_json(obj, args.out)
-    print(canonical_json(obj))
-    return 0
+    return _report(obj, args.out)
 
 
 # -------------------------------------------------------------------- tt
@@ -310,10 +317,7 @@ def _cmd_tt_trace(args) -> int:
         if prg is None
         else collision_bound(prg.ell, out.codebook.ell),
     }
-    if args.out:
-        _write_json(obj, args.out)
-    print(canonical_json(obj))
-    return 0
+    return _report(obj, args.out)
 
 
 def _cmd_tt_export_circuit(args) -> int:
@@ -387,10 +391,7 @@ def _cmd_sanitize_run(args) -> int:
         "scale": scale,
         "answers": [float(a) for a in answers],
     }
-    if args.out:
-        _write_json(obj, args.out)
-    print(canonical_json(obj))
-    return 0
+    return _report(obj, args.out)
 
 
 # ---------------------------------------------------------------- attack
@@ -534,10 +535,7 @@ def _cmd_demo_laplace(args) -> int:
         "config": {"seed": seed},
         "report": laplace_tightness_demo(seed),
     }
-    if args.out:
-        _write_json(obj, args.out)
-    print(canonical_json(obj))
-    return 0
+    return _report(obj, args.out)
 
 
 # ---------------------------------------------------------------- parser
@@ -574,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = fp.add_parser("gen", help="draw a codebook and export it")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps-fp", type=float, default=0.05)
-    p.add_argument("--a", type=float, default=100.0, help="length constant")
+    p.add_argument("--eps-fp", type=float, default=DEFAULT_EPS_FP)
+    p.add_argument("--a", type=float, default=DEFAULT_LENGTH_CONSTANT, help="length constant")
     p.add_argument("--out", required=True, help="codebook JSON (tracer-side, secret)")
     p.add_argument("--adversary-view", help="optional coalition-visible JSON")
     p.add_argument("--coalition", help="comma-separated users for the view")
@@ -592,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = fp.add_parser("bench", help="Monte Carlo soundness/completeness rates")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps-fp", type=float, default=0.05)
-    p.add_argument("--a", type=float, default=100.0)
+    p.add_argument("--eps-fp", type=float, default=DEFAULT_EPS_FP)
+    p.add_argument("--a", type=float, default=DEFAULT_LENGTH_CONSTANT)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--coalition-size", type=int, default=None)
     p.add_argument(
@@ -621,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pirate", default="honest",
         help="honest[:user], zeros, or sanitizer:{exact|laplace}",
     )
-    p.add_argument("--eps-fp", type=float, default=0.05)
-    p.add_argument("--a", type=float, default=100.0)
+    p.add_argument("--eps-fp", type=float, default=DEFAULT_EPS_FP)
+    p.add_argument("--a", type=float, default=DEFAULT_LENGTH_CONSTANT)
     p.add_argument("--coalition", help="users behind a sanitizer pirate (default all)")
     p.add_argument("--out", help="also write the report JSON here")
     _add_sanitizer_flags(p)
@@ -661,10 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = at.add_parser("run", help="two-experiment tracing audit")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--kappa", type=int, default=64)
-    p.add_argument("--eps-fp", type=float, default=0.05)
+    p.add_argument("--eps-fp", type=float, default=DEFAULT_EPS_FP)
     p.add_argument("--sanitizer", choices=("exact", "laplace"), default="exact")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--a", type=float, default=100.0)
+    p.add_argument("--a", type=float, default=DEFAULT_LENGTH_CONSTANT)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", default="report.json")
     p.add_argument("--summary-csv", help="also write the frequency/accuracy CSV")
@@ -684,6 +682,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse before any work when a file a command writes has no directory to go in."""
+    for flag in ("out", "summary_csv", "adversary_view"):
+        parent = os.path.dirname(getattr(args, flag, None) or "")
+        if parent and not os.path.isdir(parent):
+            raise FileNotFoundError(f"--{flag.replace('_', '-')}: no directory {parent!r}")
+
+
 def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -691,11 +697,9 @@ def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
+        _check_output_dirs(args)
         return int(args.func(args) or 0)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError) as e:

@@ -281,7 +281,7 @@ def circuit_prg(prg: LocalPrgParams | None) -> LocalPrgParams:
 @dataclass(frozen=True, eq=False)
 class EncKey:
     scheme: str
-    bits: np.ndarray             # (kappa,) uint8 — the PRG seed / PRF key
+    bits: np.ndarray             # (kappa,) uint8 PRG seed / PRF key; a stack is (m, kappa)
     prg: LocalPrgParams | None   # public PRG description for LOCAL_PRG
 
     def __post_init__(self):
@@ -289,7 +289,7 @@ class EncKey:
 
     @property
     def kappa(self) -> int:
-        return int(self.bits.shape[0])
+        return int(self.bits.shape[-1])
 
 
 def enc_gen(
@@ -311,10 +311,6 @@ def enc_gen(
     return EncKey(scheme, rng.integers(0, 2, kappa, dtype=np.uint8), prg)
 
 
-def _key_bytes(key: EncKey) -> bytes:
-    return np.packbits(key.bits).tobytes()
-
-
 def _prf_bit(key_bytes: bytes, r: int, kappa: int) -> int:
     nonce = r.to_bytes((kappa + 7) // 8, "big")
     return hmac.new(key_bytes, nonce, hashlib.sha256).digest()[0] & 1
@@ -323,29 +319,36 @@ def _prf_bit(key_bytes: bytes, r: int, kappa: int) -> int:
 def enc_encrypt_many(
     key: EncKey, bits: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encrypt a bit vector under one key; returns (r, masked) arrays."""
+    """Encrypt bits (k,) under one key, or (m, k) under a stack of m keys.
+
+    Row i goes under key i, and nonces are drawn key by key in row order.
+    Returns (r, masked) arrays shaped like the bits.
+    """
     arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise InputShapeError("expected a 1-d bit vector")
+    if arr.ndim != key.bits.ndim or arr.shape[:-1] != key.bits.shape[:-1]:
+        raise InputShapeError(f"plaintext bits {arr.shape} do not match keys {key.bits.shape}")
     if arr.size and arr.max() > 1:
         raise InputShapeError("plaintext bits must be 0/1")
-    k = arr.shape[0]
+    kappa, k = key.kappa, arr.shape[-1]
+    key_rows = key.bits.reshape(-1, kappa)
     if key.scheme == LOCAL_PRG:
-        rs = rng.integers(0, key.prg.ell, k, dtype=np.int64)
-        masks = prg_bits_at(key.prg, key.bits, rs)
-        return rs, masks ^ arr
-    kb = _key_bytes(key)
+        rs = np.empty((len(key_rows), k), dtype=np.int64)
+        for row in rs:  # one draw per key, in row order: the RNG stream
+            row[:] = rng.integers(0, key.prg.ell, k, dtype=np.int64)
+        rs = rs.reshape(arr.shape)
+        ms = prg_bits_at(key.prg, key.bits, rs)
+        ms ^= arr
+        return rs, ms
     # object dtype: kappa-bit nonces do not fit a fixed-width integer
-    rs = np.empty(k, dtype=object)
-    ms = np.empty(k, dtype=np.uint8)
-    for j in range(k):
-        nonce_bits = rng.integers(0, 2, key.kappa, dtype=np.uint8)
-        r = int.from_bytes(np.packbits(nonce_bits).tobytes(), "big") >> (
-            (8 - key.kappa % 8) % 8
-        )
-        rs[j] = r
-        ms[j] = _prf_bit(kb, r, key.kappa) ^ arr[j]
-    return rs, ms
+    rs = np.empty((len(key_rows), k), dtype=object)
+    ms = np.empty((len(key_rows), k), dtype=np.uint8)
+    for i, row in enumerate(key_rows):
+        kb = np.packbits(row).tobytes()
+        for j in range(k):
+            nonce = np.packbits(rng.integers(0, 2, kappa, dtype=np.uint8)).tobytes()
+            rs[i, j] = int.from_bytes(nonce, "big") >> (-kappa % 8)
+            ms[i, j] = _prf_bit(kb, rs[i, j], kappa)
+    return rs.reshape(arr.shape), ms.reshape(arr.shape) ^ arr
 
 
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:
@@ -358,7 +361,9 @@ def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndar
         if idx.size and (idx.min() < 0 or idx.max() >= key.prg.ell):
             raise MalformedCiphertextError("PRG index outside stretch range")
         return prg_bits_at(key.prg, key.bits, idx) ^ ms
-    kb = _key_bytes(key)
+    if key.bits.ndim != 1:
+        raise InputShapeError("PRF decryption takes one key, not a stack")
+    kb = np.packbits(key.bits).tobytes()
     out = np.empty(ms.shape[0], dtype=np.uint8)
     for j in range(ms.shape[0]):
         r = int(rs[j])

@@ -38,6 +38,7 @@ COPY_ONE = "COPY_ONE"
 
 STRATEGIES = (MAJORITY, MINORITY, RANDOM_FEASIBLE, COPY_ONE)
 
+DEFAULT_EPS_FP = 0.05
 DEFAULT_LENGTH_CONSTANT = 100.0
 
 

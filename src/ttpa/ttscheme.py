@@ -28,6 +28,7 @@ from .crypto import (
     FOLDED,
     LOCAL_PRG,
     MAX_ALLOC_BYTES,
+    MIN_KEY_BITS,
     EncKey,
     LocalPrgParams,
     append_dec_component,
@@ -35,7 +36,6 @@ from .crypto import (
     circuit_prg,
     enc_decrypt_many,
     enc_encrypt_many,
-    prg_bits_at,
     prg_expand,
     prg_params_gen,
 )
@@ -47,12 +47,30 @@ from .errors import (
     bits_from_hex,
     bits_to_hex,
 )
-from .fpcode import Codebook, code_length, fp_gen, fp_trace
+from .fpcode import DEFAULT_LENGTH_CONSTANT, Codebook, code_length, fp_gen, fp_trace
 
 
 def index_width(n: int) -> int:
     """Bits reserved for the user index: ceil(log2 n), 0 for a single user."""
     return (n - 1).bit_length() if n > 1 else 0
+
+
+def _index_shifts(n: int) -> np.ndarray:
+    return np.arange(index_width(n) - 1, -1, -1, dtype=np.int64)
+
+
+def encode_index(users: np.ndarray, n: int) -> np.ndarray:
+    """Users (m,) as their (m, index_width(n)) big-endian index bits."""
+    users = np.asarray(users, dtype=np.int64)
+    return ((users[:, None] >> _index_shifts(n)) & 1).astype(np.uint8)
+
+
+def decode_index(rows: np.ndarray, n: int) -> np.ndarray:
+    """User indices (m,) read from the index field of key rows (m, kappa)."""
+    arr = np.asarray(rows)
+    ke = arr.shape[1] // 2
+    field = arr[:, ke : ke + index_width(n)].astype(np.int64)
+    return field @ (1 << _index_shifts(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +100,8 @@ class TTKeySet:
     params: TTParams
     rows: np.ndarray  # (n, kappa) uint8 user key rows
 
-    def key(self, user: int) -> EncKey:
-        """The user's component encryption key."""
+    def key(self, user: int | slice) -> EncKey:
+        """The user's component encryption key; a slice gives a stack of them."""
         ke = self.params.enc_bits
         return EncKey(self.params.scheme, self.rows[user, :ke], self.params.prg)
 
@@ -123,8 +141,10 @@ def check_key_shape(kappa: int, n: int) -> None:
     """Key sets have kappa even and >= 16, and 1 <= n <= 2^(kappa/2) users."""
     if kappa % 2:
         raise InputShapeError(f"kappa must be even, got {kappa}")
-    if kappa < 16:
-        raise InputShapeError(f"kappa must be >= 16 (component keys need >= 8 bits)")
+    if kappa < 2 * MIN_KEY_BITS:
+        raise InputShapeError(
+            f"kappa must be >= {2 * MIN_KEY_BITS} (component keys need >= {MIN_KEY_BITS} bits)"
+        )
     if n < 1:
         raise InputShapeError(f"need at least one user, got {n}")
     if n > (1 << (kappa // 2)):
@@ -148,11 +168,9 @@ def tt_gen(
     if scheme == LOCAL_PRG and prg is None:
         prg = prg_params_gen(int(rng.integers(1 << 63)), ke)
     params = TTParams(kappa, n, scheme, prg)
-    iw = params.index_bits
     rows = np.zeros((n, kappa), dtype=np.uint8)
     rows[:, :ke] = rng.integers(0, 2, (n, ke), dtype=np.uint8)
-    for t in range(iw):
-        rows[:, ke + t] = (np.arange(n) >> (iw - 1 - t)) & 1
+    rows[:, ke : ke + params.index_bits] = encode_index(np.arange(n), n)
     return TTKeySet(params, rows)
 
 
@@ -163,11 +181,7 @@ def decode_key_row(params: TTParams, row: np.ndarray) -> tuple[np.ndarray, int]:
         raise InputShapeError(
             f"key row must be {params.kappa} bits, got shape {arr.shape}"
         )
-    ke, iw = params.enc_bits, params.index_bits
-    idx = 0
-    for t in range(iw):
-        idx = (idx << 1) | int(arr[ke + t])
-    return arr[:ke], idx
+    return arr[: params.enc_bits], int(decode_index(arr[None], params.n)[0])
 
 
 def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphertext:
@@ -177,24 +191,9 @@ def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphe
         raise InputShapeError(
             f"word matrix must be (n={ks.params.n}, k), got shape {w.shape}"
         )
-    n, k = w.shape
-    # filled user by user and kept column-major, so every per-user
+    # encrypted user by user and returned column-major, so every per-user
     # column (what decryption and the query family read) is contiguous
-    if ks.params.scheme == LOCAL_PRG:
-        if w.size and w.max() > 1:
-            raise InputShapeError("plaintext bits must be 0/1")
-        prg = ks.params.prg
-        rs = np.empty((n, k), dtype=np.int64)
-        for u in range(n):  # one draw per user, in user order: the RNG stream
-            rs[u] = rng.integers(0, prg.ell, k, dtype=np.int64)
-        ms = prg_bits_at(prg, ks.rows[:, : ks.params.enc_bits], rs)
-        ms ^= w
-        return TTCiphertext(rs.T, ms.T)
-    # PRF nonces are kappa/2-bit ints; int64 would overflow past 63 bits
-    rs = np.empty((n, k), dtype=object)
-    ms = np.empty((n, k), dtype=np.uint8)
-    for u in range(n):
-        rs[u], ms[u] = enc_encrypt_many(ks.key(u), w[u], rng)
+    rs, ms = enc_encrypt_many(ks.key(slice(None)), w, rng)
     return TTCiphertext(rs.T, ms.T)
 
 
@@ -247,16 +246,11 @@ def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Ci
     """
     prg = circuit_prg(params.prg)
     _check_single(ct, params)
-    ke, iw, n = params.enc_bits, params.index_bits, params.n
+    ke = params.enc_bits
     b = CircuitBuilder(params.kappa)
     user_terms = []
-    for u in range(n):
-        if iw:
-            ind = [
-                b.literal(ke + t, bool((u >> (iw - 1 - t)) & 1)) for t in range(iw)
-            ]
-        else:
-            ind = [b.const(1)]
+    for u, bits in enumerate(encode_index(np.arange(params.n), params.n).tolist()):
+        ind = [b.literal(ke + t, bool(v)) for t, v in enumerate(bits)] or [b.const(1)]
         comp = append_dec_component(b, ct.rs[0, u], ct.masked[0, u], prg, mode)
         user_terms.append(b.and_((*ind, comp)))
     return b.build(b.or_(user_terms))
@@ -352,18 +346,12 @@ class TTDecQueryFamily:
                 f"rows must be (m, {self.params.kappa}), got shape {arr.shape}"
             )
         p = self.params
-        ke, iw, n = p.enc_bits, p.index_bits, p.n
-        m = arr.shape[0]
         rs, masked = self.cts.rs, self.cts.masked
-        out = np.zeros((len(self), m), dtype=np.uint8)
-        if iw:
-            weights = (1 << np.arange(iw - 1, -1, -1)).astype(np.int64)
-            idxs = arr[:, ke : ke + iw].astype(np.int64) @ weights
-        else:
-            idxs = np.zeros(m, dtype=np.int64)
+        out = np.zeros((len(self), arr.shape[0]), dtype=np.uint8)
+        idxs = decode_index(arr, p.n)
         # rows whose index names no user fire no indicator: their column stays 0
-        live = np.flatnonzero(idxs < n)
-        expansions = prg_expand(p.prg, arr[live, :ke])
+        live = np.flatnonzero(idxs < p.n)
+        expansions = prg_expand(p.prg, arr[live, : p.enc_bits])
         # one gather per row: a single (k, m) gather would build a (k, m) int64 index
         for mi, expansion in zip(live, expansions):
             u = idxs[mi]
@@ -397,7 +385,7 @@ def tt_trace_report(
     pirate: PirateOracle,
     eps_fp: float,
     rng: np.random.Generator,
-    a: float = 100.0,
+    a: float = DEFAULT_LENGTH_CONSTANT,
 ) -> TraceOutcome:
     """Fingerprint-driven tracing: one oracle call, then code tracing.
 
@@ -465,6 +453,7 @@ def keyset_to_json(ks: TTKeySet) -> dict:
         "n": p.n,
         "scheme": p.scheme,
         "rows": [bits_to_hex(r) for r in ks.rows],
+        "prg": None,
     }
     if p.prg is not None:
         g = p.prg
@@ -476,8 +465,6 @@ def keyset_to_json(ks: TTKeySet) -> dict:
             # 2-byte big-endian per position, row-major
             "index_sets": g.index_sets.astype(">u2").tobytes().hex(),
         }
-    else:
-        obj["prg"] = None
     return obj
 
 
@@ -512,8 +499,8 @@ def keyset_from_json(obj: dict) -> TTKeySet:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad key set JSON: {e}") from e
-    for u in range(n):
-        _bits, idx = decode_key_row(params, rows[u])
-        if idx != u:
-            raise FileFormatError(f"row {u} decodes to index {idx}")
+    idxs = decode_index(rows, n)
+    bad = np.flatnonzero(idxs != np.arange(n))
+    if bad.size:
+        raise FileFormatError(f"row {bad[0]} decodes to index {idxs[bad[0]]}")
     return TTKeySet(params, rows)

@@ -21,6 +21,7 @@ from ttpa.sanitize import Database, dictator_circuit, save_database
 from ttpa.ttscheme import keyset_from_json
 
 import ttpa.attack as attack_mod
+import ttpa.cli as cli_mod
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,24 @@ class TestFpcodeCommands:
         )
         assert code == 2
         assert "coalition" in err
+        assert not (tmp_path / "cb.json").exists()
+
+    def test_gen_checks_coalition_before_writing(self, capsys, tmp_path):
+        code, _out, err, path = self.gen(
+            capsys, tmp_path, "--adversary-view", str(tmp_path / "v.json"),
+            "--coalition", "7",
+        )
+        assert code == 2 and "coalition user 7 outside [0, 2)" in err
+        assert not (tmp_path / "cb.json").exists()
+        assert not (tmp_path / "v.json").exists()
+
+    def test_gen_refuses_missing_view_directory(self, capsys, tmp_path):
+        code, _out, err, _path = self.gen(
+            capsys, tmp_path, "--adversary-view", str(tmp_path / "nodir" / "v.json"),
+            "--coalition", "0",
+        )
+        assert code == 2 and "--adversary-view" in err and "nodir" in err
+        assert not (tmp_path / "cb.json").exists()
 
     def test_gen_rejects_bad_n(self, capsys, tmp_path):
         code, _out, err = run_cli(
@@ -518,6 +537,21 @@ class TestAttackCommand:
         monkeypatch.setattr(attack_mod, "_run_trial", no_trial)
         code, out, err, out_path = self.run(capsys, tmp_path, "r.json", flag, value)
         assert code == 2 and out == "" and "nonnegative" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-csv"])
+    def test_missing_output_directory_refused_before_the_attack(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("the attack ran before its output directory was checked")
+
+        monkeypatch.setattr(cli_mod, "run_attack", no_attack)
+        missing = str(tmp_path / "nodir" / "f")
+        argv = [*self.ARGS, "--out", str(tmp_path / "r.json"), flag, missing]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{flag}: no directory" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_unknown_flag(self, capsys):

@@ -444,6 +444,46 @@ class TestEncRoundtrip:
         assert np.array_equal(enc_decrypt_many(key, rs, ms), arr)
 
 
+class TestStackedEncrypt:
+    ELL = 64
+
+    @pytest.mark.parametrize("scheme", [LOCAL_PRG, PRF])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("k", [0, 1, ELL])
+    def test_stack_equals_one_key_at_a_time(self, scheme, m, k):
+        # k=1 gathers PRG bits, k=ell expands every seed: both must match
+        prg = prg_params_gen(3, 8, ell=self.ELL) if scheme == LOCAL_PRG else None
+        rng = np.random.default_rng(31)
+        keys = rng.integers(0, 2, (m, 8), dtype=np.uint8)
+        bits = rng.integers(0, 2, (m, k), dtype=np.uint8)
+        rs, ms = enc_encrypt_many(EncKey(scheme, keys, prg), bits, np.random.default_rng(7))
+        assert rs.shape == ms.shape == (m, k)
+        one = np.random.default_rng(7)
+        for i in range(m):
+            key = EncKey(scheme, keys[i], prg)
+            r1, m1 = enc_encrypt_many(key, bits[i], one)
+            assert rs[i].tolist() == r1.tolist()
+            assert ms[i].tolist() == m1.tolist()
+            assert enc_decrypt_many(key, rs[i], ms[i]).tolist() == bits[i].tolist()
+
+    @pytest.mark.parametrize("scheme", [LOCAL_PRG, PRF])
+    def test_bits_must_match_the_key_stack(self, scheme):
+        prg = prg_params_gen(3, 8, ell=self.ELL) if scheme == LOCAL_PRG else None
+        rng = np.random.default_rng(0)
+        stack = EncKey(scheme, np.zeros((3, 8), dtype=np.uint8), prg)
+        for bits in (np.zeros((2, 4)), np.zeros(4), np.zeros((3, 2, 4)), np.array(1)):
+            with pytest.raises(InputShapeError, match="do not match keys"):
+                enc_encrypt_many(stack, bits, rng)
+        with pytest.raises(InputShapeError, match="do not match keys"):
+            enc_encrypt_many(EncKey(scheme, stack.bits[0], prg), np.zeros((1, 4)), rng)
+
+    def test_prf_decryption_refuses_a_stack(self):
+        stack = EncKey(PRF, np.zeros((2, 8), dtype=np.uint8), None)
+        rs, ms = enc_encrypt_many(stack, np.zeros((2, 3)), np.random.default_rng(0))
+        with pytest.raises(InputShapeError, match="one key"):
+            enc_decrypt_many(stack, rs, ms)
+
+
 class TestDecCircuit:
     def _params(self):
         return prg_params_gen(6, 10, ell=6)

@@ -12,7 +12,10 @@ The attack and trace digests predate the removal of the ``mode`` and
 ``scheme`` echoes, which are put back before hashing.  The key,
 codebook, adversary-view and database files, and the stdout of
 ``tt keygen`` and ``fpcode gen``, were pinned while every format wrote
-its own JSON and hex rows, before one codec wrote them all.
+its own JSON and hex rows, before one codec wrote them all.  The
+``tr_enc`` ciphertext digests were taken while ``tr_enc`` encrypted
+LOCAL_PRG batches with its own stacked PRG lookup and PRF batches one
+user key at a time.
 """
 
 import hashlib
@@ -24,10 +27,10 @@ import pytest
 from ttpa.attack import pirate_from_sanitizer
 from ttpa.circuit import circuit_to_json
 from ttpa.cli import canonical_json, main
-from ttpa.crypto import LOCAL_PRG
+from ttpa.crypto import LOCAL_PRG, PRF
 from ttpa.sanitize import Database, SanitizerConfig, dictator_circuit, save_database
 from ttpa.seeds import stream
-from ttpa.ttscheme import linear_scan_report, tt_gen
+from ttpa.ttscheme import linear_scan_report, tr_enc, tt_gen
 
 ATTACK_REPORTS = {
     1: "ce28c8d5cf6b3e68a11cc3de90c225989df0b438081fc0498c0a4b11bb8a8887",
@@ -60,6 +63,19 @@ KEYGEN = {
     ("local-prg", "stdout"): "0a6c4031438e014685a865c51abc547e9493fe443a466d10b99e28314bcf6f9d",
     ("prf", "keys.json"): "db1ffa7d7bf6e604a3ba4d56c7fe6ebb7c52a17efdd9e2c36b2fdb694599aef7",
     ("prf", "stdout"): "714f74e115db81264cd16bcb582f8d3eabdc877bfd3e9be90fee620a75bb449a",
+}
+
+# tr_enc of seeded words under seeded keys: (scheme, kappa, n, k) -> digests of
+# the canonical JSON of rs and masked; the PRF nonces are 68-bit ints
+TR_ENC = {
+    (LOCAL_PRG, 16, 4, 200): {
+        "rs": "be5fcff24303e72685231384a494c7c64b17053673fa2ad30de9f42bc2c2b60b",
+        "masked": "7e23532968e1f2c3411af9f8b16e61c0ed8f171358d0c0e1ee0b98e8a89d7b3f",
+    },
+    (PRF, 136, 3, 7): {
+        "rs": "e7e5c762baf2f49063a63e8b9fb9ad274ff120309d4c0fd22895cec52973f581",
+        "masked": "d91caa64860d298a3d98c5d0539e22f9332e89ec5398f731d55d92bfc036db54",
+    },
 }
 
 # `fpcode gen --n 3 --eps-fp 0.2 --a 2 --coalition 0,2 --seed 5`
@@ -171,6 +187,16 @@ def test_linear_scan_counts():
     assert out.repetitions == 340
     assert out.counts.tolist() == [0, 0, 0, 340, 340]
     assert out.accused == 3
+
+
+@pytest.mark.parametrize("scheme,kappa,n,k", sorted(TR_ENC))
+def test_tr_enc_bytes(scheme, kappa, n, k):
+    ks = tt_gen(kappa, n, scheme, stream(3, "det", "tr-enc", "keys"))
+    words = stream(3, "det", "tr-enc", "words").integers(0, 2, (n, k), dtype=np.uint8)
+    cts = tr_enc(ks, words, stream(3, "det", "tr-enc", "enc"))
+    got = {name: sha256(canonical_json(getattr(cts, name).tolist()).encode())
+           for name in ("rs", "masked")}
+    assert got == TR_ENC[(scheme, kappa, n, k)]
 
 
 def test_laplace_demo_report_bytes(tightness_report):

@@ -30,8 +30,10 @@ from ttpa.ttscheme import (
     TTKeySet,
     TTParams,
     check_tracing_batch,
+    decode_index,
     decode_key_row,
     default_scan_repetitions,
+    encode_index,
     honest_pirate,
     index_width,
     keyset_from_json,
@@ -66,6 +68,22 @@ class TestKeyLayout:
         assert [index_width(n) for n in (1, 2, 3, 4, 5, 8, 9, 1024)] == [
             0, 1, 2, 2, 3, 3, 4, 10,
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 1024])
+    def test_index_codec_roundtrip(self, n):
+        iw = index_width(n)
+        bits = encode_index(np.arange(n), n)
+        assert bits.shape == (n, iw) and bits.dtype == np.uint8
+        ke = max(8, iw)
+        rows = np.zeros((n, 2 * ke), dtype=np.uint8)
+        rows[:, ke : ke + iw] = bits
+        assert decode_index(rows, n).tolist() == list(range(n))
+
+    def test_index_codec_is_big_endian(self):
+        assert encode_index([1, 2, 4], 5).tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        rows = np.zeros((1, 16), dtype=np.uint8)
+        rows[0, 8:11] = [1, 1, 0]
+        assert decode_index(rows, 5).tolist() == [6]
 
     def test_hand_row_decodes(self):
         # 8 key bits, 2 index bits (big-endian), 6 zero pad
@@ -472,6 +490,19 @@ class TestSerialization:
             keyset_from_json(swapped)
         with pytest.raises(FileFormatError):
             keyset_from_json(dict(obj, rows=obj["rows"][:2]))
+
+    def test_swapped_index_fields_name_the_row(self):
+        # whole rows in the wrong order, or index fields swapped between
+        # rows, leave row u decoding to some other user
+        ks = small_keyset(kappa=16, n=3, seed=29)
+        rows = ks.rows.copy()
+        rows[[0, 2], 8:10] = rows[[2, 0], 8:10]
+        with pytest.raises(FileFormatError, match="row 0 decodes to index 2"):
+            keyset_from_json(keyset_to_json(TTKeySet(ks.params, rows)))
+        rows = ks.rows.copy()
+        rows[[1, 2], 8:10] = rows[[2, 1], 8:10]
+        with pytest.raises(FileFormatError, match="row 1 decodes to index 2"):
+            keyset_from_json(keyset_to_json(TTKeySet(ks.params, rows)))
 
     def test_extra_rows_rejected(self):
         obj = keyset_to_json(small_keyset(seed=27))
