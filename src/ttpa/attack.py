@@ -26,7 +26,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .crypto import LOCAL_PRG, check_prg_draw, circuit_prg, prg_params_gen
+from .crypto import (
+    LOCAL_PRG,
+    MAX_ALLOC_BYTES,
+    check_prg_draw,
+    circuit_prg,
+    default_stretch,
+    prg_params_gen,
+)
 from .errors import InputShapeError, SanitizerFailure
 from .fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, fp_feasible
 from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
@@ -68,7 +75,7 @@ class AttackConfig:
             raise InputShapeError("need at least one trial")
         check_key_shape(self.kappa, self.n)
         check_prg_draw(self.kappa // 2)
-        check_tracing_batch(self.n, self.eps_fp, self.a)
+        check_tracing_batch(self.n, self.eps_fp, self.a, default_stretch(self.kappa // 2))
 
 
 def pirate_from_sanitizer(
@@ -87,7 +94,7 @@ def pirate_from_sanitizer(
     runners can count the trial as an availability violation.
     """
     circuit_prg(params.prg)  # refuse PRF keys before handing out an oracle
-    db = Database(np.asarray(coalition_rows, dtype=np.uint8))
+    db = Database(coalition_rows)
     if db.d != params.kappa:
         raise InputShapeError(
             f"coalition rows are {db.d} bits wide, keys are {params.kappa}"
@@ -251,7 +258,9 @@ def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     trial of experiment 1 accused anyone there is no i*; experiment 2
     is skipped and the audit can only be inconclusive.
     """
-    jobs = worker_count(jobs, cfg.trials, os.cpu_count() or 1)
+    need = check_tracing_batch(cfg.n, cfg.eps_fp, cfg.a, default_stretch(cfg.kappa // 2))
+    # each worker holds one trial at a time: no more workers than fit in memory
+    jobs = min(worker_count(jobs, cfg.trials, os.cpu_count() or 1), MAX_ALLOC_BYTES // need)
     prg = prg_params_gen(derive_seed(cfg.seed, "attack", "prg"), cfg.kappa // 2)
     exp_full = _run_experiment(cfg, prg, EXP_FULL, range(cfg.n), jobs)
     counts = exp_full.accused_counts()

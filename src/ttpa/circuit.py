@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CircuitFormatError, InputShapeError
+from .errors import CircuitFormatError, InputShapeError, as_bits
 
 INPUT = "INPUT"
 CONST = "CONST"
@@ -178,9 +178,10 @@ def _eval_packed(circ: Circuit, cols: Sequence[int], mask: int) -> int:
 
 def pack_rows(rows: np.ndarray) -> list[int]:
     """Pack a (points, width) bit matrix into one int per wire (column)."""
-    arr = np.asarray(rows, dtype=np.uint8)
+    arr = np.asarray(rows)
     if arr.ndim != 2:
         raise InputShapeError("expected a 2-d bit matrix")
+    arr = as_bits(arr, "row entries must be bits")
     return [
         int.from_bytes(np.packbits(arr[:, w], bitorder="little").tobytes(), "little")
         for w in range(arr.shape[1])
@@ -198,23 +199,19 @@ def eval_circuit(circ: Circuit, x: Sequence[int]) -> int:
         raise InputShapeError(
             f"input length {len(x)} != circuit width {circ.input_width}"
         )
-    cols = []
-    for b in x:
-        b = int(b)
-        if b not in (0, 1):
-            raise InputShapeError(f"input bits must be 0/1, got {b!r}")
-        cols.append(b)
+    cols = as_bits(x, "input bits must be 0/1").tolist()
     return _eval_packed(circ, cols, 1)
 
 
 def eval_on_rows(circ: Circuit, rows: np.ndarray) -> np.ndarray:
     """Evaluate on every row of a (points, width) bit matrix at once."""
-    arr = np.asarray(rows, dtype=np.uint8)
+    arr = np.asarray(rows)
     if arr.ndim != 2 or arr.shape[1] != circ.input_width:
         raise InputShapeError(
             f"row matrix shape {arr.shape} does not match circuit width "
             f"{circ.input_width}"
         )
+    arr = as_bits(arr, "row entries must be bits")
     m = arr.shape[0]
     if m == 0:
         return np.zeros(0, dtype=np.uint8)

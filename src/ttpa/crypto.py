@@ -30,6 +30,7 @@ from .errors import (
     InputShapeError,
     MalformedCiphertextError,
     UnsupportedSchemeError,
+    as_bits,
 )
 from .seeds import stream
 
@@ -84,15 +85,16 @@ class LocalPrgParams:
         if not 1 <= loc <= kappa:
             raise InputShapeError(f"prg.locality {loc} must be in 1..{kappa}")
         table = np.asarray(self.table)
-        if table.shape != (1 << loc,) or ((table != 0) & (table != 1)).any():
+        if table.shape != (1 << loc,):
             raise InputShapeError(f"prg.table must be 2^{loc} bits, got shape {table.shape}")
+        table = as_bits(table, "prg.table entries must be bits")
         sets = np.asarray(self.index_sets)
         if sets.shape != (ell, loc) or sets.min() < 0 or sets.max() >= kappa:
             raise InputShapeError(
                 f"prg.index_sets must be ({ell}, {loc}) positions in the {kappa}-bit"
                 f" seed, got shape {sets.shape}"
             )
-        object.__setattr__(self, "table", table.astype(np.uint8, copy=False))
+        object.__setattr__(self, "table", table)
 
 
 def default_stretch(kappa: int) -> int:
@@ -143,13 +145,14 @@ def _pow2(locality: int) -> np.ndarray:
 
 
 def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
-    arr = np.asarray(seeds, dtype=np.uint8)
+    arr = np.asarray(seeds)
     if arr.ndim not in (1, 2) or arr.shape[-1] != params.kappa:
         raise InputShapeError(
             f"seeds must be ({params.kappa},) or (m, {params.kappa}) bits,"
             f" got shape {arr.shape}"
         )
-    return arr
+    # a 2 would spill into the next lane of prg_expand
+    return as_bits(arr, "seed entries must be bits")
 
 
 def _anf(table: np.ndarray) -> np.ndarray:
@@ -181,8 +184,6 @@ def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
     word operation evaluates it for every lane at once.
     """
     arr = _check_seeds(params, seeds)
-    if arr.size and arr.max() > 1:  # a 2 would spill into the next lane
-        raise InputShapeError("seed entries must be bits")
     stack = arr.reshape(-1, params.kappa)
     loc = params.locality
     terms = [
@@ -324,11 +325,10 @@ def enc_encrypt_many(
     Row i goes under key i, and nonces are drawn key by key in row order.
     Returns (r, masked) arrays shaped like the bits.
     """
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != key.bits.ndim or arr.shape[:-1] != key.bits.shape[:-1]:
         raise InputShapeError(f"plaintext bits {arr.shape} do not match keys {key.bits.shape}")
-    if arr.size and arr.max() > 1:
-        raise InputShapeError("plaintext bits must be 0/1")
+    arr = as_bits(arr, "plaintext bits must be 0/1")
     kappa, k = key.kappa, arr.shape[-1]
     key_rows = key.bits.reshape(-1, kappa)
     if key.scheme == LOCAL_PRG:
@@ -352,10 +352,7 @@ def enc_encrypt_many(
 
 
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:
-    ms = np.asarray(masked)
-    if ms.size and (ms.min() < 0 or ms.max() > 1):
-        raise MalformedCiphertextError("masked bits must be 0/1")
-    ms = ms.astype(np.uint8, copy=False)
+    ms = as_bits(masked, "masked bits must be 0/1", MalformedCiphertextError)
     if key.scheme == LOCAL_PRG:
         idx = np.asarray(rs, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= key.prg.ell):
@@ -391,11 +388,11 @@ def append_dec_component(
     constant-folding the literal build yields, depth <= 2).  This is the
     only build that stays small at real stretch values.
     """
+    if masked not in (0, 1):  # before the int cast, which reads 0.9 as 0
+        raise InputShapeError(f"masked bit must be 0/1, got {masked!r}")
     r, masked = int(r), int(masked)
     if not 0 <= r < prg.ell:
         raise MalformedCiphertextError(f"PRG index {r} outside [0, {prg.ell})")
-    if masked not in (0, 1):
-        raise InputShapeError(f"masked bit must be 0/1, got {masked!r}")
     table = prg.table
     if mode == FOLDED:
         eff = (table ^ masked).tolist()

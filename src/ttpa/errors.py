@@ -4,7 +4,7 @@ Everything derives from ValueError so callers that only care about
 "bad input" can catch one thing; the CLI maps these to exit code 2.
 Every JSON artifact and report is written as canonical JSON and read
 with read_json; every bit row is one hex string (bits_to_hex,
-bits_from_hex).
+bits_from_hex), and every bit array is checked by as_bits.
 """
 
 import json
@@ -82,3 +82,20 @@ def bits_from_hex(text: str, nbits: int, what: str) -> np.ndarray:
     if bits[nbits:].any():
         raise InputShapeError(f"{what} has nonzero padding bits")
     return bits[:nbits]
+
+
+def as_bits(values, message: str, error: type[ValueError] = InputShapeError) -> np.ndarray:
+    """values as a uint8 bit array, or error(message) if an entry is not 0 or 1.
+
+    A uint8 array takes one max() pass and is returned as it is; a bool
+    array is only cast.  Any other dtype is checked before the cast,
+    which would wrap 256 to 0 and truncate 0.9 to 0.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8:
+        if arr.size and arr.max() > 1:
+            raise error(message)
+        return arr
+    if arr.dtype != np.bool_ and arr.size and not ((arr == 0) | (arr == 1)).all():
+        raise error(message)
+    return arr.astype(np.uint8)

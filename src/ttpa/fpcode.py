@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, InputShapeError, bits_from_hex, bits_to_hex
+from .errors import FileFormatError, InputShapeError, as_bits, bits_from_hex, bits_to_hex
 from .seeds import stream
 
 MAJORITY = "MAJORITY"
@@ -107,26 +107,32 @@ def fp_gen(
     x = rng.uniform(xt, math.pi / 2.0 - xt, ell)
     biases = np.sin(x) ** 2
     np.clip(biases, t, 1.0 - t, out=biases)
-    words = (rng.random((n, ell)) < biases).astype(np.uint8)
+    # one user row at a time from the same row-major stream as a single
+    # (n, ell) draw, so no (n, ell) float64 matrix is ever held
+    words = np.empty((n, ell), dtype=np.uint8)
+    draw = np.empty(ell)
+    for row in words:
+        rng.random(out=draw)
+        np.less(draw, biases, out=row.view(bool))
     return Codebook(n, ell, eps_fp, a, t, z, biases, words)
 
 
 def _check_word(cb_ell: int, word: np.ndarray) -> np.ndarray:
-    w = np.asarray(word, dtype=np.uint8)
+    w = np.asarray(word)
     if w.shape != (cb_ell,):
         raise InputShapeError(f"word must be {cb_ell} bits, got shape {w.shape}")
-    if w.size and w.max() > 1:
-        raise InputShapeError("word entries must be bits")
-    return w
+    return as_bits(w, "word entries must be bits")
 
 
 def fp_scores(cb: Codebook, word: np.ndarray) -> np.ndarray:
     """Per-user accusation scores against a suspect word."""
-    w = _check_word(cb.ell, word)
-    p = cb.biases
+    ones = _check_word(cb.ell, word).view(bool)
+    # only columns with w'_j = 1 score: each adds miss_j, plus hit_j - miss_j
+    # for the users holding a 1 there
+    p = cb.biases[ones]
     hit = np.sqrt((1.0 - p) / p)
     miss = -np.sqrt(p / (1.0 - p))
-    return (cb.words * (hit - miss) + miss) @ w.astype(np.float64)
+    return np.compress(ones, cb.words, axis=1) @ (hit - miss) + miss.sum()
 
 
 def fp_trace(cb: Codebook, word: np.ndarray) -> int | None:
@@ -138,7 +144,7 @@ def fp_trace(cb: Codebook, word: np.ndarray) -> int | None:
 
 def fp_feasible(coalition_words: np.ndarray, word: np.ndarray) -> bool:
     """Did every output bit appear in its column within the coalition?"""
-    ws = np.asarray(coalition_words, dtype=np.uint8)
+    ws = as_bits(coalition_words, "coalition words must be bits")
     if ws.ndim != 2:
         raise InputShapeError("coalition words must be a (|S|, ell) matrix")
     w = _check_word(ws.shape[1], word)
@@ -147,7 +153,7 @@ def fp_feasible(coalition_words: np.ndarray, word: np.ndarray) -> bool:
 
 def fp_critical(coalition_words: np.ndarray) -> np.ndarray:
     """Columns where the coalition is unanimous (sorted indices)."""
-    ws = np.asarray(coalition_words, dtype=np.uint8)
+    ws = as_bits(coalition_words, "coalition words must be bits")
     if ws.ndim != 2 or ws.shape[0] < 1:
         raise InputShapeError("coalition words must be a nonempty (|S|, ell) matrix")
     return np.flatnonzero((ws == ws[0]).all(axis=0))
@@ -163,7 +169,7 @@ def fp_adversary(
     uniformly among the bits present, COPY_ONE replays one uniformly
     chosen member.
     """
-    ws = np.asarray(coalition_words, dtype=np.uint8)
+    ws = as_bits(coalition_words, "coalition words must be bits")
     if ws.ndim != 2 or ws.shape[0] < 1:
         raise InputShapeError("coalition words must be a nonempty (|S|, ell) matrix")
     c, ell = ws.shape

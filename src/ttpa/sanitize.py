@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _eval_packed, pack_rows
-from .errors import FileFormatError, InputShapeError, bits_from_hex, bits_to_hex
+from .errors import FileFormatError, InputShapeError, as_bits, bits_from_hex, bits_to_hex
 from .seeds import stream
 
 EXACT = "EXACT"
@@ -43,12 +43,10 @@ class Database:
     mask: int = field(init=False, repr=False)  # (1 << m) - 1
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=np.uint8)
+        arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise InputShapeError("database rows must be a 2-d bit matrix")
-        if arr.size and arr.max() > 1:
-            raise InputShapeError("database entries must be bits")
-        self.rows = arr
+        arr = self.rows = as_bits(arr, "database entries must be bits")
         self.m, self.d = (int(s) for s in arr.shape)
         self.mask = (1 << self.m) - 1
 

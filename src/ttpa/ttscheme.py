@@ -44,6 +44,7 @@ from .errors import (
     InputShapeError,
     MalformedCiphertextError,
     OneShotViolationError,
+    as_bits,
     bits_from_hex,
     bits_to_hex,
 )
@@ -123,8 +124,10 @@ class TTCiphertext:
                 f"ciphertext arrays must both be (k, n), got {self.rs.shape}"
                 f" and {self.masked.shape}"
             )
-        if self.masked.size and (self.masked.min() < 0 or self.masked.max() > 1):
-            raise MalformedCiphertextError("masked components must be bits")
+        masked = as_bits(
+            self.masked, "masked components must be bits", MalformedCiphertextError
+        )
+        object.__setattr__(self, "masked", masked)
 
     @property
     def n(self) -> int:
@@ -176,17 +179,18 @@ def tt_gen(
 
 def decode_key_row(params: TTParams, row: np.ndarray) -> tuple[np.ndarray, int]:
     """Split a key row into (component key bits, decoded user index)."""
-    arr = np.asarray(row, dtype=np.uint8)
+    arr = np.asarray(row)
     if arr.shape != (params.kappa,):
         raise InputShapeError(
             f"key row must be {params.kappa} bits, got shape {arr.shape}"
         )
+    arr = as_bits(arr, "key row entries must be bits")
     return arr[: params.enc_bits], int(decode_index(arr[None], params.n)[0])
 
 
 def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphertext:
     """Tracing batch: ciphertext j carries W[u, j] to user u, for every j."""
-    w = np.asarray(words, dtype=np.uint8)
+    w = np.asarray(words)  # enc_encrypt_many checks the bits
     if w.ndim != 2 or w.shape[0] != ks.params.n:
         raise InputShapeError(
             f"word matrix must be (n={ks.params.n}, k), got shape {w.shape}"
@@ -199,8 +203,7 @@ def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphe
 
 def tt_enc(ks: TTKeySet, bit: int, rng: np.random.Generator) -> TTCiphertext:
     """Broadcast encryption: every user's component carries the same bit."""
-    bit = int(bit)
-    if bit not in (0, 1):
+    if bit not in (0, 1):  # checked as given: 0.9 is refused, not read as 0
         raise InputShapeError(f"plaintext bit must be 0/1, got {bit!r}")
     col = np.full((ks.params.n, 1), bit, dtype=np.uint8)
     return tr_enc(ks, col, rng)
@@ -273,14 +276,12 @@ class PirateOracle:
         if self._spent:
             raise OneShotViolationError(f"{self.label} oracle already consumed")
         self._spent = True
-        bits = np.asarray(self._fn(cts, self), dtype=np.uint8)
+        bits = np.asarray(self._fn(cts, self))
         if bits.shape != (len(cts),):
             raise InputShapeError(
                 f"pirate returned {bits.shape} answers for {len(cts)} ciphertexts"
             )
-        if bits.size and bits.max() > 1:
-            raise InputShapeError("pirate answers must be bits")
-        return bits
+        return as_bits(bits, "pirate answers must be bits")
 
 
 def honest_pirate(ks: TTKeySet, user: int) -> PirateOracle:
@@ -340,34 +341,66 @@ class TTDecQueryFamily:
 
     def evaluate_on_rows(self, rows: np.ndarray) -> np.ndarray:
         """(k, m) bit matrix: circuit j on row m, for arbitrary kappa-bit rows."""
-        arr = np.asarray(rows, dtype=np.uint8)
+        arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.params.kappa:
             raise InputShapeError(
                 f"rows must be (m, {self.params.kappa}), got shape {arr.shape}"
             )
+        arr = as_bits(arr, "row entries must be bits")
         p = self.params
         rs, masked = self.cts.rs, self.cts.masked
-        out = np.zeros((len(self), arr.shape[0]), dtype=np.uint8)
+        # filled row-major, one contiguous row per database row, and
+        # returned as its (k, m) transpose
+        out = np.zeros((arr.shape[0], len(self)), dtype=np.uint8)
         idxs = decode_index(arr, p.n)
-        # rows whose index names no user fire no indicator: their column stays 0
+        # rows whose index names no user fire no indicator: they stay 0
         live = np.flatnonzero(idxs < p.n)
         expansions = prg_expand(p.prg, arr[live, : p.enc_bits])
         # one gather per row: a single (k, m) gather would build a (k, m) int64 index
         for mi, expansion in zip(live, expansions):
             u = idxs[mi]
-            out[:, mi] = expansion[rs[:, u]] ^ masked[:, u]
-        return out
+            row = out[mi]
+            np.take(expansion, rs[:, u], out=row)
+            row ^= masked[:, u]
+        return out.T
 
 
-def check_tracing_batch(n: int, eps_fp: float, a: float) -> int:
-    """Bytes of one tracing batch, ell_FP * n * 10 (int64 rs, uint8 masked and words).
+# Peak bytes of one LOCAL_PRG tracing trial (see check_tracing_batch).
+# Per (user, ciphertext) cell: the uint8 words, int64 indices and uint8
+# masked bits, plus the uint8 family answers while the batch is
+# evaluated; scoring instead holds the words, the scored columns of
+# the words and their float64 copy.
+CELL_BYTES = 11
+# Per ciphertext: six float64 vectors at most at once, the biases plus
+# the truths and error temporaries, or plus the scored columns' p, hit,
+# miss and hit - miss and their temporaries.
+COLUMN_BYTES = 48
+# Per PRG output position, besides one uint8 expansion per user:
+# prg_expand's uint64 lane words and temporaries or, for a batch with
+# fewer cells than positions, the index sets prg_bits_at gathers per
+# cell (int64, at locality 5).
+POSITION_BYTES = 96
+# The trial's Python objects and small arrays: keys, streams, closures.
+TRIAL_BYTES = 64 << 10
 
-    Raises above MAX_ALLOC_BYTES, so callers refuse before allocating.
+
+def check_tracing_batch(n: int, eps_fp: float, a: float, prg_ell: int) -> int:
+    """Peak bytes of one tracing trial over a PRG of stretch prg_ell.
+
+    ell_FP * (CELL_BYTES * n + COLUMN_BYTES) + prg_ell * (POSITION_BYTES + n)
+    + TRIAL_BYTES, checked against the tracemalloc peak of attack trials
+    in the tests.  Raises above MAX_ALLOC_BYTES, so callers refuse
+    before allocating.
     """
-    need = code_length(n, eps_fp, a) * n * 10
+    ell = code_length(n, eps_fp, a)
+    need = (
+        ell * (CELL_BYTES * n + COLUMN_BYTES)
+        + prg_ell * (POSITION_BYTES + n)
+        + TRIAL_BYTES
+    )
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
-            f"a tracing batch at n={n}, eps_fp={eps_fp}, a={a} needs about"
+            f"a tracing trial at n={n}, eps_fp={eps_fp}, a={a} would hold about"
             f" {need / 2**30:.1f} GiB, over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
         )
     return need
@@ -392,10 +425,11 @@ def tt_trace_report(
     Draws a fresh codebook, sends all ell_FP tracing ciphertexts in a
     single batch, and accuses whoever the code's scorer singles out.
     """
-    check_tracing_batch(ks.params.n, eps_fp, a)
+    prg = ks.params.prg
+    check_tracing_batch(ks.params.n, eps_fp, a, 0 if prg is None else prg.ell)
     cb = fp_gen(ks.params.n, eps_fp, rng, a=a)
-    cts = tr_enc(ks, cb.words, rng)
-    word = pirate.answer(cts)
+    # the batch is dropped once answered, before scoring allocates
+    word = pirate.answer(tr_enc(ks, cb.words, rng))
     return TraceOutcome(fp_trace(cb, word), word, cb)
 
 

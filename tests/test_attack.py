@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeErro
 from ttpa.fpcode import fp_feasible
 from ttpa.sanitize import LAPLACE, SanitizerConfig
 from ttpa.seeds import stream
-from ttpa.ttscheme import tr_enc, tt_gen
+from ttpa.ttscheme import check_tracing_batch, tr_enc, tt_gen
 
 import ttpa.attack as attack_mod
 
@@ -147,7 +148,7 @@ class TestConfig:
         with pytest.raises(InputShapeError, match="eps_fp"):
             AttackConfig(eps_fp=0.0)
         with pytest.raises(InputShapeError, match="GiB"):
-            AttackConfig(n=100)  # a 7 GiB tracing batch, refused unallocated
+            AttackConfig(n=100)  # an 8 GiB tracing trial, refused unallocated
 
     def test_prg_too_large_to_draw_refused(self):
         # kappa=256 holds 128 seed bits: a 4 GiB index-set draw, refused unallocated
@@ -319,6 +320,50 @@ class TestRunAttack:
         assert worker_count(10**6, 3, 64) == 3
         assert worker_count(4, 200, 64) == 4
         assert worker_count(1, 200, 64) == 1
+
+    @pytest.mark.parametrize("kind", ["EXACT", LAPLACE])
+    @pytest.mark.parametrize(
+        "n,kappa,eps_fp,a",
+        [
+            (4, 16, 0.05, 100.0),
+            (4, 64, 0.05, 100.0),
+            (10, 16, 0.05, 100.0),
+            (10, 64, 0.05, 100.0),
+            (4, 16, 0.2, 2.0),  # 96 ciphertexts: the fixed part dominates
+        ],
+    )
+    def test_trial_peak_within_the_batch_estimate(self, n, kappa, eps_fp, a, kind):
+        san = SanitizerConfig(kind, epsilon=1.0 if kind == LAPLACE else None)
+        cfg = AttackConfig(n=n, kappa=kappa, eps_fp=eps_fp, a=a, sanitizer=san)
+        prg = prg_params_gen(3, kappa // 2)
+        # numpy sets up some routines on first use; that is not the trial's
+        attack_mod._run_trial(cfg, prg, EXP_FULL, tuple(range(n)), 0)
+        peaks = []
+        for tag, coalition in ((EXP_FULL, tuple(range(n))), (EXP_MINUS, tuple(range(1, n)))):
+            tracemalloc.start()
+            try:
+                attack_mod._run_trial(cfg, prg, tag, coalition, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= check_tracing_batch(n, cfg.eps_fp, cfg.a, prg.ell)
+
+    def test_workers_clamped_to_the_trials_that_fit_in_memory(self, monkeypatch):
+        # one n=52 trial fits under the 2 GiB bound (about 1.1 GiB), two at once
+        # do not: jobs=2 runs on one worker before the pool forks
+        cfg = AttackConfig(n=52, trials=2)
+        workers = []
+
+        def stop(cfg, prg, tag, coalition, jobs):
+            workers.append(jobs)
+            raise AssertionError("reached the experiment")
+
+        monkeypatch.setattr(attack_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(attack_mod, "_run_experiment", stop)
+        for jobs in (2, 1):
+            with pytest.raises(AssertionError, match="reached the experiment"):
+                run_attack(cfg, jobs=jobs)
+        assert workers == [1, 1]
 
     def test_seed_changes_output(self):
         r1 = run_attack(self.small_cfg())

@@ -205,6 +205,19 @@ class TestEval:
         cols = pack_rows(rows)
         assert [(c & 1, (c >> 1) & 1) for c in cols] == [(1, 0), (0, 1), (1, 1)]
 
+    @pytest.mark.parametrize("bad", [256, 0.9, 2])
+    def test_non_bit_rows_refused_before_the_cast(self, bad):
+        # a uint8 cast would read 256 and 0.9 as 0, and packbits reads 2 as 1
+        b = CircuitBuilder(2)
+        c = b.build(b.and_([0, 1]))
+        rows = np.array([[1.0, 1.0], [bad, 1.0]])
+        with pytest.raises(InputShapeError, match="row entries must be bits"):
+            pack_rows(rows)
+        with pytest.raises(InputShapeError, match="row entries must be bits"):
+            eval_on_rows(c, rows)
+        with pytest.raises(InputShapeError, match="input bits must be 0/1"):
+            eval_circuit(c, [1, bad])
+
 
 class TestMetrics:
     def test_single_and_over_10_inputs(self):

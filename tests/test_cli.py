@@ -500,7 +500,7 @@ class TestAttackCommand:
         assert code == 2 and "two users" in err
 
     def test_rejects_oversized_tracing_batch(self, capsys, tmp_path):
-        # the defaults eps_fp=0.05, a=100 at n=100: a 7 GiB batch, refused
+        # the defaults eps_fp=0.05, a=100 at n=100: an 8 GiB trial, refused
         # before any key, codebook or worker process exists
         out_path = tmp_path / "r.json"
         code, _out, err = run_cli(

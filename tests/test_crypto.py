@@ -124,6 +124,8 @@ class TestPrgParams:
         # a 2 in the table would make prg_expand and prg_bits_at disagree
         with pytest.raises(InputShapeError, match="prg.table"):
             prg_params_gen(0, 8, table=[2] * 32)
+        with pytest.raises(InputShapeError, match="prg.table entries must be bits"):
+            prg_params_gen(0, 8, table=[0.9] * 32)  # not read as all zeros
 
     def test_description_checks_itself(self):
         good = prg_params_gen(1, 8, ell=4)
@@ -251,6 +253,24 @@ class TestPrgExpand:
                 prg_bits_at(params, np.zeros((2, 8), dtype=np.uint8), positions)
         with pytest.raises(InputShapeError):
             prg_bits_at(params, np.zeros(8, dtype=np.uint8), np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("bad", [256, 0.9])
+    def test_non_bit_seeds_refused_before_the_cast(self, bad):
+        # a uint8 cast would read 256 and 0.9 as 0
+        params = prg_params_gen(0, 8, ell=4)
+        seeds = np.zeros((2, 8))
+        seeds[1, 3] = bad
+        for expand in (
+            lambda: prg_expand(params, seeds),
+            lambda: prg_expand(params, seeds[1]),
+            lambda: prg_bits_at(params, seeds, np.zeros((2, 1))),
+        ):
+            with pytest.raises(InputShapeError, match="seed entries must be bits"):
+                expand()
+        seeds[1, 3] = 1
+        assert prg_expand(params, seeds).tolist() == prg_expand(
+            params, seeds.astype(np.uint8)
+        ).tolist()
 
 
 class TestPrgBitCircuit:
@@ -477,6 +497,21 @@ class TestStackedEncrypt:
         with pytest.raises(InputShapeError, match="do not match keys"):
             enc_encrypt_many(EncKey(scheme, stack.bits[0], prg), np.zeros((1, 4)), rng)
 
+    @pytest.mark.parametrize("scheme", [LOCAL_PRG, PRF])
+    @pytest.mark.parametrize("bad", [256, 0.9])
+    def test_non_bit_plaintext_refused_before_the_cast(self, scheme, bad):
+        # a uint8 cast would encrypt 256 and 0.9 as 0
+        prg = prg_params_gen(3, 8, ell=self.ELL) if scheme == LOCAL_PRG else None
+        key = EncKey(scheme, np.zeros((2, 8), dtype=np.uint8), prg)
+        bits = np.zeros((2, 3))
+        bits[0, 1] = bad
+        rng = np.random.default_rng(0)
+        with pytest.raises(InputShapeError, match="plaintext bits must be 0/1"):
+            enc_encrypt_many(key, bits, rng)
+        with pytest.raises(InputShapeError, match="plaintext bits must be 0/1"):
+            enc_encrypt_many(EncKey(scheme, key.bits[0], prg), bits[0], rng)
+        assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
+
     def test_prf_decryption_refuses_a_stack(self):
         stack = EncKey(PRF, np.zeros((2, 8), dtype=np.uint8), None)
         rs, ms = enc_encrypt_many(stack, np.zeros((2, 3)), np.random.default_rng(0))
@@ -537,6 +572,8 @@ class TestDecCircuit:
             append_dec_component(b, 0, 0, params, mode="nope")
         with pytest.raises(InputShapeError):
             append_dec_component(b, 0, 2, params)
+        with pytest.raises(InputShapeError, match="masked bit must be 0/1"):
+            append_dec_component(b, 0, 0.9, params)  # not read as 0
         with pytest.raises(MalformedCiphertextError):
             enc_dec_circuit(6, 0, params)
 

@@ -112,6 +112,24 @@ class TestGen:
         assert np.array_equal(a.biases, b.biases)
         assert np.array_equal(a.words, b.words)
 
+    @pytest.mark.parametrize(
+        "n,eps_fp,a", [(2, 0.05, 100.0), (3, 0.2, 2.0), (5, 0.1, 20.0), (10, 0.05, 100.0)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_draws_equal_one_matrix_draw(self, n, eps_fp, a, seed):
+        # the words are drawn a user row at a time; one (n, ell) draw from
+        # the same stream gives the same words and leaves the rng in step
+        rng, ref = stream(seed, "fp-rows"), stream(seed, "fp-rows")
+        cb = fp_gen(n, eps_fp, rng, a=a)
+        t = bias_cutoff(n)
+        xt = math.asin(math.sqrt(t))
+        biases = np.clip(np.sin(ref.uniform(xt, math.pi / 2.0 - xt, cb.ell)) ** 2, t, 1.0 - t)
+        words = (ref.random((n, cb.ell)) < biases).astype(np.uint8)
+        assert cb.words.dtype == np.uint8
+        assert np.array_equal(cb.biases, biases)
+        assert np.array_equal(cb.words, words)
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
 
 class TestScores:
     def test_hand_computed_scores(self):
@@ -132,6 +150,71 @@ class TestScores:
             fp_scores(cb, np.array([1, 1, 1]))
         with pytest.raises(InputShapeError):
             fp_scores(cb, np.array([1, 2]))
+
+    @pytest.mark.parametrize("bad", [256, 0.9])
+    def test_non_bits_refused_before_the_cast(self, bad):
+        # a uint8 cast would read 256 and 0.9 as 0
+        cb = tiny_codebook()
+        with pytest.raises(InputShapeError, match="word entries must be bits"):
+            fp_scores(cb, np.array([bad, 1]))
+        with pytest.raises(InputShapeError, match="word entries must be bits"):
+            fp_feasible(cb.words, np.array([bad, 1]))
+        ws = cb.words.astype(np.float64)
+        ws[0, 1] = bad
+        for use in (
+            lambda: fp_feasible(ws, np.array([1, 1])),
+            lambda: fp_critical(ws),
+            lambda: fp_adversary(ws, MAJORITY, stream(0, "x")),
+        ):
+            with pytest.raises(InputShapeError, match="coalition words must be bits"):
+                use()
+
+    @staticmethod
+    def fsum_scores(cb, word):
+        """Scores and their scale, summed exactly with math.fsum, column by column."""
+        p = cb.biases
+        hit, miss = np.sqrt((1.0 - p) / p), -np.sqrt(p / (1.0 - p))
+        cols = np.flatnonzero(word)
+        terms = [np.where(cb.words[i, cols] == 1, hit[cols], miss[cols]) for i in range(cb.n)]
+        return (
+            np.array([math.fsum(t) for t in terms]),
+            np.array([math.fsum(np.abs(t)) for t in terms]),
+        )
+
+    @pytest.mark.parametrize("kind", ["zeros", "ones", "random", "member"])
+    @pytest.mark.parametrize("n", [2, 4, 10])
+    def test_scores_match_an_exact_sum(self, kind, n):
+        cb = fp_gen(n, 0.05, stream(n, "fp-fsum"))
+        word = {
+            "zeros": np.zeros(cb.ell, dtype=np.uint8),
+            "ones": np.ones(cb.ell, dtype=np.uint8),
+            "random": stream(n, "fp-fsum", "w").integers(0, 2, cb.ell, dtype=np.uint8),
+            "member": cb.words[n - 1],
+        }[kind]
+        ref, scale = self.fsum_scores(cb, word)
+        got = fp_scores(cb, word)
+        assert got.shape == (n,) and got.dtype == np.float64
+        # relative to the sum of |terms|, which bounds |score| from above
+        assert (np.abs(got - ref) <= 1e-9 * scale).all()
+        if kind == "zeros":
+            assert np.array_equal(got, np.zeros(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10])
+    def test_verdicts_match_the_full_matrix_formula(self, n):
+        # the full (n, ell) float64 form the scores used to be computed by
+        def full_matrix_trace(cb, word):
+            p = cb.biases
+            hit, miss = np.sqrt((1.0 - p) / p), -np.sqrt(p / (1.0 - p))
+            scores = (cb.words * (hit - miss) + miss) @ word.astype(np.float64)
+            top = int(np.argmax(scores))
+            return top if scores[top] > cb.threshold else None
+
+        for strategy in STRATEGIES:
+            for seed in range(20):
+                rng = stream(seed, "fp-verdicts", n, strategy)
+                cb = fp_gen(n, 0.05, rng)
+                word = fp_adversary(cb.words[: n - 1], strategy, rng)
+                assert fp_trace(cb, word) == full_matrix_trace(cb, word), (strategy, seed)
 
     def test_member_word_traces_to_owner(self):
         cb = fp_gen(2, 0.1, stream(2, "fp-owner"))

@@ -61,6 +61,21 @@ class TestDatabase:
         with pytest.raises(InputShapeError):
             Database(np.array([[0, 2]], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "rows", [np.array([[256, 257]]), np.array([[0.9, 1.0]]), [[1, 256]]]
+    )
+    def test_non_bits_refused_before_the_cast(self, rows):
+        # a uint8 cast would store [[256, 257]] as [[0, 1]] and 0.9 as 0
+        with pytest.raises(InputShapeError, match="database entries must be bits"):
+            Database(rows)
+
+    def test_other_bit_dtypes_stored_as_uint8(self):
+        for rows in (np.array([[True, False]]), np.array([[1.0, 0.0]]), [[1, 0]]):
+            db = Database(rows)
+            assert db.rows.dtype == np.uint8 and db.rows.tolist() == [[1, 0]]
+        rows = np.array([[1, 0]], dtype=np.uint8)
+        assert Database(rows).rows is rows  # uint8 rows are kept, not copied
+
 
 class TestEvaluate:
     def test_satisfying_fraction(self):

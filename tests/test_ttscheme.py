@@ -22,6 +22,7 @@ from ttpa.errors import (
     canonical_json,
     read_json,
 )
+from ttpa.sanitize import Database, evaluate_batch
 from ttpa.seeds import stream
 from ttpa.ttscheme import (
     PirateOracle,
@@ -139,6 +140,10 @@ class TestKeyLayout:
         ks = small_keyset()
         with pytest.raises(InputShapeError):
             decode_key_row(ks.params, np.zeros(15, dtype=np.uint8))
+        row = ks.rows[1].astype(np.float64)
+        row[-1] = 256  # a uint8 cast would read user 1 as user 0
+        with pytest.raises(InputShapeError, match="key row entries must be bits"):
+            decode_key_row(ks.params, row)
 
 
 class TestEncryptDecrypt:
@@ -202,6 +207,8 @@ class TestEncryptDecrypt:
         ks = tt_gen(16, 2, LOCAL_PRG, rng)
         with pytest.raises(InputShapeError):
             tt_enc(ks, 2, rng)
+        with pytest.raises(InputShapeError, match="plaintext bit must be 0/1"):
+            tt_enc(ks, 0.9, rng)  # not read as 0
         with pytest.raises(InputShapeError):
             tr_enc(ks, np.zeros((3, 4), dtype=np.uint8), rng)
         with pytest.raises(InputShapeError):
@@ -218,6 +225,18 @@ class TestEncryptDecrypt:
         with pytest.raises(InputShapeError):
             tt_dec(ks3.params, row, ct3)
 
+    @pytest.mark.parametrize("bad", [256, 0.9])
+    def test_non_bit_words_refused_before_the_cast(self, bad):
+        # a uint8 cast would encrypt 256 and 0.9 as 0
+        ks = small_keyset()
+        rng = stream(7, "bad-word")
+        words = np.zeros((3, 4))
+        words[1, 2] = bad
+        with pytest.raises(InputShapeError, match="plaintext bits must be 0/1"):
+            tr_enc(ks, words, rng)
+        assert rng.integers(1 << 30) == stream(7, "bad-word").integers(1 << 30)
+        ct = tr_enc(ks, words.astype(bool), rng)  # bool words pass as bits
+        assert ct.masked.dtype == np.uint8
 
     def test_non_bit_masked_component_rejected(self):
         ks = small_keyset()
@@ -236,6 +255,22 @@ class TestEncryptDecrypt:
             honest_pirate(ks, 1).answer(ct)
         with pytest.raises(MalformedCiphertextError):
             enc_decrypt_many(ks.key(1), ct.rs[:, 1], np.array([-1]))
+
+    @pytest.mark.parametrize("bad", [0.9, 0.5, 256])
+    def test_masked_component_refused_before_the_cast(self, bad):
+        # a uint8 cast would decrypt 0.9 and 256 as if the component were 0
+        ks = small_keyset()
+        ct = tt_enc(ks, 1, stream(8, "masked-cast"))
+        masked = ct.masked.astype(np.float64)
+        masked[0, 1] = bad
+        with pytest.raises(MalformedCiphertextError, match="masked components must be bits"):
+            TTCiphertext(ct.rs, masked)
+        with pytest.raises(MalformedCiphertextError, match="masked bits must be 0/1"):
+            enc_decrypt_many(ks.key(1), ct.rs[:, 1], masked[:, 1])
+        # 0/1 components of another dtype are stored as uint8 bits
+        ok = TTCiphertext(ct.rs, ct.masked.astype(np.float64))
+        assert ok.masked.dtype == np.uint8
+        assert np.array_equal(ok.masked, ct.masked)
 
 
 class TestDecCircuit:
@@ -340,6 +375,29 @@ class TestQueryFamily:
         assert fam.evaluate_on_rows(np.zeros((5, 16), dtype=np.uint8)).shape == (0, 5)
         assert honest_pirate(ks, 1).answer(empty).shape == (0,)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_batch_truths_are_the_mean_of_a_contiguous_copy(self, n):
+        # rows are filled row-major and returned transposed; the truths
+        # must be the same bytes as the mean over a C-contiguous (k, m)
+        ks = small_keyset(kappa=16, n=n, seed=30)
+        rng = stream(30, "fam-mean", n)
+        cts = tr_enc(ks, rng.integers(0, 2, (n, 300), dtype=np.uint8), rng)
+        fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params)
+        rows = np.concatenate([ks.rows, rng.integers(0, 2, (9, 16), dtype=np.uint8)])
+        spare = np.arange(n, 1 << index_width(n))  # indices that name no user
+        rows[-len(spare) :, 8 : 8 + index_width(n)] = encode_index(spare, n)
+        dead = decode_index(rows, n) >= n
+        assert dead[-len(spare) :].all()
+        bulk = fam.evaluate_on_rows(rows)
+        assert bulk.shape == (300, len(rows))
+        assert bulk.T.flags.c_contiguous  # one contiguous row per database row
+        assert not bulk[:, dead].any()
+        for u in range(n):
+            own = enc_decrypt_many(ks.key(u), cts.rs[:, u], cts.masked[:, u])
+            assert np.array_equal(bulk[:, u], own)
+        truths = evaluate_batch(fam, Database(rows))
+        assert truths.tobytes() == np.ascontiguousarray(bulk).mean(axis=1).tobytes()
+
     def test_validation(self):
         ks = small_keyset()
         rng = stream(17, "fam-bad")
@@ -354,6 +412,10 @@ class TestQueryFamily:
         fam = TTDecQueryFamily.from_ciphertexts(ct, ks.params)
         with pytest.raises(InputShapeError):
             fam.evaluate_on_rows(np.zeros((2, 15), dtype=np.uint8))
+        rows = ks.rows.astype(np.float64)
+        rows[0, 0] = 0.9
+        with pytest.raises(InputShapeError, match="row entries must be bits"):
+            fam.evaluate_on_rows(rows)
         pks = tt_gen(16, 2, PRF, rng)
         pct = tt_enc(pks, 0, rng)
         with pytest.raises(UnsupportedSchemeError):
@@ -379,6 +441,16 @@ class TestPirates:
         nonbit = PirateOracle(lambda cts, _o: np.full(len(cts), 2, dtype=np.uint8))
         with pytest.raises(InputShapeError):
             nonbit.answer(tt_enc(ks, 0, rng))
+
+    @pytest.mark.parametrize("bad", [256, 0.9])
+    def test_non_bit_answers_refused_before_the_cast(self, bad):
+        # a uint8 cast would answer 256 and 0.9 as 0
+        ks = small_keyset()
+        pirate = PirateOracle(lambda cts, _o: np.full(len(cts), bad))
+        with pytest.raises(InputShapeError, match="pirate answers must be bits"):
+            pirate.answer(tt_enc(ks, 0, stream(19, "nonbit")))
+        fine = PirateOracle(lambda cts, _o: np.ones(len(cts)))
+        assert fine.answer(tt_enc(ks, 0, stream(19, "nonbit"))).tolist() == [1]
 
     def test_honest_pirate_bounds(self):
         ks = small_keyset()
@@ -407,11 +479,13 @@ class TestFingerprintTracing:
         assert tt_trace_report(ks, zeros_pirate(), 0.05, stream(21, "z", "t")).accused is None
 
     def test_oversized_batch_refused_before_allocation(self):
-        # n=100 needs ell_FP = 7,600,903 columns, about 7.1 GiB: refused
+        # n=100 needs ell_FP = 7,600,903 columns, about 8.1 GiB: refused
         # before the codebook is drawn, so neither the rng nor the oracle moves
-        assert check_tracing_batch(10, 0.05, 100.0) == 52984 * 10 * 10
-        with pytest.raises(InputShapeError, match="7.1 GiB"):
-            check_tracing_batch(100, 0.05, 100.0)
+        assert check_tracing_batch(10, 0.05, 100.0, 32768) == (
+            52984 * (11 * 10 + 48) + 32768 * (96 + 10) + 65536
+        )
+        with pytest.raises(InputShapeError, match="8.1 GiB"):
+            check_tracing_batch(100, 0.05, 100.0, 512)
         ks = tt_gen(16, 100, LOCAL_PRG, stream(22, "big"))
         rng = stream(22, "big", "t")
         pirate = zeros_pirate()
