@@ -75,7 +75,14 @@ class AttackConfig:
             raise InputShapeError("need at least one trial")
         check_key_shape(self.kappa, self.n)
         check_prg_draw(self.kappa // 2)
-        check_tracing_batch(self.n, self.eps_fp, self.a, default_stretch(self.kappa // 2))
+        self.trial_bytes()
+
+    def trial_bytes(self) -> int:
+        """check_tracing_batch for one trial, counting the sanitizer's rounds."""
+        return check_tracing_batch(
+            self.n, self.eps_fp, self.a, default_stretch(self.kappa // 2),
+            self.sanitizer.amplification_rounds,
+        )
 
 
 def pirate_from_sanitizer(
@@ -258,7 +265,7 @@ def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     trial of experiment 1 accused anyone there is no i*; experiment 2
     is skipped and the audit can only be inconclusive.
     """
-    need = check_tracing_batch(cfg.n, cfg.eps_fp, cfg.a, default_stretch(cfg.kappa // 2))
+    need = cfg.trial_bytes()
     # each worker holds one trial at a time: no more workers than fit in memory
     jobs = min(worker_count(jobs, cfg.trials, os.cpu_count() or 1), MAX_ALLOC_BYTES // need)
     prg = prg_params_gen(derive_seed(cfg.seed, "attack", "prg"), cfg.kappa // 2)

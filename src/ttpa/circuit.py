@@ -13,7 +13,7 @@ pushed onto literals.  Multi-bit values are big-endian throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ _AUX_FIELDS = {INPUT: "input_index", CONST: "value"}
 
 # widths where 2^width bitmask tricks stay cheap
 _MAX_EXHAUSTIVE_WIDTH = 20
-_MAX_DNF_WIDTH = 16
 
 
 class Gate(NamedTuple):
@@ -268,17 +267,6 @@ def circuit_metrics(circ: Circuit) -> CircuitMetrics:
     return CircuitMetrics(size=size, depth=depths[circ.output])
 
 
-def indicator_circuit(value: int, width: int) -> Circuit:
-    """Conjunction of literals that fires exactly on the big-endian encoding of value."""
-    if width < 1:
-        raise InputShapeError("indicator needs width >= 1")
-    if not 0 <= value < (1 << width):
-        raise InputShapeError(f"value {value} does not fit in {width} bits")
-    b = CircuitBuilder(width)
-    args = [b.literal(w, bool((value >> (width - 1 - w)) & 1)) for w in range(width)]
-    return b.build(b.and_(args))
-
-
 def append_minterm_dnf(b: CircuitBuilder, table: Sequence[int], wires: Sequence[int]) -> int:
     """Append the canonical minterm DNF of a truth table onto existing wires.
 
@@ -304,23 +292,6 @@ def append_minterm_dnf(b: CircuitBuilder, table: Sequence[int], wires: Sequence[
     if not terms:
         return b.const(0)
     return b.or_(terms)
-
-
-def dnf_of_function(table: Sequence[int], width: int) -> Circuit:
-    """Canonical minterm DNF of an explicit truth table (width <= 16)."""
-    if not 1 <= width <= _MAX_DNF_WIDTH:
-        raise InputShapeError(f"dnf_of_function supports width 1..{_MAX_DNF_WIDTH}")
-    b = CircuitBuilder(width)
-    return b.build(append_minterm_dnf(b, table, list(range(width))))
-
-
-def table_of_function(fn: Callable[[tuple[int, ...]], int], width: int) -> list[int]:
-    """Tabulate a python predicate over all big-endian assignments."""
-    table = []
-    for a in range(1 << width):
-        bits = tuple((a >> (width - 1 - t)) & 1 for t in range(width))
-        table.append(int(fn(bits)) & 1)
-    return table
 
 
 def _live_gates(circ: Circuit) -> bytearray:

@@ -44,7 +44,6 @@ from .fpcode import (
     DEFAULT_EPS_FP,
     DEFAULT_LENGTH_CONSTANT,
     RANDOM_FEASIBLE,
-    STRATEGIES,
     adversary_view_json,
     codebook_from_json,
     codebook_to_json,
@@ -154,31 +153,29 @@ def _cmd_fpcode_gen(args) -> int:
     seed = resolve_seed(args.seed)
     if args.adversary_view and args.coalition is None:
         raise InputShapeError("--adversary-view needs --coalition")
+    if args.coalition is not None and not args.adversary_view:
+        raise InputShapeError("--coalition needs --adversary-view")
     coalition = _parse_coalition(args.coalition, args.n) if args.adversary_view else None
     cb = fp_gen(args.n, args.eps_fp, stream(seed, "fpcode-gen"), a=args.a)
     _write_json(codebook_to_json(cb), args.out)
     if coalition:
         _write_json(adversary_view_json(cb, list(coalition)), args.adversary_view)
-    print(
-        canonical_json(
-            {
-                "command": "fpcode gen",
-                "config": {
-                    "n": args.n,
-                    "eps_fp": args.eps_fp,
-                    "a": args.a,
-                    "seed": seed,
-                    "out": args.out,
-                    "adversary_view": args.adversary_view,
-                    "coalition": args.coalition,
-                },
-                "ell": cb.ell,
-                "cutoff": cb.cutoff,
-                "threshold": cb.threshold,
-            }
-        )
-    )
-    return 0
+    obj = {
+        "command": "fpcode gen",
+        "config": {
+            "n": args.n,
+            "eps_fp": args.eps_fp,
+            "a": args.a,
+            "seed": seed,
+            "out": args.out,
+            "adversary_view": args.adversary_view,
+            "coalition": args.coalition,
+        },
+        "ell": cb.ell,
+        "cutoff": cb.cutoff,
+        "threshold": cb.threshold,
+    }
+    return _report(obj, None)
 
 
 def _cmd_fpcode_trace(args) -> int:
@@ -190,18 +187,14 @@ def _cmd_fpcode_trace(args) -> int:
             hex_word = f.read()
     word = bits_from_hex(hex_word, cb.ell, "word")
     scores = fp_scores(cb, word)
-    print(
-        canonical_json(
-            {
-                "command": "fpcode trace",
-                "config": {"codebook": args.codebook, "seed": seed},
-                "accused": fp_trace(cb, word),
-                "max_score": float(scores.max()),
-                "threshold": cb.threshold,
-            }
-        )
-    )
-    return 0
+    obj = {
+        "command": "fpcode trace",
+        "config": {"codebook": args.codebook, "seed": seed},
+        "accused": fp_trace(cb, word),
+        "max_score": float(scores.max()),
+        "threshold": cb.threshold,
+    }
+    return _report(obj, None)
 
 
 def _cmd_fpcode_bench(args) -> int:
@@ -244,22 +237,18 @@ def _cmd_tt_keygen(args) -> int:
     scheme = _SCHEMES[args.scheme]
     ks = tt_gen(args.kappa, args.n, scheme, stream(seed, "tt-keygen"))
     _write_json(keyset_to_json(ks), args.out)
-    print(
-        canonical_json(
-            {
-                "command": "tt keygen",
-                "config": {
-                    "kappa": args.kappa,
-                    "n": args.n,
-                    "scheme": scheme,
-                    "seed": seed,
-                    "out": args.out,
-                },
-                "stretch": None if ks.params.prg is None else ks.params.prg.ell,
-            }
-        )
-    )
-    return 0
+    obj = {
+        "command": "tt keygen",
+        "config": {
+            "kappa": args.kappa,
+            "n": args.n,
+            "scheme": scheme,
+            "seed": seed,
+            "out": args.out,
+        },
+        "stretch": None if ks.params.prg is None else ks.params.prg.ell,
+    }
+    return _report(obj, None)
 
 
 def _build_pirate(spec: str, ks, args, rng):
@@ -288,8 +277,9 @@ def _cmd_tt_trace(args) -> int:
     pirate, coalition = _build_pirate(
         args.pirate, ks, args, stream(seed, "tt-trace", "pirate")
     )
+    rounds = args.amp_rounds if args.pirate.startswith("sanitizer:") else 0
     out = tt_trace_report(
-        ks, pirate, args.eps_fp, stream(seed, "tt-trace", "trace"), a=args.a
+        ks, pirate, args.eps_fp, stream(seed, "tt-trace", "trace"), a=args.a, rounds=rounds
     )
     feasible = (
         None
@@ -324,32 +314,29 @@ def _cmd_tt_export_circuit(args) -> int:
     seed = resolve_seed(args.seed)
     ks = keyset_from_json(read_json(args.keys))
     rng = stream(seed, "tt-export")
+    bit = 1 if args.bit is None else args.bit
     if args.level is not None:
         ct = tr_enc_index(ks, args.level, rng)
     else:
-        ct = tt_enc(ks, args.bit, rng)
+        ct = tt_enc(ks, bit, rng)
     circ = tt_dec_circuit(ct, ks.params, _MODES[args.mode])
     _write_json(circuit_to_json(circ), args.out)
     met = circuit_metrics(circ)
-    print(
-        canonical_json(
-            {
-                "command": "tt export-circuit",
-                "config": {
-                    "keys": args.keys,
-                    "bit": args.bit,
-                    "level": args.level,
-                    "mode": args.mode,
-                    "seed": seed,
-                    "out": args.out,
-                },
-                "input_width": circ.input_width,
-                "size": met.size,
-                "depth": met.depth,
-            }
-        )
-    )
-    return 0
+    obj = {
+        "command": "tt export-circuit",
+        "config": {
+            "keys": args.keys,
+            "bit": bit,
+            "level": args.level,
+            "mode": args.mode,
+            "seed": seed,
+            "out": args.out,
+        },
+        "input_width": circ.input_width,
+        "size": met.size,
+        "depth": met.depth,
+    }
+    return _report(obj, None)
 
 
 # -------------------------------------------------------------- sanitize
@@ -434,13 +421,6 @@ def csv_from_rows(rows: list[list[str]]) -> str:
 
 def summary_csv(report: dict) -> str:
     return csv_from_rows(summary_rows(report))
-
-
-def parse_summary_csv(text: str) -> list[list[str]]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != CSV_HEADER:
-        raise FileFormatError("summary CSV missing its header row")
-    return rows[1:]
 
 
 def _fmt(v) -> str:
@@ -629,8 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = tt.add_parser("export-circuit", help="export one decryption circuit")
     p.add_argument("--keys", required=True)
-    p.add_argument("--bit", type=int, choices=(0, 1), default=1)
-    p.add_argument("--level", type=int, default=None, help="mixed ciphertext level")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--bit", type=int, choices=(0, 1), help="plaintext bit (default 1)")
+    g.add_argument("--level", type=int, default=None, help="mixed ciphertext level")
     p.add_argument("--mode", choices=sorted(_MODES), default="folded")
     p.add_argument("--out", required=True, help="netlist JSON")
     _add_seed(p)

@@ -244,15 +244,6 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
     return params.table[arr.ravel()[sets] @ _pow2(params.locality)]
 
 
-def prg_bit_circuit(params: LocalPrgParams, i: int) -> Circuit:
-    """Depth-2 DNF computing output bit i over the kappa seed wires."""
-    if not 0 <= i < params.ell:
-        raise InputShapeError(f"output index {i} outside [0, {params.ell})")
-    b = CircuitBuilder(params.kappa)
-    out = append_minterm_dnf(b, params.table.tolist(), params.index_sets[i].tolist())
-    return b.build(out)
-
-
 def check_scheme(scheme: str, prg: LocalPrgParams | None, seed_bits: int) -> None:
     """LOCAL_PRG keys need a PRG over their seed_bits-bit seed, PRF keys have none."""
     if scheme == LOCAL_PRG:

@@ -151,14 +151,6 @@ def fp_feasible(coalition_words: np.ndarray, word: np.ndarray) -> bool:
     return bool((ws == w[None, :]).any(axis=0).all())
 
 
-def fp_critical(coalition_words: np.ndarray) -> np.ndarray:
-    """Columns where the coalition is unanimous (sorted indices)."""
-    ws = as_bits(coalition_words, "coalition words must be bits")
-    if ws.ndim != 2 or ws.shape[0] < 1:
-        raise InputShapeError("coalition words must be a nonempty (|S|, ell) matrix")
-    return np.flatnonzero((ws == ws[0]).all(axis=0))
-
-
 def fp_adversary(
     coalition_words: np.ndarray, strategy: str, rng: np.random.Generator
 ) -> np.ndarray:

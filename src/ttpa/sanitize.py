@@ -81,6 +81,8 @@ class SanitizerConfig:
             raise InputShapeError(f"unknown composition rule {self.composition!r}")
         if self.amplification_rounds < 0:
             raise InputShapeError("amplification rounds must be >= 0")
+        if self.kind == EXACT and self.amplification_rounds > 0:
+            raise InputShapeError("amplification rounds apply to LAPLACE only")
         if self.kind == LAPLACE:
             if self.epsilon is None or self.epsilon <= 0:
                 raise InputShapeError("LAPLACE needs epsilon > 0")

@@ -336,9 +336,6 @@ class TTDecQueryFamily:
     def input_width(self) -> int:
         return self.params.kappa
 
-    def circuit(self, j: int, mode: str = FOLDED) -> Circuit:
-        return tt_dec_circuit(self.cts[j], self.params, mode)
-
     def evaluate_on_rows(self, rows: np.ndarray) -> np.ndarray:
         """(k, m) bit matrix: circuit j on row m, for arbitrary kappa-bit rows."""
         arr = np.asarray(rows)
@@ -380,27 +377,31 @@ COLUMN_BYTES = 48
 # fewer cells than positions, the index sets prg_bits_at gathers per
 # cell (int64, at locality 5).
 POSITION_BYTES = 96
+# Per ciphertext and Laplace amplification round: the float64 noise
+# plus its sum with the truths, then that sum plus the median's copy.
+ROUND_BYTES = 16
 # The trial's Python objects and small arrays: keys, streams, closures.
 TRIAL_BYTES = 64 << 10
 
 
-def check_tracing_batch(n: int, eps_fp: float, a: float, prg_ell: int) -> int:
+def check_tracing_batch(n: int, eps_fp: float, a: float, prg_ell: int, rounds: int = 0) -> int:
     """Peak bytes of one tracing trial over a PRG of stretch prg_ell.
 
-    ell_FP * (CELL_BYTES * n + COLUMN_BYTES) + prg_ell * (POSITION_BYTES + n)
-    + TRIAL_BYTES, checked against the tracemalloc peak of attack trials
-    in the tests.  Raises above MAX_ALLOC_BYTES, so callers refuse
-    before allocating.
+    ell_FP * (CELL_BYTES * n + COLUMN_BYTES + ROUND_BYTES * rounds)
+    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES, with rounds the
+    pirate's Laplace amplification rounds, checked against the
+    tracemalloc peak of attack trials in the tests.  Raises above
+    MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
     ell = code_length(n, eps_fp, a)
     need = (
-        ell * (CELL_BYTES * n + COLUMN_BYTES)
+        ell * (CELL_BYTES * n + COLUMN_BYTES + ROUND_BYTES * rounds)
         + prg_ell * (POSITION_BYTES + n)
         + TRIAL_BYTES
     )
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
-            f"a tracing trial at n={n}, eps_fp={eps_fp}, a={a} would hold about"
+            f"a tracing trial at n={n}, eps_fp={eps_fp}, a={a}, rounds={rounds} would hold about"
             f" {need / 2**30:.1f} GiB, over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
         )
     return need
@@ -419,6 +420,7 @@ def tt_trace_report(
     eps_fp: float,
     rng: np.random.Generator,
     a: float = DEFAULT_LENGTH_CONSTANT,
+    rounds: int = 0,
 ) -> TraceOutcome:
     """Fingerprint-driven tracing: one oracle call, then code tracing.
 
@@ -426,18 +428,20 @@ def tt_trace_report(
     single batch, and accuses whoever the code's scorer singles out.
     """
     prg = ks.params.prg
-    check_tracing_batch(ks.params.n, eps_fp, a, 0 if prg is None else prg.ell)
+    check_tracing_batch(ks.params.n, eps_fp, a, 0 if prg is None else prg.ell, rounds)
     cb = fp_gen(ks.params.n, eps_fp, rng, a=a)
     # the batch is dropped once answered, before scoring allocates
     word = pirate.answer(tr_enc(ks, cb.words, rng))
     return TraceOutcome(fp_trace(cb, word), word, cb)
 
 
-def default_scan_repetitions(n: int, beta: float = 0.05) -> int:
-    """Chernoff repetition count: every level within 1/(2n) except prob beta."""
-    if not 0 < beta < 1:
-        raise InputShapeError(f"failure budget must be in (0,1), got {beta}")
-    return math.ceil(4.0 * n * n * math.log(2.0 * (n + 1) / beta))
+# Chance that some level of a linear scan misses its rate by 1/(2n).
+SCAN_FAILURE_PROB = 0.05
+
+
+def default_scan_repetitions(n: int) -> int:
+    """Chernoff repetition count: every level within 1/(2n) except with SCAN_FAILURE_PROB."""
+    return math.ceil(4.0 * n * n * math.log(2.0 * (n + 1) / SCAN_FAILURE_PROB))
 
 
 @dataclass(frozen=True)
@@ -453,7 +457,6 @@ def linear_scan_report(
     pirate: PirateOracle,
     rng: np.random.Generator,
     repetitions: int | None = None,
-    beta: float = 0.05,
 ) -> ScanOutcome:
     """Level-sweep tracing: estimate P_i at every level, accuse the first big jump.
 
@@ -464,7 +467,7 @@ def linear_scan_report(
     row i-1.
     """
     n = ks.params.n
-    s = default_scan_repetitions(n, beta) if repetitions is None else int(repetitions)
+    s = default_scan_repetitions(n) if repetitions is None else int(repetitions)
     if s < 1:
         raise InputShapeError(f"repetition count must be >= 1, got {s}")
     seq = rng.permutation(np.repeat(np.arange(n + 1), s))

@@ -33,6 +33,22 @@ def small_keyset(n=3, kappa=16, seed=40):
     return tt_gen(kappa, n, LOCAL_PRG, stream(seed, "atk-ks"), prg=prg)
 
 
+def trial_peak(cfg, prg) -> int:
+    """Largest tracemalloc peak of one warm trial in either experiment."""
+    n = cfg.n
+    # numpy sets up some routines on first use; that is not the trial's
+    attack_mod._run_trial(cfg, prg, EXP_FULL, tuple(range(n)), 0)
+    peaks = []
+    for tag, coalition in ((EXP_FULL, tuple(range(n))), (EXP_MINUS, tuple(range(1, n)))):
+        tracemalloc.start()
+        try:
+            attack_mod._run_trial(cfg, prg, tag, coalition, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
+
+
 def stats_with_counts(label, accused_of_istar, trials, i_star=3, coalition=(0, 1, 2, 3)):
     records = [
         TrialRecord(i_star, True, 0.0, False) for _ in range(accused_of_istar)
@@ -149,6 +165,10 @@ class TestConfig:
             AttackConfig(eps_fp=0.0)
         with pytest.raises(InputShapeError, match="GiB"):
             AttackConfig(n=100)  # an 8 GiB tracing trial, refused unallocated
+        # 5000 Laplace rounds at n=10 hold about 4 GiB of noise
+        noisy = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=5000)
+        with pytest.raises(InputShapeError, match="rounds=5000 would hold about 4.0 GiB"):
+            AttackConfig(sanitizer=noisy)
 
     def test_prg_too_large_to_draw_refused(self):
         # kappa=256 holds 128 seed bits: a 4 GiB index-set draw, refused unallocated
@@ -336,17 +356,15 @@ class TestRunAttack:
         san = SanitizerConfig(kind, epsilon=1.0 if kind == LAPLACE else None)
         cfg = AttackConfig(n=n, kappa=kappa, eps_fp=eps_fp, a=a, sanitizer=san)
         prg = prg_params_gen(3, kappa // 2)
-        # numpy sets up some routines on first use; that is not the trial's
-        attack_mod._run_trial(cfg, prg, EXP_FULL, tuple(range(n)), 0)
-        peaks = []
-        for tag, coalition in ((EXP_FULL, tuple(range(n))), (EXP_MINUS, tuple(range(1, n)))):
-            tracemalloc.start()
-            try:
-                attack_mod._run_trial(cfg, prg, tag, coalition, 1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= check_tracing_batch(n, cfg.eps_fp, cfg.a, prg.ell)
+        assert trial_peak(cfg, prg) <= check_tracing_batch(n, cfg.eps_fp, cfg.a, prg.ell)
+
+    @pytest.mark.parametrize("rounds", [10, 50])
+    def test_laplace_rounds_peak_within_the_batch_estimate(self, rounds):
+        san = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=rounds)
+        cfg = AttackConfig(n=4, kappa=16, eps_fp=0.05, a=100.0, sanitizer=san)
+        prg = prg_params_gen(3, 8)
+        need = check_tracing_batch(4, cfg.eps_fp, cfg.a, prg.ell, rounds)
+        assert trial_peak(cfg, prg) <= need
 
     def test_workers_clamped_to_the_trials_that_fit_in_memory(self, monkeypatch):
         # one n=52 trial fits under the 2 GiB bound (about 1.1 GiB), two at once
@@ -364,6 +382,24 @@ class TestRunAttack:
             with pytest.raises(AssertionError, match="reached the experiment"):
                 run_attack(cfg, jobs=jobs)
         assert workers == [1, 1]
+
+    @pytest.mark.parametrize("rounds,workers", [(1200, 2), (1500, 1)])
+    def test_worker_cap_counts_laplace_rounds(self, monkeypatch, rounds, workers):
+        # n=10 trials hold about 0.96 GiB at 1200 rounds and 1.2 GiB at 1500:
+        # two fit under the 2 GiB bound at once in the first case only
+        san = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=rounds)
+        cfg = AttackConfig(n=10, trials=2, sanitizer=san)
+        seen = []
+
+        def stop(cfg, prg, tag, coalition, jobs):
+            seen.append(jobs)
+            raise AssertionError("reached the experiment")
+
+        monkeypatch.setattr(attack_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(attack_mod, "_run_experiment", stop)
+        with pytest.raises(AssertionError, match="reached the experiment"):
+            run_attack(cfg, jobs=2)
+        assert seen == [workers]
 
     def test_seed_changes_output(self):
         r1 = run_attack(self.small_cfg())

@@ -22,15 +22,13 @@ from ttpa.circuit import (
     circuit_to_json,
     circuits_equivalent,
     constant_fold,
-    dnf_of_function,
     eval_circuit,
     eval_on_rows,
     exhaustive_columns,
-    indicator_circuit,
     pack_rows,
-    table_of_function,
     truth_table,
 )
+from ttpa.crypto import xor_and_table
 from ttpa.errors import (
     CircuitFormatError,
     FileFormatError,
@@ -244,33 +242,10 @@ class TestMetrics:
         assert circuit_metrics(c) == CircuitMetrics(0, 0)
 
 
-class TestIndicator:
-    def test_match(self):
-        assert eval_circuit(indicator_circuit(5, 3), (1, 0, 1)) == 1
-
-    def test_mismatch(self):
-        assert eval_circuit(indicator_circuit(5, 3), (1, 0, 0)) == 0
-
-    def test_all_negated(self):
-        assert eval_circuit(indicator_circuit(0, 2), (0, 0)) == 1
-        assert eval_circuit(indicator_circuit(0, 2), (0, 1)) == 0
-
-    @given(st.integers(1, 6), st.data())
-    def test_exhaustive(self, width, data):
-        value = data.draw(st.integers(0, (1 << width) - 1))
-        c = indicator_circuit(value, width)
-        for i, row in enumerate(all_rows(width)):
-            # rows are big-endian assignments of their index
-            assert eval_circuit(c, row) == (1 if i == value else 0)
-
-    def test_value_out_of_range(self):
-        with pytest.raises(InputShapeError):
-            indicator_circuit(4, 2)
-
-
 class TestDnf:
     def test_xor_two_terms_depth_two(self):
-        c = dnf_of_function([0, 1, 1, 0], 2)
+        b = CircuitBuilder(2)
+        c = b.build(append_minterm_dnf(b, [0, 1, 1, 0], [0, 1]))
         m = circuit_metrics(c)
         assert m.depth == 2
         ands = sum(1 for g in c.gates if g.op == AND)
@@ -278,26 +253,25 @@ class TestDnf:
         assert [eval_circuit(c, r) for r in all_rows(2)] == [0, 1, 1, 0]
 
     def test_constant_zero_table(self):
-        c = dnf_of_function([0, 0, 0, 0], 2)
+        b = CircuitBuilder(2)
+        c = b.build(append_minterm_dnf(b, [0, 0, 0, 0], [0, 1]))
         assert c.gates[c.output].op == CONST
         assert truth_table(c) == 0
 
     def test_xor_and_predicate_16_terms(self):
-        def f(x):
-            return x[0] ^ x[1] ^ x[2] ^ (x[3] & x[4])
-
-        table = table_of_function(f, 5)
-        c = dnf_of_function(table, 5)
+        b = CircuitBuilder(5)
+        c = b.build(append_minterm_dnf(b, xor_and_table(5).tolist(), list(range(5))))
         assert sum(1 for g in c.gates if g.op == AND) == 16
         for row in all_rows(5):
-            assert eval_circuit(c, row) == f(tuple(row))
+            assert eval_circuit(c, row) == row[0] ^ row[1] ^ row[2] ^ (row[3] & row[4])
 
     @given(st.integers(1, 5), st.data())
     def test_agrees_with_table(self, width, data):
         table = data.draw(
             st.lists(st.integers(0, 1), min_size=1 << width, max_size=1 << width)
         )
-        c = dnf_of_function(table, width)
+        b = CircuitBuilder(width)
+        c = b.build(append_minterm_dnf(b, table, list(range(width))))
         assert [eval_circuit(c, r) for r in all_rows(width)] == table
 
     def test_append_on_subset_of_wires(self):

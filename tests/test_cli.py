@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -11,17 +13,17 @@ from ttpa.cli import (
     emit_summary,
     main,
     main_tt,
-    parse_summary_csv,
     resolve_seed,
     summary_csv,
 )
-from ttpa.errors import FileFormatError, InputShapeError, read_json
+from ttpa.errors import InputShapeError, read_json
 from ttpa.fpcode import codebook_from_json
 from ttpa.sanitize import Database, dictator_circuit, save_database
 from ttpa.ttscheme import keyset_from_json
 
 import ttpa.attack as attack_mod
 import ttpa.cli as cli_mod
+import ttpa.ttscheme as ttscheme_mod
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,12 @@ class TestFpcodeCommands:
         )
         assert code == 2
         assert "coalition" in err
+        assert not (tmp_path / "cb.json").exists()
+
+    def test_gen_coalition_requires_view(self, capsys, tmp_path):
+        # the coalition only chooses the view's rows: without a view it is refused
+        code, out, err, _path = self.gen(capsys, tmp_path, "--coalition", "99")
+        assert code == 2 and out == "" and "--coalition needs --adversary-view" in err
         assert not (tmp_path / "cb.json").exists()
 
     def test_gen_checks_coalition_before_writing(self, capsys, tmp_path):
@@ -287,6 +295,32 @@ class TestTTCommands:
         )
         assert code == 0
         assert stdout_json(out)["depth"] <= 4
+
+    @pytest.mark.parametrize("bit", ["0", "1"])
+    def test_export_circuit_refuses_bit_with_level(self, capsys, tmp_path, bit):
+        # a level ciphertext has no plaintext bit; --bit 1 equals the old default
+        _c, _o, _e, path = self.keygen(capsys, tmp_path)
+        out_path = tmp_path / "c.json"
+        code, out, err = run_cli(
+            capsys, "tt", "export-circuit", "--keys", path, "--bit", bit,
+            "--level", "2", "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "not allowed with argument" in err
+        assert not out_path.exists()
+
+    def test_trace_refuses_rounds_over_the_memory_limit(self, capsys, tmp_path, monkeypatch):
+        # n=10 at the default code length: 5000 Laplace rounds hold about 4 GiB
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a codebook")
+
+        monkeypatch.setattr(ttscheme_mod, "fp_gen", no_draw)
+        path = str(tmp_path / "ks.json")
+        run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "10", "--out", path)
+        code, out, err = run_cli(
+            capsys, "tt", "trace", "--keys", path, "--pirate", "sanitizer:laplace",
+            "--amp-rounds", "5000",
+        )
+        assert code == 2 and out == "" and "rounds=5000" in err and "GiB" in err
 
     def test_export_circuit_prf_refused(self, capsys, tmp_path):
         _c, _o, _e, path = self.keygen(capsys, tmp_path, "--scheme", "prf")
@@ -477,7 +511,9 @@ class TestAttackCommand:
         assert "attack report" in out
         assert f"report: {out_path}" in out
         assert "INCONCLUSIVE" in out  # 6 trials is below the audit minimum
-        rows = parse_summary_csv(open(csv_path).read())
+        with open(csv_path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == CSV_HEADER
         assert all(len(r) == len(CSV_HEADER) for r in rows)
 
     def test_reruns_and_jobs_are_byte_identical(self, capsys, tmp_path):
@@ -519,6 +555,20 @@ class TestAttackCommand:
         out_path = tmp_path / "r.json"
         code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 2 and out == "" and "GiB" in err
+        assert not out_path.exists()
+
+    def test_rejects_rounds_over_the_memory_limit(self, capsys, tmp_path, monkeypatch):
+        # n=10 at the defaults: 5000 Laplace rounds hold about 4 GiB per trial
+        def no_run(*args, **kwargs):
+            raise AssertionError("started the attack")
+
+        monkeypatch.setattr(cli_mod, "run_attack", no_run)
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(
+            capsys, "attack", "run", "--sanitizer", "laplace", "--amp-rounds", "5000",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "rounds=5000" in err and "GiB" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -622,14 +672,11 @@ class TestSummaryFormats:
 
     def test_csv_roundtrip_is_lossless(self):
         text = summary_csv(self.sample_report())
-        rows = parse_summary_csv(text)
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == CSV_HEADER
         assert csv_from_rows(rows) == text
         assert ["accused_freq", "exp1", "1", "0.600000"] in rows
         assert ["accused_freq", "exp2", "NONE", "0.900000"] in rows
-
-    def test_parse_rejects_missing_header(self):
-        with pytest.raises(FileFormatError):
-            parse_summary_csv("a,b\n1,2\n")
 
     @pytest.mark.parametrize("argv", [
         ("fpcode", "trace", "--codebook", "{path}", "--word", "00"),
@@ -650,6 +697,27 @@ class TestSummaryFormats:
 
     def test_canonical_json_is_sorted_and_tight(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "run", "--n", "3", "--kappa", "16", "--out", "{out}"),
+    ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "exact"),
+    ("tt", "trace", "--keys", "{keys}", "--pirate", "sanitizer:exact"),
+])
+def test_exact_sanitizer_refuses_amp_rounds(capsys, tmp_path, argv):
+    # the exact sanitizer adds no noise, so it has no rounds to take a median of
+    db, query, keys = (str(tmp_path / name) for name in ("db.txt", "q.json", "ks.json"))
+    save_database(Database(np.zeros((2, 3), dtype=np.uint8)), db)
+    with open(query, "w") as f:
+        f.write(canonical_json(circuit_to_json(dictator_circuit(0, 3))))
+    run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--out", keys)
+    out = tmp_path / "r.json"
+    code, stdout, err = run_cli(
+        capsys, *(a.format(out=out, db=db, query=query, keys=keys) for a in argv),
+        "--amp-rounds", "7",
+    )
+    assert code == 2 and stdout == "" and "LAPLACE only" in err
+    assert not out.exists()
 
 
 class TestTopLevel:

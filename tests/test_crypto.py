@@ -27,7 +27,6 @@ from ttpa.crypto import (
     enc_decrypt_many,
     enc_encrypt_many,
     enc_gen,
-    prg_bit_circuit,
     prg_bits_at,
     prg_expand,
     prg_params_gen,
@@ -279,20 +278,20 @@ class TestPrgBitCircuit:
         rows = all_rows(6)
         expanded = np.stack([prg_expand(params, r) for r in rows])
         for i in range(10):
-            circ = prg_bit_circuit(params, i)
+            circ = enc_dec_circuit(i, 0, params, FOLDED)
             assert circ.input_width == 6
             assert circuit_metrics(circ).depth <= 2
             assert np.array_equal(eval_on_rows(circ, rows), expanded[:, i])
 
     def test_index_out_of_range(self):
         params = prg_params_gen(0, 8, ell=4)
-        with pytest.raises(InputShapeError):
-            prg_bit_circuit(params, 4)
+        with pytest.raises(MalformedCiphertextError):
+            enc_dec_circuit(4, 0, params, FOLDED)
 
     def test_xor_predicate_two_term_dnf(self):
         params = prg_params_gen(2, 2, ell=4, locality=2,
                                 table=np.array([0, 1, 1, 0], dtype=np.uint8))
-        circ = prg_bit_circuit(params, 0)
+        circ = enc_dec_circuit(0, 0, params, FOLDED)
         assert sum(1 for g in circ.gates if g.op == AND) == 2
         assert circuit_metrics(circ) == CircuitMetrics(5, 2)
         rows = all_rows(2)

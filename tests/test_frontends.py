@@ -1,4 +1,5 @@
-"""The README's library example and the scripts/ front ends still run."""
+"""The README's library example, the package's module imports and the
+scripts/ front ends still run."""
 
 import hashlib
 import json
@@ -6,6 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import types
+
+import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scripts", "run_attack_demo.py")
@@ -19,6 +23,18 @@ def test_readme_library_block_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert "'violated'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", [
+    "attack", "circuit", "cli", "crypto", "errors", "fpcode", "sanitize", "seeds", "ttscheme",
+])
+def test_import_as_gives_the_module(name):
+    # `import a.b as m` reads attribute b of package a: a re-exported
+    # function of the same name would shadow the module
+    scope = {}
+    exec(f"import ttpa.{name} as mod", scope)
+    assert isinstance(scope["mod"], types.ModuleType)
+    assert scope["mod"].__name__ == f"ttpa.{name}"
 
 
 def run_demo(*argv):

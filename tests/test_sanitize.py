@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttpa.circuit import CircuitBuilder, eval_on_rows
-from ttpa.crypto import LOCAL_PRG, prg_params_gen
+from ttpa.crypto import FOLDED, LOCAL_PRG, prg_params_gen
 from ttpa.errors import FileFormatError, InputShapeError
 from ttpa.sanitize import (
     ADVANCED,
@@ -114,7 +114,9 @@ class TestEvaluate:
         words = rng.integers(0, 2, (4, 25), dtype=np.uint8)
         fam = TTDecQueryFamily.from_ciphertexts(tr_enc(ks, words, rng), ks.params)
         via_family = evaluate_batch(fam, db)
-        via_circuits = evaluate_batch([fam.circuit(j) for j in range(len(fam))], db)
+        via_circuits = evaluate_batch(
+            [tt_dec_circuit(fam.cts[j], fam.params, FOLDED) for j in range(len(fam))], db
+        )
         assert np.allclose(via_family, via_circuits)
         with pytest.raises(InputShapeError):
             evaluate_batch(fam, Database(np.zeros((2, 15), dtype=np.uint8)))
@@ -160,6 +162,8 @@ class TestConfig:
             SanitizerConfig(composition="TIGHT")
         with pytest.raises(InputShapeError):
             SanitizerConfig(amplification_rounds=-1)
+        with pytest.raises(InputShapeError, match="LAPLACE only"):
+            SanitizerConfig(EXACT, amplification_rounds=7)
 
 
 class TestSanitize:

@@ -345,7 +345,8 @@ class TestQueryFamily:
         rows = all_rows(16)
         bulk = fam.evaluate_on_rows(rows)
         for j in range(6):
-            assert np.array_equal(bulk[j], eval_on_rows(fam.circuit(j), rows))
+            circ = tt_dec_circuit(fam.cts[j], fam.params, FOLDED)
+            assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
 
     def test_exhaustive_equivalence_literal(self):
         ks = small_keyset(kappa=16, n=3, seed=15, ell=8)
@@ -355,7 +356,8 @@ class TestQueryFamily:
         rows = all_rows(16)
         bulk = fam.evaluate_on_rows(rows)
         for j in range(4):
-            assert np.array_equal(bulk[j], eval_on_rows(fam.circuit(j, LITERAL), rows))
+            circ = tt_dec_circuit(fam.cts[j], fam.params, LITERAL)
+            assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
 
     def test_sampled_equivalence_at_working_size(self):
         ks = small_keyset(kappa=32, n=8, seed=16)
@@ -365,7 +367,8 @@ class TestQueryFamily:
         rows = rng.integers(0, 2, (200, 32), dtype=np.uint8)
         bulk = fam.evaluate_on_rows(rows)
         for j in (0, 17, 49):
-            assert np.array_equal(bulk[j], eval_on_rows(fam.circuit(j), rows))
+            circ = tt_dec_circuit(fam.cts[j], fam.params, FOLDED)
+            assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
 
     def test_empty_batch(self):
         ks = small_keyset()
@@ -486,6 +489,12 @@ class TestFingerprintTracing:
         )
         with pytest.raises(InputShapeError, match="8.1 GiB"):
             check_tracing_batch(100, 0.05, 100.0, 512)
+        # each Laplace amplification round adds 16 bytes per ciphertext
+        assert check_tracing_batch(10, 0.05, 100.0, 32768, 7) == (
+            check_tracing_batch(10, 0.05, 100.0, 32768) + 7 * 16 * 52984
+        )
+        with pytest.raises(InputShapeError, match="4.0 GiB"):
+            check_tracing_batch(10, 0.05, 100.0, 32768, 5000)
         ks = tt_gen(16, 100, LOCAL_PRG, stream(22, "big"))
         rng = stream(22, "big", "t")
         pirate = zeros_pirate()
@@ -499,8 +508,6 @@ class TestLinearScan:
     def test_repetition_counts(self):
         assert default_scan_repetitions(4) == 340
         assert default_scan_repetitions(16) == 6679
-        with pytest.raises(InputShapeError):
-            default_scan_repetitions(4, beta=0.0)
 
     def test_honest_user_found(self):
         ks4 = tt_gen(16, 4, LOCAL_PRG, stream(1, "scan"))
