@@ -282,17 +282,17 @@ def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     return AttackReport(cfg, exp_full, exp_minus, i_star)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Two-sided Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InputShapeError("need at least one trial")
     if not 0 <= successes <= trials:
         raise InputShapeError(f"{successes} successes out of {trials} trials")
     p = successes / trials
-    z2 = z * z
+    z2 = Z_95 * Z_95
     den = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / den
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / den
+    half = Z_95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials)) / den
     # center -/+ half is exactly p at the boundaries in real arithmetic;
     # pin it so rounding noise cannot push the bound past the estimate
     lo = 0.0 if successes == 0 else max(0.0, center - half)

@@ -78,9 +78,6 @@ class Circuit:
             raise CircuitFormatError(f"output gate {self.output} out of range")
         object.__setattr__(self, "input_prefix", prefix)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(frozen=True, slots=True)
 class CircuitMetrics:
@@ -102,9 +99,6 @@ class CircuitBuilder:
         self._gates: list[Gate] = [Gate(INPUT, (), w) for w in range(input_width)]
         self._not_cache: dict[int, int] = {}
         self._const_cache: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._gates)
 
     def input(self, wire: int) -> int:
         # a wire past the width would alias a later gate, which the

@@ -88,6 +88,9 @@ _STRATEGY_FLAGS = {
 }
 
 CSV_HEADER = ["section", "experiment", "key", "value"]
+# filled only where a run reads them, so that a flag it ignores is refused
+_SANITIZER_DEFAULTS = {"eps": 1.0, "delta": 0.01, "composition": "basic", "amp_rounds": 0}
+_LAPLACE_ONLY = ("eps", "delta", "composition")
 
 
 def resolve_seed(explicit: int | None) -> int:
@@ -135,6 +138,16 @@ def _parse_coalition(text: str | None, n: int) -> tuple[int, ...]:
     return tuple(users)
 
 
+def _fill_sanitizer_flags(args, ignored: Sequence[str], why: str) -> None:
+    """Refuse the flags a run would ignore, then fill the sanitizer flags' defaults."""
+    given = ["--" + flag.replace("_", "-") for flag in ignored if getattr(args, flag) is not None]
+    if given:
+        raise InputShapeError(f"{', '.join(given)} would be ignored {why}")
+    for flag, default in _SANITIZER_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+
 def _sanitizer_cfg(kind: str, args) -> SanitizerConfig:
     if kind == "exact":
         return SanitizerConfig(EXACT, amplification_rounds=args.amp_rounds)
@@ -150,13 +163,12 @@ def _sanitizer_cfg(kind: str, args) -> SanitizerConfig:
 # ---------------------------------------------------------------- fpcode
 
 def _cmd_fpcode_gen(args) -> int:
-    seed = resolve_seed(args.seed)
     if args.adversary_view and args.coalition is None:
         raise InputShapeError("--adversary-view needs --coalition")
     if args.coalition is not None and not args.adversary_view:
         raise InputShapeError("--coalition needs --adversary-view")
     coalition = _parse_coalition(args.coalition, args.n) if args.adversary_view else None
-    cb = fp_gen(args.n, args.eps_fp, stream(seed, "fpcode-gen"), a=args.a)
+    cb = fp_gen(args.n, args.eps_fp, stream(args.seed, "fpcode-gen"), a=args.a)
     _write_json(codebook_to_json(cb), args.out)
     if coalition:
         _write_json(adversary_view_json(cb, list(coalition)), args.adversary_view)
@@ -166,7 +178,7 @@ def _cmd_fpcode_gen(args) -> int:
             "n": args.n,
             "eps_fp": args.eps_fp,
             "a": args.a,
-            "seed": seed,
+            "seed": args.seed,
             "out": args.out,
             "adversary_view": args.adversary_view,
             "coalition": args.coalition,
@@ -179,7 +191,6 @@ def _cmd_fpcode_gen(args) -> int:
 
 
 def _cmd_fpcode_trace(args) -> int:
-    seed = resolve_seed(args.seed)
     cb = codebook_from_json(read_json(args.codebook))
     hex_word = args.word
     if hex_word is None:
@@ -189,7 +200,7 @@ def _cmd_fpcode_trace(args) -> int:
     scores = fp_scores(cb, word)
     obj = {
         "command": "fpcode trace",
-        "config": {"codebook": args.codebook, "seed": seed},
+        "config": {"codebook": args.codebook, "seed": args.seed},
         "accused": fp_trace(cb, word),
         "max_score": float(scores.max()),
         "threshold": cb.threshold,
@@ -198,7 +209,6 @@ def _cmd_fpcode_trace(args) -> int:
 
 
 def _cmd_fpcode_bench(args) -> int:
-    seed = resolve_seed(args.seed)
     names = (
         list(_STRATEGY_FLAGS) if args.strategy == "all" else [args.strategy]
     )
@@ -208,7 +218,7 @@ def _cmd_fpcode_bench(args) -> int:
             args.eps_fp,
             _STRATEGY_FLAGS[s],
             args.trials,
-            seed,
+            args.seed,
             coalition_size=args.coalition_size,
             a=args.a,
         )
@@ -223,7 +233,7 @@ def _cmd_fpcode_bench(args) -> int:
             "trials": args.trials,
             "coalition_size": args.coalition_size,
             "strategy": args.strategy,
-            "seed": seed,
+            "seed": args.seed,
         },
         "results": results,
     }
@@ -233,9 +243,8 @@ def _cmd_fpcode_bench(args) -> int:
 # -------------------------------------------------------------------- tt
 
 def _cmd_tt_keygen(args) -> int:
-    seed = resolve_seed(args.seed)
     scheme = _SCHEMES[args.scheme]
-    ks = tt_gen(args.kappa, args.n, scheme, stream(seed, "tt-keygen"))
+    ks = tt_gen(args.kappa, args.n, scheme, stream(args.seed, "tt-keygen"))
     _write_json(keyset_to_json(ks), args.out)
     obj = {
         "command": "tt keygen",
@@ -243,7 +252,7 @@ def _cmd_tt_keygen(args) -> int:
             "kappa": args.kappa,
             "n": args.n,
             "scheme": scheme,
-            "seed": seed,
+            "seed": args.seed,
             "out": args.out,
         },
         "stretch": None if ks.params.prg is None else ks.params.prg.ell,
@@ -272,14 +281,18 @@ def _build_pirate(spec: str, ks, args, rng):
 
 
 def _cmd_tt_trace(args) -> int:
-    seed = resolve_seed(args.seed)
+    if args.pirate == "zeros" or args.pirate.split(":")[0] == "honest":
+        ignored = ("coalition", *_SANITIZER_DEFAULTS)
+    else:
+        ignored = _LAPLACE_ONLY if args.pirate == "sanitizer:exact" else ()
+    _fill_sanitizer_flags(args, ignored, f"by the {args.pirate} pirate")
     ks = keyset_from_json(read_json(args.keys))
     pirate, coalition = _build_pirate(
-        args.pirate, ks, args, stream(seed, "tt-trace", "pirate")
+        args.pirate, ks, args, stream(args.seed, "tt-trace", "pirate")
     )
-    rounds = args.amp_rounds if args.pirate.startswith("sanitizer:") else 0
     out = tt_trace_report(
-        ks, pirate, args.eps_fp, stream(seed, "tt-trace", "trace"), a=args.a, rounds=rounds
+        ks, pirate, args.eps_fp, stream(args.seed, "tt-trace", "trace"),
+        a=args.a, rounds=args.amp_rounds,
     )
     feasible = (
         None
@@ -295,7 +308,7 @@ def _cmd_tt_trace(args) -> int:
             "eps_fp": args.eps_fp,
             "a": args.a,
             "coalition": args.coalition,
-            "seed": seed,
+            "seed": args.seed,
         },
         "n": ks.params.n,
         "kappa": ks.params.kappa,
@@ -311,9 +324,8 @@ def _cmd_tt_trace(args) -> int:
 
 
 def _cmd_tt_export_circuit(args) -> int:
-    seed = resolve_seed(args.seed)
     ks = keyset_from_json(read_json(args.keys))
-    rng = stream(seed, "tt-export")
+    rng = stream(args.seed, "tt-export")
     bit = 1 if args.bit is None else args.bit
     if args.level is not None:
         ct = tr_enc_index(ks, args.level, rng)
@@ -329,7 +341,7 @@ def _cmd_tt_export_circuit(args) -> int:
             "bit": bit,
             "level": args.level,
             "mode": args.mode,
-            "seed": seed,
+            "seed": args.seed,
             "out": args.out,
         },
         "input_width": circ.input_width,
@@ -354,11 +366,11 @@ def _load_queries(paths: Sequence[str]) -> list:
 
 
 def _cmd_sanitize_run(args) -> int:
-    seed = resolve_seed(args.seed)
+    _fill_sanitizer_flags(args, _LAPLACE_ONLY if args.kind == "exact" else (), "by --kind exact")
     db = load_database(args.db)
     queries = _load_queries(args.queries)
     cfg = _sanitizer_cfg(args.kind, args)
-    answers = sanitize(cfg, db, queries, stream(seed, "sanitize-run"))
+    answers = sanitize(cfg, db, queries, stream(args.seed, "sanitize-run"))
     scale = (
         laplace_scale(cfg, len(queries), db.m)
         if cfg.kind == LAPLACE and queries
@@ -370,7 +382,7 @@ def _cmd_sanitize_run(args) -> int:
             "db": args.db,
             "queries": list(args.queries),
             **asdict(cfg),
-            "seed": seed,
+            "seed": args.seed,
         },
         "m": db.m,
         "d": db.d,
@@ -485,7 +497,8 @@ def emit_summary(report: dict) -> str:
 
 
 def _cmd_attack_run(args) -> int:
-    seed = resolve_seed(args.seed)
+    ignored = ("composition",) if args.sanitizer == "exact" else ()
+    _fill_sanitizer_flags(args, ignored, "by --sanitizer exact")
     cfg = AttackConfig(
         n=args.n,
         kappa=args.kappa,
@@ -493,7 +506,7 @@ def _cmd_attack_run(args) -> int:
         trials=args.trials,
         sanitizer=_sanitizer_cfg(args.sanitizer, args),
         a=args.a,
-        seed=seed,
+        seed=args.seed,
     )
     check_audit_budget(args.eps, args.delta)
     report = run_attack(cfg, jobs=args.jobs)
@@ -509,11 +522,10 @@ def _cmd_attack_run(args) -> int:
 # ------------------------------------------------------------------ demo
 
 def _cmd_demo_laplace(args) -> int:
-    seed = resolve_seed(args.seed)
     obj = {
         "command": "demo laplace-tightness",
-        "config": {"seed": seed},
-        "report": laplace_tightness_demo(seed),
+        "config": {"seed": args.seed},
+        "report": laplace_tightness_demo(args.seed),
     }
     return _report(obj, args.out)
 
@@ -527,15 +539,14 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sanitizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=1.0, help="privacy budget epsilon")
-    p.add_argument("--delta", type=float, default=0.01, help="privacy budget delta")
+    p.add_argument("--eps", type=float, help="privacy budget epsilon (default 1.0)")
+    p.add_argument("--delta", type=float, help="privacy budget delta (default 0.01)")
     p.add_argument(
-        "--composition", choices=sorted(_COMPOSITIONS), default="basic",
-        help="per-batch noise accounting rule",
+        "--composition", choices=sorted(_COMPOSITIONS),
+        help="per-batch noise accounting rule (default basic)",
     )
     p.add_argument(
-        "--amp-rounds", type=int, default=0,
-        help="median-of-r amplification rounds (0 = off)",
+        "--amp-rounds", type=int, help="median-of-r amplification rounds (default 0 = off)"
     )
 
 
@@ -679,6 +690,7 @@ def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         _check_output_dirs(args)
+        args.seed = resolve_seed(args.seed)
         return int(args.func(args) or 0)
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

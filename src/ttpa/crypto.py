@@ -18,10 +18,9 @@ fast are far below anything cryptographically meaningful.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +68,41 @@ def check_stretch(ell: int) -> None:
         raise InputShapeError(f"prg.ell {ell} must be >= 1")
 
 
+def _anf(table: np.ndarray, locality: int) -> tuple[tuple[int, ...], ...]:
+    """Algebraic normal form of a truth table, by its Moebius transform over GF(2).
+
+    The predicate is the XOR of the ANDs of the returned monomials: tuples
+    of variables t (bit L-1-t of a table index), () for the constant 1.
+    """
+    anf = table.astype(np.uint8)
+    step = 1
+    while step < anf.size:
+        blocks = anf.reshape(-1, 2 * step)
+        blocks[:, step:] ^= blocks[:, :step]
+        step *= 2
+    return tuple(
+        tuple(t for t in range(locality) if (s >> (locality - 1 - t)) & 1)
+        for s in np.flatnonzero(anf).tolist()
+    )
+
+
+def _eval_anf(monomials, column, shape, dtype) -> np.ndarray:
+    """XOR over the monomials of the AND of their variables' columns.
+
+    column(t) is variable t's column, of the result's shape and dtype:
+    uint64 words of 64 bit-sliced lanes, or bool entries.  Out of place,
+    which is faster on a few entries: the result may be a column, but no
+    column is written to.
+    """
+    acc = None
+    for term in monomials:
+        prod = column(term[0]) if term else ~np.zeros(shape, dtype)
+        for t in term[1:]:
+            prod = prod & column(t)
+        acc = prod if acc is None else acc ^ prod
+    return np.zeros(shape, dtype) if acc is None else acc
+
+
 @dataclass(frozen=True, eq=False)
 class LocalPrgParams:
     """Public description of the local PRG: who reads which seed bits."""
@@ -78,6 +112,8 @@ class LocalPrgParams:
     locality: int        # L, seed bits per output
     index_sets: np.ndarray  # (ell, L) int32, ordered distinct positions
     table: np.ndarray       # (2^L,) uint8 predicate truth table
+    # the table's ANF, derived once and outside equality and repr
+    monomials: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         kappa, ell, loc = self.kappa, self.ell, self.locality
@@ -95,6 +131,7 @@ class LocalPrgParams:
                 f" seed, got shape {sets.shape}"
             )
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "monomials", _anf(table, loc))
 
 
 def default_stretch(kappa: int) -> int:
@@ -140,10 +177,6 @@ def prg_params_gen(
     return LocalPrgParams(kappa, ell, locality, sets, table)
 
 
-def _pow2(locality: int) -> np.ndarray:
-    return (1 << np.arange(locality - 1, -1, -1)).astype(np.int64)
-
-
 def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
     arr = np.asarray(seeds)
     if arr.ndim not in (1, 2) or arr.shape[-1] != params.kappa:
@@ -153,22 +186,6 @@ def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
         )
     # a 2 would spill into the next lane of prg_expand
     return as_bits(arr, "seed entries must be bits")
-
-
-def _anf(table: np.ndarray) -> np.ndarray:
-    """Algebraic normal form of a truth table: its Moebius transform over GF(2).
-
-    Entry S is 1 iff the AND of the variables in S is a monomial of the
-    predicate written as an XOR of ANDs; S indexes variables the way the
-    table does (bit L-1-t is variable t), and S = 0 is the constant 1.
-    """
-    anf = table.astype(np.uint8)
-    step = 1
-    while step < anf.size:
-        blocks = anf.reshape(-1, 2 * step)
-        blocks[:, step:] ^= blocks[:, :step]
-        step *= 2
-    return anf
 
 
 _LANES = 64  # seeds per uint64 lane word
@@ -185,11 +202,6 @@ def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
     """
     arr = _check_seeds(params, seeds)
     stack = arr.reshape(-1, params.kappa)
-    loc = params.locality
-    terms = [
-        [t for t in range(loc) if (s >> (loc - 1 - t)) & 1]
-        for s in np.flatnonzero(_anf(params.table))
-    ]
     out = np.empty((stack.shape[0], params.ell), dtype=np.uint8)
     for lo in range(0, stack.shape[0], _LANES):
         block = stack[lo : lo + _LANES]
@@ -197,16 +209,14 @@ def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
         words = np.bitwise_or.reduce(
             block.astype(np.uint64) << _LANE_SHIFTS[:lanes, None], axis=0
         )
-        acc = np.zeros(params.ell, dtype=np.uint64)
-        for term in terms:
-            if term:
-                # gathered per term, not kept per column: the tracing
-                # predicate reads each variable once, so this costs no
-                # extra gathers there and holds two columns, not L
-                cols = (np.take(words, params.index_sets[:, t]) for t in term)
-                acc ^= functools.reduce(np.bitwise_and, cols)
-            else:
-                np.invert(acc, out=acc)
+
+        def column(t):
+            # gathered as a term needs it, not kept per variable: the
+            # tracing predicate reads each variable once, so this costs no
+            # extra gathers there and holds two columns, not L
+            return np.take(words, params.index_sets[:, t])
+
+        acc = _eval_anf(params.monomials, column, params.ell, np.uint64)
         # byte b of every lane word, contiguous: lane i is bit i % 8 of byte i // 8
         lane_bytes = acc.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
         planes = np.ascontiguousarray(lane_bytes[:, : (lanes + 7) // 8].T)
@@ -221,8 +231,9 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
     """G at selected output positions: (k,) for one seed, (m, k) for a stack of m.
 
     Row i of a stack reads seed i.  At least ell positions in all cost
-    more to gather one by one than to expand every seed once and index
-    the expansions; fewer are gathered.
+    more to gather than to expand every seed once and index the
+    expansions; fewer gather each position's L seed bits and run the
+    predicate's ANF on them, as prg_expand does on lane words.
     """
     arr = _check_seeds(params, seeds)
     pos = np.asarray(positions, dtype=np.int64)
@@ -230,18 +241,19 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
         raise InputShapeError(
             f"positions {pos.shape} do not match seeds {arr.shape}: need one row per seed"
         )
+    stack = arr.reshape(-1, params.kappa)
     if pos.size >= params.ell:
-        expanded = prg_expand(params, arr)
-        if arr.ndim == 1:
-            return expanded[pos]
+        expanded = prg_expand(params, stack)
         out = np.empty(pos.shape, dtype=np.uint8)
-        for i in range(arr.shape[0]):  # about 5x faster than np.take_along_axis
-            np.take(expanded[i], pos[i], out=out[i])
+        rows = zip(out.reshape(len(stack), -1), pos.reshape(len(stack), -1), expanded)
+        for row, at, expansion in rows:  # about 5x faster than np.take_along_axis
+            np.take(expansion, at, out=row)
         return out
-    sets = params.index_sets[pos]
-    if arr.ndim == 2:  # seed i's bits start at i * kappa in the flat stack
-        sets = sets + (params.kappa * np.arange(arr.shape[0]))[:, None, None]
-    return params.table[arr.ravel()[sets] @ _pow2(params.locality)]
+    # (L, *pos.shape): variable t at pos[i, j] is bit index_sets[pos[i, j], t]
+    # of seed i, as bool so that the constant monomial is one bit
+    which_seed = np.arange(len(stack)).reshape(arr.shape[:-1] + (1,))
+    bits = stack.view(bool)[which_seed, params.index_sets.T[:, pos]]
+    return _eval_anf(params.monomials, bits.__getitem__, pos.shape, bool).view(np.uint8)
 
 
 def check_scheme(scheme: str, prg: LocalPrgParams | None, seed_bits: int) -> None:

@@ -373,10 +373,10 @@ CELL_BYTES = 11
 # miss and hit - miss and their temporaries.
 COLUMN_BYTES = 48
 # Per PRG output position, besides one uint8 expansion per user:
-# prg_expand's uint64 lane words and temporaries or, for a batch with
-# fewer cells than positions, the index sets prg_bits_at gathers per
-# cell (int64, at locality 5).
-POSITION_BYTES = 96
+# prg_expand's uint64 accumulator, two gathered columns and their intp
+# index.  A batch with fewer cells than positions is gathered instead,
+# and prg_bits_at holds less per cell than that (28 bytes at locality 5).
+POSITION_BYTES = 32
 # Per ciphertext and Laplace amplification round: the float64 noise
 # plus its sum with the truths, then that sum plus the median's copy.
 ROUND_BYTES = 16

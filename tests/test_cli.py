@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -58,6 +59,11 @@ class TestSeedResolution:
         monkeypatch.setenv("TTPA_SEED", "ten")
         with pytest.raises(InputShapeError):
             resolve_seed(7)
+
+    def test_bad_env_exits_2_through_cli(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TTPA_SEED", "ten")
+        code, out, err = run_cli(capsys, "demo", "laplace-tightness")
+        assert code == 2 and out == "" and "TTPA_SEED must be an integer" in err
 
     def test_env_overrides_flag_through_cli(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TTPA_SEED", "9")
@@ -706,18 +712,72 @@ class TestSummaryFormats:
 ])
 def test_exact_sanitizer_refuses_amp_rounds(capsys, tmp_path, argv):
     # the exact sanitizer adds no noise, so it has no rounds to take a median of
+    files = input_files(capsys, tmp_path)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--amp-rounds", "7")
+    assert code == 2 and stdout == "" and "LAPLACE only" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def input_files(capsys, tmp_path) -> dict:
+    """A 2-row database, a dictator query over it, a 3-user key set, and an output path."""
     db, query, keys = (str(tmp_path / name) for name in ("db.txt", "q.json", "ks.json"))
     save_database(Database(np.zeros((2, 3), dtype=np.uint8)), db)
     with open(query, "w") as f:
         f.write(canonical_json(circuit_to_json(dictator_circuit(0, 3))))
     run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--out", keys)
-    out = tmp_path / "r.json"
-    code, stdout, err = run_cli(
-        capsys, *(a.format(out=out, db=db, query=query, keys=keys) for a in argv),
-        "--amp-rounds", "7",
-    )
-    assert code == 2 and stdout == "" and "LAPLACE only" in err
-    assert not out.exists()
+    return {"db": db, "query": query, "keys": keys, "out": str(tmp_path / "r.json")}
+
+
+TRACE = ("tt", "trace", "--keys", "{keys}", "--pirate")
+SANITIZE_EXACT = ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "exact")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ((*TRACE, "honest:1", "--coalition", "0,2"), "--coalition"),
+    ((*TRACE, "honest", "--eps", "3"), "--eps"),
+    ((*TRACE, "zeros", "--delta", "0.2"), "--delta"),
+    ((*TRACE, "honest:2", "--composition", "advanced"), "--composition"),
+    ((*TRACE, "zeros", "--amp-rounds", "0"), "--amp-rounds"),
+    ((*TRACE, "sanitizer:exact", "--eps", "3"), "--eps"),
+    ((*TRACE, "sanitizer:exact", "--delta", "0.2"), "--delta"),
+    ((*TRACE, "sanitizer:exact", "--composition", "advanced"), "--composition"),
+    ((*SANITIZE_EXACT, "--eps", "3"), "--eps"),
+    ((*SANITIZE_EXACT, "--delta", "0.2"), "--delta"),
+    ((*SANITIZE_EXACT, "--composition", "advanced"), "--composition"),
+    (("attack", "run", "--n", "3", "--kappa", "16", "--composition", "advanced"), "--composition"),
+])
+def test_settings_a_run_ignores_are_refused_before_any_draw(
+    capsys, tmp_path, monkeypatch, argv, flag
+):
+    # each used to run and print the same bytes as without the flag
+    files = input_files(capsys, tmp_path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(cli_mod, "stream", no_draw)
+    monkeypatch.setattr(cli_mod, "run_attack", no_draw)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
+    assert code == 2 and stdout == "" and f"{flag} would be ignored" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fpcode", "bench", "--n", "3", "--eps-fp", "0.2", "--a", "2", "--trials", "2"),
+    (*TRACE, "honest:1", "--eps-fp", "0.2", "--a", "2"),
+    (*SANITIZE_EXACT,),
+    ("demo", "laplace-tightness", "--seed", "0"),
+])
+def test_out_file_holds_the_printed_report(capsys, tmp_path, monkeypatch, tightness_report, argv):
+    from test_determinism import TIGHTNESS_REPORT
+
+    files = input_files(capsys, tmp_path)
+    monkeypatch.setattr(cli_mod, "laplace_tightness_demo", lambda seed: tightness_report)
+    code, stdout, _err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
+    assert code == 0 and open(files["out"]).read() == stdout
+    if argv[0] == "demo":
+        report = canonical_json(stdout_json(stdout)["report"])
+        assert hashlib.sha256(report.encode()).hexdigest() == TIGHTNESS_REPORT
 
 
 class TestTopLevel:

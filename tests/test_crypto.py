@@ -95,6 +95,14 @@ class TestPrgParams:
         assert default_stretch(64) == 262144
         assert prg_params_gen(0, 8).ell == 512
 
+    def test_anf_derived_once_outside_repr(self):
+        # x1 ^ x2 ^ x3 ^ (x4 & x5): the monomials prg_expand and prg_bits_at run
+        params = prg_params_gen(1, 8, ell=4)
+        assert params.monomials == ((3, 4), (2,), (1,), (0,))
+        assert "monomials" not in repr(params)
+        ones = prg_params_gen(1, 8, ell=4, table=np.ones(32, dtype=np.uint8))
+        assert ones.monomials == ((),)
+
     def test_deterministic_in_master_seed(self):
         a = prg_params_gen(7, 16, ell=32)
         b = prg_params_gen(7, 16, ell=32)
@@ -180,6 +188,16 @@ def scalar_bits(params, seed):
     return np.array(out, dtype=np.uint8)
 
 
+def predicate_tables(rng):
+    """xor-and at L=3..5, three random tables (one with table[0]=1), all zeros."""
+    tables = [xor_and_table(3), xor_and_table(4), xor_and_table(5)]
+    for _ in range(3):
+        tables.append(rng.integers(0, 2, 32, dtype=np.uint8))
+    tables[-1][0], tables[-2][0] = 1, 0
+    tables.append(np.zeros(32, dtype=np.uint8))
+    return tables
+
+
 class TestPrgExpand:
     def test_zero_seed_zero_output(self):
         params = prg_params_gen(3, 10, ell=64)
@@ -195,12 +213,7 @@ class TestPrgExpand:
         assert np.array_equal(out, scalar_bits(params, seed))
         # stacked seeds across the 64-lane word boundary, under every kind of
         # table: table[0] is the constant term of the ANF the kernel evaluates
-        tables = [xor_and_table(3), xor_and_table(4), xor_and_table(5)]
-        for _ in range(3):
-            tables.append(rng.integers(0, 2, 32, dtype=np.uint8))
-        tables[-1][0], tables[-2][0] = 1, 0
-        tables.append(np.zeros(32, dtype=np.uint8))
-        for table in tables:
+        for table in predicate_tables(rng):
             loc = table.size.bit_length() - 1
             params = prg_params_gen(6, 12, ell=20, locality=loc, table=table)
             for m in (0, 1, 63, 64, 65, 130):
@@ -232,6 +245,39 @@ class TestPrgExpand:
             for row, s, p in zip(got, seeds, pos):
                 assert np.array_equal(row, prg_expand(params, s)[p])
                 assert np.array_equal(row, gathered_bits(params, s, p))
+
+    def test_gather_matches_the_table_under_every_kind_of_table(self):
+        # fewer cells than the 400 positions: the gather path runs the ANF
+        rng = np.random.default_rng(13)
+        for table in predicate_tables(rng):
+            loc = table.size.bit_length() - 1
+            params = prg_params_gen(6, 12, ell=400, locality=loc, table=table)
+            seed = rng.integers(0, 2, 12, dtype=np.uint8)
+            pos = rng.integers(0, 400, 7)
+            assert np.array_equal(prg_bits_at(params, seed, pos), gathered_bits(params, seed, pos))
+            for m in (0, 1, 63, 64, 65, 130):
+                k = 399 // max(m, 1)  # m * k < 400 cells
+                seeds = rng.integers(0, 2, (m, 12), dtype=np.uint8)
+                pos = rng.integers(0, 400, (m, k))
+                got = prg_bits_at(params, seeds, pos)
+                assert got.dtype == np.uint8 and got.shape == (m, k)
+                for row, s, p in zip(got, seeds, pos):
+                    assert np.array_equal(row, gathered_bits(params, s, p))
+
+    def test_gathered_cell_peak(self):
+        # the n=4, kappa=64 trial's batch: 4 x 7,012 cells under 32,768 positions
+        params = prg_params_gen(3, 32)
+        rng = np.random.default_rng(14)
+        seeds = rng.integers(0, 2, (4, 32), dtype=np.uint8)
+        pos = rng.integers(0, params.ell, (4, 7012))
+        prg_bits_at(params, seeds, pos)  # numpy sets up some routines on first use
+        tracemalloc.start()
+        try:
+            prg_bits_at(params, seeds, pos)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * pos.size
 
     def test_seed_shape_checked(self):
         params = prg_params_gen(0, 8, ell=4)

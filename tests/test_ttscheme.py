@@ -485,7 +485,7 @@ class TestFingerprintTracing:
         # n=100 needs ell_FP = 7,600,903 columns, about 8.1 GiB: refused
         # before the codebook is drawn, so neither the rng nor the oracle moves
         assert check_tracing_batch(10, 0.05, 100.0, 32768) == (
-            52984 * (11 * 10 + 48) + 32768 * (96 + 10) + 65536
+            52984 * (11 * 10 + 48) + 32768 * (32 + 10) + 65536
         )
         with pytest.raises(InputShapeError, match="8.1 GiB"):
             check_tracing_batch(100, 0.05, 100.0, 512)
