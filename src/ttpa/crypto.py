@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedSchemeError,
     as_bits,
 )
-from .seeds import stream
+from .seeds import integers_below, stream
 
 LOCAL_PRG = "LOCAL_PRG"
 PRF = "PRF"
@@ -138,14 +138,17 @@ def default_stretch(kappa: int) -> int:
     return kappa ** 3
 
 
-def check_prg_draw(kappa: int, ell: int | None = None) -> int:
-    """Bytes prg_params_gen holds while it draws: an (ell, kappa) float64
-    matrix and its argsort.  Raises for a stretch below 1 or above
+def check_prg_draw(kappa: int, ell: int | None = None, locality: int = DEFAULT_LOCALITY) -> int:
+    """Bytes prg_params_gen holds: (ell, kappa) uint64 keys, (ell, locality) int32
+    index sets and 128 KiB of ufunc buffers.  Raises for a seed over 2048 bits
+    (a key packs an 11-bit column under 53), a stretch below 1 or above
     MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
     ell = default_stretch(kappa) if ell is None else ell
     check_stretch(ell)
-    need = ell * kappa * 16
+    if kappa > 2048:
+        raise InputShapeError(f"PRG index sets are drawn over at most 2048 seed bits, got {kappa}")
+    need = ell * (kappa * 8 + locality * 4) + (128 << 10)
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
             f"PRG index sets over a {kappa}-bit seed at stretch {ell} need about"
@@ -164,17 +167,25 @@ def prg_params_gen(
 ) -> LocalPrgParams:
     """Sample public index sets from a deterministic stream.
 
-    Each output's L positions are a uniform ordered draw without
-    replacement from the kappa seed positions.
+    Each output's L positions are a uniform ordered draw without replacement:
+    the columns of the L smallest floats (w >> 11) * 2**-53 rng.random makes of
+    raw words w, found by sorting (w >> 11) << b | column, ties to the lower.
     """
     if ell is None:
         ell = default_stretch(kappa)
-    check_prg_draw(kappa, ell)
+    check_prg_draw(kappa, ell, locality)
     if table is None:
         table = xor_and_table(locality)
     rng = stream(master_seed, "prg-index-sets", kappa, ell, locality)
-    sets = np.argsort(rng.random((ell, kappa)), axis=1)[:, :locality].astype(np.int32)
-    return LocalPrgParams(kappa, ell, locality, sets, table)
+    b = (kappa - 1).bit_length()
+    keys = rng.bit_generator.random_raw((ell, kappa))
+    keys >>= np.uint64(11)
+    keys <<= np.uint64(b)
+    keys |= np.arange(kappa, dtype=np.uint64)
+    keys.sort(axis=1)
+    sets = keys[:, :locality]
+    sets &= np.uint64((1 << b) - 1)
+    return LocalPrgParams(kappa, ell, locality, sets.astype(np.int32), table)
 
 
 def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
@@ -337,7 +348,7 @@ def enc_encrypt_many(
     if key.scheme == LOCAL_PRG:
         rs = np.empty((len(key_rows), k), dtype=np.int64)
         for row in rs:  # one draw per key, in row order: the RNG stream
-            row[:] = rng.integers(0, key.prg.ell, k, dtype=np.int64)
+            integers_below(rng, key.prg.ell, row)
         rs = rs.reshape(arr.shape)
         ms = prg_bits_at(key.prg, key.bits, rs)
         ms ^= arr
@@ -354,13 +365,18 @@ def enc_encrypt_many(
     return rs.reshape(arr.shape), ms.reshape(arr.shape) ^ arr
 
 
+def check_prg_indices(rs: np.ndarray, ell: int) -> np.ndarray:
+    """rs as int64, refused unless all are in [0, ell): as uint64 a negative wraps above ell."""
+    idx = np.asarray(rs, dtype=np.int64)
+    if idx.size and idx.view(np.uint64).max() >= ell:
+        raise MalformedCiphertextError("PRG index outside stretch range")
+    return idx
+
+
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:
     ms = as_bits(masked, "masked bits must be 0/1", MalformedCiphertextError)
     if key.scheme == LOCAL_PRG:
-        idx = np.asarray(rs, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= key.prg.ell):
-            raise MalformedCiphertextError("PRG index outside stretch range")
-        return prg_bits_at(key.prg, key.bits, idx) ^ ms
+        return prg_bits_at(key.prg, key.bits, check_prg_indices(rs, key.prg.ell)) ^ ms
     if key.bits.ndim != 1:
         raise InputShapeError("PRF decryption takes one key, not a stack")
     kb = np.packbits(key.bits).tobytes()

@@ -27,3 +27,33 @@ def derive_seed(master: int, *labels: object) -> int:
 def stream(master: int, *labels: object) -> np.random.Generator:
     """Independent PCG64 stream for the component named by the label path."""
     return np.random.default_rng(derive_seed(master, *labels))
+
+
+def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None:
+    """Fill the 1-D int64 out exactly as rng.integers(0, high, out.size) does.
+
+    numpy runs Lemire's multiply-shift on 32-bit PCG64 word halves, low half
+    first, buffering an unused high half; this reads whole words off random_raw
+    for the same values and state.  Any other bit generator goes through integers.
+    """
+    bitgen, high = getattr(rng, "bit_generator", None), int(high)
+    if type(bitgen) is not np.random.PCG64 or not 1 < high <= 1 << 32:
+        out[:] = rng.integers(0, high, out.size, dtype=np.int64)
+        return
+    threshold, vals, filled = (1 << 32) % high, out.view(np.uint64), 0
+    while filled < out.size:
+        missing = out.size - filled
+        # a buffered half goes first, and a last value alone would buffer one: numpy draws those
+        if missing == 1 or bitgen.state["has_uint32"]:
+            out[filled] = rng.integers(0, high, dtype=np.int64)
+            filled += 1
+            continue
+        halves = bitgen.random_raw(missing // 2).astype("<u8", copy=False).view("<u4")
+        rest = vals[filled : filled + halves.size]
+        np.multiply(halves, np.uint64(high), out=rest)
+        rest >>= 32
+        # Lemire rejects x when the low 32 bits of x * high fall under the threshold
+        kept = rest[halves * np.uint32(high) >= threshold] if threshold else rest
+        rest[: kept.size] = kept
+        filled += kept.size
+        bitgen.state = {**bitgen.state, "uinteger": int(halves[-1])}  # as numpy leaves it

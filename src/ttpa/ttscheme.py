@@ -32,6 +32,7 @@ from .crypto import (
     EncKey,
     LocalPrgParams,
     append_dec_component,
+    check_prg_indices,
     check_scheme,
     circuit_prg,
     enc_decrypt_many,
@@ -324,9 +325,7 @@ class TTDecQueryFamily:
             raise MalformedCiphertextError(
                 f"ciphertexts have {cts.n} components, scheme has {params.n} users"
             )
-        rs = cts.rs
-        if rs.size and (rs.min() < 0 or rs.max() >= prg.ell):
-            raise MalformedCiphertextError("PRG index outside stretch range")
+        check_prg_indices(cts.rs, prg.ell)
         return cls(params, cts)
 
     def __len__(self) -> int:
@@ -362,11 +361,11 @@ class TTDecQueryFamily:
         return out.T
 
 
-# Peak bytes of one LOCAL_PRG tracing trial (see check_tracing_batch).
-# Per (user, ciphertext) cell: the uint8 words, int64 indices and uint8
-# masked bits, plus the uint8 family answers while the batch is
-# evaluated; scoring instead holds the words, the scored columns of
-# the words and their float64 copy.
+# Peak bytes of one tracing trial (see check_tracing_batch).
+# Per (user, ciphertext) cell: the uint8 words, int64 indices (or PRF
+# nonce pointers) and uint8 masked bits, plus the uint8 family answers
+# while the batch is evaluated; scoring instead holds the words, the
+# scored columns of the words and their float64 copy.
 CELL_BYTES = 11
 # Per ciphertext: six float64 vectors at most at once, the biases plus
 # the truths and error temporaries, or plus the scored columns' p, hit,
@@ -384,18 +383,21 @@ ROUND_BYTES = 16
 TRIAL_BYTES = 64 << 10
 
 
-def check_tracing_batch(n: int, eps_fp: float, a: float, prg_ell: int, rounds: int = 0) -> int:
-    """Peak bytes of one tracing trial over a PRG of stretch prg_ell.
+def check_tracing_batch(
+    n: int, eps_fp: float, a: float, prg_ell: int, rounds: int = 0, nonce_bits: int = 0
+) -> int:
+    """Peak bytes of one tracing trial over a PRG of stretch prg_ell, or PRF keys (prg_ell 0).
 
-    ell_FP * (CELL_BYTES * n + COLUMN_BYTES + ROUND_BYTES * rounds)
-    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES, with rounds the
-    pirate's Laplace amplification rounds, checked against the
-    tracemalloc peak of attack trials in the tests.  Raises above
+    ell_FP * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)
+    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES, with nonce the size of a
+    PRF's nonce_bits-bit Python int and rounds the pirate's Laplace rounds,
+    checked against tracemalloc peaks in the tests.  Raises above
     MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
     ell = code_length(n, eps_fp, a)
+    nonce = ((1 << nonce_bits) - 1).__sizeof__() if nonce_bits else 0
     need = (
-        ell * (CELL_BYTES * n + COLUMN_BYTES + ROUND_BYTES * rounds)
+        ell * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)
         + prg_ell * (POSITION_BYTES + n)
         + TRIAL_BYTES
     )
@@ -427,8 +429,8 @@ def tt_trace_report(
     Draws a fresh codebook, sends all ell_FP tracing ciphertexts in a
     single batch, and accuses whoever the code's scorer singles out.
     """
-    prg = ks.params.prg
-    check_tracing_batch(ks.params.n, eps_fp, a, 0 if prg is None else prg.ell, rounds)
+    p, prg = ks.params, ks.params.prg
+    check_tracing_batch(p.n, eps_fp, a, prg.ell if prg else 0, rounds, 0 if prg else p.enc_bits)
     cb = fp_gen(ks.params.n, eps_fp, rng, a=a)
     # the batch is dropped once answered, before scoring allocates
     word = pirate.answer(tr_enc(ks, cb.words, rng))
@@ -471,7 +473,8 @@ def linear_scan_report(
     if s < 1:
         raise InputShapeError(f"repetition count must be >= 1, got {s}")
     seq = rng.permutation(np.repeat(np.arange(n + 1), s))
-    cols = (np.arange(n)[:, None] < seq[None, :]).astype(np.uint8)
+    cols = np.empty((n, seq.size), dtype=np.uint8)
+    np.less(np.arange(n)[:, None], seq, out=cols.view(bool))
     cts = tr_enc(ks, cols, rng)
     answers = pirate.answer(cts)
     counts = np.bincount(seq, weights=answers, minlength=n + 1).astype(np.int64)

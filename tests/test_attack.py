@@ -23,7 +23,7 @@ from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeErro
 from ttpa.fpcode import fp_feasible
 from ttpa.sanitize import LAPLACE, SanitizerConfig
 from ttpa.seeds import stream
-from ttpa.ttscheme import check_tracing_batch, tr_enc, tt_gen
+from ttpa.ttscheme import check_tracing_batch, honest_pirate, tr_enc, tt_gen, tt_trace_report
 
 import ttpa.attack as attack_mod
 
@@ -357,6 +357,20 @@ class TestRunAttack:
         cfg = AttackConfig(n=n, kappa=kappa, eps_fp=eps_fp, a=a, sanitizer=san)
         prg = prg_params_gen(3, kappa // 2)
         assert trial_peak(cfg, prg) <= check_tracing_batch(n, cfg.eps_fp, cfg.a, prg.ell)
+
+    @pytest.mark.parametrize("n,kappa,eps_fp,a", [(4, 64, 0.05, 40.0), (6, 200, 0.2, 10.0)])
+    def test_prf_trial_peak_within_the_batch_estimate(self, n, kappa, eps_fp, a):
+        # PRF nonces are Python ints in object arrays: (4, 64, 0.05, 40) peaks
+        # at 0.51 MB, over the 0.32 MB its cells come to at CELL_BYTES alone
+        ks = tt_gen(kappa, n, PRF, stream(50, "prf-keys"))
+        tt_trace_report(ks, honest_pirate(ks, 1), eps_fp, stream(50, "warm"), a=a)
+        tracemalloc.start()
+        try:
+            tt_trace_report(ks, honest_pirate(ks, 1), eps_fp, stream(50, "trial"), a=a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_tracing_batch(n, eps_fp, a, 0, nonce_bits=kappa // 2)
 
     @pytest.mark.parametrize("rounds", [10, 50])
     def test_laplace_rounds_peak_within_the_batch_estimate(self, rounds):

@@ -38,6 +38,7 @@ from ttpa.errors import (
     MalformedCiphertextError,
     UnsupportedSchemeError,
 )
+from ttpa.seeds import stream
 
 
 def all_rows(width: int) -> np.ndarray:
@@ -150,11 +151,12 @@ class TestPrgParams:
                 LocalPrgParams(*args)
 
     def test_oversized_draw_refused_before_allocation(self):
-        # kappa=128 seed bits at the cubic stretch would sort a 4 GiB draw
-        assert check_prg_draw(64, default_stretch(64)) == 64**4 * 16
+        # kappa=128 seed bits at the cubic stretch would sort a 2.04 GiB draw
+        need = 64**3 * (64 * 8 + 5 * 4) + (128 << 10)
+        assert check_prg_draw(64, default_stretch(64)) == need
         with pytest.raises(InputShapeError, match="GiB"):
             check_prg_draw(128, default_stretch(128))
-        assert 128**4 * 16 > MAX_ALLOC_BYTES
+        assert 128**3 * (128 * 8 + 5 * 4) > MAX_ALLOC_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(InputShapeError, match="GiB"):
@@ -163,6 +165,36 @@ class TestPrgParams:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_seed_over_2048_bits_refused(self):
+        # a 12-bit column would push the packed sort key past 64 bits
+        assert check_prg_draw(2048, 1) > 0
+        for call in (lambda: check_prg_draw(2049, 1), lambda: prg_params_gen(0, 2049, ell=1)):
+            with pytest.raises(InputShapeError, match="at most 2048 seed bits"):
+                call()
+
+    @pytest.mark.parametrize("kappa,locality", [(8, 5), (16, 3), (32, 5), (32, 8)])
+    def test_draw_peak_within_the_estimate(self, kappa, locality):
+        prg_params_gen(0, kappa, locality=locality)  # numpy sets up some routines on first use
+        tracemalloc.start()
+        try:
+            prg_params_gen(1, kappa, locality=locality)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_prg_draw(kappa, default_stretch(kappa), locality)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_index_sets_are_the_argsort_draw(self, seed):
+        # the reference: the first L columns of each row of rng.random, in sorted order
+        for kappa in (5, 8, 13, 32, 64, 100, 2048):
+            for ell in (1, 7, 300):
+                for locality in (1, 3, 5):
+                    rng = stream(seed, "prg-index-sets", kappa, ell, locality)
+                    want = np.argsort(rng.random((ell, kappa)), axis=1)[:, :locality]
+                    table = np.arange(1 << locality, dtype=np.uint8) & 1
+                    got = prg_params_gen(seed, kappa, ell, locality, table).index_sets
+                    assert got.dtype == np.int32 and np.array_equal(got, want)
 
     @given(st.integers(0, 2**32), st.integers(5, 12), st.integers(1, 40))
     def test_index_sets_always_distinct(self, seed, kappa, ell):
@@ -451,7 +483,7 @@ class TestEncRoundtrip:
         rng = np.random.default_rng(0)
         key = enc_gen(16, LOCAL_PRG, rng)
         ell = key.prg.ell
-        for bad in (ell, -1):
+        for bad in (ell, -1, np.iinfo(np.int64).min):
             with pytest.raises(MalformedCiphertextError):
                 enc_decrypt_many(key, np.array([bad]), np.array([0]))
         pkey = enc_gen(16, PRF, rng)

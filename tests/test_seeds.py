@@ -1,4 +1,8 @@
-from ttpa.seeds import derive_seed, stream
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ttpa.seeds import derive_seed, integers_below, stream
 
 
 class TestDeriveSeed:
@@ -42,3 +46,62 @@ class TestStream:
         sibling = stream(7, "b").integers(0, 1 << 30, 4)
         fresh = stream(7, "b").integers(0, 1 << 30, 4)
         assert sibling.tolist() == fresh.tolist()
+
+
+# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of the halves;
+# the others reject almost never (2**32 % high is tiny) or never (powers of two)
+HIGHS = st.sampled_from([1, 2, 3, 512, 13_824, 2**15, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32])
+
+
+class TestIntegersBelow:
+    @given(
+        st.integers(0, 2**64),
+        HIGHS | st.integers(1, 2**33),
+        st.integers(0, 2000),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_values_and_later_draws_as_integers(self, seed, high, k, buffered):
+        ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # a 32-bit draw leaves the word's high half buffered
+            for g in (ref, got):
+                g.integers(0, 7)
+            assert got.bit_generator.state["has_uint32"] == 1
+        want = ref.integers(0, high, k, dtype=np.int64)
+        out = np.empty(k, dtype=np.int64)
+        integers_below(got, high, out)
+        assert np.array_equal(out, want)
+        assert got.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(got.integers(0, 1000, 3), ref.integers(0, 1000, 3))
+        assert got.random() == ref.random()
+        coins = [g.integers(0, 2, 5, dtype=np.uint8) for g in (got, ref)]
+        assert np.array_equal(*coins)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_rejections_fill_in_order(self, buffered):
+        # half the halves are rejected at 2**31 + 1, so the refills run
+        high = 2**31 + 1
+        ref, got = np.random.default_rng(3), np.random.default_rng(3)
+        if buffered:
+            for g in (ref, got):
+                g.integers(0, 7)
+        out = np.empty(1001, dtype=np.int64)
+        integers_below(got, high, out)
+        assert np.array_equal(out, ref.integers(0, high, 1001, dtype=np.int64))
+        assert got.bit_generator.state == ref.bit_generator.state
+
+    def test_other_generators_take_integers(self):
+        # MT19937 makes its 32-bit draws natively, not from PCG64 word halves
+        ref = np.random.Generator(np.random.MT19937(5))
+        got = np.random.Generator(np.random.MT19937(5))
+        out = np.empty(99, dtype=np.int64)
+        integers_below(got, 3000, out)
+        assert np.array_equal(out, ref.integers(0, 3000, 99, dtype=np.int64))
+        assert np.array_equal(got.integers(0, 1000, 5), ref.integers(0, 1000, 5))
+
+        class Stub:  # no bit generator at all
+            def integers(self, low, high, size, dtype):
+                return np.full(size, high - 1, dtype=dtype)
+
+        integers_below(Stub(), 8, out)
+        assert out.tolist() == [7] * 99

@@ -405,9 +405,12 @@ class TestQueryFamily:
         ks = small_keyset()
         rng = stream(17, "fam-bad")
         ct = tt_enc(ks, 0, rng)
-        bad = TTCiphertext(np.full((1, 3), ks.params.prg.ell, dtype=np.int64), ct.masked)
-        with pytest.raises(MalformedCiphertextError):
-            TTDecQueryFamily.from_ciphertexts(bad, ks.params)
+        # one uint64 pass: a negative index wraps above ell
+        for index in (-1, np.iinfo(np.int64).min, ks.params.prg.ell):
+            rs = ct.rs.copy()
+            rs[0, 1] = index
+            with pytest.raises(MalformedCiphertextError, match="outside stretch range"):
+                TTDecQueryFamily.from_ciphertexts(TTCiphertext(rs, ct.masked), ks.params)
         with pytest.raises(MalformedCiphertextError):
             TTDecQueryFamily.from_ciphertexts(
                 TTCiphertext(ct.rs[:, :2], ct.masked[:, :2]), ks.params
