@@ -47,6 +47,8 @@ class Circuit:
     # those values straight from the input columns (derived, so it takes
     # no part in equality, hashing or repr)
     input_prefix: int = field(init=False, compare=False, repr=False)
+    # the hash, taken once: a circuit keys per-database answer memos
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         width = self.input_width
@@ -77,6 +79,14 @@ class Circuit:
         if not 0 <= self.output < len(self.gates):
             raise CircuitFormatError(f"output gate {self.output} out of range")
         object.__setattr__(self, "input_prefix", prefix)
+        object.__setattr__(self, "_hash", hash((width, self.gates, self.output)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt by the constructor: str hashes are salted per process
+        return Circuit, (self.input_width, self.gates, self.output)
 
 
 @dataclass(frozen=True, slots=True)

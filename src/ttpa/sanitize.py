@@ -32,12 +32,14 @@ ADVANCED = "ADVANCED"
 
 @dataclass(eq=False)
 class Database:
-    """m rows of d bits.  The rows are read-only once built: m, d, the
-    all-ones mask over m points and the packed columns are taken from
-    them once, because every counting query reads them."""
+    """m rows of d bits.  The rows are a read-only view once built: m, d,
+    the all-ones mask over m points and the packed columns are taken from
+    them once, because every counting query reads them, and each distinct
+    query is answered once."""
 
     rows: np.ndarray  # (m, d) uint8
     _packed: list[int] | None = field(default=None, init=False, repr=False)
+    _answers: dict[Circuit, float] = field(default_factory=dict, init=False, repr=False)
     m: int = field(init=False)
     d: int = field(init=False)
     mask: int = field(init=False, repr=False)  # (1 << m) - 1
@@ -46,7 +48,8 @@ class Database:
         arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise InputShapeError("database rows must be a 2-d bit matrix")
-        arr = self.rows = as_bits(arr, "database entries must be bits")
+        arr = self.rows = as_bits(arr, "database entries must be bits").view()
+        arr.flags.writeable = False
         self.m, self.d = (int(s) for s in arr.shape)
         self.mask = (1 << self.m) - 1
 
@@ -104,15 +107,19 @@ def laplace_scale(cfg: SanitizerConfig, k: int, m: int) -> float:
 
 
 def evaluate_query(query: Circuit, db: Database) -> float:
-    """True answer: the fraction of rows satisfying the predicate."""
+    """True answer: the fraction of rows satisfying the predicate, taken
+    once per distinct circuit on db and kept in its answer memo."""
     if query.input_width != db.d:
         raise InputShapeError(
             f"query width {query.input_width} != database width {db.d}"
         )
     if db.m == 0:
         raise InputShapeError("cannot evaluate queries on an empty database")
-    hits = _eval_packed(query, db.packed_columns(), db.mask)
-    return hits.bit_count() / db.m
+    answer = db._answers.get(query)
+    if answer is None:
+        hits = _eval_packed(query, db.packed_columns(), db.mask)
+        answer = db._answers[query] = hits.bit_count() / db.m
+    return answer
 
 
 def evaluate_batch(queries: Sequence[Circuit] | QueryFamily, db: Database) -> np.ndarray:
@@ -248,7 +255,8 @@ def laplace_tightness_demo(master_seed: int = 0) -> dict:
     # same budget, two database sizes: accuracy is a property of m
     k2, d, trials = 10_000, 16, 20
     cfg2 = SanitizerConfig(LAPLACE, epsilon=1.0, delta=1e-9, composition=ADVANCED)
-    queries = [dictator_circuit(j % d, d) for j in range(k2)]
+    wires = [dictator_circuit(w, d) for w in range(d)]
+    queries = [wires[j % d] for j in range(k2)]
     points = []
     for label, m2, alpha, want_ok in (
         ("large", 100_000, 0.10, True),

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -411,6 +415,35 @@ class TestNetlistRules:
                 b.build(g)
         with pytest.raises(CircuitFormatError, match="output"):
             CircuitBuilder(2).build(2)
+
+
+class TestHashAndPickle:
+    SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+    @given(circuits())
+    def test_pickles_as_its_constructor_call(self, c):
+        assert c.__reduce__() == (Circuit, (c.input_width, c.gates, c.output))
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and hash(back) == hash(c)
+        assert back.input_prefix == c.input_prefix
+
+    def test_pickle_crosses_hash_seeds(self):
+        # str hashes are salted per process, so a pickled hash would be stale
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys; from ttpa.circuit import CircuitBuilder; "
+            "b = CircuitBuilder(3); c = b.build(b.or_([0, b.not_(2)])); "
+            "sys.stdout.buffer.write(pickle.dumps((hash(c), c)))"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": self.SRC}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, check=True
+        ).stdout
+        their_hash, theirs = pickle.loads(out)
+        b = CircuitBuilder(3)
+        ours = b.build(b.or_([0, b.not_(2)]))
+        assert their_hash != hash(ours)
+        assert theirs is not ours and {ours: "hit"}.get(theirs) == "hit"
 
 
 class TestBuilder:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ttpa.circuit import CircuitBuilder, eval_on_rows
+from test_circuit import json_netlists
+from test_determinism import HAND_NETLISTS
+from ttpa.circuit import CircuitBuilder, _eval_packed, circuit_from_json, eval_on_rows, pack_rows
 from ttpa.crypto import FOLDED, LOCAL_PRG, prg_params_gen
 from ttpa.errors import FileFormatError, InputShapeError
 from ttpa.sanitize import (
@@ -74,7 +77,16 @@ class TestDatabase:
             db = Database(rows)
             assert db.rows.dtype == np.uint8 and db.rows.tolist() == [[1, 0]]
         rows = np.array([[1, 0]], dtype=np.uint8)
-        assert Database(rows).rows is rows  # uint8 rows are kept, not copied
+        assert Database(rows).rows.base is rows  # uint8 rows are viewed, not copied
+
+    def test_rows_are_a_read_only_view(self):
+        rows = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        db = Database(rows)
+        with pytest.raises(ValueError, match="read-only"):
+            db.rows[0, 0] = 0
+        # the caller's own array keeps its flag
+        assert rows.flags.writeable
+        rows[0, 0] = 0
 
 
 class TestEvaluate:
@@ -120,6 +132,61 @@ class TestEvaluate:
         assert np.allclose(via_family, via_circuits)
         with pytest.raises(InputShapeError):
             evaluate_batch(fam, Database(np.zeros((2, 15), dtype=np.uint8)))
+
+
+def fresh_answer(circ, rows: np.ndarray) -> float:
+    m = rows.shape[0]
+    return _eval_packed(circ, pack_rows(rows), (1 << m) - 1).bit_count() / m
+
+
+class TestAnswerMemo:
+    @given(net=json_netlists(), m=st.integers(1, 70), seed=st.integers(0, 2**16))
+    def test_memoised_answer_is_the_fresh_one(self, net, m, seed):
+        circ = circuit_from_json(net)
+        rows = stream(seed, "memo").integers(0, 2, (m, circ.input_width), dtype=np.uint8)
+        db = Database(rows)
+        want = fresh_answer(circ, rows)
+        assert evaluate_query(circ, db) == want
+        copy = circuit_from_json(net)
+        assert evaluate_query(copy, db) == want
+        assert db._answers == {copy: want}
+
+    def test_hand_netlists_off_the_leading_run(self):
+        rows = stream(39, "memo-hand").integers(0, 2, (300, 16), dtype=np.uint8)
+        db = Database(rows)
+        circs = [circuit_from_json(net) for net in HAND_NETLISTS]
+        assert [c.input_prefix for c in circs] == [0, 2]
+        want = [fresh_answer(c, rows) for c in circs]
+        for _ in range(2):
+            assert [evaluate_query(c, db) for c in circs] == want
+        assert len(db._answers) == len(circs)
+
+    def test_equal_circuits_share_one_entry(self):
+        db = Database(stream(40, "memo-eq").integers(0, 2, (25, 5), dtype=np.uint8))
+        a, b = dictator_circuit(3, 5), dictator_circuit(3, 5)
+        assert a is not b and a == b
+        assert evaluate_query(a, db) == evaluate_query(b, db)
+        assert list(db._answers) == [a]
+
+    def test_databases_never_share_entries(self):
+        rows = stream(41, "memo-db").integers(0, 2, (25, 5), dtype=np.uint8)
+        one, two = Database(rows), Database(rows)
+        q = dictator_circuit(1, 5)
+        evaluate_query(q, one)
+        assert one._answers is not two._answers and two._answers == {}
+        evaluate_batch([q, q], two)
+        assert two._answers == one._answers and len(two._answers) == 1
+
+    def test_errors_still_raised_on_repeat(self):
+        db = Database(np.zeros((2, 3), dtype=np.uint8))
+        evaluate_query(dictator_circuit(0, 3), db)
+        empty = Database(np.zeros((0, 3), dtype=np.uint8))
+        for _ in range(2):
+            with pytest.raises(InputShapeError, match="width"):
+                evaluate_query(dictator_circuit(0, 2), db)
+            with pytest.raises(InputShapeError, match="empty"):
+                evaluate_query(dictator_circuit(0, 3), empty)
+        assert len(db._answers) == 1 and empty._answers == {}
 
 
 class TestScale:
