@@ -3,10 +3,10 @@
 Five tool groups behind one parser: fpcode (fingerprinting codes), tt
 (the tracing scheme), sanitize (counting-query mechanisms), attack
 (the two-experiment reduction), demo (calibration checks).  Every run
-resolves one master seed (env TTPA_SEED overrides --seed, default 0),
-echoes the resolved configuration in its output, and writes canonical
-JSON, so reruns with the same seed are byte-identical regardless of
---jobs.  Exit codes: 0 ok, 1 runtime failure, 2 bad input.
+but fpcode trace (which draws nothing) resolves one master seed: env
+TTPA_SEED overrides --seed, default 0.  Runs echo that configuration and
+write canonical JSON, so reruns with one seed are byte-identical
+whatever --jobs.  Exit codes: 0 ok, 1 runtime failure, 2 bad input.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _cmd_fpcode_trace(args) -> int:
     scores = fp_scores(cb, word)
     obj = {
         "command": "fpcode trace",
-        "config": {"codebook": args.codebook, "seed": args.seed},
+        "config": {"codebook": args.codebook},
         "accused": fp_trace(cb, word),
         "max_score": float(scores.max()),
         "threshold": cb.threshold,
@@ -209,9 +209,7 @@ def _cmd_fpcode_trace(args) -> int:
 
 
 def _cmd_fpcode_bench(args) -> int:
-    names = (
-        list(_STRATEGY_FLAGS) if args.strategy == "all" else [args.strategy]
-    )
+    names = list(_STRATEGY_FLAGS) if args.strategy == "all" else [args.strategy]
     results = {
         _STRATEGY_FLAGS[s]: run_code_experiment(
             args.n,
@@ -316,9 +314,7 @@ def _cmd_tt_trace(args) -> int:
         "ell_fp": out.codebook.ell,
         "threshold": out.codebook.threshold,
         "feasible": feasible,
-        "collision_bound": None
-        if prg is None
-        else collision_bound(prg.ell, out.codebook.ell),
+        "collision_bound": None if prg is None else collision_bound(prg.ell, out.codebook.ell),
     }
     return _report(obj, args.out)
 
@@ -327,10 +323,7 @@ def _cmd_tt_export_circuit(args) -> int:
     ks = keyset_from_json(read_json(args.keys))
     rng = stream(args.seed, "tt-export")
     bit = 1 if args.bit is None else args.bit
-    if args.level is not None:
-        ct = tr_enc_index(ks, args.level, rng)
-    else:
-        ct = tt_enc(ks, bit, rng)
+    ct = tt_enc(ks, bit, rng) if args.level is None else tr_enc_index(ks, args.level, rng)
     circ = tt_dec_circuit(ct, ks.params, _MODES[args.mode])
     _write_json(circuit_to_json(circ), args.out)
     met = circuit_metrics(circ)
@@ -371,11 +364,7 @@ def _cmd_sanitize_run(args) -> int:
     queries = _load_queries(args.queries)
     cfg = _sanitizer_cfg(args.kind, args)
     answers = sanitize(cfg, db, queries, stream(args.seed, "sanitize-run"))
-    scale = (
-        laplace_scale(cfg, len(queries), db.m)
-        if cfg.kind == LAPLACE and queries
-        else None
-    )
+    scale = laplace_scale(cfg, len(queries), db.m) if cfg.kind == LAPLACE and queries else None
     obj = {
         "command": "sanitize run",
         "config": {
@@ -576,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--word", help="hex-packed pirate word")
     g.add_argument("--word-file", help="file holding the hex word")
-    _add_seed(p)
     p.set_defaults(func=_cmd_fpcode_trace)
 
     p = fp.add_parser("bench", help="Monte Carlo soundness/completeness rates")
@@ -690,7 +678,8 @@ def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         _check_output_dirs(args)
-        args.seed = resolve_seed(args.seed)
+        if "seed" in args:  # fpcode trace draws nothing and takes no seed
+            args.seed = resolve_seed(args.seed)
         return int(args.func(args) or 0)
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

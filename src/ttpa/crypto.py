@@ -8,9 +8,14 @@ bit, so for fixed c it is a function of the seed alone and compiles to a
 depth-4 circuit (depth-2 DNF for the predicate, a conjunction layer, an
 outer disjunction; negations are free).
 
-A PRF mode replaces G(s)_r by PRF_s(r) with a kappa-bit nonce.  It
-round-trips identically but is opaque: there is no small decryption
-circuit, and the circuit exporters refuse it.
+A PRF mode replaces G(s)_r by PRF_s(r) with a kappa-bit nonce r, held
+as the ceil(kappa/8) big-endian bytes that HMAC hashes: a batch of
+nonces is one uint8 array with a trailing byte axis.  A key draws its k
+nonces in one (k, 4 ceil(kappa/4)) bit draw, which reads the stream as
+k kappa-bit draws do: numpy fills four range-2 uint8 entries from each
+32-bit word, per call, and never rejects.  PRF mode round-trips
+identically but is opaque: there is no small decryption circuit, and
+the circuit exporters refuse it.
 
 Security here is desk-scale only: parameters that make the experiments
 fast are far below anything cryptographically meaningful.
@@ -18,7 +23,6 @@ fast are far below anything cryptographically meaningful.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass, field
 
@@ -326,9 +330,17 @@ def enc_gen(
     return EncKey(scheme, rng.integers(0, 2, kappa, dtype=np.uint8), prg)
 
 
-def _prf_bit(key_bytes: bytes, r: int, kappa: int) -> int:
-    nonce = r.to_bytes((kappa + 7) // 8, "big")
-    return hmac.new(key_bytes, nonce, hashlib.sha256).digest()[0] & 1
+def _pad_bits(key: EncKey, rs: np.ndarray) -> np.ndarray:
+    """G(s)_r at each nonce r, or bit 0 of HMAC-SHA256_s(r), one call per nonce."""
+    if key.scheme == LOCAL_PRG:
+        return prg_bits_at(key.prg, key.bits, rs)
+    m, (k, width) = key.bits.size // key.kappa, rs.shape[-2:]
+    out = np.empty((m, k), dtype=np.uint8)
+    for row, nonces, pads in zip(key.bits.reshape(m, -1), rs.reshape(m, -1), out):
+        kb, raw = np.packbits(row).tobytes(), nonces.tobytes()
+        cells = range(0, k * width, width)
+        pads[:] = [hmac.digest(kb, raw[i : i + width], "sha256")[0] & 1 for i in cells]
+    return out.reshape(rs.shape[:-1])
 
 
 def enc_encrypt_many(
@@ -337,32 +349,28 @@ def enc_encrypt_many(
     """Encrypt bits (k,) under one key, or (m, k) under a stack of m keys.
 
     Row i goes under key i, and nonces are drawn key by key in row order.
-    Returns (r, masked) arrays shaped like the bits.
+    Returns (rs, masked) shaped like the bits: rs holds int64 PRG indices,
+    or PRF nonce rows r.to_bytes(ceil(kappa/8), "big") on a last uint8 axis.
     """
     arr = np.asarray(bits)
     if arr.ndim != key.bits.ndim or arr.shape[:-1] != key.bits.shape[:-1]:
         raise InputShapeError(f"plaintext bits {arr.shape} do not match keys {key.bits.shape}")
     arr = as_bits(arr, "plaintext bits must be 0/1")
-    kappa, k = key.kappa, arr.shape[-1]
-    key_rows = key.bits.reshape(-1, kappa)
+    m, k, kappa = key.bits.size // key.kappa, arr.shape[-1], key.kappa
     if key.scheme == LOCAL_PRG:
-        rs = np.empty((len(key_rows), k), dtype=np.int64)
+        rs = np.empty((m, k), dtype=np.int64)
         for row in rs:  # one draw per key, in row order: the RNG stream
             integers_below(rng, key.prg.ell, row)
-        rs = rs.reshape(arr.shape)
-        ms = prg_bits_at(key.prg, key.bits, rs)
-        ms ^= arr
-        return rs, ms
-    # object dtype: kappa-bit nonces do not fit a fixed-width integer
-    rs = np.empty((len(key_rows), k), dtype=object)
-    ms = np.empty((len(key_rows), k), dtype=np.uint8)
-    for i, row in enumerate(key_rows):
-        kb = np.packbits(row).tobytes()
-        for j in range(k):
-            nonce = np.packbits(rng.integers(0, 2, kappa, dtype=np.uint8)).tobytes()
-            rs[i, j] = int.from_bytes(nonce, "big") >> (-kappa % 8)
-            ms[i, j] = _prf_bit(kb, rs[i, j], kappa)
-    return rs.reshape(arr.shape), ms.reshape(arr.shape) ^ arr
+    else:  # one draw per key is k kappa-bit draws: see the module docstring
+        rs = np.empty((m, k, (kappa + 7) // 8), dtype=np.uint8)
+        for row in rs:  # kappa bits last first, packed little-endian, bytes reversed: r big-endian
+            draw = rng.integers(0, 2, (k, -(-kappa // 4) * 4), dtype=np.uint8)
+            row[...] = np.packbits(draw[:, kappa - 1 :: -1], axis=1, bitorder="little")[:, ::-1]
+            del draw  # before the next key's
+    rs = rs.reshape(arr.shape + rs.shape[2:])
+    ms = _pad_bits(key, rs)
+    ms ^= arr
+    return rs, ms
 
 
 def check_prg_indices(rs: np.ndarray, ell: int) -> np.ndarray:
@@ -374,19 +382,19 @@ def check_prg_indices(rs: np.ndarray, ell: int) -> np.ndarray:
 
 
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:
+    """Decrypt what enc_encrypt_many returns, under one key or a stack of them."""
     ms = as_bits(masked, "masked bits must be 0/1", MalformedCiphertextError)
-    if key.scheme == LOCAL_PRG:
-        return prg_bits_at(key.prg, key.bits, check_prg_indices(rs, key.prg.ell)) ^ ms
-    if key.bits.ndim != 1:
-        raise InputShapeError("PRF decryption takes one key, not a stack")
-    kb = np.packbits(key.bits).tobytes()
-    out = np.empty(ms.shape[0], dtype=np.uint8)
-    for j in range(ms.shape[0]):
-        r = int(rs[j])
-        if not 0 <= r < (1 << key.kappa):
-            raise MalformedCiphertextError(f"nonce {r} does not fit in {key.kappa} bits")
-        out[j] = _prf_bit(kb, r, key.kappa) ^ ms[j]
-    return out
+    prf = key.scheme == PRF
+    nonces = np.asarray(rs) if prf else check_prg_indices(rs, key.prg.ell)
+    want = ms.shape + ((key.kappa + 7) // 8,) if prf else ms.shape
+    if nonces.shape != want or ms.ndim != key.bits.ndim or ms.shape[:-1] != key.bits.shape[:-1]:
+        raise MalformedCiphertextError(
+            f"nonces {nonces.shape} and masked bits {ms.shape} do not match keys {key.bits.shape}"
+        )
+    # a PRF row's leading byte holds the top (kappa - 1) % 8 + 1 bits of r
+    if prf and (nonces.dtype != np.uint8 or (nonces[..., :1] >> ((key.kappa - 1) % 8 + 1)).any()):
+        raise MalformedCiphertextError(f"PRF nonces must be uint8 rows of {key.kappa}-bit values")
+    return _pad_bits(key, nonces) ^ ms
 
 
 def append_dec_component(

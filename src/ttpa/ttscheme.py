@@ -116,14 +116,14 @@ class TTCiphertext:
     one.  Every consumer reads the batch whole or by user column.
     """
 
-    rs: np.ndarray      # (k, n) int64; object for PRF nonces
+    rs: np.ndarray      # (k, n) int64 PRG indices, or (k, n, ceil(kappa/8)) uint8 PRF nonces
     masked: np.ndarray  # (k, n) uint8
 
     def __post_init__(self):
-        if self.rs.ndim != 2 or self.rs.shape != self.masked.shape:
+        if self.masked.ndim != 2 or self.rs.ndim > 3 or self.rs.shape[:2] != self.masked.shape:
             raise MalformedCiphertextError(
-                f"ciphertext arrays must both be (k, n), got {self.rs.shape}"
-                f" and {self.masked.shape}"
+                f"ciphertext arrays must be (k, n) masked bits and their (k, n) or"
+                f" (k, n, bytes) nonces, got {self.rs.shape} and {self.masked.shape}"
             )
         masked = as_bits(
             self.masked, "masked components must be bits", MalformedCiphertextError
@@ -196,10 +196,10 @@ def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphe
         raise InputShapeError(
             f"word matrix must be (n={ks.params.n}, k), got shape {w.shape}"
         )
-    # encrypted user by user and returned column-major, so every per-user
+    # encrypted user by user, returned with axes 0 and 1 swapped: every per-user
     # column (what decryption and the query family read) is contiguous
     rs, ms = enc_encrypt_many(ks.key(slice(None)), w, rng)
-    return TTCiphertext(rs.T, ms.T)
+    return TTCiphertext(rs.swapaxes(0, 1), ms.T)
 
 
 def tt_enc(ks: TTKeySet, bit: int, rng: np.random.Generator) -> TTCiphertext:
@@ -308,11 +308,11 @@ def zeros_pirate() -> PirateOracle:
 class TTDecQueryFamily:
     """All tracing-query circuits of one batch, evaluated in bulk.
 
-    Semantically this is [tt_dec_circuit(c) for c in batch]: circuit(j)
-    materializes the exact netlist, evaluate_on_rows computes every
-    circuit on every row by sharing the per-row PRG expansion instead of
-    walking 50k netlists gate by gate.  The two routes are interchangeable
-    (see the equivalence tests) — only the cost differs.
+    Semantically this is [tt_dec_circuit(cts[j], params) for j in range(k)]:
+    evaluate_on_rows computes every circuit on every row by sharing the
+    per-row PRG expansion instead of walking 50k netlists gate by gate.
+    The equivalence tests check it against those netlists; only the cost
+    differs.
     """
 
     params: TTParams
@@ -362,10 +362,10 @@ class TTDecQueryFamily:
 
 
 # Peak bytes of one tracing trial (see check_tracing_batch).
-# Per (user, ciphertext) cell: the uint8 words, int64 indices (or PRF
-# nonce pointers) and uint8 masked bits, plus the uint8 family answers
-# while the batch is evaluated; scoring instead holds the words, the
-# scored columns of the words and their float64 copy.
+# Per (user, ciphertext) cell: the uint8 words, int64 indices and uint8
+# masked bits, plus the uint8 family answers while the batch is
+# evaluated; scoring instead holds the words, the scored columns of the
+# words and their float64 copy.  A PRF cell adds its nonce's bytes.
 CELL_BYTES = 11
 # Per ciphertext: six float64 vectors at most at once, the biases plus
 # the truths and error temporaries, or plus the scored columns' p, hit,
@@ -388,16 +388,17 @@ def check_tracing_batch(
 ) -> int:
     """Peak bytes of one tracing trial over a PRG of stretch prg_ell, or PRF keys (prg_ell 0).
 
-    ell_FP * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)
-    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES, with nonce the size of a
-    PRF's nonce_bits-bit Python int and rounds the pirate's Laplace rounds,
-    checked against tracemalloc peaks in the tests.  Raises above
-    MAX_ALLOC_BYTES, so callers refuse before allocating.
+    ell_FP * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + draw + ROUND_BYTES * rounds)
+    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES: nonce is a PRF nonce row's
+    bytes, draw one key's nonce draw (a byte per bit) and packed rows, rounds
+    the pirate's Laplace rounds.  Checked against tracemalloc peaks in the
+    tests; raises above MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
     ell = code_length(n, eps_fp, a)
-    nonce = ((1 << nonce_bits) - 1).__sizeof__() if nonce_bits else 0
+    nonce = (nonce_bits + 7) // 8
+    draw = -(-nonce_bits // 4) * 4 + nonce
     need = (
-        ell * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)
+        ell * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + draw + ROUND_BYTES * rounds)
         + prg_ell * (POSITION_BYTES + n)
         + TRIAL_BYTES
     )

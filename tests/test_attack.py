@@ -358,10 +358,13 @@ class TestRunAttack:
         prg = prg_params_gen(3, kappa // 2)
         assert trial_peak(cfg, prg) <= check_tracing_batch(n, cfg.eps_fp, cfg.a, prg.ell)
 
-    @pytest.mark.parametrize("n,kappa,eps_fp,a", [(4, 64, 0.05, 40.0), (6, 200, 0.2, 10.0)])
+    @pytest.mark.parametrize(
+        "n,kappa,eps_fp,a",
+        [(4, 64, 0.05, 40.0), (6, 200, 0.2, 10.0), (2, 1000, 0.05, 100.0)],
+    )
     def test_prf_trial_peak_within_the_batch_estimate(self, n, kappa, eps_fp, a):
-        # PRF nonces are Python ints in object arrays: (4, 64, 0.05, 40) peaks
-        # at 0.51 MB, over the 0.32 MB its cells come to at CELL_BYTES alone
+        # PRF nonces are uint8 byte rows, drawn one key at a time as a byte
+        # per bit: at 500-bit nonces (the last row) that draw is most of the peak
         ks = tt_gen(kappa, n, PRF, stream(50, "prf-keys"))
         tt_trace_report(ks, honest_pirate(ks, 1), eps_fp, stream(50, "warm"), a=a)
         tracemalloc.start()

@@ -153,6 +153,19 @@ class TestFpcodeCommands:
         assert echo["accused"] == 0
         assert echo["max_score"] > echo["threshold"]
 
+    def test_trace_takes_no_seed(self, capsys, tmp_path, monkeypatch):
+        # the command draws nothing, so neither --seed nor TTPA_SEED reaches it
+        _code, _out, _err, path = self.gen(capsys, tmp_path)
+        word_hex = json.load(open(path))["words"][0]
+        code, _out2, err = run_cli(
+            capsys, "fpcode", "trace", "--codebook", path, "--word", word_hex, "--seed", "1"
+        )
+        assert code == 2 and "--seed" in err
+        monkeypatch.setenv("TTPA_SEED", "not-a-seed")
+        code, out, _ = run_cli(capsys, "fpcode", "trace", "--codebook", path, "--word", word_hex)
+        assert code == 0
+        assert stdout_json(out)["config"] == {"codebook": path}
+
     def test_trace_word_file(self, capsys, tmp_path):
         _code, _out, _err, path = self.gen(capsys, tmp_path)
         word_path = str(tmp_path / "word.txt")

@@ -486,9 +486,18 @@ class TestEncRoundtrip:
         for bad in (ell, -1, np.iinfo(np.int64).min):
             with pytest.raises(MalformedCiphertextError):
                 enc_decrypt_many(key, np.array([bad]), np.array([0]))
-        pkey = enc_gen(16, PRF, rng)
-        with pytest.raises(MalformedCiphertextError):
-            enc_decrypt_many(pkey, np.array([1 << 16]), np.array([0]))
+        # a 9-bit PRF key takes 2-byte uint8 nonce rows whose 7 leading bits are 0
+        pkey = enc_gen(9, PRF, rng)
+        bad_rows = {
+            "do not match keys": np.zeros((1, 3), dtype=np.uint8),
+            "uint8 rows of 9-bit values": np.array([[2, 0]], dtype=np.uint8),
+            "uint8 rows": np.zeros((1, 2), dtype=np.int64),
+        }
+        for match, rs in bad_rows.items():
+            with pytest.raises(MalformedCiphertextError, match=match):
+                enc_decrypt_many(pkey, rs, np.array([0]))
+        top = np.array([[1, 255]], dtype=np.uint8)  # r = 2^9 - 1, the largest 9-bit nonce
+        assert enc_decrypt_many(pkey, top, np.array([0])).shape == (1,)
 
     def test_batch_roundtrip_local_prg(self):
         rng = np.random.default_rng(8)
@@ -518,7 +527,8 @@ class TestEncRoundtrip:
         key = enc_gen(64, PRF, rng)
         bits = rng.integers(0, 2, 100, dtype=np.uint8)
         rs, ms = enc_encrypt_many(key, bits, rng)
-        assert max(int(r).bit_length() for r in rs) == 64
+        assert rs.shape == (100, 8) and rs.dtype == np.uint8
+        assert max(int.from_bytes(r.tobytes(), "big").bit_length() for r in rs) == 64
         assert np.array_equal(enc_decrypt_many(key, rs, ms), bits)
 
     def test_batch_input_validation(self):
@@ -541,6 +551,28 @@ class TestEncRoundtrip:
         assert np.array_equal(enc_decrypt_many(key, rs, ms), arr)
 
 
+class TestPrfNonceDraw:
+    @given(st.integers(1, 80), st.integers(0, 20), st.integers(0, 2**64), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_one_draw_per_key_reads_as_k_draws(self, kappa, k, seed, buffered):
+        one, many, enc = (np.random.default_rng(seed) for _ in range(3))
+        if buffered:  # a 32-bit draw leaves the word's high half buffered
+            for g in (one, many, enc):
+                g.integers(0, 7, dtype=np.uint32)
+            assert one.bit_generator.state["has_uint32"] == 1
+        wide = one.integers(0, 2, (k, -(-kappa // 4) * 4), dtype=np.uint8)[:, :kappa]
+        rows = [many.integers(0, 2, kappa, dtype=np.uint8) for _ in range(k)]
+        assert wide.tolist() == [r.tolist() for r in rows]
+        assert one.bit_generator.state == many.bit_generator.state
+        coins = [g.integers(0, 2, 5, dtype=np.uint8) for g in (one, many)]
+        assert np.array_equal(*coins)
+        # and the nonce rows are those draws' ints as the bytes HMAC reads
+        key = EncKey(PRF, np.ones(kappa, dtype=np.uint8), None)
+        rs, _ = enc_encrypt_many(key, np.zeros(k, dtype=np.uint8), enc)
+        want = [int("".join(map(str, r)), 2).to_bytes((kappa + 7) // 8, "big") for r in rows]
+        assert [r.tobytes() for r in rs] == want
+
+
 class TestStackedEncrypt:
     ELL = 64
 
@@ -553,8 +585,10 @@ class TestStackedEncrypt:
         rng = np.random.default_rng(31)
         keys = rng.integers(0, 2, (m, 8), dtype=np.uint8)
         bits = rng.integers(0, 2, (m, k), dtype=np.uint8)
-        rs, ms = enc_encrypt_many(EncKey(scheme, keys, prg), bits, np.random.default_rng(7))
-        assert rs.shape == ms.shape == (m, k)
+        stack = EncKey(scheme, keys, prg)
+        rs, ms = enc_encrypt_many(stack, bits, np.random.default_rng(7))
+        assert rs.shape[:2] == ms.shape == (m, k)
+        assert enc_decrypt_many(stack, rs, ms).tolist() == bits.tolist()
         one = np.random.default_rng(7)
         for i in range(m):
             key = EncKey(scheme, keys[i], prg)
@@ -573,6 +607,9 @@ class TestStackedEncrypt:
                 enc_encrypt_many(stack, bits, rng)
         with pytest.raises(InputShapeError, match="do not match keys"):
             enc_encrypt_many(EncKey(scheme, stack.bits[0], prg), np.zeros((1, 4)), rng)
+        rs, ms = enc_encrypt_many(stack, np.zeros((3, 4)), rng)
+        with pytest.raises(MalformedCiphertextError, match="do not match keys"):
+            enc_decrypt_many(stack, rs[0], ms[0])
 
     @pytest.mark.parametrize("scheme", [LOCAL_PRG, PRF])
     @pytest.mark.parametrize("bad", [256, 0.9])
@@ -588,12 +625,6 @@ class TestStackedEncrypt:
         with pytest.raises(InputShapeError, match="plaintext bits must be 0/1"):
             enc_encrypt_many(EncKey(scheme, key.bits[0], prg), bits[0], rng)
         assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
-
-    def test_prf_decryption_refuses_a_stack(self):
-        stack = EncKey(PRF, np.zeros((2, 8), dtype=np.uint8), None)
-        rs, ms = enc_encrypt_many(stack, np.zeros((2, 3)), np.random.default_rng(0))
-        with pytest.raises(InputShapeError, match="one key"):
-            enc_decrypt_many(stack, rs, ms)
 
 
 class TestDecCircuit:

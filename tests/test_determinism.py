@@ -15,7 +15,8 @@ codebook, adversary-view and database files, and the stdout of
 its own JSON and hex rows, before one codec wrote them all.  The
 ``tr_enc`` ciphertext digests were taken while ``tr_enc`` encrypted
 LOCAL_PRG batches with its own stacked PRG lookup and PRF batches one
-user key at a time.
+user key at a time, holding each PRF nonce as a Python int; the test
+reads each PRF nonce row back as that int before hashing.
 """
 
 import hashlib
@@ -66,11 +67,16 @@ KEYGEN = {
 }
 
 # tr_enc of seeded words under seeded keys: (scheme, kappa, n, k) -> digests of
-# the canonical JSON of rs and masked; the PRF nonces are 68-bit ints
+# the canonical JSON of rs and masked; the PRF nonces are 9- and 68-bit ints,
+# each the big-endian value of its nonce row
 TR_ENC = {
     (LOCAL_PRG, 16, 4, 200): {
         "rs": "be5fcff24303e72685231384a494c7c64b17053673fa2ad30de9f42bc2c2b60b",
         "masked": "7e23532968e1f2c3411af9f8b16e61c0ed8f171358d0c0e1ee0b98e8a89d7b3f",
+    },
+    (PRF, 18, 3, 7): {
+        "rs": "ca6673a538a0c531daa73191fe0da9bb33c46ead83da68a3198e5ce446aff85a",
+        "masked": "a5ff04c886902b1930a813f53ea0292946afa78d0c7abf3795612013227519a8",
     },
     (PRF, 136, 3, 7): {
         "rs": "e7e5c762baf2f49063a63e8b9fb9ad274ff120309d4c0fd22895cec52973f581",
@@ -194,8 +200,11 @@ def test_tr_enc_bytes(scheme, kappa, n, k):
     ks = tt_gen(kappa, n, scheme, stream(3, "det", "tr-enc", "keys"))
     words = stream(3, "det", "tr-enc", "words").integers(0, 2, (n, k), dtype=np.uint8)
     cts = tr_enc(ks, words, stream(3, "det", "tr-enc", "enc"))
-    got = {name: sha256(canonical_json(getattr(cts, name).tolist()).encode())
-           for name in ("rs", "masked")}
+    rs = cts.rs.tolist() if scheme == LOCAL_PRG else [
+        [int.from_bytes(cell.tobytes(), "big") for cell in row] for row in cts.rs
+    ]
+    got = {name: sha256(canonical_json(cells).encode())
+           for name, cells in (("rs", rs), ("masked", cts.masked.tolist()))}
     assert got == TR_ENC[(scheme, kappa, n, k)]
 
 

@@ -192,6 +192,20 @@ class TestEncryptDecrypt:
         with pytest.raises(MalformedCiphertextError):
             TTCiphertext(cts.rs, cts.masked[:, :2])
 
+    def test_prf_batch_holds_nonce_rows(self):
+        # 9-bit component keys: 2-byte nonce rows, one contiguous (k, 2) block per user
+        rng = stream(5, "prf-batch")
+        ks = tt_gen(18, 3, PRF, rng)
+        words = rng.integers(0, 2, (3, 7), dtype=np.uint8)
+        cts = tr_enc(ks, words, rng)
+        assert cts.rs.shape == (7, 3, 2) and cts.rs.dtype == np.uint8
+        assert cts.masked.shape == (7, 3) and cts[4].rs.shape == (1, 3, 2)
+        for u in range(3):
+            assert cts.rs[:, u].flags.c_contiguous
+            assert [tt_dec(ks.params, ks.rows[u], ct) for ct in cts] == words[u].tolist()
+        with pytest.raises(MalformedCiphertextError):
+            TTCiphertext(cts.rs[:, :2], cts.masked)
+
     def test_indexed_levels(self):
         rng = stream(6, "lvl")
         ks = tt_gen(16, 4, LOCAL_PRG, rng)
