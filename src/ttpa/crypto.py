@@ -11,11 +11,11 @@ outer disjunction; negations are free).
 A PRF mode replaces G(s)_r by PRF_s(r) with a kappa-bit nonce r, held
 as the ceil(kappa/8) big-endian bytes that HMAC hashes: a batch of
 nonces is one uint8 array with a trailing byte axis.  A key draws its k
-nonces in one (k, 4 ceil(kappa/4)) bit draw, which reads the stream as
-k kappa-bit draws do: numpy fills four range-2 uint8 entries from each
-32-bit word, per call, and never rejects.  PRF mode round-trips
-identically but is opaque: there is no small decryption circuit, and
-the circuit exporters refuse it.
+nonces as one (k, 4 ceil(kappa/4)) bit draw, taken in chunks of whole
+rows, which reads the stream as k kappa-bit draws do: numpy fills four
+range-2 uint8 entries from each 32-bit word, per call, and never
+rejects.  PRF mode round-trips identically but is opaque: there is no
+small decryption circuit, and the circuit exporters refuse it.
 
 Security here is desk-scale only: parameters that make the experiments
 fast are far below anything cryptographically meaningful.
@@ -46,6 +46,9 @@ MIN_KEY_BITS = 8
 # largest array the library allocates before refusing: a PRG index-set
 # draw or a tracing batch
 MAX_ALLOC_BYTES = 2 << 30
+
+# a key's PRF nonce bits are drawn, a byte per bit, at most this many at once
+NONCE_CHUNK_BYTES = 64 << 10
 
 LITERAL = "literal"
 FOLDED = "folded"
@@ -330,16 +333,29 @@ def enc_gen(
     return EncKey(scheme, rng.integers(0, 2, kappa, dtype=np.uint8), prg)
 
 
+def nonce_chunk_rows(kappa: int) -> int:
+    """PRF nonces per chunk: whole 4 ceil(kappa/4)-bit draw rows in NONCE_CHUNK_BYTES.
+
+    Both the draw and the HMAC pass take a key's nonces this many at a time.
+    """
+    return max(1, NONCE_CHUNK_BYTES // (-(-kappa // 4) * 4))
+
+
 def _pad_bits(key: EncKey, rs: np.ndarray) -> np.ndarray:
     """G(s)_r at each nonce r, or bit 0 of HMAC-SHA256_s(r), one call per nonce."""
     if key.scheme == LOCAL_PRG:
         return prg_bits_at(key.prg, key.bits, rs)
     m, (k, width) = key.bits.size // key.kappa, rs.shape[-2:]
+    step = nonce_chunk_rows(key.kappa)
     out = np.empty((m, k), dtype=np.uint8)
-    for row, nonces, pads in zip(key.bits.reshape(m, -1), rs.reshape(m, -1), out):
-        kb, raw = np.packbits(row).tobytes(), nonces.tobytes()
-        cells = range(0, k * width, width)
-        pads[:] = [hmac.digest(kb, raw[i : i + width], "sha256")[0] & 1 for i in cells]
+    # a view, also of a strided user column: only a chunk of nonces is copied at once
+    for row, nonces, pads in zip(key.bits.reshape(m, -1), rs.reshape(m, k, width), out):
+        kb = np.packbits(row).tobytes()
+        for lo in range(0, k, step):
+            raw = nonces[lo : lo + step].tobytes()
+            cells = range(0, len(raw), width)
+            digests = (hmac.digest(kb, raw[i : i + width], "sha256")[0] & 1 for i in cells)
+            pads[lo : lo + step] = np.fromiter(digests, np.uint8, len(cells))
     return out.reshape(rs.shape[:-1])
 
 
@@ -362,11 +378,16 @@ def enc_encrypt_many(
         for row in rs:  # one draw per key, in row order: the RNG stream
             integers_below(rng, key.prg.ell, row)
     else:  # one draw per key is k kappa-bit draws: see the module docstring
+        width, step = -(-kappa // 4) * 4, nonce_chunk_rows(kappa)
         rs = np.empty((m, k, (kappa + 7) // 8), dtype=np.uint8)
-        for row in rs:  # kappa bits last first, packed little-endian, bytes reversed: r big-endian
-            draw = rng.integers(0, 2, (k, -(-kappa // 4) * 4), dtype=np.uint8)
-            row[...] = np.packbits(draw[:, kappa - 1 :: -1], axis=1, bitorder="little")[:, ::-1]
-            del draw  # before the next key's
+        for row in rs:
+            for lo in range(0, k, step):  # whole rows, so the chunks read as one draw
+                part = row[lo : lo + step]
+                draw = rng.integers(0, 2, (len(part), width), dtype=np.uint8)
+                # kappa bits last first, packed little-endian, bytes reversed: r big-endian
+                packed = np.packbits(draw[:, kappa - 1 :: -1], axis=1, bitorder="little")
+                part[...] = packed[:, ::-1]
+                del draw, packed  # before the next chunk's
     rs = rs.reshape(arr.shape + rs.shape[2:])
     ms = _pad_bits(key, rs)
     ms ^= arr

@@ -123,7 +123,12 @@ def evaluate_query(query: Circuit, db: Database) -> float:
 
 
 def evaluate_batch(queries: Sequence[Circuit] | QueryFamily, db: Database) -> np.ndarray:
-    """True answers for a whole batch; uses the family bulk path if offered."""
+    """True answers for a whole batch; uses the family bulk path if offered.
+
+    The family's (k, m) bits are tallied per query in the narrowest
+    unsigned integer that holds m, then divided by m: a float64 sum of 0/1
+    values is exact, so this is .mean(axis=1) to the byte.
+    """
     if hasattr(queries, "evaluate_on_rows"):
         if queries.input_width != db.d:
             raise InputShapeError(
@@ -131,7 +136,8 @@ def evaluate_batch(queries: Sequence[Circuit] | QueryFamily, db: Database) -> np
             )
         if db.m == 0:
             raise InputShapeError("cannot evaluate queries on an empty database")
-        return queries.evaluate_on_rows(db.rows).mean(axis=1)
+        bits = queries.evaluate_on_rows(db.rows)
+        return np.add.reduce(bits, axis=1, dtype=np.min_scalar_type(db.m)) / db.m
     return np.array([evaluate_query(q, db) for q in queries], dtype=np.float64)
 
 

@@ -34,7 +34,9 @@ def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None
 
     numpy runs Lemire's multiply-shift on 32-bit PCG64 word halves, low half
     first, buffering an unused high half; this reads whole words off random_raw
-    for the same values and state.  Any other bit generator goes through integers.
+    for the same values and state, and at a power-of-two high, where the
+    multiply-shift is a plain shift, shifts.  Any other bit generator goes
+    through integers.
     """
     bitgen, high = getattr(rng, "bit_generator", None), int(high)
     if type(bitgen) is not np.random.PCG64 or not 1 < high <= 1 << 32:
@@ -50,10 +52,14 @@ def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None
             continue
         halves = bitgen.random_raw(missing // 2).astype("<u8", copy=False).view("<u4")
         rest = vals[filled : filled + halves.size]
-        np.multiply(halves, np.uint64(high), out=rest)
-        rest >>= 32
-        # Lemire rejects x when the low 32 bits of x * high fall under the threshold
-        kept = rest[halves * np.uint32(high) >= threshold] if threshold else rest
-        rest[: kept.size] = kept
-        filled += kept.size
+        if threshold:
+            np.multiply(halves, np.uint64(high), out=rest)
+            rest >>= 32
+            # Lemire rejects x when the low 32 bits of x * high fall under the threshold
+            kept = rest[halves * np.uint32(high) >= threshold]
+            rest[: kept.size] = kept
+            filled += kept.size
+        else:  # high is 2^b: (x * high) >> 32 is x >> (32 - b), and none is rejected
+            np.right_shift(halves, np.uint32(33 - high.bit_length()), out=rest)
+            filled += rest.size
         bitgen.state = {**bitgen.state, "uinteger": int(halves[-1])}  # as numpy leaves it

@@ -37,6 +37,7 @@ from .crypto import (
     circuit_prg,
     enc_decrypt_many,
     enc_encrypt_many,
+    nonce_chunk_rows,
     prg_expand,
     prg_params_gen,
 )
@@ -388,24 +389,44 @@ def check_tracing_batch(
 ) -> int:
     """Peak bytes of one tracing trial over a PRG of stretch prg_ell, or PRF keys (prg_ell 0).
 
-    ell_FP * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + draw + ROUND_BYTES * rounds)
+    ell_FP * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds) + draw
     + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES: nonce is a PRF nonce row's
-    bytes, draw one key's nonce draw (a byte per bit) and packed rows, rounds
-    the pirate's Laplace rounds.  Checked against tracemalloc peaks in the
-    tests; raises above MAX_ALLOC_BYTES, so callers refuse before allocating.
+    bytes, draw one chunk of a key's nonce draw (a byte per bit) and its packed
+    rows, rounds the pirate's Laplace rounds.  Checked against tracemalloc
+    peaks in the tests; raises above MAX_ALLOC_BYTES, so callers refuse before
+    allocating.
     """
-    ell = code_length(n, eps_fp, a)
+    what = f"a tracing trial at n={n}, eps_fp={eps_fp}, a={a}, rounds={rounds}"
+    return _check_batch(what, n, code_length(n, eps_fp, a), prg_ell, rounds, nonce_bits)
+
+
+def check_scan_batch(n: int, s: int, prg_ell: int, nonce_bits: int = 0) -> int:
+    """Peak bytes of a linear scan sending each of the n + 1 levels s times.
+
+    A tracing batch of (n + 1) * s ciphertexts: a scan holds no scoring
+    vectors, and its shuffled levels, a byte or two per ciphertext, take
+    their room in COLUMN_BYTES.  Raises above MAX_ALLOC_BYTES.
+    """
+    what = f"a linear scan at n={n} with {s} repetitions"
+    return _check_batch(what, n, (n + 1) * s, prg_ell, 0, nonce_bits)
+
+
+def _check_batch(what: str, n: int, k: int, prg_ell: int, rounds: int, nonce_bits: int) -> int:
+    """Bytes of a batch of k ciphertexts to n users, as check_tracing_batch counts them."""
     nonce = (nonce_bits + 7) // 8
-    draw = -(-nonce_bits // 4) * 4 + nonce
+    width = -(-nonce_bits // 4) * 4
+    # the HMAC pass over a chunk holds its nonce bytes and pad bits: less than this
+    draw = min(k, nonce_chunk_rows(nonce_bits)) * (width + nonce) if nonce_bits else 0
     need = (
-        ell * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + draw + ROUND_BYTES * rounds)
+        k * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)
+        + draw
         + prg_ell * (POSITION_BYTES + n)
         + TRIAL_BYTES
     )
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
-            f"a tracing trial at n={n}, eps_fp={eps_fp}, a={a}, rounds={rounds} would hold about"
-            f" {need / 2**30:.1f} GiB, over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
+            f"{what} would hold about {need / 2**30:.1f} GiB,"
+            f" over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
         )
     return need
 
@@ -469,16 +490,26 @@ def linear_scan_report(
     the user whose component flips between levels i-1 and i, i.e. key
     row i-1.
     """
-    n = ks.params.n
+    p, prg = ks.params, ks.params.prg
+    n = p.n
     s = default_scan_repetitions(n) if repetitions is None else int(repetitions)
     if s < 1:
         raise InputShapeError(f"repetition count must be >= 1, got {s}")
-    seq = rng.permutation(np.repeat(np.arange(n + 1), s))
+    check_scan_batch(n, s, prg.ell if prg else 0, 0 if prg else p.enc_bits)
+    # levels in the narrowest dtype that holds n: permutation shuffles any
+    # dtype in the same order, and the compare and seq shrink with it
+    levels = np.arange(n + 1, dtype=np.min_scalar_type(n))
+    seq = rng.permutation(np.repeat(levels, s))
     cols = np.empty((n, seq.size), dtype=np.uint8)
-    np.less(np.arange(n)[:, None], seq, out=cols.view(bool))
+    np.less(levels[:-1, None], seq, out=cols.view(bool))
     cts = tr_enc(ks, cols, rng)
     answers = pirate.answer(cts)
-    counts = np.bincount(seq, weights=answers, minlength=n + 1).astype(np.int64)
+    # the 1-answers at level i are bin 2i + 1 of 2 * level + answer: an
+    # integer count, with no float64 copy of the answers to weigh
+    keys = seq.astype(np.min_scalar_type(2 * n + 1))
+    keys <<= 1
+    keys |= answers
+    counts = np.bincount(keys, minlength=2 * n + 2)[1::2].astype(np.int64)
     accused = None
     for i in range(1, n + 1):
         if n * (counts[i] - counts[i - 1]) >= s:

@@ -360,11 +360,17 @@ class TestRunAttack:
 
     @pytest.mark.parametrize(
         "n,kappa,eps_fp,a",
-        [(4, 64, 0.05, 40.0), (6, 200, 0.2, 10.0), (2, 1000, 0.05, 100.0)],
+        [
+            (4, 64, 0.05, 40.0),
+            (6, 200, 0.2, 10.0),
+            (2, 1000, 0.05, 100.0),
+            (2, 1000, 0.05, 400.0),  # 5,903 nonces a key: 2.9 MB of draw unchunked
+        ],
     )
     def test_prf_trial_peak_within_the_batch_estimate(self, n, kappa, eps_fp, a):
         # PRF nonces are uint8 byte rows, drawn one key at a time as a byte
-        # per bit: at 500-bit nonces (the last row) that draw is most of the peak
+        # per bit, in chunks of at most 64 KiB: at 500-bit nonces (the last
+        # rows) a whole key's draw would be most of the peak
         ks = tt_gen(kappa, n, PRF, stream(50, "prf-keys"))
         tt_trace_report(ks, honest_pirate(ks, 1), eps_fp, stream(50, "warm"), a=a)
         tracemalloc.start()

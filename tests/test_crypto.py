@@ -1,9 +1,11 @@
+import hmac
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ttpa.crypto as crypto_mod
 from ttpa.circuit import (
     AND,
     CircuitMetrics,
@@ -571,6 +573,30 @@ class TestPrfNonceDraw:
         rs, _ = enc_encrypt_many(key, np.zeros(k, dtype=np.uint8), enc)
         want = [int("".join(map(str, r)), 2).to_bytes((kappa + 7) // 8, "big") for r in rows]
         assert [r.tobytes() for r in rs] == want
+
+    @pytest.mark.parametrize("chunk", [4, 100, 1000])
+    def test_chunks_read_the_stream_as_one_draw(self, monkeypatch, chunk):
+        # a 36-bit nonce draws a 36-byte row: a chunk of 4, 100 or 1000 bytes
+        # holds 1, 2 or 27 of them, so the draw and the HMAC pass span chunks
+        keys = np.random.default_rng(5).integers(0, 2, (3, 36), dtype=np.uint8)
+        stack = EncKey(PRF, keys, None)
+        bits = np.random.default_rng(6).integers(0, 2, (3, 41), dtype=np.uint8)
+        whole_rs, whole_ms = enc_encrypt_many(stack, bits, np.random.default_rng(7))
+        monkeypatch.setattr(crypto_mod, "NONCE_CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(7)
+        rs, ms = enc_encrypt_many(stack, bits, rng)
+        assert rs.tobytes() == whole_rs.tobytes() and ms.tolist() == whole_ms.tolist()
+        ref = np.random.default_rng(7)
+        for _ in range(3 * 41):
+            ref.integers(0, 2, 36, dtype=np.uint8)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # a strided user column decrypts chunk by chunk too
+        column = EncKey(PRF, keys[1], None)
+        cols = np.ascontiguousarray(rs.swapaxes(0, 1)).swapaxes(0, 1)
+        assert enc_decrypt_many(column, cols[1], ms[1]).tolist() == bits[1].tolist()
+        pads = [hmac.digest(np.packbits(keys[1]).tobytes(), r.tobytes(), "sha256")[0] & 1
+                for r in rs[1]]
+        assert (ms[1] ^ bits[1]).tolist() == pads
 
 
 class TestStackedEncrypt:

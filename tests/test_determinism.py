@@ -29,7 +29,7 @@ from ttpa.attack import pirate_from_sanitizer
 from ttpa.circuit import circuit_to_json
 from ttpa.cli import canonical_json, main
 from ttpa.crypto import LOCAL_PRG, PRF
-from ttpa.sanitize import Database, SanitizerConfig, dictator_circuit, save_database
+from ttpa.sanitize import LAPLACE, Database, SanitizerConfig, dictator_circuit, save_database
 from ttpa.seeds import stream
 from ttpa.ttscheme import linear_scan_report, tr_enc, tt_gen
 
@@ -68,11 +68,21 @@ KEYGEN = {
 
 # tr_enc of seeded words under seeded keys: (scheme, kappa, n, k) -> digests of
 # the canonical JSON of rs and masked; the PRF nonces are 9- and 68-bit ints,
-# each the big-endian value of its nonce row
+# each the big-endian value of its nonce row.  The LOCAL_PRG stretches are
+# 512 and 2^15 (Lemire's draw is a shift, never rejecting) and 1,000 (it
+# multiplies and rejects).
 TR_ENC = {
     (LOCAL_PRG, 16, 4, 200): {
         "rs": "be5fcff24303e72685231384a494c7c64b17053673fa2ad30de9f42bc2c2b60b",
         "masked": "7e23532968e1f2c3411af9f8b16e61c0ed8f171358d0c0e1ee0b98e8a89d7b3f",
+    },
+    (LOCAL_PRG, 20, 3, 300): {
+        "rs": "18ae77843365e0cb8868f92f6d3a56d4857008ce986e020992ceca7fa9141515",
+        "masked": "ee96bf42eee309a1ed580b6ac57685198cbdd46a1226926737ee4458b7065a1f",
+    },
+    (LOCAL_PRG, 64, 16, 2000): {
+        "rs": "36cb5f55a1f7cc97ffab65b74ac2e1feb6488a9f4723228c803b57cdaefdf5ff",
+        "masked": "f9115e34ee14fdd6dbceba161dadf22645db0f811d3fc038e16371a86b26f368",
     },
     (PRF, 18, 3, 7): {
         "rs": "ca6673a538a0c531daa73191fe0da9bb33c46ead83da68a3198e5ce446aff85a",
@@ -193,6 +203,20 @@ def test_linear_scan_counts():
     assert out.repetitions == 340
     assert out.counts.tolist() == [0, 0, 0, 340, 340]
     assert out.accused == 3
+
+
+def test_linear_scan_counts_under_noise():
+    # a noisy pirate's counts depend on which ciphertext sits where, so this
+    # pins the shuffled level order, not just how many times each level is sent
+    ks = tt_gen(16, 4, LOCAL_PRG, stream(7, "det", "keys"))
+    pirate = pirate_from_sanitizer(
+        ks.params, ks.rows[[0, 2, 3]], SanitizerConfig(LAPLACE, epsilon=2000.0),
+        stream(7, "det", "pirate"),
+    )
+    out = linear_scan_report(ks, pirate, stream(7, "det", "scan"))
+    assert out.repetitions == 340
+    assert out.counts.tolist() == [16, 101, 99, 235, 314]
+    assert out.accused == 1
 
 
 @pytest.mark.parametrize("scheme,kappa,n,k", sorted(TR_ENC))

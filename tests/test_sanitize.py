@@ -134,6 +134,38 @@ class TestEvaluate:
             evaluate_batch(fam, Database(np.zeros((2, 15), dtype=np.uint8)))
 
 
+class RandomBitsFamily:
+    """A QueryFamily stub whose evaluate_on_rows returns seeded (k, m) bits."""
+
+    input_width = 2
+
+    def __init__(self, k: int, seed: int):
+        self.k, self.seed = k, seed
+
+    def __len__(self) -> int:
+        return self.k
+
+    def evaluate_on_rows(self, rows: np.ndarray) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
+        return rng.integers(0, 2, (self.k, len(rows)), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("m", [1, 255, 256, 65535, 65536])
+def test_family_tally_is_the_mean_to_the_byte(m):
+    # the tally is uint8 up to 255 rows and uint16 up to 65535; a float64
+    # sum of 0/1 values is exact, so dividing it by m gives the mean's bytes
+    fam = RandomBitsFamily(7, m)
+    db = Database(np.zeros((m, 2), dtype=np.uint8))
+    got = evaluate_batch(fam, db)
+    want = fam.evaluate_on_rows(db.rows).mean(axis=1)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    # all-ones columns sum to m itself, the most the narrow tally must hold
+    ones = RandomBitsFamily(3, m)
+    ones.evaluate_on_rows = lambda rows: np.ones((3, len(rows)), dtype=np.uint8)
+    assert evaluate_batch(ones, db).tolist() == [1.0] * 3
+
+
 def fresh_answer(circ, rows: np.ndarray) -> float:
     m = rows.shape[0]
     return _eval_packed(circ, pack_rows(rows), (1 << m) - 1).bit_count() / m

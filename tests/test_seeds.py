@@ -77,6 +77,28 @@ class TestIntegersBelow:
         coins = [g.integers(0, 2, 5, dtype=np.uint8) for g in (got, ref)]
         assert np.array_equal(*coins)
 
+    @given(
+        st.integers(0, 2**64),
+        st.sampled_from([2, 512, 2**15, 2**32, 3, 1000, 13_824, 2**31 + 1]),
+        st.integers(1, 6),
+        st.integers(0, 300),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_drawn_row_by_row_as_integers(self, seed, high, m, k, buffered):
+        # what enc_encrypt_many draws: an (m, k) batch, one call per row, at a
+        # power-of-two stretch (a shift) or one that multiplies and rejects
+        ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            for g in (ref, got):
+                g.integers(0, 7)
+        want = [ref.integers(0, high, k, dtype=np.int64) for _ in range(m)]
+        out = np.empty((m, k), dtype=np.int64)
+        for row in out:
+            integers_below(got, high, row)
+        assert out.tolist() == [w.tolist() for w in want]
+        assert got.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("buffered", [False, True])
     def test_rejections_fill_in_order(self, buffered):
         # half the halves are rejected at 2**31 + 1, so the refills run

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttpa.attack import pirate_from_sanitizer
 from ttpa.circuit import circuit_metrics, eval_on_rows
 from ttpa.crypto import (
     FOLDED,
@@ -22,7 +24,7 @@ from ttpa.errors import (
     canonical_json,
     read_json,
 )
-from ttpa.sanitize import Database, evaluate_batch
+from ttpa.sanitize import LAPLACE, Database, SanitizerConfig, evaluate_batch
 from ttpa.seeds import stream
 from ttpa.ttscheme import (
     PirateOracle,
@@ -30,6 +32,7 @@ from ttpa.ttscheme import (
     TTDecQueryFamily,
     TTKeySet,
     TTParams,
+    check_scan_batch,
     check_tracing_batch,
     decode_index,
     decode_key_row,
@@ -521,6 +524,16 @@ class TestFingerprintTracing:
         assert pirate.answer(tt_enc(ks, 0, rng)).tolist() == [0]
 
 
+def test_prf_draw_counted_as_one_chunk():
+    # 500-bit nonces: 63-byte rows, and 131 draw rows of 500 bytes to a chunk
+    cells = 5903 * ((11 + 63) * 2 + 48) + 65536
+    assert check_tracing_batch(2, 0.05, 400.0, 0, nonce_bits=500) == cells + 131 * (500 + 63)
+    # a batch smaller than a chunk is drawn whole
+    assert check_tracing_batch(2, 0.2, 2.0, 0, nonce_bits=500) == (
+        check_tracing_batch(2, 0.2, 2.0, 0) + 19 * (63 * 2 + 500 + 63)
+    )
+
+
 class TestLinearScan:
     def test_repetition_counts(self):
         assert default_scan_repetitions(4) == 340
@@ -544,6 +557,53 @@ class TestLinearScan:
         ks = small_keyset()
         with pytest.raises(InputShapeError):
             linear_scan_report(ks, zeros_pirate(), stream(0, "s"), repetitions=0)
+
+    @pytest.mark.parametrize(
+        "scheme,n,kind",
+        [(LOCAL_PRG, 8, "EXACT"), (LOCAL_PRG, 4, LAPLACE), (PRF, 6, "honest")],
+    )
+    def test_scan_peak_within_the_estimate(self, scheme, n, kind):
+        ks = tt_gen(16, n, scheme, stream(24, "scan-peak", "keys"))
+
+        def pirate(tag):
+            if kind == "honest":
+                return honest_pirate(ks, 1)
+            san = SanitizerConfig(kind, epsilon=1.0 if kind == LAPLACE else None)
+            return pirate_from_sanitizer(ks.params, ks.rows[1:], san, stream(24, tag))
+
+        # numpy sets up some routines on first use; that is not the scan's
+        linear_scan_report(ks, pirate("warm"), stream(24, "warm", "scan"))
+        tracemalloc.start()
+        try:
+            linear_scan_report(ks, pirate("run"), stream(24, "run", "scan"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        prg = ks.params.prg
+        need = check_scan_batch(
+            n, default_scan_repetitions(n), prg.ell if prg else 0, 0 if prg else 8
+        )
+        assert peak <= need
+
+    def test_oversized_scan_refused_before_allocation(self):
+        # kappa=16 allows 256 users; at n=64 the default s is 128,832, so the
+        # int64 indices alone would fill 4.0 GiB
+        assert check_scan_batch(16, 6679, 32768) == (
+            17 * 6679 * (11 * 16 + 48) + 32768 * (32 + 16) + 65536
+        )
+        ks = tt_gen(16, 64, LOCAL_PRG, stream(25, "big-scan"))
+        rng, pirate = stream(25, "big-scan", "s"), zeros_pirate()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputShapeError, match="5.9 GiB"):
+                linear_scan_report(ks, pirate, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        # refused before the shuffle: neither the rng nor the oracle moved
+        assert rng.integers(1 << 30) == stream(25, "big-scan", "s").integers(1 << 30)
+        assert pirate.answer(tt_enc(ks, 0, rng)).tolist() == [0]
 
 
 def through_text(ks: TTKeySet) -> TTKeySet:
