@@ -17,6 +17,7 @@ finite-sample slack.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -35,15 +36,15 @@ from .crypto import (
     prg_params_gen,
 )
 from .errors import InputShapeError, SanitizerFailure
-from .fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, fp_feasible
+from .fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, code_length, fp_feasible
 from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
 from .seeds import derive_seed, stream
 from .ttscheme import (
     PirateOracle,
     TTDecQueryFamily,
     TTParams,
+    check_batch,
     check_key_shape,
-    check_tracing_batch,
     tt_gen,
     tt_trace_report,
 )
@@ -78,9 +79,9 @@ class AttackConfig:
         self.trial_bytes()
 
     def trial_bytes(self) -> int:
-        """check_tracing_batch for one trial, counting the sanitizer's rounds."""
-        return check_tracing_batch(
-            self.n, self.eps_fp, self.a, default_stretch(self.kappa // 2),
+        """check_batch for one trial, counting the sanitizer's rounds."""
+        return check_batch(
+            self.n, code_length(self.n, self.eps_fp, self.a), default_stretch(self.kappa // 2),
             self.sanitizer.amplification_rounds,
         )
 
@@ -120,7 +121,7 @@ def pirate_from_sanitizer(
         )
         return (answers >= 0.5).astype(np.uint8)
 
-    return PirateOracle(fn, label=f"sanitizer:{cfg.kind}")
+    return PirateOracle(fn, label=f"sanitizer:{cfg.kind}", rounds=cfg.amplification_rounds)
 
 
 class TrialRecord(NamedTuple):
@@ -220,14 +221,6 @@ def _run_trial(cfg: AttackConfig, prg, tag: str, coalition: tuple[int, ...], t: 
     return TrialRecord(out.accused, bool(feasible), pirate.stats["max_abs_err"], False)
 
 
-_FORK_CTX: dict = {}
-
-
-def _forked_trial(t: int) -> TrialRecord:
-    cfg, prg, tag, coalition = _FORK_CTX["args"]
-    return _run_trial(cfg, prg, tag, coalition, t)
-
-
 def _run_experiment(
     cfg: AttackConfig, prg, tag: str, coalition: Sequence[int], jobs: int
 ) -> ExperimentStats:
@@ -235,12 +228,10 @@ def _run_experiment(
     if not coalition:
         raise InputShapeError("coalition must be nonempty")
     if jobs > 1 and hasattr(os, "fork"):
-        _FORK_CTX["args"] = (cfg, prg, tag, coalition)
-        try:
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                records = pool.map(_forked_trial, range(cfg.trials))
-        finally:
-            _FORK_CTX.clear()
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            records = pool.map(
+                functools.partial(_run_trial, cfg, prg, tag, coalition), range(cfg.trials)
+            )
     else:
         records = [_run_trial(cfg, prg, tag, coalition, t) for t in range(cfg.trials)]
     return ExperimentStats(tag, coalition, tuple(records))

@@ -288,10 +288,7 @@ def _cmd_tt_trace(args) -> int:
     pirate, coalition = _build_pirate(
         args.pirate, ks, args, stream(args.seed, "tt-trace", "pirate")
     )
-    out = tt_trace_report(
-        ks, pirate, args.eps_fp, stream(args.seed, "tt-trace", "trace"),
-        a=args.a, rounds=args.amp_rounds,
-    )
+    out = tt_trace_report(ks, pirate, args.eps_fp, stream(args.seed, "tt-trace", "trace"), a=args.a)
     feasible = (
         None
         if coalition is None

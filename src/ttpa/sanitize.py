@@ -3,13 +3,21 @@
 A database is m rows of d bits; a counting query is a predicate circuit
 over {0,1}^d and its true answer is the satisfying fraction.  The EXACT
 sanitizer returns truth; the LAPLACE sanitizer adds noise calibrated to
-answer a batch of k queries with per-batch budget (eps, delta):
+answer a batch of k queries from eps and delta:
 
     BASIC     scale = k / (eps * m)                     (pure eps-DP)
     ADVANCED  scale = sqrt(2 k ln(1/delta)) / (eps * m) (needs delta > 0)
 
+BASIC proves (eps, 0) over the batch.  ADVANCED spends eps0 =
+eps / sqrt(2 k ln(1/delta)) per query, which advanced composition
+(Dwork, Rothblum & Vadhan 2010) bounds by (eps', delta) with
+eps' = eps + k * eps0 * (e^eps0 - 1), about eps + eps^2 / (2 ln(1/delta)):
+1.109 at eps=1, delta=0.01, whatever k, so not eps itself.
+
 Answers are clamped to [0, 1].  Optional amplification reruns the
-mechanism r times and takes the per-query median.
+mechanism r times and takes the per-query median.  Those are r
+full-scale draws, which compose to r * eps under basic composition;
+`attack run` audits the bare --eps all the same.
 """
 
 from __future__ import annotations

@@ -265,13 +265,21 @@ class PirateOracle:
     """Single-use decoder: one batch of ciphertexts in, one bit per ciphertext out.
 
     The one-shot discipline is what the tracers are allowed to assume;
-    a second call raises.
+    a second call raises.  rounds is how many Laplace amplification
+    rounds the decoder runs per batch, which the tracers count in the
+    batch's memory.
     """
 
-    def __init__(self, fn: Callable[[TTCiphertext, "PirateOracle"], np.ndarray], label: str = "pirate"):
+    def __init__(
+        self,
+        fn: Callable[[TTCiphertext, "PirateOracle"], np.ndarray],
+        label: str = "pirate",
+        rounds: int = 0,
+    ):
         self._fn = fn
         self._spent = False
         self.label = label
+        self.rounds = rounds
         self.stats: dict = {}
 
     def answer(self, cts: TTCiphertext) -> np.ndarray:
@@ -362,7 +370,7 @@ class TTDecQueryFamily:
         return out.T
 
 
-# Peak bytes of one tracing trial (see check_tracing_batch).
+# Peak bytes of one tracing batch (see check_batch).
 # Per (user, ciphertext) cell: the uint8 words, int64 indices and uint8
 # masked bits, plus the uint8 family answers while the batch is
 # evaluated; scoring instead holds the words, the scored columns of the
@@ -370,7 +378,8 @@ class TTDecQueryFamily:
 CELL_BYTES = 11
 # Per ciphertext: six float64 vectors at most at once, the biases plus
 # the truths and error temporaries, or plus the scored columns' p, hit,
-# miss and hit - miss and their temporaries.
+# miss and hit - miss and their temporaries.  A scan's shuffled levels,
+# a byte or two per ciphertext, take their room here too.
 COLUMN_BYTES = 48
 # Per PRG output position, besides one uint8 expansion per user:
 # prg_expand's uint64 accumulator, two gathered columns and their intp
@@ -384,35 +393,16 @@ ROUND_BYTES = 16
 TRIAL_BYTES = 64 << 10
 
 
-def check_tracing_batch(
-    n: int, eps_fp: float, a: float, prg_ell: int, rounds: int = 0, nonce_bits: int = 0
-) -> int:
-    """Peak bytes of one tracing trial over a PRG of stretch prg_ell, or PRF keys (prg_ell 0).
+def check_batch(n: int, k: int, prg_ell: int, rounds: int = 0, nonce_bits: int = 0) -> int:
+    """Peak bytes of a tracing batch of k ciphertexts to n users, answered and traced.
 
-    ell_FP * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds) + draw
-    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES: nonce is a PRF nonce row's
-    bytes, draw one chunk of a key's nonce draw (a byte per bit) and its packed
-    rows, rounds the pirate's Laplace rounds.  Checked against tracemalloc
-    peaks in the tests; raises above MAX_ALLOC_BYTES, so callers refuse before
-    allocating.
+    k * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds) + draw
+    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES: prg_ell is the PRG's
+    stretch (0 for PRF keys), nonce a PRF nonce row's bytes, draw one chunk
+    of a key's nonce draw (a byte per bit) and its packed rows, rounds the
+    pirate's Laplace rounds.  Checked against tracemalloc peaks in the
+    tests; raises above MAX_ALLOC_BYTES, so callers refuse before allocating.
     """
-    what = f"a tracing trial at n={n}, eps_fp={eps_fp}, a={a}, rounds={rounds}"
-    return _check_batch(what, n, code_length(n, eps_fp, a), prg_ell, rounds, nonce_bits)
-
-
-def check_scan_batch(n: int, s: int, prg_ell: int, nonce_bits: int = 0) -> int:
-    """Peak bytes of a linear scan sending each of the n + 1 levels s times.
-
-    A tracing batch of (n + 1) * s ciphertexts: a scan holds no scoring
-    vectors, and its shuffled levels, a byte or two per ciphertext, take
-    their room in COLUMN_BYTES.  Raises above MAX_ALLOC_BYTES.
-    """
-    what = f"a linear scan at n={n} with {s} repetitions"
-    return _check_batch(what, n, (n + 1) * s, prg_ell, 0, nonce_bits)
-
-
-def _check_batch(what: str, n: int, k: int, prg_ell: int, rounds: int, nonce_bits: int) -> int:
-    """Bytes of a batch of k ciphertexts to n users, as check_tracing_batch counts them."""
     nonce = (nonce_bits + 7) // 8
     width = -(-nonce_bits // 4) * 4
     # the HMAC pass over a chunk holds its nonce bytes and pad bits: less than this
@@ -425,7 +415,8 @@ def _check_batch(what: str, n: int, k: int, prg_ell: int, rounds: int, nonce_bit
     )
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
-            f"{what} would hold about {need / 2**30:.1f} GiB,"
+            f"a batch of {k} ciphertexts to n={n} users at rounds={rounds}"
+            f" would hold about {need / 2**30:.1f} GiB,"
             f" over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
         )
     return need
@@ -444,7 +435,6 @@ def tt_trace_report(
     eps_fp: float,
     rng: np.random.Generator,
     a: float = DEFAULT_LENGTH_CONSTANT,
-    rounds: int = 0,
 ) -> TraceOutcome:
     """Fingerprint-driven tracing: one oracle call, then code tracing.
 
@@ -452,8 +442,9 @@ def tt_trace_report(
     single batch, and accuses whoever the code's scorer singles out.
     """
     p, prg = ks.params, ks.params.prg
-    check_tracing_batch(p.n, eps_fp, a, prg.ell if prg else 0, rounds, 0 if prg else p.enc_bits)
-    cb = fp_gen(ks.params.n, eps_fp, rng, a=a)
+    k = code_length(p.n, eps_fp, a)
+    check_batch(p.n, k, prg.ell if prg else 0, pirate.rounds, 0 if prg else p.enc_bits)
+    cb = fp_gen(p.n, eps_fp, rng, a=a)
     # the batch is dropped once answered, before scoring allocates
     word = pirate.answer(tr_enc(ks, cb.words, rng))
     return TraceOutcome(fp_trace(cb, word), word, cb)
@@ -476,26 +467,18 @@ class ScanOutcome:
     repetitions: int
 
 
-def linear_scan_report(
-    ks: TTKeySet,
-    pirate: PirateOracle,
-    rng: np.random.Generator,
-    repetitions: int | None = None,
-) -> ScanOutcome:
+def linear_scan_report(ks: TTKeySet, pirate: PirateOracle, rng: np.random.Generator) -> ScanOutcome:
     """Level-sweep tracing: estimate P_i at every level, accuse the first big jump.
 
-    Sends each level i in {0..n} exactly s times, shuffled, in one
-    oracle call; accuses the smallest i with P_i - P_{i-1} >= 1/n (the
-    gap test is integer-exact).  The returned index is 1-based: it names
-    the user whose component flips between levels i-1 and i, i.e. key
-    row i-1.
+    Sends each level i in {0..n} exactly s = default_scan_repetitions(n)
+    times, shuffled, in one oracle call; accuses the smallest i with
+    P_i - P_{i-1} >= 1/n (the gap test is integer-exact).  The returned
+    index is 1-based: it names the user whose component flips between
+    levels i-1 and i, i.e. key row i-1.
     """
     p, prg = ks.params, ks.params.prg
-    n = p.n
-    s = default_scan_repetitions(n) if repetitions is None else int(repetitions)
-    if s < 1:
-        raise InputShapeError(f"repetition count must be >= 1, got {s}")
-    check_scan_batch(n, s, prg.ell if prg else 0, 0 if prg else p.enc_bits)
+    n, s = p.n, default_scan_repetitions(p.n)
+    check_batch(n, (n + 1) * s, prg.ell if prg else 0, pirate.rounds, 0 if prg else p.enc_bits)
     # levels in the narrowest dtype that holds n: permutation shuffles any
     # dtype in the same order, and the compare and seq shrink with it
     levels = np.arange(n + 1, dtype=np.min_scalar_type(n))

@@ -20,10 +20,10 @@ from ttpa.attack import (
 )
 from ttpa.crypto import LOCAL_PRG, PRF, prg_params_gen
 from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
-from ttpa.fpcode import fp_feasible
+from ttpa.fpcode import code_length, fp_feasible
 from ttpa.sanitize import LAPLACE, SanitizerConfig
 from ttpa.seeds import stream
-from ttpa.ttscheme import check_tracing_batch, honest_pirate, tr_enc, tt_gen, tt_trace_report
+from ttpa.ttscheme import check_batch, honest_pirate, tr_enc, tt_gen, tt_trace_report
 
 import ttpa.attack as attack_mod
 
@@ -356,7 +356,8 @@ class TestRunAttack:
         san = SanitizerConfig(kind, epsilon=1.0 if kind == LAPLACE else None)
         cfg = AttackConfig(n=n, kappa=kappa, eps_fp=eps_fp, a=a, sanitizer=san)
         prg = prg_params_gen(3, kappa // 2)
-        assert trial_peak(cfg, prg) <= check_tracing_batch(n, cfg.eps_fp, cfg.a, prg.ell)
+        k = code_length(n, eps_fp, a)
+        assert trial_peak(cfg, prg) <= check_batch(n, k, prg.ell)
 
     @pytest.mark.parametrize(
         "n,kappa,eps_fp,a",
@@ -379,14 +380,15 @@ class TestRunAttack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= check_tracing_batch(n, eps_fp, a, 0, nonce_bits=kappa // 2)
+        k = code_length(n, eps_fp, a)
+        assert peak <= check_batch(n, k, 0, nonce_bits=kappa // 2)
 
     @pytest.mark.parametrize("rounds", [10, 50])
     def test_laplace_rounds_peak_within_the_batch_estimate(self, rounds):
         san = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=rounds)
         cfg = AttackConfig(n=4, kappa=16, eps_fp=0.05, a=100.0, sanitizer=san)
         prg = prg_params_gen(3, 8)
-        need = check_tracing_batch(4, cfg.eps_fp, cfg.a, prg.ell, rounds)
+        need = check_batch(4, code_length(4, cfg.eps_fp, cfg.a), prg.ell, rounds)
         assert trial_peak(cfg, prg) <= need
 
     def test_workers_clamped_to_the_trials_that_fit_in_memory(self, monkeypatch):

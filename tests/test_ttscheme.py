@@ -32,8 +32,7 @@ from ttpa.ttscheme import (
     TTDecQueryFamily,
     TTKeySet,
     TTParams,
-    check_scan_batch,
-    check_tracing_batch,
+    check_batch,
     decode_index,
     decode_key_row,
     default_scan_repetitions,
@@ -52,6 +51,8 @@ from ttpa.ttscheme import (
     tt_trace_report,
     zeros_pirate,
 )
+
+import ttpa.ttscheme as ttscheme_mod
 
 
 def all_rows(width: int) -> np.ndarray:
@@ -504,17 +505,17 @@ class TestFingerprintTracing:
     def test_oversized_batch_refused_before_allocation(self):
         # n=100 needs ell_FP = 7,600,903 columns, about 8.1 GiB: refused
         # before the codebook is drawn, so neither the rng nor the oracle moves
-        assert check_tracing_batch(10, 0.05, 100.0, 32768) == (
+        assert check_batch(10, 52984, 32768) == (
             52984 * (11 * 10 + 48) + 32768 * (32 + 10) + 65536
         )
         with pytest.raises(InputShapeError, match="8.1 GiB"):
-            check_tracing_batch(100, 0.05, 100.0, 512)
+            check_batch(100, 7600903, 512)
         # each Laplace amplification round adds 16 bytes per ciphertext
-        assert check_tracing_batch(10, 0.05, 100.0, 32768, 7) == (
-            check_tracing_batch(10, 0.05, 100.0, 32768) + 7 * 16 * 52984
+        assert check_batch(10, 52984, 32768, 7) == (
+            check_batch(10, 52984, 32768) + 7 * 16 * 52984
         )
         with pytest.raises(InputShapeError, match="4.0 GiB"):
-            check_tracing_batch(10, 0.05, 100.0, 32768, 5000)
+            check_batch(10, 52984, 32768, 5000)
         ks = tt_gen(16, 100, LOCAL_PRG, stream(22, "big"))
         rng = stream(22, "big", "t")
         pirate = zeros_pirate()
@@ -524,13 +525,36 @@ class TestFingerprintTracing:
         assert pirate.answer(tt_enc(ks, 0, rng)).tolist() == [0]
 
 
+@pytest.mark.parametrize("tracer,rounds", [("fingerprint", 5000), ("scan", 10000)])
+def test_tracers_count_the_pirate_s_rounds(monkeypatch, tracer, rounds):
+    # at n=10 the fingerprint batch is 52,984 ciphertexts and the scan's
+    # 26,785: 5000 and 10000 Laplace rounds hold about 4.0 GiB of noise, and
+    # either tracer refuses before the codebook or the levels are drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew the tracing batch")
+
+    monkeypatch.setattr(ttscheme_mod, "fp_gen", no_draw)
+    monkeypatch.setattr(ttscheme_mod, "tr_enc", no_draw)
+    ks = tt_gen(16, 10, LOCAL_PRG, stream(26, "rounds", "keys"))
+    san = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=rounds)
+    pirate = pirate_from_sanitizer(ks.params, ks.rows, san, stream(26, "rounds", "pirate"))
+    rng = stream(26, "rounds", tracer)
+    with pytest.raises(InputShapeError, match=f"rounds={rounds} would hold about 4.0 GiB"):
+        if tracer == "scan":
+            linear_scan_report(ks, pirate, rng)
+        else:
+            tt_trace_report(ks, pirate, 0.05, rng)
+    assert pirate.rounds == rounds
+    assert rng.integers(1 << 30) == stream(26, "rounds", tracer).integers(1 << 30)
+
+
 def test_prf_draw_counted_as_one_chunk():
     # 500-bit nonces: 63-byte rows, and 131 draw rows of 500 bytes to a chunk
     cells = 5903 * ((11 + 63) * 2 + 48) + 65536
-    assert check_tracing_batch(2, 0.05, 400.0, 0, nonce_bits=500) == cells + 131 * (500 + 63)
+    assert check_batch(2, 5903, 0, nonce_bits=500) == cells + 131 * (500 + 63)
     # a batch smaller than a chunk is drawn whole
-    assert check_tracing_batch(2, 0.2, 2.0, 0, nonce_bits=500) == (
-        check_tracing_batch(2, 0.2, 2.0, 0) + 19 * (63 * 2 + 500 + 63)
+    assert check_batch(2, 19, 0, nonce_bits=500) == (
+        check_batch(2, 19, 0) + 19 * (63 * 2 + 500 + 63)
     )
 
 
@@ -553,24 +577,40 @@ class TestLinearScan:
         assert out.accused is None
         assert not out.counts.any()
 
-    def test_repetition_validation(self):
-        ks = small_keyset()
-        with pytest.raises(InputShapeError):
-            linear_scan_report(ks, zeros_pirate(), stream(0, "s"), repetitions=0)
-
     @pytest.mark.parametrize(
-        "scheme,n,kind",
-        [(LOCAL_PRG, 8, "EXACT"), (LOCAL_PRG, 4, LAPLACE), (PRF, 6, "honest")],
+        "scheme,n,kind,rounds",
+        [
+            (LOCAL_PRG, 8, "EXACT", 0),
+            (LOCAL_PRG, 4, LAPLACE, 0),
+            (PRF, 6, "honest", 0),
+            (LOCAL_PRG, 4, LAPLACE, 10),
+            (LOCAL_PRG, 4, LAPLACE, 50),
+        ],
+        # ids name the rounds only where there are some
+        ids=[
+            "LOCAL_PRG-8-EXACT",
+            "LOCAL_PRG-4-LAPLACE",
+            "PRF-6-honest",
+            "LOCAL_PRG-4-LAPLACE-10",
+            "LOCAL_PRG-4-LAPLACE-50",
+        ],
     )
-    def test_scan_peak_within_the_estimate(self, scheme, n, kind):
+    def test_scan_peak_within_the_estimate(self, monkeypatch, scheme, n, kind, rounds):
         ks = tt_gen(16, n, scheme, stream(24, "scan-peak", "keys"))
 
         def pirate(tag):
             if kind == "honest":
                 return honest_pirate(ks, 1)
-            san = SanitizerConfig(kind, epsilon=1.0 if kind == LAPLACE else None)
+            san = SanitizerConfig(
+                kind, epsilon=1.0 if kind == LAPLACE else None, amplification_rounds=rounds
+            )
             return pirate_from_sanitizer(ks.params, ks.rows[1:], san, stream(24, tag))
 
+        # the estimate the scan itself checks, pirate's rounds and all
+        checked = []
+        monkeypatch.setattr(
+            ttscheme_mod, "check_batch", lambda *args: checked.append(check_batch(*args))
+        )
         # numpy sets up some routines on first use; that is not the scan's
         linear_scan_report(ks, pirate("warm"), stream(24, "warm", "scan"))
         tracemalloc.start()
@@ -580,15 +620,14 @@ class TestLinearScan:
         finally:
             tracemalloc.stop()
         prg = ks.params.prg
-        need = check_scan_batch(
-            n, default_scan_repetitions(n), prg.ell if prg else 0, 0 if prg else 8
-        )
-        assert peak <= need
+        k = (n + 1) * default_scan_repetitions(n)
+        assert peak <= checked[-1]
+        assert checked[-1] == check_batch(n, k, prg.ell if prg else 0, rounds, 0 if prg else 8)
 
     def test_oversized_scan_refused_before_allocation(self):
         # kappa=16 allows 256 users; at n=64 the default s is 128,832, so the
         # int64 indices alone would fill 4.0 GiB
-        assert check_scan_batch(16, 6679, 32768) == (
+        assert check_batch(16, 17 * 6679, 32768) == (
             17 * 6679 * (11 * 16 + 48) + 32768 * (32 + 16) + 65536
         )
         ks = tt_gen(16, 64, LOCAL_PRG, stream(25, "big-scan"))
