@@ -21,6 +21,7 @@ import functools
 import math
 import multiprocessing
 import os
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
@@ -292,9 +293,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def check_audit_budget(epsilon: float, delta: float) -> None:
-    """An audited (epsilon, delta) claim needs both nonnegative."""
-    if epsilon < 0 or delta < 0:
-        raise InputShapeError("epsilon and delta must be nonnegative")
+    """An audited (epsilon, delta) claim needs both finite and nonnegative,
+    and e^epsilon a finite float: the audit multiplies by it."""
+    if not (0 <= epsilon < math.inf and 0 <= delta < math.inf):  # NaN fails both
+        raise InputShapeError(
+            f"epsilon and delta must be finite and nonnegative, got {epsilon} and {delta}"
+        )
+    if epsilon > math.log(sys.float_info.max):
+        raise InputShapeError(f"epsilon={epsilon} is too large to audit: e^epsilon overflows")
 
 
 def dp_audit(report: AttackReport, epsilon: float, delta: float) -> dict:

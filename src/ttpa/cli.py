@@ -4,9 +4,13 @@ Five tool groups behind one parser: fpcode (fingerprinting codes), tt
 (the tracing scheme), sanitize (counting-query mechanisms), attack
 (the two-experiment reduction), demo (calibration checks).  Every run
 but fpcode trace (which draws nothing) resolves one master seed: env
-TTPA_SEED overrides --seed, default 0.  Runs echo that configuration and
-write canonical JSON, so reruns with one seed are byte-identical
-whatever --jobs.  Exit codes: 0 ok, 1 runtime failure, 2 bad input.
+TTPA_SEED overrides --seed, default 0.  Every command but attack run
+prints one canonical JSON report of its configuration and results, to
+which the dispatcher adds the command's name and the resolved seed.
+attack run writes its report to a file and prints a text summary of
+it; the summary and the optional CSV read the report the same way.
+Reruns with one seed are byte-identical whatever --jobs.  Exit codes:
+0 ok, 1 runtime failure, 2 bad input.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from .ttscheme import (
 )
 
 _SCHEMES = {"local-prg": LOCAL_PRG, "prf": PRF}
-_MODES = {"literal": LITERAL, "folded": FOLDED}
 _COMPOSITIONS = {"basic": BASIC, "advanced": ADVANCED}
 _STRATEGY_FLAGS = {
     "majority": MAJORITY,
@@ -107,16 +110,21 @@ def resolve_seed(explicit: int | None) -> int:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as f:
         f.write(text)
-        if not text.endswith("\n"):
-            f.write("\n")
 
 
 def _write_json(obj, path: str) -> None:
-    _write_text(path, canonical_json(obj))
+    _write_text(path, canonical_json(obj) + "\n")
 
 
-def _report(obj: dict, out: str | None) -> int:
-    """Print a command's report, and write it to out when one is named."""
+def _report(args, obj: dict, out: str | None = None) -> int:
+    """Print a command's report, and write it to out when one is named.
+
+    The report names its command, and a command that takes --seed
+    echoes the seed it resolved in its config.
+    """
+    obj["command"] = f"{args.group} {args.command}"
+    if "seed" in args:
+        obj["config"]["seed"] = args.seed
     if out:
         _write_json(obj, out)
     print(canonical_json(obj))
@@ -173,12 +181,10 @@ def _cmd_fpcode_gen(args) -> int:
     if coalition:
         _write_json(adversary_view_json(cb, list(coalition)), args.adversary_view)
     obj = {
-        "command": "fpcode gen",
         "config": {
             "n": args.n,
             "eps_fp": args.eps_fp,
             "a": args.a,
-            "seed": args.seed,
             "out": args.out,
             "adversary_view": args.adversary_view,
             "coalition": args.coalition,
@@ -187,7 +193,7 @@ def _cmd_fpcode_gen(args) -> int:
         "cutoff": cb.cutoff,
         "threshold": cb.threshold,
     }
-    return _report(obj, None)
+    return _report(args, obj)
 
 
 def _cmd_fpcode_trace(args) -> int:
@@ -199,13 +205,12 @@ def _cmd_fpcode_trace(args) -> int:
     word = bits_from_hex(hex_word, cb.ell, "word")
     scores = fp_scores(cb, word)
     obj = {
-        "command": "fpcode trace",
         "config": {"codebook": args.codebook},
         "accused": fp_trace(cb, word),
         "max_score": float(scores.max()),
         "threshold": cb.threshold,
     }
-    return _report(obj, None)
+    return _report(args, obj)
 
 
 def _cmd_fpcode_bench(args) -> int:
@@ -223,7 +228,6 @@ def _cmd_fpcode_bench(args) -> int:
         for s in names
     }
     obj = {
-        "command": "fpcode bench",
         "config": {
             "n": args.n,
             "eps_fp": args.eps_fp,
@@ -231,11 +235,10 @@ def _cmd_fpcode_bench(args) -> int:
             "trials": args.trials,
             "coalition_size": args.coalition_size,
             "strategy": args.strategy,
-            "seed": args.seed,
         },
         "results": results,
     }
-    return _report(obj, args.out)
+    return _report(args, obj, args.out)
 
 
 # -------------------------------------------------------------------- tt
@@ -245,49 +248,41 @@ def _cmd_tt_keygen(args) -> int:
     ks = tt_gen(args.kappa, args.n, scheme, stream(args.seed, "tt-keygen"))
     _write_json(keyset_to_json(ks), args.out)
     obj = {
-        "command": "tt keygen",
         "config": {
             "kappa": args.kappa,
             "n": args.n,
             "scheme": scheme,
-            "seed": args.seed,
             "out": args.out,
         },
         "stretch": None if ks.params.prg is None else ks.params.prg.ell,
     }
-    return _report(obj, None)
-
-
-def _build_pirate(spec: str, ks, args, rng):
-    """Returns (oracle, coalition or None) for a --pirate spec string."""
-    if spec == "zeros":
-        return zeros_pirate(), None
-    if spec == "honest" or spec.startswith("honest:"):
-        user = int(spec.split(":", 1)[1]) if ":" in spec else 0
-        return honest_pirate(ks, user), (user,)
-    if spec.startswith("sanitizer:"):
-        kind = spec.split(":", 1)[1]
-        if kind not in ("exact", "laplace"):
-            raise InputShapeError(f"unknown sanitizer kind in pirate spec {spec!r}")
-        coalition = _parse_coalition(args.coalition, ks.params.n)
-        cfg = _sanitizer_cfg(kind, args)
-        rows = ks.rows[list(coalition)]
-        return pirate_from_sanitizer(ks.params, rows, cfg, rng), coalition
-    raise InputShapeError(
-        f"unknown pirate {spec!r}; use honest[:user], zeros, or sanitizer:{{exact|laplace}}"
-    )
+    return _report(args, obj)
 
 
 def _cmd_tt_trace(args) -> int:
-    if args.pirate == "zeros" or args.pirate.split(":")[0] == "honest":
+    kind, colon, arg = args.pirate.partition(":")
+    if args.pirate == "zeros" or kind == "honest":
         ignored = ("coalition", *_SANITIZER_DEFAULTS)
+    elif kind == "sanitizer" and arg in ("exact", "laplace"):
+        ignored = _LAPLACE_ONLY if arg == "exact" else ()
     else:
-        ignored = _LAPLACE_ONLY if args.pirate == "sanitizer:exact" else ()
+        raise InputShapeError(
+            f"unknown pirate {args.pirate!r};"
+            " use honest[:user], zeros, or sanitizer:{exact|laplace}"
+        )
     _fill_sanitizer_flags(args, ignored, f"by the {args.pirate} pirate")
     ks = keyset_from_json(read_json(args.keys))
-    pirate, coalition = _build_pirate(
-        args.pirate, ks, args, stream(args.seed, "tt-trace", "pirate")
-    )
+    if kind == "zeros":
+        pirate, coalition = zeros_pirate(), None
+    elif kind == "honest":
+        coalition = (int(arg) if colon else 0,)
+        pirate = honest_pirate(ks, coalition[0])
+    else:
+        coalition = _parse_coalition(args.coalition, ks.params.n)
+        rows = ks.rows[list(coalition)]
+        pirate = pirate_from_sanitizer(
+            ks.params, rows, _sanitizer_cfg(arg, args), stream(args.seed, "tt-trace", "pirate")
+        )
     out = tt_trace_report(ks, pirate, args.eps_fp, stream(args.seed, "tt-trace", "trace"), a=args.a)
     feasible = (
         None
@@ -296,14 +291,12 @@ def _cmd_tt_trace(args) -> int:
     )
     prg = ks.params.prg
     obj = {
-        "command": "tt trace",
         "config": {
             "keys": args.keys,
             "pirate": args.pirate,
             "eps_fp": args.eps_fp,
             "a": args.a,
             "coalition": args.coalition,
-            "seed": args.seed,
         },
         "n": ks.params.n,
         "kappa": ks.params.kappa,
@@ -313,7 +306,7 @@ def _cmd_tt_trace(args) -> int:
         "feasible": feasible,
         "collision_bound": None if prg is None else collision_bound(prg.ell, out.codebook.ell),
     }
-    return _report(obj, args.out)
+    return _report(args, obj, args.out)
 
 
 def _cmd_tt_export_circuit(args) -> int:
@@ -321,24 +314,22 @@ def _cmd_tt_export_circuit(args) -> int:
     rng = stream(args.seed, "tt-export")
     bit = 1 if args.bit is None else args.bit
     ct = tt_enc(ks, bit, rng) if args.level is None else tr_enc_index(ks, args.level, rng)
-    circ = tt_dec_circuit(ct, ks.params, _MODES[args.mode])
+    circ = tt_dec_circuit(ct, ks.params, args.mode)
     _write_json(circuit_to_json(circ), args.out)
     met = circuit_metrics(circ)
     obj = {
-        "command": "tt export-circuit",
         "config": {
             "keys": args.keys,
             "bit": bit,
             "level": args.level,
             "mode": args.mode,
-            "seed": args.seed,
             "out": args.out,
         },
         "input_width": circ.input_width,
         "size": met.size,
         "depth": met.depth,
     }
-    return _report(obj, None)
+    return _report(args, obj)
 
 
 # -------------------------------------------------------------- sanitize
@@ -363,12 +354,10 @@ def _cmd_sanitize_run(args) -> int:
     answers = sanitize(cfg, db, queries, stream(args.seed, "sanitize-run"))
     scale = laplace_scale(cfg, len(queries), db.m) if cfg.kind == LAPLACE and queries else None
     obj = {
-        "command": "sanitize run",
         "config": {
             "db": args.db,
             "queries": list(args.queries),
             **asdict(cfg),
-            "seed": args.seed,
         },
         "m": db.m,
         "d": db.d,
@@ -376,49 +365,33 @@ def _cmd_sanitize_run(args) -> int:
         "scale": scale,
         "answers": [float(a) for a in answers],
     }
-    return _report(obj, args.out)
+    return _report(args, obj, args.out)
 
 
 # ---------------------------------------------------------------- attack
 
-def _hist_rows(errs: list[float]) -> list[tuple[float, float, int]]:
-    counts, edges = np.histogram(np.array(errs, dtype=np.float64), bins=20, range=(0.0, 1.0))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-        for i in range(len(counts))
-    ]
-
-
-def summary_rows(report: dict) -> list[list[str]]:
-    """Flat accusation-frequency and accuracy-histogram rows for the CSV."""
-    rows: list[list[str]] = []
-    for name in ("exp1", "exp2"):
-        exp = report.get(name)
-        if not exp:
-            continue
-        for u, freq in sorted((int(k), v) for k, v in exp["accused_freq"].items()):
-            rows.append(["accused_freq", name, str(u), f"{freq:.6f}"])
-        rows.append(["accused_freq", name, "NONE", f"{exp['none_freq']:.6f}"])
-        errs = [
-            r["max_abs_err"]
-            for r in exp.get("trial_records", [])
-            if r.get("max_abs_err") is not None
-        ]
-        for lo, hi, count in _hist_rows(errs):
-            rows.append(["accuracy_hist", name, f"{lo:.2f}-{hi:.2f}", str(count)])
-    return rows
-
-
-def csv_from_rows(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _freq_rows(exp: dict) -> list[tuple[str, float]]:
+    """An experiment's accused-frequency table: each accused user in order, then NONE."""
+    users = sorted((int(u), freq) for u, freq in exp["accused_freq"].items())
+    return [*((str(u), freq) for u, freq in users), ("NONE", exp["none_freq"])]
 
 
 def summary_csv(report: dict) -> str:
-    return csv_from_rows(summary_rows(report))
+    """Accused-frequency and accuracy-histogram rows of one attack report dict, as CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for name in ("exp1", "exp2"):
+        exp = report[name]
+        if exp is None:
+            continue
+        for user, freq in _freq_rows(exp):
+            writer.writerow(["accused_freq", name, user, f"{freq:.6f}"])
+        errs = [r["max_abs_err"] for r in exp["trial_records"] if r["max_abs_err"] is not None]
+        counts, edges = np.histogram(np.array(errs, dtype=np.float64), bins=20, range=(0.0, 1.0))
+        for lo, hi, count in zip(edges, edges[1:], counts):
+            writer.writerow(["accuracy_hist", name, f"{lo:.2f}-{hi:.2f}", int(count)])
+    return buf.getvalue()
 
 
 def _fmt(v) -> str:
@@ -427,47 +400,42 @@ def _fmt(v) -> str:
 
 def emit_summary(report: dict) -> str:
     """Aligned text tables for one attack report dict."""
-    params = report.get("params") or {}
-    san = params.get("sanitizer") or {}
+    params = report["params"]
+    san = params["sanitizer"]
     lines = [
         "attack report",
-        f"  n={params.get('n')} kappa={params.get('kappa')} trials={params.get('trials')}",
-        f"  eps_fp={params.get('eps_fp')} a={params.get('a')} seed={params.get('seed')}",
-        f"  sanitizer: kind={san.get('kind')} epsilon={san.get('epsilon')}"
-        f" delta={san.get('delta')} composition={san.get('composition')}",
+        f"  n={params['n']} kappa={params['kappa']} trials={params['trials']}",
+        f"  eps_fp={params['eps_fp']} a={params['a']} seed={params['seed']}",
+        f"  sanitizer: kind={san['kind']} epsilon={san['epsilon']}"
+        f" delta={san['delta']} composition={san['composition']}",
     ]
-    any_trials = False
     for name in ("exp1", "exp2"):
-        exp = report.get(name)
-        if not exp:
+        exp = report[name]
+        if exp is None:
             continue
-        any_trials = any_trials or bool(exp.get("trials"))
-        coalition = exp.get("coalition") or []
         lines.append("")
         lines.append(
-            f"  [{name}] trials={exp.get('trials')}"
-            f" coalition={','.join(str(u) for u in coalition)}"
+            f"  [{name}] trials={exp['trials']}"
+            f" coalition={','.join(str(u) for u in exp['coalition'])}"
         )
         lines.append("    user  freq")
-        for u, freq in sorted((int(k), v) for k, v in exp["accused_freq"].items()):
-            lines.append(f"    {u:>4d}  {freq:.6f}")
-        lines.append(f"    NONE  {exp['none_freq']:.6f}")
-        err = exp.get("max_abs_err") or {}
+        for user, freq in _freq_rows(exp):
+            lines.append(f"    {user:>4}  {freq:.6f}")
+        err = exp["max_abs_err"]
         lines.append(
-            f"    feasible_rate={_fmt(exp.get('feasible_rate'))}"
-            f" failed_rate={_fmt(exp.get('failed_rate'))}"
-            f" answer_err mean={_fmt(err.get('mean'))} max={_fmt(err.get('max'))}"
+            f"    feasible_rate={_fmt(exp['feasible_rate'])}"
+            f" failed_rate={_fmt(exp['failed_rate'])}"
+            f" answer_err mean={_fmt(err['mean'])} max={_fmt(err['max'])}"
         )
     lines.append("")
-    audit = report.get("audit")
-    if not any_trials or audit is None or not audit.get("conclusive"):
+    audit = report["audit"]
+    if not audit["conclusive"]:
         lines.append("  audit: INCONCLUSIVE")
-        if audit is not None:
-            lines.append(
-                f"    i_star={audit.get('i_star')}"
-                f" trials_full={audit.get('trials_full')}"
-                f" trials_minus={audit.get('trials_minus')}"
-            )
+        lines.append(
+            f"    i_star={audit['i_star']}"
+            f" trials_full={audit['trials_full']}"
+            f" trials_minus={audit['trials_minus']}"
+        )
     else:
         verdict = "VIOLATED" if audit["violated"] else "not violated"
         lines.append(f"  audit: {verdict}")
@@ -509,11 +477,10 @@ def _cmd_attack_run(args) -> int:
 
 def _cmd_demo_laplace(args) -> int:
     obj = {
-        "command": "demo laplace-tightness",
-        "config": {"seed": args.seed},
+        "config": {},
         "report": laplace_tightness_demo(args.seed),
     }
-    return _report(obj, args.out)
+    return _report(args, obj, args.out)
 
 
 # ---------------------------------------------------------------- parser
@@ -608,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--bit", type=int, choices=(0, 1), help="plaintext bit (default 1)")
     g.add_argument("--level", type=int, default=None, help="mixed ciphertext level")
-    p.add_argument("--mode", choices=sorted(_MODES), default="folded")
+    p.add_argument("--mode", choices=(FOLDED, LITERAL), default=FOLDED)
     p.add_argument("--out", required=True, help="netlist JSON")
     _add_seed(p)
     p.set_defaults(func=_cmd_tt_export_circuit)

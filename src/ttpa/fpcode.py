@@ -260,16 +260,29 @@ def adversary_view_json(cb: Codebook, coalition: list[int]) -> dict:
 
 
 def codebook_from_json(obj: dict) -> Codebook:
+    """Parse a codebook file; its ell, cutoff and threshold must be the ones
+    its n, eps_fp and a give."""
     try:
-        ell = int(obj["ell"])
+        n, eps_fp, a = int(obj["n"]), float(obj["eps_fp"]), float(obj["a"])
+        ell, cutoff, threshold = int(obj["ell"]), float(obj["cutoff"]), float(obj["threshold"])
+        for name, stored, derived in (
+            ("ell", ell, code_length(n, eps_fp, a)),
+            ("cutoff", cutoff, bias_cutoff(n)),
+            ("threshold", threshold, accusation_threshold(n, eps_fp)),
+        ):
+            if stored != derived:
+                raise FileFormatError(
+                    f"{name} {stored} disagrees with n={n}, eps_fp={eps_fp}, a={a},"
+                    f" which give {derived}"
+                )
         words = [bits_from_hex(h, ell, f"word {u}") for u, h in enumerate(obj["words"])]
         return Codebook(
-            int(obj["n"]),
+            n,
             ell,
-            float(obj["eps_fp"]),
-            float(obj["a"]),
-            float(obj["cutoff"]),
-            float(obj["threshold"]),
+            eps_fp,
+            a,
+            cutoff,
+            threshold,
             np.asarray(obj["biases"], dtype=np.float64),
             np.array(words, dtype=np.uint8).reshape(len(words), ell),
         )

@@ -94,9 +94,11 @@ class SanitizerConfig:
             raise InputShapeError("amplification rounds must be >= 0")
         if self.kind == EXACT and self.amplification_rounds > 0:
             raise InputShapeError("amplification rounds apply to LAPLACE only")
+        if self.delta is not None and not math.isfinite(self.delta):
+            raise InputShapeError(f"delta must be finite, got {self.delta}")
         if self.kind == LAPLACE:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise InputShapeError("LAPLACE needs epsilon > 0")
+            if self.epsilon is None or not 0 < self.epsilon < math.inf:
+                raise InputShapeError(f"LAPLACE needs a finite epsilon > 0, got {self.epsilon}")
             if self.composition == ADVANCED and not (
                 self.delta is not None and 0.0 < self.delta < 1.0
             ):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,14 @@ class TestAudit:
             dp_audit(report, -0.1, 0.0)
         with pytest.raises(InputShapeError):
             dp_audit(report, 0.1, -1e-9)
+        for eps, delta in ((math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(InputShapeError, match="finite and nonnegative"):
+                dp_audit(report, eps, delta)
+        # the largest epsilon whose e^epsilon is a finite float is audited
+        largest = math.log(sys.float_info.max)
+        assert math.isfinite(dp_audit(report, largest, 0.0)["margin"])
+        with pytest.raises(InputShapeError, match="overflows"):
+            dp_audit(report, math.nextafter(largest, math.inf), 0.0)
 
 
 class TestConfig:
@@ -328,6 +337,10 @@ class TestRunAttack:
         a1 = dp_audit(r1, 1.0, 0.01)
         assert r1.to_dict(a1) == r2.to_dict(dp_audit(r2, 1.0, 0.01))
         assert r1.to_dict(a1) == r3.to_dict(dp_audit(r3, 1.0, 0.01))
+
+    def test_empty_coalition_refused(self):
+        with pytest.raises(InputShapeError, match="nonempty"):
+            attack_mod._run_experiment(self.small_cfg(), None, EXP_FULL, [], 1)
 
     def test_jobs_validated_and_clamped(self):
         for bad in (0, -3):

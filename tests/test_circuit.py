@@ -136,6 +136,9 @@ class TestEval:
             eval_circuit(c, (1,))
         with pytest.raises(InputShapeError):
             eval_circuit(c, (1, 2))
+        with pytest.raises(InputShapeError, match="does not match circuit width 2"):
+            eval_on_rows(c, np.zeros((4, 3), dtype=np.uint8))
+        assert eval_on_rows(c, np.zeros((0, 2), dtype=np.uint8)).tolist() == []
 
     @given(circuits(), st.data())
     def test_eval_on_rows_matches_scalar(self, c, data):
@@ -201,11 +204,16 @@ class TestEval:
             want = rows[:, w]
             got = [(col >> i) & 1 for i in range(len(rows))]
             assert got == want.tolist()
+        for width in (0, 21):
+            with pytest.raises(InputShapeError, match="width 1..20"):
+                exhaustive_columns(width)
 
     def test_pack_rows_roundtrip(self):
         rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         cols = pack_rows(rows)
         assert [(c & 1, (c >> 1) & 1) for c in cols] == [(1, 0), (0, 1), (1, 1)]
+        with pytest.raises(InputShapeError, match="2-d"):
+            pack_rows(np.array([1, 0, 1], dtype=np.uint8))
 
     @pytest.mark.parametrize("bad", [256, 0.9, 2])
     def test_non_bit_rows_refused_before_the_cast(self, bad):
@@ -255,6 +263,14 @@ class TestDnf:
         ands = sum(1 for g in c.gates if g.op == AND)
         assert ands == 2
         assert [eval_circuit(c, r) for r in all_rows(2)] == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("table,why", [
+        ([0, 1, 1], "table length 3 != 2"),
+        ([0, 1, 2, 0], "entries must be 0/1"),
+    ])
+    def test_malformed_table_refused(self, table, why):
+        with pytest.raises(InputShapeError, match=why):
+            append_minterm_dnf(CircuitBuilder(2), table, [0, 1])
 
     def test_constant_zero_table(self):
         b = CircuitBuilder(2)

@@ -10,7 +10,6 @@ from ttpa.circuit import circuit_from_json, circuit_to_json
 from ttpa.cli import (
     CSV_HEADER,
     canonical_json,
-    csv_from_rows,
     emit_summary,
     main,
     main_tt,
@@ -135,6 +134,25 @@ class TestFpcodeCommands:
         )
         assert code == 2 and "--adversary-view" in err and "nodir" in err
         assert not (tmp_path / "cb.json").exists()
+
+    @pytest.mark.parametrize("coalition,why", [
+        ("0,x", "comma-separated ints"),
+        (",", "coalition is empty"),
+    ])
+    def test_gen_refuses_malformed_coalition(self, capsys, tmp_path, coalition, why):
+        code, out, err, _path = self.gen(
+            capsys, tmp_path, "--adversary-view", str(tmp_path / "v.json"),
+            "--coalition", coalition,
+        )
+        assert code == 2 and out == "" and why in err
+        assert not (tmp_path / "cb.json").exists()
+
+    def test_gen_onto_a_directory_is_a_runtime_failure(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "fpcode", "gen", "--n", "2", "--out", str(tmp_path)
+        )
+        assert code == 1 and out == ""
+        assert "Is a directory" in err and "Traceback" not in err
 
     def test_gen_rejects_bad_n(self, capsys, tmp_path):
         code, _out, err = run_cli(
@@ -287,10 +305,9 @@ class TestTTCommands:
 
     def test_trace_bad_pirate_spec(self, capsys, tmp_path):
         _c, _o, _e, path = self.keygen(capsys, tmp_path)
-        code, _out, err = run_cli(
-            capsys, "tt", "trace", "--keys", path, "--pirate", "oracle9000"
-        )
-        assert code == 2 and "pirate" in err
+        for spec in ("oracle9000", "sanitizer:bogus", "zeros:1"):
+            code, out, err = run_cli(capsys, "tt", "trace", "--keys", path, "--pirate", spec)
+            assert code == 2 and out == "" and f"unknown pirate {spec!r}" in err
 
     def test_export_circuit_literal_depth(self, capsys, tmp_path):
         _c, _o, _e, path = self.keygen(capsys, tmp_path)
@@ -596,7 +613,14 @@ class TestAttackCommand:
         assert code == 2 and "jobs must be >= 1" in err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--eps", "-1"), ("--delta", "-0.5")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "-1"),
+        ("--delta", "-0.5"),
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--delta", "nan"),
+        ("--eps", "710"),  # e^710 overflows: dp_audit raised OverflowError after every trial
+    ])
     def test_rejects_negative_audit_budget_before_any_trial(
         self, capsys, tmp_path, monkeypatch, flag, value
     ):
@@ -605,7 +629,8 @@ class TestAttackCommand:
 
         monkeypatch.setattr(attack_mod, "_run_trial", no_trial)
         code, out, err, out_path = self.run(capsys, tmp_path, "r.json", flag, value)
-        assert code == 2 and out == "" and "nonnegative" in err
+        why = "overflows" if value == "710" else "nonnegative"
+        assert code == 2 and out == "" and why in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--summary-csv"])
@@ -693,7 +718,9 @@ class TestSummaryFormats:
         text = summary_csv(self.sample_report())
         header, *rows = csv.reader(io.StringIO(text))
         assert header == CSV_HEADER
-        assert csv_from_rows(rows) == text
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        assert buf.getvalue() == text
         assert ["accused_freq", "exp1", "1", "0.600000"] in rows
         assert ["accused_freq", "exp2", "NONE", "0.900000"] in rows
 
@@ -728,6 +755,27 @@ def test_exact_sanitizer_refuses_amp_rounds(capsys, tmp_path, argv):
     files = input_files(capsys, tmp_path)
     code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--amp-rounds", "7")
     assert code == 2 and stdout == "" and "LAPLACE only" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace", "--eps", "nan"),
+    ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace", "--eps", "inf"),
+    ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace",
+     "--delta", "nan"),
+    ("tt", "trace", "--keys", "{keys}", "--pirate", "sanitizer:laplace", "--eps", "nan"),
+])
+def test_non_finite_noise_budget_refused_before_any_draw(capsys, tmp_path, monkeypatch, argv):
+    # --eps nan printed NaN answers and scale, and --eps inf a scale of 0.0:
+    # neither NaN nor Infinity is JSON
+    files = input_files(capsys, tmp_path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(cli_mod, "stream", no_draw)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
+    assert code == 2 and stdout == "" and "finite" in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -16,7 +16,12 @@ its own JSON and hex rows, before one codec wrote them all.  The
 ``tr_enc`` ciphertext digests were taken while ``tr_enc`` encrypted
 LOCAL_PRG batches with its own stacked PRG lookup and PRF batches one
 user key at a time, holding each PRF nonce as a Python int; the test
-reads each PRF nonce row back as that int before hashing.
+reads each PRF nonce row back as that int before hashing.  The
+``attack run`` stdout, report and CSV digests, and the stdout of
+``tt export-circuit``, ``fpcode trace`` and ``fpcode bench``, were
+taken while each command wrote its own name and seed into its report
+and the text summary and the CSV each read the attack report their own
+way.
 """
 
 import hashlib
@@ -56,6 +61,46 @@ EXPORT_CIRCUIT = {
     ("literal", 2): "42f88c605648512e087bf0d50da46937e10cabfa24446ffbbd7129516cb86076",
     ("folded", None): "d3fca954c08d2c90c31aa883db51e9ccafd7e36c52c5e3053a6945c6eb58b32a",
     ("folded", 2): "8df837eb3f59e0391b81561aabe760d00a7ed89657949c59ce083d7e70add383",
+}
+
+# the stdout of each `tt export-circuit` above, which still echoes "bit": 1
+# when --level is given
+EXPORT_CIRCUIT_STDOUT = {
+    ("literal", None): "c414467e5347c7cfe72da32ea5ba9fcec4ab432402ccdbd6353ff7285cd8228e",
+    ("literal", 2): "f619b7a510ea49a5389bddc4e8b644d15c263975683fe2a01f3197d11062c607",
+    ("folded", None): "08134abba9871ec70aa4fedb681767ea6caa5292cc21ca8f5eb275795893843e",
+    ("folded", 2): "8fadc86bd48b6ec77a78993ebc0b4938d43fed472142b57360f6768cf7cac21c",
+}
+
+# `attack run --n 4 --kappa 16 ... --out report.json`: the printed summary,
+# and for the two 20-trial runs the report file and the --summary-csv file
+ATTACK_RUN = {
+    "conclusive": {
+        "argv": ("--trials", "20", "--seed", "0"),
+        "stdout": "66cfdf41c4327dd5a643895b0f19c32a45800e5912b1baac025ee266b67881f6",
+        "report.json": "03902f9e0540c4e116faaab3be1b874644c6b3996a8ca63eb9925e931d5a2f9e",
+        "summary.csv": "1462664287a5bd1b90abb4ebbac0fd542fc1d5a78b7bc5a1adec4492aad791fc",
+    },
+    "inconclusive": {
+        "argv": ("--eps-fp", "0.2", "--trials", "3", "--seed", "1"),
+        "stdout": "7da1c343564a1d944992fb747514bcb29aa33f0effd6bb77b656547933885209",
+    },
+    # no trial of experiment 1 accuses anyone, so there is no i* and no exp2
+    "no-i-star": {
+        "argv": ("--trials", "20", "--seed", "0", "--sanitizer", "laplace", "--eps", "50",
+                 "--amp-rounds", "3"),
+        "stdout": "1232cfba3dfbd8c3f7446e40119455b221e7011f4c439082fae085d56c4f17bc",
+        "report.json": "99257076586a7abeec470557fa1dba4871700e72d055c0a2ef6b1ab160873beb",
+        "summary.csv": "ac2ada584cb1255f4749b2537b9bddbe51119cb0275f65e3d0b4167630e90ad6",
+    },
+}
+
+# after `fpcode gen --n 3 --eps-fp 0.2 --a 2 --out cb.json --seed 5`
+FPCODE_STDOUT = {
+    ("trace", "--codebook", "cb.json", "--word", "00000000000000"):
+        "a36b614e345506a42829e8153a846b4f6d5b52feb869c0a4474a6c0ffbc30f7f",
+    ("bench", "--n", "3", "--eps-fp", "0.2", "--a", "2", "--trials", "5", "--seed", "5"):
+        "3af8b342502a1ef97288cb28b87222b9d55997f39b7df9abbb157b56c4cd66dc",
 }
 
 # `tt keygen --kappa 16 --n 3 --seed 5`: the key file and stdout per scheme
@@ -288,7 +333,26 @@ def test_export_circuit_bytes(capsys, mode, level):
     run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--out", "keys.json",
             "--seed", "5")
     which = () if level is None else ("--level", str(level))
-    run_cli(capsys, "tt", "export-circuit", "--keys", "keys.json", "--mode", mode, *which,
-            "--out", "c.json", "--seed", "5")
-    with open("c.json", "rb") as f:
-        assert sha256(f.read()) == EXPORT_CIRCUIT[(mode, level)]
+    out = run_cli(capsys, "tt", "export-circuit", "--keys", "keys.json", "--mode", mode, *which,
+                  "--out", "c.json", "--seed", "5")
+    assert file_digest("c.json") == EXPORT_CIRCUIT[(mode, level)]
+    assert sha256(out.encode()) == EXPORT_CIRCUIT_STDOUT[(mode, level)]
+
+
+@pytest.mark.parametrize("case", sorted(ATTACK_RUN))
+def test_attack_run_output_bytes(capsys, case):
+    pins = ATTACK_RUN[case]
+    csv_flag = ("--summary-csv", "summary.csv") if "summary.csv" in pins else ()
+    out = run_cli(capsys, "attack", "run", "--n", "4", "--kappa", "16", *pins["argv"],
+                  "--out", "report.json", *csv_flag)
+    got = {"stdout": sha256(out.encode())}
+    got.update((name, file_digest(name)) for name in pins if name.endswith((".json", ".csv")))
+    assert got == {what: digest for what, digest in pins.items() if what != "argv"}
+
+
+@pytest.mark.parametrize("argv", sorted(FPCODE_STDOUT))
+def test_fpcode_stdout_bytes(capsys, argv):
+    run_cli(capsys, "fpcode", "gen", "--n", "3", "--eps-fp", "0.2", "--a", "2",
+            "--out", "cb.json", "--seed", "5")
+    out = run_cli(capsys, "fpcode", *argv)
+    assert sha256(out.encode()) == FPCODE_STDOUT[argv]

@@ -295,6 +295,11 @@ class TestAdversaries:
         with pytest.raises(InputShapeError):
             fp_adversary(np.zeros((1, 2), dtype=np.uint8), "SPLICE", stream(0, "x"))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (4,)])
+    def test_coalition_must_be_a_nonempty_matrix(self, shape):
+        with pytest.raises(InputShapeError, match="nonempty"):
+            fp_adversary(np.zeros(shape, dtype=np.uint8), MAJORITY, stream(0, "x"))
+
 
 class TestExperiment:
     def test_copy_one_bench(self):
@@ -335,13 +340,17 @@ class TestExperiment:
 
 class TestSerialization:
     def test_roundtrip(self):
-        cb = fp_gen(3, 0.2, stream(4, "fp-json"), a=1.0)
-        back = codebook_from_json(json.loads(canonical_json(codebook_to_json(cb))))
-        assert back.n == cb.n and back.ell == cb.ell
-        assert back.eps_fp == cb.eps_fp and back.a == cb.a
-        assert back.cutoff == cb.cutoff and back.threshold == cb.threshold
-        assert np.array_equal(back.biases, cb.biases)
-        assert np.array_equal(back.words, cb.words)
+        # the loader compares ell, cutoff and threshold with the values n,
+        # eps_fp and a give, so each must come back bit for bit
+        for n, eps_fp, a in ((3, 0.2, 1.0), (2, 0.2, 2), (7, 0.01, 20.0), (10, 0.05, 1.0),
+                             (16, 0.05, 0.3)):
+            cb = fp_gen(n, eps_fp, stream(4, "fp-json"), a=a)
+            back = codebook_from_json(json.loads(canonical_json(codebook_to_json(cb))))
+            assert back.n == cb.n and back.ell == cb.ell
+            assert back.eps_fp == cb.eps_fp and back.a == cb.a
+            assert back.cutoff == cb.cutoff and back.threshold == cb.threshold
+            assert np.array_equal(back.biases, cb.biases)
+            assert np.array_equal(back.words, cb.words)
 
     def test_adversary_view_excludes_secrets(self):
         cb = fp_gen(4, 0.2, stream(4, "fp-view"), a=1.0)
@@ -390,6 +399,10 @@ class TestSerialization:
         ("a", -1.0, "length constant"),
         ("threshold", -100.0, "threshold"),
         ("threshold", 0.0, "threshold"),
+        # each of these loaded, and a threshold of 0.001 accused users of their own words
+        ("threshold", 0.001, "threshold 0.001 disagrees"),
+        ("cutoff", 0.25, "cutoff 0.25 disagrees"),
+        ("ell", 5, "ell 5 disagrees"),
     ])
     def test_codebook_checks_its_scalars(self, field, value, why):
         # fp_gen never draws these, but a codebook file used to carry them

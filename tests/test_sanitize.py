@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -132,6 +134,8 @@ class TestEvaluate:
         assert np.allclose(via_family, via_circuits)
         with pytest.raises(InputShapeError):
             evaluate_batch(fam, Database(np.zeros((2, 15), dtype=np.uint8)))
+        with pytest.raises(InputShapeError, match="empty"):
+            evaluate_batch(fam, Database(np.zeros((0, db.d), dtype=np.uint8)))
 
 
 class RandomBitsFamily:
@@ -253,6 +257,13 @@ class TestConfig:
             SanitizerConfig(LAPLACE)
         with pytest.raises(InputShapeError):
             SanitizerConfig(LAPLACE, epsilon=0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(InputShapeError, match="finite epsilon"):
+                SanitizerConfig(LAPLACE, epsilon=eps)
+        for kind, eps in ((LAPLACE, 1.0), (EXACT, None)):
+            for delta in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InputShapeError, match="delta must be finite"):
+                    SanitizerConfig(kind, epsilon=eps, delta=delta)
         with pytest.raises(InputShapeError):
             SanitizerConfig(LAPLACE, epsilon=1.0, composition=ADVANCED)
         with pytest.raises(InputShapeError):
