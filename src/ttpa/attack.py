@@ -294,11 +294,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def check_audit_budget(epsilon: float, delta: float) -> None:
     """An audited (epsilon, delta) claim needs both finite and nonnegative,
-    and e^epsilon a finite float: the audit multiplies by it."""
+    delta at most 1, and e^epsilon a finite float: the audit multiplies by it."""
     if not (0 <= epsilon < math.inf and 0 <= delta < math.inf):  # NaN fails both
         raise InputShapeError(
             f"epsilon and delta must be finite and nonnegative, got {epsilon} and {delta}"
         )
+    if delta > 1:
+        raise InputShapeError(f"delta={delta} claims nothing: no probability exceeds 1")
     if epsilon > math.log(sys.float_info.max):
         raise InputShapeError(f"epsilon={epsilon} is too large to audit: e^epsilon overflows")
 

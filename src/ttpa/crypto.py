@@ -245,6 +245,12 @@ def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape[:-1] + (params.ell,))
 
 
+def _prg_indices(rs) -> np.ndarray:
+    """Unsigned rs as they are, anything else as int64."""
+    arr = np.asarray(rs)
+    return arr if arr.dtype.kind == "u" else np.asarray(arr, dtype=np.int64)
+
+
 def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """G at selected output positions: (k,) for one seed, (m, k) for a stack of m.
 
@@ -254,7 +260,7 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
     predicate's ANF on them, as prg_expand does on lane words.
     """
     arr = _check_seeds(params, seeds)
-    pos = np.asarray(positions, dtype=np.int64)
+    pos = _prg_indices(positions)
     if pos.ndim != arr.ndim or pos.shape[:-1] != arr.shape[:-1]:
         raise InputShapeError(
             f"positions {pos.shape} do not match seeds {arr.shape}: need one row per seed"
@@ -365,8 +371,10 @@ def enc_encrypt_many(
     """Encrypt bits (k,) under one key, or (m, k) under a stack of m keys.
 
     Row i goes under key i, and nonces are drawn key by key in row order.
-    Returns (rs, masked) shaped like the bits: rs holds int64 PRG indices,
-    or PRF nonce rows r.to_bytes(ceil(kappa/8), "big") on a last uint8 axis.
+    Returns (rs, masked) shaped like the bits: rs holds PRG indices in
+    np.min_scalar_type(ell - 1), the narrowest unsigned dtype that holds
+    them, or PRF nonce rows r.to_bytes(ceil(kappa/8), "big") on a last
+    uint8 axis.
     """
     arr = np.asarray(bits)
     if arr.ndim != key.bits.ndim or arr.shape[:-1] != key.bits.shape[:-1]:
@@ -374,7 +382,7 @@ def enc_encrypt_many(
     arr = as_bits(arr, "plaintext bits must be 0/1")
     m, k, kappa = key.bits.size // key.kappa, arr.shape[-1], key.kappa
     if key.scheme == LOCAL_PRG:
-        rs = np.empty((m, k), dtype=np.int64)
+        rs = np.empty((m, k), dtype=np.min_scalar_type(key.prg.ell - 1))
         for row in rs:  # one draw per key, in row order: the RNG stream
             integers_below(rng, key.prg.ell, row)
     else:  # one draw per key is k kappa-bit draws: see the module docstring
@@ -395,9 +403,11 @@ def enc_encrypt_many(
 
 
 def check_prg_indices(rs: np.ndarray, ell: int) -> np.ndarray:
-    """rs as int64, refused unless all are in [0, ell): as uint64 a negative wraps above ell."""
-    idx = np.asarray(rs, dtype=np.int64)
-    if idx.size and idx.view(np.uint64).max() >= ell:
+    """rs, refused unless all are in [0, ell): unsigned rs are kept as they are,
+    anything else is read as int64, whose negatives wrap above ell as uint64."""
+    idx = _prg_indices(rs)
+    unsigned = idx.view(np.uint64) if idx.dtype.kind == "i" else idx
+    if idx.size and unsigned.max() >= ell:
         raise MalformedCiphertextError("PRG index outside stretch range")
     return idx
 

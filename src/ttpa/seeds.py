@@ -30,10 +30,11 @@ def stream(master: int, *labels: object) -> np.random.Generator:
 
 
 def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None:
-    """Fill the 1-D int64 out exactly as rng.integers(0, high, out.size) does.
+    """Fill the 1-D out exactly as rng.integers(0, high, out.size) does.
 
-    numpy runs Lemire's multiply-shift on 32-bit PCG64 word halves, low half
-    first, buffering an unused high half; this reads whole words off random_raw
+    out is int64 or any unsigned dtype that holds high - 1.  numpy runs
+    Lemire's multiply-shift on 32-bit PCG64 word halves, low half first,
+    buffering an unused high half; this reads whole words off random_raw
     for the same values and state, and at a power-of-two high, where the
     multiply-shift is a plain shift, shifts.  Any other bit generator goes
     through integers.
@@ -42,7 +43,7 @@ def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None
     if type(bitgen) is not np.random.PCG64 or not 1 < high <= 1 << 32:
         out[:] = rng.integers(0, high, out.size, dtype=np.int64)
         return
-    threshold, vals, filled = (1 << 32) % high, out.view(np.uint64), 0
+    threshold, filled = (1 << 32) % high, 0
     while filled < out.size:
         missing = out.size - filled
         # a buffered half goes first, and a last value alone would buffer one: numpy draws those
@@ -51,15 +52,16 @@ def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None
             filled += 1
             continue
         halves = bitgen.random_raw(missing // 2).astype("<u8", copy=False).view("<u4")
-        rest = vals[filled : filled + halves.size]
         if threshold:
-            np.multiply(halves, np.uint64(high), out=rest)
-            rest >>= 32
+            # the 64-bit products are a temporary: only the kept values reach out
+            prods = halves * np.uint64(high)
+            prods >>= np.uint64(32)
             # Lemire rejects x when the low 32 bits of x * high fall under the threshold
-            kept = rest[halves * np.uint32(high) >= threshold]
-            rest[: kept.size] = kept
+            kept = prods[halves * np.uint32(high) >= threshold]
+            out[filled : filled + kept.size] = kept
             filled += kept.size
         else:  # high is 2^b: (x * high) >> 32 is x >> (32 - b), and none is rejected
+            rest = out[filled : filled + halves.size]
             np.right_shift(halves, np.uint32(33 - high.bit_length()), out=rest)
             filled += rest.size
         bitgen.state = {**bitgen.state, "uinteger": int(halves[-1])}  # as numpy leaves it

@@ -117,7 +117,9 @@ class TTCiphertext:
     one.  Every consumer reads the batch whole or by user column.
     """
 
-    rs: np.ndarray      # (k, n) int64 PRG indices, or (k, n, ceil(kappa/8)) uint8 PRF nonces
+    # (k, n) PRG indices in the narrowest unsigned dtype that holds the
+    # stretch, or (k, n, ceil(kappa/8)) uint8 PRF nonces
+    rs: np.ndarray
     masked: np.ndarray  # (k, n) uint8
 
     def __post_init__(self):
@@ -370,17 +372,22 @@ class TTDecQueryFamily:
         return out.T
 
 
-# Peak bytes of one tracing batch (see check_batch).
-# Per (user, ciphertext) cell: the uint8 words, int64 indices and uint8
-# masked bits, plus the uint8 family answers while the batch is
-# evaluated; scoring instead holds the words, the scored columns of the
-# words and their float64 copy.  A PRF cell adds its nonce's bytes.
-CELL_BYTES = 11
-# Per ciphertext: six float64 vectors at most at once, the biases plus
+# Peak bytes of one tracing batch (see check_batch), the larger of its
+# two phases, each measured under tracemalloc.
+# Per (user, ciphertext) cell.  While the batch is encrypted and answered:
+# the uint8 words, the PRG indices in the narrowest unsigned dtype that
+# holds the stretch (2 bytes up to 2^16 positions, 4 above), the uint8
+# masked bits and the uint8 family answers, 5 bytes at uint16.  While it
+# is scored: the words, the scored columns of the words and the float64
+# copy that @ makes of them, 10 bytes when every column scores.  A PRF
+# cell adds its nonce's bytes.
+CELL_BYTES = 10
+# Per ciphertext: seven 8-byte vectors at most at once, the biases plus
 # the truths and error temporaries, or plus the scored columns' p, hit,
-# miss and hit - miss and their temporaries.  A scan's shuffled levels,
+# miss and hit - miss and their temporaries, and the one intp row that
+# np.take makes of a user's narrow index row.  A scan's shuffled levels,
 # a byte or two per ciphertext, take their room here too.
-COLUMN_BYTES = 48
+COLUMN_BYTES = 56
 # Per PRG output position, besides one uint8 expansion per user:
 # prg_expand's uint64 accumulator, two gathered columns and their intp
 # index.  A batch with fewer cells than positions is gathered instead,
@@ -486,6 +493,7 @@ def linear_scan_report(ks: TTKeySet, pirate: PirateOracle, rng: np.random.Genera
     cols = np.empty((n, seq.size), dtype=np.uint8)
     np.less(levels[:-1, None], seq, out=cols.view(bool))
     cts = tr_enc(ks, cols, rng)
+    del cols  # encrypted: freed before the pirate allocates its answers
     answers = pirate.answer(cts)
     # the 1-answers at level i are bin 2i + 1 of 2 * level + answer: an
     # integer count, with no float64 copy of the answers to weigh

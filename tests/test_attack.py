@@ -153,6 +153,28 @@ class TestAudit:
         assert math.isfinite(dp_audit(report, largest, 0.0)["margin"])
         with pytest.raises(InputShapeError, match="overflows"):
             dp_audit(report, math.nextafter(largest, math.inf), 0.0)
+        # a delta above 1 claims nothing; 1.7e308 made the margin -inf
+        for delta in (math.nextafter(1.0, 2.0), 1.7e308):
+            with pytest.raises(InputShapeError, match="claims nothing"):
+                dp_audit(report, largest, delta)
+
+    def test_largest_budget_gives_finite_margins(self):
+        # at the largest epsilon and delta = 1, every margin over this grid
+        # is a finite float, so the report stays JSON
+        class Counts:
+            def __init__(self, count, trials):
+                self.count, self.trials = count, trials
+
+            def accusation_count(self, user):
+                return self.count
+
+        largest = math.log(sys.float_info.max)
+        for c1 in (0, 10, 20):
+            for t2 in range(1, 201):
+                for c2 in range(t2 + 1):
+                    report = AttackReport(None, Counts(c1, 20), Counts(c2, t2), 3)
+                    margin = dp_audit(report, largest, 1.0)["margin"]
+                    assert math.isfinite(margin), (c1, c2, t2)
 
 
 class TestConfig:
@@ -173,7 +195,9 @@ class TestConfig:
         with pytest.raises(InputShapeError, match="eps_fp"):
             AttackConfig(eps_fp=0.0)
         with pytest.raises(InputShapeError, match="GiB"):
-            AttackConfig(n=100)  # an 8 GiB tracing trial, refused unallocated
+            AttackConfig(n=100)  # a 7.5 GiB tracing trial, refused unallocated
+        # with 2-byte PRG indices an n=64 trial (ell_FP = 2,930,531) fits: 1.9 GiB
+        assert AttackConfig(n=64).trial_bytes() < 2 << 30
         # 5000 Laplace rounds at n=10 hold about 4 GiB of noise
         noisy = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=5000)
         with pytest.raises(InputShapeError, match="rounds=5000 would hold about 4.0 GiB"):
@@ -405,7 +429,7 @@ class TestRunAttack:
         assert trial_peak(cfg, prg) <= need
 
     def test_workers_clamped_to_the_trials_that_fit_in_memory(self, monkeypatch):
-        # one n=52 trial fits under the 2 GiB bound (about 1.1 GiB), two at once
+        # one n=52 trial fits under the 2 GiB bound (about 1.0 GiB), two at once
         # do not: jobs=2 runs on one worker before the pool forks
         cfg = AttackConfig(n=52, trials=2)
         workers = []

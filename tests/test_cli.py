@@ -572,7 +572,7 @@ class TestAttackCommand:
         assert code == 2 and "two users" in err
 
     def test_rejects_oversized_tracing_batch(self, capsys, tmp_path):
-        # the defaults eps_fp=0.05, a=100 at n=100: an 8 GiB trial, refused
+        # the defaults eps_fp=0.05, a=100 at n=100: a 7.5 GiB trial, refused
         # before any key, codebook or worker process exists
         out_path = tmp_path / "r.json"
         code, _out, err = run_cli(
@@ -620,6 +620,8 @@ class TestAttackCommand:
         ("--eps", "inf"),
         ("--delta", "nan"),
         ("--eps", "710"),  # e^710 overflows: dp_audit raised OverflowError after every trial
+        ("--delta", "1.01"),  # a delta above 1 claims nothing
+        ("--delta", "1.7e308"),  # with --eps 709 this made the margin -inf, not JSON
     ])
     def test_rejects_negative_audit_budget_before_any_trial(
         self, capsys, tmp_path, monkeypatch, flag, value
@@ -629,7 +631,8 @@ class TestAttackCommand:
 
         monkeypatch.setattr(attack_mod, "_run_trial", no_trial)
         code, out, err, out_path = self.run(capsys, tmp_path, "r.json", flag, value)
-        why = "overflows" if value == "710" else "nonnegative"
+        why = {"710": "overflows", "1.01": "claims nothing", "1.7e308": "claims nothing"}
+        why = why.get(value, "nonnegative")
         assert code == 2 and out == "" and why in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 

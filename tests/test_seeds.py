@@ -49,8 +49,13 @@ class TestStream:
 
 
 # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of the halves;
-# the others reject almost never (2**32 % high is tiny) or never (powers of two)
-HIGHS = st.sampled_from([1, 2, 3, 512, 13_824, 2**15, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32])
+# the others reject almost never (2**32 % high is tiny) or never (powers of
+# two); at their narrowest, 2**8 rows are uint8, 2**8 + 1 and 2**16 rows
+# uint16 and 2**16 + 1 rows uint32
+HIGHS = st.sampled_from(
+    [1, 2, 3, 2**8, 2**8 + 1, 512, 13_824, 2**15, 2**16, 2**16 + 1,
+     2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32]
+)
 
 
 class TestIntegersBelow:
@@ -59,16 +64,19 @@ class TestIntegersBelow:
         HIGHS | st.integers(1, 2**33),
         st.integers(0, 2000),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_same_values_and_later_draws_as_integers(self, seed, high, k, buffered):
+    def test_same_values_and_later_draws_as_integers(self, seed, high, k, buffered, narrow):
         ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
         if buffered:  # a 32-bit draw leaves the word's high half buffered
             for g in (ref, got):
                 g.integers(0, 7)
             assert got.bit_generator.state["has_uint32"] == 1
         want = ref.integers(0, high, k, dtype=np.int64)
-        out = np.empty(k, dtype=np.int64)
+        # an int64 row, or the narrowest unsigned one that holds high - 1 (uint8
+        # to uint32 where integers_below reads words), as enc_encrypt_many draws
+        out = np.empty(k, dtype=np.min_scalar_type(high - 1) if narrow else np.int64)
         integers_below(got, high, out)
         assert np.array_equal(out, want)
         assert got.bit_generator.state == ref.bit_generator.state
@@ -86,14 +94,15 @@ class TestIntegersBelow:
     )
     @settings(max_examples=200, deadline=None)
     def test_batch_drawn_row_by_row_as_integers(self, seed, high, m, k, buffered):
-        # what enc_encrypt_many draws: an (m, k) batch, one call per row, at a
-        # power-of-two stretch (a shift) or one that multiplies and rejects
+        # what enc_encrypt_many draws: an (m, k) batch in the narrowest unsigned
+        # dtype, one call per row, at a power-of-two stretch (a shift) or one
+        # that multiplies and rejects
         ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
         if buffered:
             for g in (ref, got):
                 g.integers(0, 7)
         want = [ref.integers(0, high, k, dtype=np.int64) for _ in range(m)]
-        out = np.empty((m, k), dtype=np.int64)
+        out = np.empty((m, k), dtype=np.min_scalar_type(high - 1))
         for row in out:
             integers_below(got, high, row)
         assert out.tolist() == [w.tolist() for w in want]

@@ -196,6 +196,27 @@ class TestEncryptDecrypt:
         with pytest.raises(MalformedCiphertextError):
             TTCiphertext(cts.rs, cts.masked[:, :2])
 
+    @pytest.mark.parametrize(
+        "kappa,ell,dtype",
+        [(64, None, np.uint16), (16, 1 << 16, np.uint16), (16, (1 << 16) + 1, np.uint32)],
+    )
+    def test_prg_batch_holds_narrow_indices(self, kappa, ell, dtype):
+        # indices in the narrowest unsigned dtype that holds the stretch:
+        # 2 bytes at kappa=64 (stretch 2^15) and up to 2^16, 4 bytes above
+        ks = small_keyset(kappa=kappa, n=3, seed=9, ell=ell)
+        rng = stream(9, "narrow", kappa)
+        words = rng.integers(0, 2, (3, 40), dtype=np.uint8)
+        cts = tr_enc(ks, words, rng)
+        assert cts.rs.dtype == dtype
+        # a caller's int64 copy of the indices decrypts to the same bits
+        wide = TTCiphertext(cts.rs.astype(np.int64), cts.masked)
+        fam = TTDecQueryFamily.from_ciphertexts(wide, ks.params)
+        assert np.array_equal(fam.evaluate_on_rows(ks.rows).T, words)
+        for u in range(3):
+            assert [tt_dec(ks.params, ks.rows[u], ct) for ct in wide] == words[u].tolist()
+            assert honest_pirate(ks, u).answer(wide).tolist() == words[u].tolist()
+            assert honest_pirate(ks, u).answer(cts).tolist() == words[u].tolist()
+
     def test_prf_batch_holds_nonce_rows(self):
         # 9-bit component keys: 2-byte nonce rows, one contiguous (k, 2) block per user
         rng = stream(5, "prf-batch")
@@ -423,8 +444,17 @@ class TestQueryFamily:
         ks = small_keyset()
         rng = stream(17, "fam-bad")
         ct = tt_enc(ks, 0, rng)
-        # one uint64 pass: a negative index wraps above ell
-        for index in (-1, np.iinfo(np.int64).min, ks.params.prg.ell):
+        ell = ks.params.prg.ell
+        # signed indices are read as int64, where one uint64 pass sees a
+        # negative index wrap above ell
+        for index in (-1, np.iinfo(np.int64).min, ell):
+            rs = ct.rs.astype(np.int64)
+            rs[0, 1] = index
+            with pytest.raises(MalformedCiphertextError, match="outside stretch range"):
+                TTDecQueryFamily.from_ciphertexts(TTCiphertext(rs, ct.masked), ks.params)
+        # unsigned indices are checked as they are
+        assert ct.rs.dtype == np.uint16
+        for index in (ell, np.iinfo(np.uint16).max):
             rs = ct.rs.copy()
             rs[0, 1] = index
             with pytest.raises(MalformedCiphertextError, match="outside stretch range"):
@@ -503,12 +533,12 @@ class TestFingerprintTracing:
         assert tt_trace_report(ks, zeros_pirate(), 0.05, stream(21, "z", "t")).accused is None
 
     def test_oversized_batch_refused_before_allocation(self):
-        # n=100 needs ell_FP = 7,600,903 columns, about 8.1 GiB: refused
+        # n=100 needs ell_FP = 7,600,903 columns, about 7.5 GiB: refused
         # before the codebook is drawn, so neither the rng nor the oracle moves
         assert check_batch(10, 52984, 32768) == (
-            52984 * (11 * 10 + 48) + 32768 * (32 + 10) + 65536
+            52984 * (10 * 10 + 56) + 32768 * (32 + 10) + 65536
         )
-        with pytest.raises(InputShapeError, match="8.1 GiB"):
+        with pytest.raises(InputShapeError, match="7.5 GiB"):
             check_batch(100, 7600903, 512)
         # each Laplace amplification round adds 16 bytes per ciphertext
         assert check_batch(10, 52984, 32768, 7) == (
@@ -550,7 +580,7 @@ def test_tracers_count_the_pirate_s_rounds(monkeypatch, tracer, rounds):
 
 def test_prf_draw_counted_as_one_chunk():
     # 500-bit nonces: 63-byte rows, and 131 draw rows of 500 bytes to a chunk
-    cells = 5903 * ((11 + 63) * 2 + 48) + 65536
+    cells = 5903 * ((10 + 63) * 2 + 56) + 65536
     assert check_batch(2, 5903, 0, nonce_bits=500) == cells + 131 * (500 + 63)
     # a batch smaller than a chunk is drawn whole
     assert check_batch(2, 19, 0, nonce_bits=500) == (
@@ -626,15 +656,15 @@ class TestLinearScan:
 
     def test_oversized_scan_refused_before_allocation(self):
         # kappa=16 allows 256 users; at n=64 the default s is 128,832, so the
-        # int64 indices alone would fill 4.0 GiB
+        # 65 levels' batch would hold about 5.4 GiB
         assert check_batch(16, 17 * 6679, 32768) == (
-            17 * 6679 * (11 * 16 + 48) + 32768 * (32 + 16) + 65536
+            17 * 6679 * (10 * 16 + 56) + 32768 * (32 + 16) + 65536
         )
         ks = tt_gen(16, 64, LOCAL_PRG, stream(25, "big-scan"))
         rng, pirate = stream(25, "big-scan", "s"), zeros_pirate()
         tracemalloc.start()
         try:
-            with pytest.raises(InputShapeError, match="5.9 GiB"):
+            with pytest.raises(InputShapeError, match="5.4 GiB"):
                 linear_scan_report(ks, pirate, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
