@@ -38,7 +38,14 @@ from .crypto import (
 )
 from .errors import InputShapeError, SanitizerFailure
 from .fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, code_length, fp_feasible
-from .sanitize import Database, SanitizerConfig, evaluate_batch, sanitize_truths
+from .sanitize import (
+    LAPLACE,
+    Database,
+    SanitizerConfig,
+    evaluate_batch,
+    laplace_scale,
+    sanitize_truths,
+)
 from .seeds import derive_seed, stream
 from .ttscheme import (
     PirateOracle,
@@ -78,6 +85,9 @@ class AttackConfig:
         check_key_shape(self.kappa, self.n)
         check_prg_draw(self.kappa // 2)
         self.trial_bytes()
+        if self.sanitizer.kind == LAPLACE:
+            # the minus experiment's n - 1 rows give the larger scale
+            laplace_scale(self.sanitizer, code_length(self.n, self.eps_fp, self.a), self.n - 1)
 
     def trial_bytes(self) -> int:
         """check_batch for one trial, counting the sanitizer's rounds."""

@@ -49,6 +49,7 @@ from .fpcode import (
     DEFAULT_LENGTH_CONSTANT,
     RANDOM_FEASIBLE,
     adversary_view_json,
+    code_length,
     codebook_from_json,
     codebook_to_json,
     fp_feasible,
@@ -279,9 +280,11 @@ def _cmd_tt_trace(args) -> int:
         pirate = honest_pirate(ks, coalition[0])
     else:
         coalition = _parse_coalition(args.coalition, ks.params.n)
-        rows = ks.rows[list(coalition)]
+        cfg = _sanitizer_cfg(arg, args)
+        if cfg.kind == LAPLACE:
+            laplace_scale(cfg, code_length(ks.params.n, args.eps_fp, args.a), len(coalition))
         pirate = pirate_from_sanitizer(
-            ks.params, rows, _sanitizer_cfg(arg, args), stream(args.seed, "tt-trace", "pirate")
+            ks.params, ks.rows[list(coalition)], cfg, stream(args.seed, "tt-trace", "pirate")
         )
     out = tt_trace_report(ks, pirate, args.eps_fp, stream(args.seed, "tt-trace", "trace"), a=args.a)
     feasible = (
@@ -351,8 +354,8 @@ def _cmd_sanitize_run(args) -> int:
     db = load_database(args.db)
     queries = _load_queries(args.queries)
     cfg = _sanitizer_cfg(args.kind, args)
-    answers = sanitize(cfg, db, queries, stream(args.seed, "sanitize-run"))
     scale = laplace_scale(cfg, len(queries), db.m) if cfg.kind == LAPLACE and queries else None
+    answers = sanitize(cfg, db, queries, stream(args.seed, "sanitize-run"))
     obj = {
         "config": {
             "db": args.db,

@@ -45,8 +45,16 @@ class SanitizerFailure(RuntimeError):
 
 
 def canonical_json(obj) -> str:
-    """Sorted keys, no whitespace: the same object always gives the same bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no whitespace: the same object always gives the same bytes.
+
+    Only RFC 8259 JSON is written: a NaN or infinite number is a program
+    fault, raised as RuntimeError (exit 1), since inputs that give one
+    are refused before any run.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as e:
+        raise RuntimeError(f"report is not JSON: {e}") from e
 
 
 def read_json(path: str):

@@ -90,8 +90,18 @@ def _check_params(n: int, eps_fp: float, a: float) -> None:
         raise InputShapeError(f"codebooks need n >= 2 users, got {n}")
     if not 0.0 < eps_fp < 1.0:
         raise InputShapeError(f"eps_fp must be in (0,1), got {eps_fp}")
-    if not a > 0:
-        raise InputShapeError(f"length constant must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise InputShapeError(f"length constant must be positive and finite, got {a}")
+    try:
+        finite = math.isfinite(a * n * n * math.log(n / eps_fp)) and math.isfinite(
+            accusation_threshold(n, eps_fp)
+        )
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InputShapeError(
+            f"n={n}, eps_fp={eps_fp}, a={a} give a code length or threshold that is not finite"
+        )
 
 
 def fp_gen(

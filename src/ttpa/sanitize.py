@@ -22,6 +22,7 @@ full-scale draws, which compose to r * eps under basic composition;
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -106,27 +107,40 @@ class SanitizerConfig:
 
 
 def laplace_scale(cfg: SanitizerConfig, k: int, m: int) -> float:
-    """Noise scale for a k-query batch over m rows."""
+    """Noise scale for a k-query batch over m rows; refused unless finite."""
     if cfg.kind != LAPLACE:
         raise InputShapeError("noise scale is defined for LAPLACE sanitizers")
     if k < 1 or m < 1:
         raise InputShapeError("need k >= 1 queries and m >= 1 rows")
     if cfg.composition == BASIC:
-        return k / (cfg.epsilon * m)
-    return math.sqrt(2.0 * k * math.log(1.0 / cfg.delta)) / (cfg.epsilon * m)
+        scale = k / (cfg.epsilon * m)
+    else:
+        scale = math.sqrt(2.0 * k * math.log(1.0 / cfg.delta)) / (cfg.epsilon * m)
+    if not math.isfinite(scale):
+        raise InputShapeError(
+            f"eps={cfg.epsilon}, delta={cfg.delta} give a noise scale of {scale}"
+            f" for {k} queries over {m} rows"
+        )
+    return scale
 
 
 def evaluate_query(query: Circuit, db: Database) -> float:
     """True answer: the fraction of rows satisfying the predicate, taken
-    once per distinct circuit on db and kept in its answer memo."""
-    if query.input_width != db.d:
-        raise InputShapeError(
-            f"query width {query.input_width} != database width {db.d}"
-        )
-    if db.m == 0:
-        raise InputShapeError("cannot evaluate queries on an empty database")
+    once per distinct circuit on db and kept in its answer memo.
+
+    The memo is read first, so a repeat costs its dict lookup alone.  The
+    width and empty-database checks run on a miss: an entry exists only
+    for a circuit that passed both on db, an equal circuit has the same
+    width, and an empty database stores none.
+    """
     answer = db._answers.get(query)
     if answer is None:
+        if query.input_width != db.d:
+            raise InputShapeError(
+                f"query width {query.input_width} != database width {db.d}"
+            )
+        if db.m == 0:
+            raise InputShapeError("cannot evaluate queries on an empty database")
         hits = _eval_packed(query, db.packed_columns(), db.mask)
         answer = db._answers[query] = hits.bit_count() / db.m
     return answer
@@ -148,7 +162,9 @@ def evaluate_batch(queries: Sequence[Circuit] | QueryFamily, db: Database) -> np
             raise InputShapeError("cannot evaluate queries on an empty database")
         bits = queries.evaluate_on_rows(db.rows)
         return np.add.reduce(bits, axis=1, dtype=np.min_scalar_type(db.m)) / db.m
-    return np.array([evaluate_query(q, db) for q in queries], dtype=np.float64)
+    return np.fromiter(
+        map(evaluate_query, queries, itertools.repeat(db)), np.float64, len(queries)
+    )
 
 
 def sanitize_truths(
@@ -164,7 +180,8 @@ def sanitize_truths(
     rounds = max(1, cfg.amplification_rounds)
     noisy = truths[None, :] + rng.laplace(0.0, scale, size=(rounds, k))
     np.clip(noisy, 0.0, 1.0, out=noisy)
-    return np.median(noisy, axis=0)
+    # the median of one value is that value, so one round skips the copy
+    return noisy[0] if rounds == 1 else np.median(noisy, axis=0)
 
 
 def sanitize(

@@ -394,7 +394,8 @@ COLUMN_BYTES = 56
 # and prg_bits_at holds less per cell than that (28 bytes at locality 5).
 POSITION_BYTES = 32
 # Per ciphertext and Laplace amplification round: the float64 noise
-# plus its sum with the truths, then that sum plus the median's copy.
+# plus its sum with the truths, then, from two rounds up, that sum plus
+# the median's copy.  One round takes no median, so this bounds it.
 ROUND_BYTES = 16
 # The trial's Python objects and small arrays: keys, streams, closures.
 TRIAL_BYTES = 64 << 10

@@ -19,10 +19,12 @@ from ttpa.cli import (
 from ttpa.errors import InputShapeError, read_json
 from ttpa.fpcode import codebook_from_json
 from ttpa.sanitize import Database, dictator_circuit, save_database
+from ttpa.seeds import stream
 from ttpa.ttscheme import keyset_from_json
 
 import ttpa.attack as attack_mod
 import ttpa.cli as cli_mod
+import ttpa.fpcode as fpcode_mod
 import ttpa.ttscheme as ttscheme_mod
 
 
@@ -779,6 +781,62 @@ def test_non_finite_noise_budget_refused_before_any_draw(capsys, tmp_path, monke
     monkeypatch.setattr(cli_mod, "stream", no_draw)
     code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
     assert code == 2 and stdout == "" and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv,why", [
+    (("attack", "run", "--n", "4", "--kappa", "16", "--trials", "3", "--a", "inf"),
+     "length constant"),
+    (("fpcode", "gen", "--n", "2", "--a", "inf"), "length constant"),
+    (("fpcode", "bench", "--n", "2", "--trials", "2", "--a", "inf"), "length constant"),
+    (("tt", "trace", "--keys", "{keys}", "--pirate", "honest:1", "--a", "inf"),
+     "length constant"),
+    (("attack", "run", "--n", "4", "--kappa", "16", "--trials", "3", "--eps-fp", "1e-320"),
+     "not finite"),
+    (("fpcode", "gen", "--n", "2", "--a", "1e308"), "not finite"),
+    (("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace",
+      "--eps", "1e-320"), "noise scale of inf for 1 queries over 2 rows"),
+    (("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace",
+      "--eps", "1", "--delta", "1e-320", "--composition", "advanced"), "noise scale of inf"),
+    (("attack", "run", "--n", "4", "--kappa", "16", "--trials", "3", "--sanitizer", "laplace",
+      "--eps", "1e-320"), "noise scale of inf for 7012 queries over 3 rows"),
+    (("tt", "trace", "--keys", "{keys}", "--pirate", "sanitizer:laplace", "--coalition", "0,2",
+      "--eps", "1e-320"), "noise scale of inf for 3685 queries over 2 rows"),
+])
+def test_non_finite_lengths_and_scales_refused_before_any_draw(
+    capsys, tmp_path, monkeypatch, argv, why
+):
+    # the first four failed with an OverflowError traceback from code_length,
+    # and the sanitize runs printed "scale":Infinity, which is not JSON
+    files = input_files(capsys, tmp_path)
+    made = []
+
+    def tracked_stream(*labels):
+        rng = stream(*labels)
+        made.append((rng, rng.bit_generator.state))
+        return rng
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before refusing")
+
+    for mod in (cli_mod, fpcode_mod):
+        monkeypatch.setattr(mod, "stream", tracked_stream)
+    monkeypatch.setattr(cli_mod, "run_attack", no_run)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and why in err
+    assert all(rng.bit_generator.state == state for rng, state in made)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_non_finite_report_is_a_runtime_failure(capsys, tmp_path, monkeypatch):
+    # inputs that give a non-finite number are refused first, so a report
+    # that still holds one is a program fault: exit 1, and no file written
+    out = str(tmp_path / "r.json")
+    monkeypatch.setattr(cli_mod, "laplace_tightness_demo", lambda seed: {"scale": float("inf")})
+    code, stdout, err = run_cli(capsys, "demo", "laplace-tightness", "--out", out)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: report is not JSON") and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 

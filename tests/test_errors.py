@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ttpa.errors import FileFormatError, InputShapeError, as_bits
+from ttpa.errors import FileFormatError, InputShapeError, as_bits, canonical_json
 
 
 class TestAsBits:
@@ -44,3 +46,12 @@ class TestAsBits:
     def test_empty_arrays_pass(self):
         for values in (np.zeros(0, dtype=np.uint8), np.zeros((0, 4)), []):
             assert as_bits(values, "x").size == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_canonical_json_refuses_non_finite_numbers(value):
+    # NaN and Infinity are not RFC 8259 JSON: a report holding one is a
+    # program fault, not bad input
+    with pytest.raises(RuntimeError, match="not JSON") as info:
+        canonical_json({"scale": value})
+    assert not isinstance(info.value, ValueError)

@@ -76,6 +76,26 @@ class TestParameters:
         with pytest.raises(InputShapeError):
             fp_gen(2, 0.05, rng, a=0.0)
 
+    @pytest.mark.parametrize("n,eps_fp,a,why", [
+        (2, 0.05, math.inf, "positive and finite"),
+        (2, 0.05, math.nan, "positive and finite"),
+        # a finite a whose length a * n^2 * ln(n / eps_fp) overflows
+        (2, 0.05, 1e308, "not finite"),
+        # n / eps_fp overflows, so ln of it is infinite, and so is the threshold
+        (10, 1e-320, 100.0, "not finite"),
+        (10, 1e-320, 1e-300, "not finite"),
+        # an int n too large for a float
+        (10**400, 0.05, 100.0, "not finite"),
+    ])
+    def test_non_finite_length_refused_before_any_draw(self, n, eps_fp, a, why):
+        with pytest.raises(InputShapeError, match=why):
+            code_length(n, eps_fp, a)
+        rng = stream(5, "fp-inf")
+        state = rng.bit_generator.state
+        with pytest.raises(InputShapeError, match=why):
+            fp_gen(n, eps_fp, rng, a=a)
+        assert rng.bit_generator.state == state
+
 
 class TestGen:
     def test_shapes_and_fields(self):
@@ -397,6 +417,9 @@ class TestSerialization:
         ("eps_fp", 5.0, "eps_fp"),
         ("eps_fp", 0.0, "eps_fp"),
         ("a", -1.0, "length constant"),
+        ("a", math.inf, "length constant"),
+        ("a", 1e308, "not finite"),
+        ("eps_fp", 1e-320, "not finite"),
         ("threshold", -100.0, "threshold"),
         ("threshold", 0.0, "threshold"),
         # each of these loaded, and a threshold of 0.001 accused users of their own words

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ttpa.sanitize as sanitize_mod
 from test_circuit import json_netlists
 from test_determinism import HAND_NETLISTS
 from ttpa.circuit import CircuitBuilder, _eval_packed, circuit_from_json, eval_on_rows, pack_rows
@@ -214,15 +215,35 @@ class TestAnswerMemo:
         assert two._answers == one._answers and len(two._answers) == 1
 
     def test_errors_still_raised_on_repeat(self):
+        # the memo is read before the checks: the first bad call and every
+        # repeat still raise the same message
         db = Database(np.zeros((2, 3), dtype=np.uint8))
         evaluate_query(dictator_circuit(0, 3), db)
         empty = Database(np.zeros((0, 3), dtype=np.uint8))
         for _ in range(2):
-            with pytest.raises(InputShapeError, match="width"):
+            with pytest.raises(InputShapeError, match=r"^query width 2 != database width 3$"):
                 evaluate_query(dictator_circuit(0, 2), db)
-            with pytest.raises(InputShapeError, match="empty"):
+            with pytest.raises(
+                InputShapeError, match=r"^cannot evaluate queries on an empty database$"
+            ):
                 evaluate_query(dictator_circuit(0, 3), empty)
         assert len(db._answers) == 1 and empty._answers == {}
+
+    def test_equal_circuit_is_answered_from_the_memo(self, monkeypatch):
+        db = Database(stream(42, "memo-hit").integers(0, 2, (25, 5), dtype=np.uint8))
+        a, b = dictator_circuit(2, 5), dictator_circuit(2, 5)
+        want = evaluate_query(a, db)
+
+        def no_evaluation(*_args):
+            raise AssertionError("a memo hit evaluated the circuit")
+
+        monkeypatch.setattr(sanitize_mod, "_eval_packed", no_evaluation)
+        assert b is not a and evaluate_query(b, db) == want
+        assert evaluate_batch([b, a, b], db).tolist() == [want] * 3
+
+    def test_empty_list_batch(self):
+        got = evaluate_batch([], Database(np.zeros((2, 3), dtype=np.uint8)))
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 class TestScale:
@@ -243,6 +264,22 @@ class TestScale:
             laplace_scale(SanitizerConfig(EXACT), 10, 10)
         with pytest.raises(InputShapeError):
             laplace_scale(SanitizerConfig(LAPLACE, epsilon=1.0), 0, 10)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SanitizerConfig(LAPLACE, epsilon=1e-320),
+            SanitizerConfig(LAPLACE, epsilon=1.0, delta=1e-320, composition=ADVANCED),
+        ],
+    )
+    def test_non_finite_scale_refused_before_any_draw(self, cfg):
+        with pytest.raises(InputShapeError, match="noise scale of inf"):
+            laplace_scale(cfg, 3, 2)
+        rng = stream(43, "inf-scale")
+        state = rng.bit_generator.state
+        with pytest.raises(InputShapeError, match="noise scale"):
+            sanitize_truths(cfg, np.full(3, 0.5), 2, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestConfig:
@@ -307,6 +344,26 @@ class TestSanitize:
         a = sanitize_truths(cfg0, truths, 40, stream(36, "r"))
         b = sanitize_truths(cfg1, truths, 40, stream(36, "r"))
         assert np.array_equal(a, b)
+
+    @given(
+        truths=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        rounds=st.integers(0, 6),
+        eps=st.floats(1e-3, 50.0),
+        m=st.integers(1, 500),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rounds_are_the_median_of_the_clipped_draw(self, truths, rounds, eps, m, seed):
+        # one round returns its clipped row, which is the median of one
+        # value to the byte; from two rounds up the median is taken
+        cfg = SanitizerConfig(LAPLACE, epsilon=eps, amplification_rounds=rounds)
+        t = np.array(truths)
+        got = sanitize_truths(cfg, t, m, stream(seed, "median"))
+        rng = stream(seed, "median")
+        scale = laplace_scale(cfg, t.size, m)
+        noisy = t[None, :] + rng.laplace(0.0, scale, (max(1, rounds), t.size))
+        want = np.median(np.clip(noisy, 0.0, 1.0), axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_batch(self):
         cfg = SanitizerConfig(LAPLACE, epsilon=1.0)
