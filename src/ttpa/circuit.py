@@ -47,7 +47,8 @@ class Circuit:
     # those values straight from the input columns (derived, so it takes
     # no part in equality, hashing or repr)
     input_prefix: int = field(init=False, compare=False, repr=False)
-    # the hash, taken once: a circuit keys per-database answer memos
+    # the hash, taken once: per-database answer memos key on this int
+    # itself (hashed in C) and check the stored circuit on a hit
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

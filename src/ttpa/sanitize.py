@@ -48,7 +48,11 @@ class Database:
 
     rows: np.ndarray  # (m, d) uint8
     _packed: list[int] | None = field(default=None, init=False, repr=False)
-    _answers: dict[Circuit, float] = field(default_factory=dict, init=False, repr=False)
+    # circuit._hash -> (circuit, answer); a circuit whose hash collides
+    # with a stored one's evicts it, so no answer rests on the hash
+    _answers: dict[int, tuple[Circuit, float]] = field(
+        default_factory=dict, init=False, repr=False
+    )
     m: int = field(init=False)
     d: int = field(init=False)
     mask: int = field(init=False, repr=False)  # (1 << m) - 1
@@ -128,21 +132,29 @@ def evaluate_query(query: Circuit, db: Database) -> float:
     """True answer: the fraction of rows satisfying the predicate, taken
     once per distinct circuit on db and kept in its answer memo.
 
-    The memo is read first, so a repeat costs its dict lookup alone.  The
-    width and empty-database checks run on a miss: an entry exists only
-    for a circuit that passed both on db, an equal circuit has the same
-    width, and an empty database stores none.
+    The memo is keyed by the circuit's stored hash, an int, so a repeat
+    costs one subscript hashed in C and an identity check (equality for
+    an equal copy).  The width and empty-database checks run on a miss:
+    an entry exists only for a circuit that passed both on db, an equal
+    circuit has the same width, and an empty database stores none.  A
+    circuit that shares its hash with a stored unequal one is a miss too:
+    it is checked, evaluated and overwrites that entry.
     """
-    answer = db._answers.get(query)
-    if answer is None:
-        if query.input_width != db.d:
-            raise InputShapeError(
-                f"query width {query.input_width} != database width {db.d}"
-            )
-        if db.m == 0:
-            raise InputShapeError("cannot evaluate queries on an empty database")
-        hits = _eval_packed(query, db.packed_columns(), db.mask)
-        answer = db._answers[query] = hits.bit_count() / db.m
+    try:
+        circuit, answer = db._answers[query._hash]
+    except KeyError:
+        pass
+    else:
+        if circuit is query or circuit == query:
+            return answer
+    if query.input_width != db.d:
+        raise InputShapeError(
+            f"query width {query.input_width} != database width {db.d}"
+        )
+    if db.m == 0:
+        raise InputShapeError("cannot evaluate queries on an empty database")
+    answer = _eval_packed(query, db.packed_columns(), db.mask).bit_count() / db.m
+    db._answers[query._hash] = query, answer
     return answer
 
 

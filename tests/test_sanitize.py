@@ -22,6 +22,7 @@ from ttpa.sanitize import (
     evaluate_batch,
     evaluate_query,
     laplace_scale,
+    laplace_tightness_demo,
     load_database,
     sanitize,
     sanitize_truths,
@@ -186,7 +187,8 @@ class TestAnswerMemo:
         assert evaluate_query(circ, db) == want
         copy = circuit_from_json(net)
         assert evaluate_query(copy, db) == want
-        assert db._answers == {copy: want}
+        assert db._answers == {copy._hash: (copy, want)}
+        assert db._answers[circ._hash][0] is circ
 
     def test_hand_netlists_off_the_leading_run(self):
         rows = stream(39, "memo-hand").integers(0, 2, (300, 16), dtype=np.uint8)
@@ -203,7 +205,7 @@ class TestAnswerMemo:
         a, b = dictator_circuit(3, 5), dictator_circuit(3, 5)
         assert a is not b and a == b
         assert evaluate_query(a, db) == evaluate_query(b, db)
-        assert list(db._answers) == [a]
+        assert list(db._answers) == [a._hash] and db._answers[a._hash][0] is a
 
     def test_databases_never_share_entries(self):
         rows = stream(41, "memo-db").integers(0, 2, (25, 5), dtype=np.uint8)
@@ -212,7 +214,7 @@ class TestAnswerMemo:
         evaluate_query(q, one)
         assert one._answers is not two._answers and two._answers == {}
         evaluate_batch([q, q], two)
-        assert two._answers == one._answers and len(two._answers) == 1
+        assert two._answers == one._answers == {q._hash: (q, fresh_answer(q, rows))}
 
     def test_errors_still_raised_on_repeat(self):
         # the memo is read before the checks: the first bad call and every
@@ -240,6 +242,68 @@ class TestAnswerMemo:
         monkeypatch.setattr(sanitize_mod, "_eval_packed", no_evaluation)
         assert b is not a and evaluate_query(b, db) == want
         assert evaluate_batch([b, a, b], db).tolist() == [want] * 3
+
+    def test_colliding_circuits_evict_each_other(self, monkeypatch):
+        rows = stream(43, "memo-clash").integers(0, 2, (25, 5), dtype=np.uint8)
+        db = Database(rows)
+        a, b = dictator_circuit(1, 5), const_circuit(1, 5)
+        object.__setattr__(b, "_hash", a._hash)
+        assert a != b and hash(a) == hash(b)
+        want = {a: fresh_answer(a, rows), b: fresh_answer(b, rows)}
+        assert want[a] != want[b]
+        evaluated = []
+
+        def counting(circ, cols, mask):
+            evaluated.append(circ)
+            return _eval_packed(circ, cols, mask)
+
+        monkeypatch.setattr(sanitize_mod, "_eval_packed", counting)
+        for q in (a, b, a, b, b, a, a):
+            assert evaluate_query(q, db) == want[q]
+            assert db._answers == {a._hash: (q, want[q])}
+        # a repeat hits; every switch evicts the other circuit and evaluates
+        assert [q is a for q in evaluated] == [True, False, True, False, True]
+
+    @given(
+        nets=st.lists(json_netlists(), min_size=1, max_size=4),
+        m=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_batch_of_repeats_copies_and_collisions(self, nets, m, seed, data):
+        # every netlist is valid at the widest width, so one database takes all
+        width = max(net["input_width"] for net in nets)
+        nets = [dict(net, input_width=width) for net in nets]
+        circs = [circuit_from_json(net) for net in nets]
+        index = st.integers(0, len(nets) - 1)
+        batch = []
+        for i, j, kind in data.draw(
+            st.lists(st.tuples(index, index, st.sampled_from(("same", "copy", "clash"))))
+        ):
+            q = circs[i] if kind == "same" else circuit_from_json(nets[i])
+            if kind == "clash":
+                object.__setattr__(q, "_hash", circs[j]._hash)
+            batch.append(q)
+        rows = stream(seed, "memo-mix").integers(0, 2, (m, width), dtype=np.uint8)
+        db = Database(rows)
+        want = [fresh_answer(q, rows) for q in batch]
+        for _ in range(2):
+            assert evaluate_batch(batch, db).tolist() == want
+        for key, (circ, answer) in db._answers.items():
+            assert key == circ._hash and answer == fresh_answer(circ, rows)
+
+    def test_demo_evaluates_each_distinct_circuit_once(self, monkeypatch, tightness_report):
+        # 1 calibration circuit, then 16 wires on each of the 2 databases:
+        # a memo that stopped hitting would keep the bytes but not this count
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _eval_packed(*args)
+
+        monkeypatch.setattr(sanitize_mod, "_eval_packed", counting)
+        assert laplace_tightness_demo(0) == tightness_report
+        assert len(calls) == 33
 
     def test_empty_list_batch(self):
         got = evaluate_batch([], Database(np.zeros((2, 3), dtype=np.uint8)))
