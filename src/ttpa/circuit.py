@@ -43,10 +43,6 @@ class Circuit:
     input_width: int
     gates: tuple[Gate, ...]
     output: int
-    # length of the leading run where gate w is INPUT w; evaluation takes
-    # those values straight from the input columns (derived, so it takes
-    # no part in equality, hashing or repr)
-    input_prefix: int = field(init=False, compare=False, repr=False)
     # the hash, taken once: per-database answer memos key on this int
     # itself (hashed in C) and check the stored circuit on a hit
     _hash: int = field(init=False, compare=False, repr=False)
@@ -55,7 +51,6 @@ class Circuit:
         width = self.input_width
         if width < 0:
             raise CircuitFormatError(f"input width must be >= 0, got {width}")
-        prefix = 0
         for pos, (op, args, aux) in enumerate(self.gates):
             if args and (min(args) < 0 or max(args) >= pos):
                 raise CircuitFormatError(
@@ -64,8 +59,6 @@ class Circuit:
             if op == INPUT:
                 if args or not 0 <= aux < width:
                     raise CircuitFormatError(f"INPUT gate {pos} malformed")
-                if aux == prefix == pos:
-                    prefix += 1
             elif op == CONST:
                 if args or aux not in (0, 1):
                     raise CircuitFormatError(f"CONST gate {pos} malformed")
@@ -79,7 +72,6 @@ class Circuit:
                 raise CircuitFormatError(f"unknown op {op!r}")
         if not 0 <= self.output < len(self.gates):
             raise CircuitFormatError(f"output gate {self.output} out of range")
-        object.__setattr__(self, "input_prefix", prefix)
         object.__setattr__(self, "_hash", hash((width, self.gates, self.output)))
 
     def __hash__(self) -> int:
@@ -155,13 +147,11 @@ def _eval_packed(circ: Circuit, cols: Sequence[int], mask: int) -> int:
     """Forward pass with one machine word (or bigint) per gate.
 
     cols[w] holds the bits of wire w across all evaluation points; the
-    return value holds the output bit for each point.  The leading input
-    gates are not walked: their values are the first columns themselves.
+    return value holds the output bit for each point.
     """
-    k = circ.input_prefix
-    vals = list(cols[:k])
+    vals: list[int] = []
     append = vals.append
-    for op, args, aux in circ.gates[k:]:
+    for op, args, aux in circ.gates:
         if op == AND:
             v = vals[args[0]]
             for a in args[1:]:

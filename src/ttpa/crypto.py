@@ -132,6 +132,8 @@ class LocalPrgParams:
             raise InputShapeError(f"prg.table must be 2^{loc} bits, got shape {table.shape}")
         table = as_bits(table, "prg.table entries must be bits")
         sets = np.asarray(self.index_sets)
+        if sets.dtype.kind not in "iu":
+            raise InputShapeError(f"prg.index_sets must be integers, got dtype {sets.dtype}")
         if sets.shape != (ell, loc) or sets.min() < 0 or sets.max() >= kappa:
             raise InputShapeError(
                 f"prg.index_sets must be ({ell}, {loc}) positions in the {kappa}-bit"
@@ -245,9 +247,12 @@ def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape[:-1] + (params.ell,))
 
 
-def _prg_indices(rs) -> np.ndarray:
-    """Unsigned rs as they are, anything else as int64."""
+def _prg_indices(rs, error: type[ValueError]) -> np.ndarray:
+    """Unsigned rs as they are, signed ones as int64; error for any other dtype,
+    which an int64 cast would floor (0.9 to 0) or read as 0/1 (bool)."""
     arr = np.asarray(rs)
+    if arr.dtype.kind not in "iu":
+        raise error(f"PRG indices must be integers, got dtype {arr.dtype}")
     return arr if arr.dtype.kind == "u" else np.asarray(arr, dtype=np.int64)
 
 
@@ -260,11 +265,12 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
     predicate's ANF on them, as prg_expand does on lane words.
     """
     arr = _check_seeds(params, seeds)
-    pos = _prg_indices(positions)
+    pos = np.asarray(positions)
     if pos.ndim != arr.ndim or pos.shape[:-1] != arr.shape[:-1]:
         raise InputShapeError(
             f"positions {pos.shape} do not match seeds {arr.shape}: need one row per seed"
         )
+    pos = _prg_indices(pos, InputShapeError)
     stack = arr.reshape(-1, params.kappa)
     if pos.size >= params.ell:
         expanded = prg_expand(params, stack)
@@ -403,9 +409,9 @@ def enc_encrypt_many(
 
 
 def check_prg_indices(rs: np.ndarray, ell: int) -> np.ndarray:
-    """rs, refused unless all are in [0, ell): unsigned rs are kept as they are,
-    anything else is read as int64, whose negatives wrap above ell as uint64."""
-    idx = _prg_indices(rs)
+    """rs, refused unless they are integers in [0, ell): unsigned rs are kept as
+    they are, signed ones read as int64, whose negatives wrap above ell as uint64."""
+    idx = _prg_indices(rs, MalformedCiphertextError)
     unsigned = idx.view(np.uint64) if idx.dtype.kind == "i" else idx
     if idx.size and unsigned.max() >= ell:
         raise MalformedCiphertextError("PRG index outside stretch range")

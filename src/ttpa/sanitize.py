@@ -41,10 +41,9 @@ ADVANCED = "ADVANCED"
 
 @dataclass(eq=False)
 class Database:
-    """m rows of d bits.  The rows are a read-only view once built: m, d,
-    the all-ones mask over m points and the packed columns are taken from
-    them once, because every counting query reads them, and each distinct
-    query is answered once."""
+    """m rows of d bits.  The rows are a read-only view once built: m, d
+    and the packed columns are taken from them once, because every
+    counting query reads them, and each distinct query is answered once."""
 
     rows: np.ndarray  # (m, d) uint8
     _packed: list[int] | None = field(default=None, init=False, repr=False)
@@ -55,7 +54,6 @@ class Database:
     )
     m: int = field(init=False)
     d: int = field(init=False)
-    mask: int = field(init=False, repr=False)  # (1 << m) - 1
 
     def __post_init__(self):
         arr = np.asarray(self.rows)
@@ -64,7 +62,6 @@ class Database:
         arr = self.rows = as_bits(arr, "database entries must be bits").view()
         arr.flags.writeable = False
         self.m, self.d = (int(s) for s in arr.shape)
-        self.mask = (1 << self.m) - 1
 
     def packed_columns(self) -> list[int]:
         if self._packed is None:
@@ -153,7 +150,7 @@ def evaluate_query(query: Circuit, db: Database) -> float:
         )
     if db.m == 0:
         raise InputShapeError("cannot evaluate queries on an empty database")
-    answer = _eval_packed(query, db.packed_columns(), db.mask).bit_count() / db.m
+    answer = _eval_packed(query, db.packed_columns(), (1 << db.m) - 1).bit_count() / db.m
     db._answers[query._hash] = query, answer
     return answer
 

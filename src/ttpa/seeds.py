@@ -34,16 +34,17 @@ def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None
 
     out is int64 or any unsigned dtype that holds high - 1.  numpy runs
     Lemire's multiply-shift on 32-bit PCG64 word halves, low half first,
-    buffering an unused high half; this reads whole words off random_raw
-    for the same values and state, and at a power-of-two high, where the
-    multiply-shift is a plain shift, shifts.  Any other bit generator goes
-    through integers.
+    buffering an unused high half.  At a power-of-two high the
+    multiply-shift is a plain shift that rejects nothing, so this reads
+    whole words off random_raw and shifts their halves into out, for the
+    same values and state.  Any other high, or any other bit generator,
+    goes through integers.
     """
     bitgen, high = getattr(rng, "bit_generator", None), int(high)
-    if type(bitgen) is not np.random.PCG64 or not 1 < high <= 1 << 32:
+    if type(bitgen) is not np.random.PCG64 or high & (high - 1) or not 1 < high <= 1 << 32:
         out[:] = rng.integers(0, high, out.size, dtype=np.int64)
         return
-    threshold, filled = (1 << 32) % high, 0
+    filled = 0
     while filled < out.size:
         missing = out.size - filled
         # a buffered half goes first, and a last value alone would buffer one: numpy draws those
@@ -52,16 +53,8 @@ def integers_below(rng: np.random.Generator, high: int, out: np.ndarray) -> None
             filled += 1
             continue
         halves = bitgen.random_raw(missing // 2).astype("<u8", copy=False).view("<u4")
-        if threshold:
-            # the 64-bit products are a temporary: only the kept values reach out
-            prods = halves * np.uint64(high)
-            prods >>= np.uint64(32)
-            # Lemire rejects x when the low 32 bits of x * high fall under the threshold
-            kept = prods[halves * np.uint32(high) >= threshold]
-            out[filled : filled + kept.size] = kept
-            filled += kept.size
-        else:  # high is 2^b: (x * high) >> 32 is x >> (32 - b), and none is rejected
-            rest = out[filled : filled + halves.size]
-            np.right_shift(halves, np.uint32(33 - high.bit_length()), out=rest)
-            filled += rest.size
+        # high is 2^b: (x * high) >> 32 is x >> (32 - b)
+        rest = out[filled : filled + halves.size]
+        np.right_shift(halves, np.uint32(33 - high.bit_length()), out=rest)
+        filled += rest.size
         bitgen.state = {**bitgen.state, "uinteger": int(halves[-1])}  # as numpy leaves it

@@ -487,10 +487,11 @@ def linear_scan_report(ks: TTKeySet, pirate: PirateOracle, rng: np.random.Genera
     p, prg = ks.params, ks.params.prg
     n, s = p.n, default_scan_repetitions(p.n)
     check_batch(n, (n + 1) * s, prg.ell if prg else 0, pirate.rounds, 0 if prg else p.enc_bits)
-    # levels in the narrowest dtype that holds n: permutation shuffles any
-    # dtype in the same order, and the compare and seq shrink with it
+    # levels in the narrowest dtype that holds n, so the compare and seq
+    # shrink with it; numpy shuffles any dtype in the same order, and its
+    # 8-byte shuffle of the positions is faster than a uint8 one of seq
     levels = np.arange(n + 1, dtype=np.min_scalar_type(n))
-    seq = rng.permutation(np.repeat(levels, s))
+    seq = np.repeat(levels, s)[rng.permutation(levels.size * s)]
     cols = np.empty((n, seq.size), dtype=np.uint8)
     np.less(levels[:-1, None], seq, out=cols.view(bool))
     cts = tr_enc(ks, cols, rng)

@@ -167,10 +167,6 @@ class TestEval:
     @given(json_netlists(), st.data())
     def test_any_gate_order_matches_reference_walk(self, obj, data):
         c = circuit_from_json(obj)
-        prefix = 0
-        while prefix < len(obj["gates"]) and obj["gates"][prefix].get("input_index") == prefix:
-            prefix += 1
-        assert c.input_prefix == prefix
         width = c.input_width
         m = data.draw(st.integers(1, 11))
         cols = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=width, max_size=width))
@@ -184,17 +180,6 @@ class TestEval:
         assert [(tt >> i) & 1 for i in range(1 << width)] == [
             reference_eval(c, r) for r in all_rows(width)
         ]
-
-    def test_input_prefix_takes_no_part_in_equality(self):
-        b = CircuitBuilder(4)
-        c = b.build(b.input(3))
-        other = Circuit(c.input_width, c.gates, c.output)
-        object.__setattr__(other, "input_prefix", 0)
-        assert (c.input_prefix, other.input_prefix) == (4, 0)
-        assert c == other
-        assert hash(c) == hash(other)
-        assert repr(c) == repr(other)
-        assert "input_prefix" not in repr(c)
 
     def test_exhaustive_columns_are_assignment_bits(self):
         width = 4
@@ -441,7 +426,6 @@ class TestHashAndPickle:
         assert c.__reduce__() == (Circuit, (c.input_width, c.gates, c.output))
         back = pickle.loads(pickle.dumps(c))
         assert back == c and hash(back) == hash(c)
-        assert back.input_prefix == c.input_prefix
 
     def test_pickle_crosses_hash_seeds(self):
         # str hashes are salted per process, so a pickled hash would be stale

@@ -152,6 +152,15 @@ class TestPrgParams:
             with pytest.raises(InputShapeError, match=field):
                 LocalPrgParams(*args)
 
+    @pytest.mark.parametrize(
+        "sets", [[[0.5, 1, 2], [1, 2, 3.9]], [[True, False, True], [False, True, True]]],
+        ids=["float", "bool"],
+    )
+    def test_non_integer_index_sets_refused(self, sets):
+        # in range, so once accepted prg_expand and prg_bits_at failed on them
+        with pytest.raises(InputShapeError, match="prg.index_sets must be integers"):
+            LocalPrgParams(8, 2, 3, np.array(sets), xor_and_table(3))
+
     def test_oversized_draw_refused_before_allocation(self):
         # kappa=128 seed bits at the cubic stretch would sort a 2.04 GiB draw
         need = 64**3 * (64 * 8 + 5 * 4) + (128 << 10)
@@ -333,6 +342,13 @@ class TestPrgExpand:
         with pytest.raises(InputShapeError):
             prg_bits_at(params, np.zeros(8, dtype=np.uint8), np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("pos", [[[0.9, 3.0]], [[True, False]]], ids=["float", "bool"])
+    def test_non_integer_positions_refused(self, pos):
+        # an int64 cast would read 0.9 as position 0 and True as position 1
+        params = prg_params_gen(0, 8, ell=4)
+        with pytest.raises(InputShapeError, match="PRG indices must be integers"):
+            prg_bits_at(params, np.zeros((1, 8), dtype=np.uint8), np.array(pos))
+
     @pytest.mark.parametrize("bad", [256, 0.9])
     def test_non_bit_seeds_refused_before_the_cast(self, bad):
         # a uint8 cast would read 256 and 0.9 as 0
@@ -500,6 +516,13 @@ class TestEncRoundtrip:
                 enc_decrypt_many(pkey, rs, np.array([0]))
         top = np.array([[1, 255]], dtype=np.uint8)  # r = 2^9 - 1, the largest 9-bit nonce
         assert enc_decrypt_many(pkey, top, np.array([0])).shape == (1,)
+
+    @pytest.mark.parametrize("rs", [[0.9], [-0.5], [True]], ids=["0.9", "-0.5", "bool"])
+    def test_non_integer_indices_refused(self, rs):
+        # an int64 cast would decrypt 0.9 and -0.5 under index 0, and True under 1
+        key = enc_gen(16, LOCAL_PRG, np.random.default_rng(0))
+        with pytest.raises(MalformedCiphertextError, match="PRG indices must be integers"):
+            enc_decrypt_many(key, np.array(rs), np.array([0]))
 
     def test_batch_roundtrip_local_prg(self):
         rng = np.random.default_rng(8)

@@ -1,0 +1,78 @@
+"""Distribution checks on the random draws, from fixed seeds.
+
+Unlike the byte pins in test_determinism, these hold for any correct
+draw of the same laws, so they stay true when a change of draw
+algorithm moves the digests.  Each bound is set so that a correct draw
+fails it with probability below 1e-6; neither needs scipy.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ttpa.crypto import LOCAL_PRG, prg_params_gen
+from ttpa.fpcode import DEFAULT_EPS_FP, fp_gen
+from ttpa.seeds import stream
+from ttpa.ttscheme import tr_enc, tt_gen
+
+FALSE_FAILURE = 1e-6
+
+
+def chi_square_bounds(df: int, failure: float) -> tuple[float, float]:
+    """Two-sided bounds on a chi-square(df) variable X, each tail under failure / 2.
+
+    Laurent & Massart (2000), Lemma 1: P(X - df >= 2 sqrt(df x) + 2x) and
+    P(df - X >= 2 sqrt(df x)) are each at most exp(-x).
+    """
+    x = math.log(2 / failure)
+    spread = 2 * math.sqrt(df * x)
+    return df - spread, df + spread + 2 * x
+
+
+def bernstein_z_bound(variance: float, tests: int, failure: float) -> float:
+    """|z| bound for a sum S of independent Bernoulli draws with variance V.
+
+    Bernstein: P(|S - E S| >= t) <= 2 exp(-t^2 / (2 (V + t / 3))) for
+    summands within 1 of their means.  t solves that bound at failure /
+    tests, and z = (S - E S) / sqrt(V), so the bound is t / sqrt(V).
+    """
+    log_odds = math.log(2 * tests / failure)
+    t = log_odds / 3 + math.sqrt(log_odds**2 / 9 + 2 * log_odds * variance)
+    return t / math.sqrt(variance)
+
+
+@pytest.mark.parametrize(
+    "kappa, n, k",
+    [
+        (64, 8, 1 << 17),  # stretch 32^3 = 2^15: integers_below shifts word halves
+        (20, 4, 100_000),  # stretch 10^3 = 1,000: rng.integers draws them
+    ],
+    ids=["stretch-2^15", "stretch-1000"],
+)
+def test_tracing_batch_indices_are_uniform(kappa, n, k):
+    prg = prg_params_gen(3, kappa // 2)
+    ks = tt_gen(kappa, n, LOCAL_PRG, stream(3, "dist-keys", kappa), prg=prg)
+    rng = stream(3, "dist-batch", kappa)
+    cts = tr_enc(ks, rng.integers(0, 2, (n, k), dtype=np.uint8), rng)
+    counts = np.bincount(cts.rs.ravel(), minlength=prg.ell)
+    assert counts.size == prg.ell
+    expected = cts.rs.size / prg.ell  # 32 or 400 per position
+    chi2 = float(((counts - expected) ** 2).sum() / expected)
+    lo, hi = chi_square_bounds(prg.ell - 1, FALSE_FAILURE)
+    assert lo < chi2 < hi
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_codebook_columns_follow_their_biases(seed):
+    # a column holds only n = 10 draws, too few for a z-score of its own at
+    # biases down to 1/3000, so columns are pooled into bins of like bias
+    n, bins = 10, 16
+    cb = fp_gen(n, DEFAULT_EPS_FP, stream(seed, "dist-codebook"))
+    order = np.argsort(cb.biases, kind="stable")
+    ones = cb.words.sum(axis=0, dtype=np.int64)
+    for cols in np.array_split(order, bins):
+        p = cb.biases[cols]
+        mean, variance = n * p.sum(), n * (p * (1 - p)).sum()
+        z = (ones[cols].sum() - mean) / math.sqrt(variance)
+        assert abs(z) < bernstein_z_bound(variance, bins, FALSE_FAILURE)

@@ -55,7 +55,6 @@ class TestDatabase:
     def test_size_and_mask_follow_rows(self, shape):
         db = Database(np.ones(shape, dtype=np.uint8))
         assert (db.m, db.d) == shape
-        assert db.mask == (1 << shape[0]) - 1
 
     def test_empty_database_refuses_queries(self):
         db = Database(np.zeros((0, 3), dtype=np.uint8))
@@ -194,7 +193,6 @@ class TestAnswerMemo:
         rows = stream(39, "memo-hand").integers(0, 2, (300, 16), dtype=np.uint8)
         db = Database(rows)
         circs = [circuit_from_json(net) for net in HAND_NETLISTS]
-        assert [c.input_prefix for c in circs] == [0, 2]
         want = [fresh_answer(c, rows) for c in circs]
         for _ in range(2):
             assert [evaluate_query(c, db) for c in circs] == want

@@ -311,6 +311,26 @@ class TestEncryptDecrypt:
         assert ok.masked.dtype == np.uint8
         assert np.array_equal(ok.masked, ct.masked)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda ks, ct: tt_dec(ks.params, ks.rows[1], ct),
+            lambda ks, ct: honest_pirate(ks, 1).answer(ct),
+            lambda ks, ct: TTDecQueryFamily.from_ciphertexts(ct, ks.params),
+        ],
+        ids=["tt_dec", "honest_pirate", "query_family"],
+    )
+    def test_non_integer_indices_refused(self, entry):
+        # an int64 cast would decrypt 0.9 and -0.5 under index 0 and True
+        # under 1, and the query family's gather raised numpy's TypeError
+        ks = small_keyset()
+        ct = tt_enc(ks, 1, stream(8, "index-dtype"))
+        for dtype, index in ((np.float64, 0.9), (np.float64, -0.5), (bool, True)):
+            rs = ct.rs.astype(dtype)
+            rs[0, 1] = index
+            with pytest.raises(MalformedCiphertextError, match="PRG indices must be integers"):
+                entry(ks, TTCiphertext(rs, ct.masked))
+
 
 class TestDecCircuit:
     def test_matches_row_decryption_both_modes(self):
