@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 import sys
 from collections import Counter
@@ -239,6 +238,8 @@ def _run_experiment(
     if not coalition:
         raise InputShapeError("coalition must be nonempty")
     if jobs > 1 and hasattr(os, "fork"):
+        import multiprocessing  # here, so a serial run never loads the pool's modules
+
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             records = pool.map(
                 functools.partial(_run_trial, cfg, prg, tag, coalition), range(cfg.trials)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -506,7 +507,10 @@ def _add_sanitizer_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parsing keeps no state in it,
+    and the handlers it names read this module's globals when they are called."""
     parser = argparse.ArgumentParser(
         prog="ttpa",
         description="traitor tracing vs differential privacy experiments",

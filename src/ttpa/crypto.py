@@ -117,7 +117,9 @@ class LocalPrgParams:
     kappa: int           # seed length in bits
     ell: int             # output length (stretch)
     locality: int        # L, seed bits per output
-    index_sets: np.ndarray  # (ell, L) int32, ordered distinct positions
+    # (ell, L) ordered distinct positions, held in np.min_scalar_type(kappa - 1):
+    # uint8 up to 256-bit seeds, uint16 up to prg_params_gen's 2048-bit cap
+    index_sets: np.ndarray
     table: np.ndarray       # (2^L,) uint8 predicate truth table
     # the table's ANF, derived once and outside equality and repr
     monomials: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
@@ -139,6 +141,8 @@ class LocalPrgParams:
                 f"prg.index_sets must be ({ell}, {loc}) positions in the {kappa}-bit"
                 f" seed, got shape {sets.shape}"
             )
+        sets = sets.astype(np.min_scalar_type(kappa - 1), copy=False)
+        object.__setattr__(self, "index_sets", sets)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "monomials", _anf(table, loc))
 
@@ -148,16 +152,18 @@ def default_stretch(kappa: int) -> int:
 
 
 def check_prg_draw(kappa: int, ell: int | None = None, locality: int = DEFAULT_LOCALITY) -> int:
-    """Bytes prg_params_gen holds: (ell, kappa) uint64 keys, (ell, locality) int32
-    index sets and 128 KiB of ufunc buffers.  Raises for a seed over 2048 bits
-    (a key packs an 11-bit column under 53), a stretch below 1 or above
-    MAX_ALLOC_BYTES, so callers refuse before allocating.
+    """Bytes prg_params_gen holds: (ell, kappa) uint64 keys, (ell, locality)
+    index sets of np.min_scalar_type(kappa - 1) and 128 KiB of ufunc buffers.
+    Raises for a seed over 2048 bits (a key packs an 11-bit column under 53),
+    a stretch below 1 or above MAX_ALLOC_BYTES, so callers refuse before
+    allocating.
     """
     ell = default_stretch(kappa) if ell is None else ell
     check_stretch(ell)
     if kappa > 2048:
         raise InputShapeError(f"PRG index sets are drawn over at most 2048 seed bits, got {kappa}")
-    need = ell * (kappa * 8 + locality * 4) + (128 << 10)
+    position = np.min_scalar_type(kappa - 1).itemsize
+    need = ell * (kappa * 8 + locality * position) + (128 << 10)
     if need > MAX_ALLOC_BYTES:
         raise InputShapeError(
             f"PRG index sets over a {kappa}-bit seed at stretch {ell} need about"
@@ -187,6 +193,9 @@ def prg_params_gen(
         table = xor_and_table(locality)
     rng = stream(master_seed, "prg-index-sets", kappa, ell, locality)
     b = (kappa - 1).bit_length()
+    # one allocation, not row blocks: freeing it raises glibc's dynamic mmap
+    # and trim thresholds, so later tracing batches reuse the heap it leaves
+    # instead of mapping and faulting in fresh pages every trial
     keys = rng.bit_generator.random_raw((ell, kappa))
     keys >>= np.uint64(11)
     keys <<= np.uint64(b)
@@ -194,7 +203,7 @@ def prg_params_gen(
     keys.sort(axis=1)
     sets = keys[:, :locality]
     sets &= np.uint64((1 << b) - 1)
-    return LocalPrgParams(kappa, ell, locality, sets.astype(np.int32), table)
+    return LocalPrgParams(kappa, ell, locality, sets, table)
 
 
 def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:

@@ -275,8 +275,11 @@ def laplace_tightness_demo(master_seed: int = 0) -> dict:
     errs = []
     for b in range(batches):
         ans = sanitize(cfg, db, [query] * k, stream(master_seed, "calibration", b))
-        errs.append(ans - 0.5)
-    err = np.abs(np.concatenate(errs))
+        ans -= 0.5
+        errs.append(ans)
+    err = np.concatenate(errs)
+    del errs, ans
+    np.abs(err, out=err)
     draws = err.shape[0]
     exceed = float((err > scale).mean())
     expected_exceed = math.exp(-1.0)
@@ -293,6 +296,7 @@ def laplace_tightness_demo(master_seed: int = 0) -> dict:
         "calibrated_5pct": bool(abs(err.mean() / scale - 1.0) <= 0.05),
         "exceed_within_3sigma": bool(abs(exceed - expected_exceed) <= 3 * sigma),
     }
+    del err  # before the accuracy part's larger arrays
 
     # same budget, two database sizes: accuracy is a property of m
     k2, d, trials = 10_000, 16, 20

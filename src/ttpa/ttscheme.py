@@ -552,7 +552,7 @@ def keyset_from_json(obj: dict) -> TTKeySet:
                 int(g["kappa"]),
                 g_ell,
                 g_loc,
-                sets.reshape(g_ell, g_loc).astype(np.int32),
+                sets.reshape(g_ell, g_loc),
                 bits_from_hex(g["table"], 1 << g_loc, "prg.table"),
             )
         params = TTParams(kappa, n, obj["scheme"], prg)

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -911,3 +914,60 @@ class TestTopLevel:
     def test_demo_subcommand_listed(self, capsys):
         code, _out, _err = run_cli(capsys, "demo")
         assert code == 2  # subcommand required
+
+
+class TestOneParserPerProcess:
+    ATTACK = (
+        "attack", "run", "--n", "3", "--kappa", "16", "--eps-fp", "0.2",
+        "--a", "2", "--trials", "4", "--seed", "5",
+    )
+
+    def commands(self, tmp_path):
+        return [
+            (*self.ATTACK, "--sanitizer", "laplace", "--eps", "2",
+             "--out", str(tmp_path / "laplace.json")),
+            # refused, by the run and by argparse: neither flag may reach the next call
+            (*self.ATTACK, "--composition", "advanced", "--out", str(tmp_path / "no.json")),
+            (*self.ATTACK, "--frobnicate", "--out", str(tmp_path / "no.json")),
+            (*self.ATTACK, "--sanitizer", "exact", "--out", str(tmp_path / "exact.json")),
+            ("tt", "keygen", "--kappa", "16", "--n", "3", "--seed", "5",
+             "--out", str(tmp_path / "keys.json")),
+        ]
+
+    @staticmethod
+    def run(capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        path = argv[argv.index("--out") + 1]
+        written = open(path, "rb").read() if os.path.exists(path) else None
+        return code, out, err, written
+
+    def test_commands_in_one_process_give_the_bytes_they_give_alone(self, capsys, tmp_path):
+        # the parser is built once and reused, so --eps 2 set for the Laplace
+        # run must not become the exact run's audit epsilon, nor a refused
+        # flag stay behind
+        commands = self.commands(tmp_path)
+        cli_mod.build_parser.cache_clear()
+        together = [self.run(capsys, argv) for argv in commands]
+        assert cli_mod.build_parser.cache_info().misses == 1
+        alone = []
+        for argv in commands:
+            cli_mod.build_parser.cache_clear()
+            alone.append(self.run(capsys, argv))
+        assert together == alone
+        assert [code for code, *_ in together] == [0, 2, 2, 0, 0]
+        assert together[0][1] != together[3][1]
+        exact = json.loads(together[3][3])
+        assert exact["params"]["sanitizer"]["epsilon"] is None
+        assert exact["audit"]["epsilon"] == 1.0
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    # only attack run --jobs > 1 starts a pool, so a serial process never
+    # loads multiprocessing
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, ttpa.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "[]"

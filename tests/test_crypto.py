@@ -162,12 +162,12 @@ class TestPrgParams:
             LocalPrgParams(8, 2, 3, np.array(sets), xor_and_table(3))
 
     def test_oversized_draw_refused_before_allocation(self):
-        # kappa=128 seed bits at the cubic stretch would sort a 2.04 GiB draw
-        need = 64**3 * (64 * 8 + 5 * 4) + (128 << 10)
+        # kappa=128 seed bits at the cubic stretch would sort a 2.01 GiB draw
+        need = 64**3 * (64 * 8 + 5 * 1) + (128 << 10)
         assert check_prg_draw(64, default_stretch(64)) == need
         with pytest.raises(InputShapeError, match="GiB"):
             check_prg_draw(128, default_stretch(128))
-        assert 128**3 * (128 * 8 + 5 * 4) > MAX_ALLOC_BYTES
+        assert 128**3 * (128 * 8 + 5 * 1) > MAX_ALLOC_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(InputShapeError, match="GiB"):
@@ -205,7 +205,23 @@ class TestPrgParams:
                     want = np.argsort(rng.random((ell, kappa)), axis=1)[:, :locality]
                     table = np.arange(1 << locality, dtype=np.uint8) & 1
                     got = prg_params_gen(seed, kappa, ell, locality, table).index_sets
-                    assert got.dtype == np.int32 and np.array_equal(got, want)
+                    narrow = np.min_scalar_type(kappa - 1)
+                    assert got.dtype == narrow and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kappa,dtype",
+        [(8, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16), (2048, np.uint16)],
+    )
+    def test_index_sets_held_in_the_narrowest_dtype(self, kappa, dtype):
+        params = prg_params_gen(3, kappa, ell=64)
+        assert params.index_sets.dtype == dtype
+        # wide or signed sets are checked, then narrowed to the same positions
+        for wide in (np.int64, np.uint32):
+            again = LocalPrgParams(kappa, 64, 5, params.index_sets.astype(wide), params.table)
+            assert again.index_sets.dtype == dtype
+            assert np.array_equal(again.index_sets, params.index_sets)
+        position = np.dtype(dtype).itemsize
+        assert check_prg_draw(kappa, 64) == 64 * (kappa * 8 + 5 * position) + (128 << 10)
 
     @given(st.integers(0, 2**32), st.integers(5, 12), st.integers(1, 40))
     def test_index_sets_always_distinct(self, seed, kappa, ell):

@@ -74,8 +74,9 @@ class TestIntegersBelow:
                 g.integers(0, 7)
             assert got.bit_generator.state["has_uint32"] == 1
         want = ref.integers(0, high, k, dtype=np.int64)
-        # an int64 row, or the narrowest unsigned one that holds high - 1 (uint8
-        # to uint32 where integers_below reads words), as enc_encrypt_many draws
+        # an int64 row, or the narrowest unsigned one that holds high - 1, as
+        # enc_encrypt_many draws: integers_below shifts words into it at a
+        # power-of-two high and takes rng.integers' draw at any other
         out = np.empty(k, dtype=np.min_scalar_type(high - 1) if narrow else np.int64)
         integers_below(got, high, out)
         assert np.array_equal(out, want)
@@ -96,7 +97,7 @@ class TestIntegersBelow:
     def test_batch_drawn_row_by_row_as_integers(self, seed, high, m, k, buffered):
         # what enc_encrypt_many draws: an (m, k) batch in the narrowest unsigned
         # dtype, one call per row, at a power-of-two stretch (a shift) or one
-        # that multiplies and rejects
+        # that rng.integers draws
         ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
         if buffered:
             for g in (ref, got):

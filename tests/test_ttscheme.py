@@ -711,6 +711,17 @@ class TestSerialization:
         assert np.array_equal(back.params.prg.table, ks.params.prg.table)
         assert back.params.prg.ell == ks.params.prg.ell
 
+    @pytest.mark.parametrize("kappa,dtype", [(16, np.uint8), (512, np.uint8), (600, np.uint16)])
+    def test_roundtrip_keeps_index_hex_and_dtype(self, kappa, dtype):
+        # the PRG seed is kappa/2 bits: positions to 255 fit a byte, to 299 do not
+        ks = small_keyset(kappa=kappa, n=3, seed=24, ell=64)
+        sets = ks.params.prg.index_sets
+        assert sets.dtype == dtype and (sets.max() > 255) == (kappa // 2 > 256)
+        back = through_text(ks)
+        assert back.params.prg.index_sets.dtype == dtype
+        assert np.array_equal(back.params.prg.index_sets, sets)
+        assert keyset_to_json(back) == keyset_to_json(ks)
+
     def test_roundtrip_preserves_behavior(self):
         ks = small_keyset(kappa=16, n=3, seed=23)
         back = through_text(ks)
