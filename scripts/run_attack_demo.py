@@ -4,9 +4,9 @@
 A front end for `attack run`: every flag other than the two below goes
 to it unchanged and is checked there (see `attack run --help`), so a
 bad value exits 2 before any trial runs.  Full scale (the defaults:
-n=10 users, kappa=64, 200 trials per experiment) takes 7-9 s serial on
-a 2-vCPU Xeon; --quick drops to a toy size that finishes in half a
-second but is too small for a conclusive audit.
+n=10 users, kappa=64, 200 trials per experiment) takes 4-5.5 s
+serial on a 2-vCPU Xeon; --quick drops to a toy size that finishes in
+half a second but is too small for a conclusive audit.
 Writes report.json and summary.csv next to each other and prints the
 text summary.
 """

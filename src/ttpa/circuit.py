@@ -28,10 +28,6 @@ OR = "OR"
 # JSON field holding a gate's aux value, by op
 _AUX_FIELDS = {INPUT: "input_index", CONST: "value"}
 
-# widths where 2^width bitmask tricks stay cheap
-_MAX_EXHAUSTIVE_WIDTH = 20
-
-
 class Gate(NamedTuple):
     op: str
     args: tuple[int, ...] = ()
@@ -187,16 +183,6 @@ def _unpack_bits(value: int, count: int) -> np.ndarray:
     return np.unpackbits(buf, bitorder="little")[:count]
 
 
-def eval_circuit(circ: Circuit, x: Sequence[int]) -> int:
-    """Evaluate on a single input; x must hold exactly input_width 0/1 values."""
-    if len(x) != circ.input_width:
-        raise InputShapeError(
-            f"input length {len(x)} != circuit width {circ.input_width}"
-        )
-    cols = as_bits(x, "input bits must be 0/1").tolist()
-    return _eval_packed(circ, cols, 1)
-
-
 def eval_on_rows(circ: Circuit, rows: np.ndarray) -> np.ndarray:
     """Evaluate on every row of a (points, width) bit matrix at once."""
     arr = np.asarray(rows)
@@ -205,44 +191,9 @@ def eval_on_rows(circ: Circuit, rows: np.ndarray) -> np.ndarray:
             f"row matrix shape {arr.shape} does not match circuit width "
             f"{circ.input_width}"
         )
-    arr = as_bits(arr, "row entries must be bits")
     m = arr.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=np.uint8)
     out = _eval_packed(circ, pack_rows(arr), (1 << m) - 1)
     return _unpack_bits(out, m)
-
-
-def exhaustive_columns(width: int) -> list[int]:
-    """Packed wire columns enumerating all 2^width assignments.
-
-    Bit i of column w is the value of wire w in assignment i, where
-    assignment i sets the wires to the big-endian bits of i.
-    """
-    if not 1 <= width <= _MAX_EXHAUSTIVE_WIDTH:
-        raise InputShapeError(f"exhaustive enumeration supports width 1..{_MAX_EXHAUSTIVE_WIDTH}")
-    total = 1 << width
-    cols = []
-    for w in range(width):
-        block = 1 << (width - 1 - w)
-        period = 2 * block
-        pattern = ((1 << block) - 1) << block
-        reps = total // period
-        cols.append(pattern * (((1 << (period * reps)) - 1) // ((1 << period) - 1)))
-    return cols
-
-
-def truth_table(circ: Circuit) -> int:
-    """Output bits over all 2^width assignments, packed LSB-first by assignment."""
-    width = circ.input_width
-    return _eval_packed(circ, exhaustive_columns(width), (1 << (1 << width)) - 1)
-
-
-def circuits_equivalent(a: Circuit, b: Circuit) -> bool:
-    """Exact equivalence by exhaustive truth table (widths must match)."""
-    if a.input_width != b.input_width:
-        return False
-    return truth_table(a) == truth_table(b)
 
 
 def circuit_metrics(circ: Circuit) -> CircuitMetrics:
@@ -287,90 +238,6 @@ def append_minterm_dnf(b: CircuitBuilder, table: Sequence[int], wires: Sequence[
     if not terms:
         return b.const(0)
     return b.or_(terms)
-
-
-def _live_gates(circ: Circuit) -> bytearray:
-    """needed[i] is 1 iff gate i is reachable from the output."""
-    needed = bytearray(len(circ.gates))
-    needed[circ.output] = 1
-    for i in range(len(circ.gates) - 1, -1, -1):
-        if needed[i]:
-            for a in circ.gates[i].args:
-                needed[a] = 1
-    return needed
-
-
-def _prune_dead(circ: Circuit) -> Circuit:
-    """Rebuild keeping only gates reachable from the output."""
-    needed = _live_gates(circ)
-    b = CircuitBuilder(circ.input_width)
-    remap = [0] * len(circ.gates)
-    for i, (op, args, aux) in enumerate(circ.gates):
-        if not needed[i]:
-            continue
-        if op == INPUT:
-            remap[i] = b.input(aux)
-        elif op == CONST:
-            remap[i] = b.const(aux)
-        elif op == NOT:
-            remap[i] = b.not_(remap[args[0]])
-        elif op == AND:
-            remap[i] = b.and_(remap[a] for a in args)
-        else:
-            remap[i] = b.or_(remap[a] for a in args)
-    return b.build(remap[circ.output])
-
-
-def constant_fold(circ: Circuit) -> Circuit:
-    """Propagate constants, drop dead gates, and collapse trivial gates.
-
-    The result is semantically equivalent and never larger (in size or
-    depth).  Constants absorbed by AND/OR disappear; single-argument
-    AND/OR become aliases; unreachable gates are pruned, including ones
-    orphaned by the propagation itself.
-    """
-    needed = _live_gates(circ)
-    b = CircuitBuilder(circ.input_width)
-    # each needed gate folds to ("c", bit) or ("g", new id)
-    folded: list[tuple[str, int] | None] = [None] * len(circ.gates)
-    for i, (op, args, aux) in enumerate(circ.gates):
-        if not needed[i]:
-            continue
-        if op == INPUT:
-            folded[i] = ("g", b.input(aux))
-        elif op == CONST:
-            folded[i] = ("c", aux)
-        elif op == NOT:
-            kind, v = folded[args[0]]
-            folded[i] = ("c", 1 - v) if kind == "c" else ("g", b.not_(v))
-        else:
-            absorb = 0 if op == AND else 1
-            new_args: list[int] = []
-            seen: set[int] = set()
-            dead = False
-            for a in args:
-                kind, v = folded[a]
-                if kind == "c":
-                    if v == absorb:
-                        folded[i] = ("c", absorb)
-                        dead = True
-                        break
-                elif v not in seen:
-                    seen.add(v)
-                    new_args.append(v)
-            if dead:
-                continue
-            if not new_args:
-                folded[i] = ("c", 1 - absorb)
-            elif len(new_args) == 1:
-                folded[i] = ("g", new_args[0])
-            else:
-                folded[i] = ("g", b.and_(new_args) if op == AND else b.or_(new_args))
-
-    kind, v = folded[circ.output]
-    # A gate emitted early can be orphaned when its consumer later absorbs
-    # to a constant, so a final liveness pass is required for idempotence.
-    return _prune_dead(b.build(b.const(v) if kind == "c" else v))
 
 
 def circuit_to_json(circ: Circuit) -> dict:

@@ -457,9 +457,8 @@ def append_dec_component(
     masked=1 branch keeps the xor as a free NOT on top of the DNF.
     Depth <= 4 by construction.
 
-    folded: the minterm DNF of G_r(s) xor masked directly (what
-    constant-folding the literal build yields, depth <= 2).  This is the
-    only build that stays small at real stretch values.
+    folded: the minterm DNF of G_r(s) xor masked, depth <= 2.  This is
+    the only build that stays small at real stretch values.
     """
     if masked not in (0, 1):  # before the int cast, which reads 0.9 as 0
         raise InputShapeError(f"masked bit must be 0/1, got {masked!r}")

@@ -125,6 +125,14 @@ def laplace_scale(cfg: SanitizerConfig, k: int, m: int) -> float:
     return scale
 
 
+def _check_queries(width: int, db: Database) -> None:
+    """Queries of this width can be answered on db: widths match, rows exist."""
+    if width != db.d:
+        raise InputShapeError(f"query width {width} != database width {db.d}")
+    if db.m == 0:
+        raise InputShapeError("cannot evaluate queries on an empty database")
+
+
 def evaluate_query(query: Circuit, db: Database) -> float:
     """True answer: the fraction of rows satisfying the predicate, taken
     once per distinct circuit on db and kept in its answer memo.
@@ -144,12 +152,7 @@ def evaluate_query(query: Circuit, db: Database) -> float:
     else:
         if circuit is query or circuit == query:
             return answer
-    if query.input_width != db.d:
-        raise InputShapeError(
-            f"query width {query.input_width} != database width {db.d}"
-        )
-    if db.m == 0:
-        raise InputShapeError("cannot evaluate queries on an empty database")
+    _check_queries(query.input_width, db)
     answer = _eval_packed(query, db.packed_columns(), (1 << db.m) - 1).bit_count() / db.m
     db._answers[query._hash] = query, answer
     return answer
@@ -163,12 +166,7 @@ def evaluate_batch(queries: Sequence[Circuit] | QueryFamily, db: Database) -> np
     values is exact, so this is .mean(axis=1) to the byte.
     """
     if hasattr(queries, "evaluate_on_rows"):
-        if queries.input_width != db.d:
-            raise InputShapeError(
-                f"query width {queries.input_width} != database width {db.d}"
-            )
-        if db.m == 0:
-            raise InputShapeError("cannot evaluate queries on an empty database")
+        _check_queries(queries.input_width, db)
         bits = queries.evaluate_on_rows(db.rows)
         return np.add.reduce(bits, axis=1, dtype=np.min_scalar_type(db.m)) / db.m
     return np.fromiter(

@@ -22,11 +22,12 @@ from ttpa.attack import (
 from ttpa.crypto import LOCAL_PRG, PRF, prg_params_gen
 from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
 from ttpa.fpcode import code_length, fp_feasible
-from ttpa.sanitize import LAPLACE, SanitizerConfig
-from ttpa.seeds import stream
+from ttpa.sanitize import ADVANCED, BASIC, LAPLACE, SanitizerConfig
+from ttpa.seeds import derive_seed, stream
 from ttpa.ttscheme import check_batch, honest_pirate, tr_enc, tt_gen, tt_trace_report
 
 import ttpa.attack as attack_mod
+from reference import replay_trial
 
 
 def small_keyset(n=3, kappa=16, seed=40):
@@ -498,3 +499,33 @@ class TestRunAttack:
         assert set(d) == {"params", "i_star", "exp1", "exp2"}
         d2 = report.to_dict(dp_audit(report, 1.0, 0.01))
         assert set(d2) == {"params", "i_star", "exp1", "exp2", "audit"}
+
+
+class TestReplay:
+    """Each trial's record is what tests/reference.py replays without cryptography."""
+
+    @settings(derandomize=True)
+    @given(
+        st.integers(2, 5),
+        st.sampled_from((16, 20)),
+        st.sampled_from(("exact", BASIC, ADVANCED)),
+        st.data(),
+    )
+    def test_trial_matches_replay(self, n, kappa, mechanism, data):
+        if mechanism == "exact":
+            san = SanitizerConfig()
+        else:
+            eps = data.draw(st.sampled_from((1.0, 1e3, 1e5)), label="eps")
+            rounds = data.draw(st.integers(0, 3), label="rounds") if mechanism == ADVANCED else 0
+            san = SanitizerConfig(LAPLACE, eps, 1e-6, mechanism, rounds)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cfg = AttackConfig(
+            n=n, kappa=kappa, sanitizer=san, seed=seed,
+            a=data.draw(st.sampled_from((20.0, 100.0)), label="a"),
+        )
+        tag = data.draw(st.sampled_from((EXP_FULL, EXP_MINUS)), label="tag")
+        coalition = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        t = data.draw(st.integers(0, 3), label="t")
+        prg = prg_params_gen(derive_seed(seed, "attack", "prg"), kappa // 2)
+        got = attack_mod._run_trial(cfg, prg, tag, coalition, t)
+        assert got == replay_trial(cfg, tag, coalition, t)

@@ -10,7 +10,6 @@ from ttpa.circuit import (
     AND,
     CircuitMetrics,
     circuit_metrics,
-    constant_fold,
     eval_on_rows,
 )
 from ttpa.crypto import (
@@ -720,16 +719,6 @@ class TestDecCircuit:
         for masked in (0, 1):
             assert circuit_metrics(enc_dec_circuit(2, masked, params, LITERAL)).depth == 4
             assert circuit_metrics(enc_dec_circuit(2, masked, params, FOLDED)).depth == 2
-
-    def test_folding_the_literal_build_matches_folded_mode(self):
-        params = self._params()
-        rows = all_rows(10)
-        folded_lit = constant_fold(enc_dec_circuit(4, 1, params, LITERAL))
-        assert circuit_metrics(folded_lit).depth <= 2
-        assert np.array_equal(
-            eval_on_rows(folded_lit, rows),
-            eval_on_rows(enc_dec_circuit(4, 1, params, FOLDED), rows),
-        )
 
     def test_folded_stays_small_at_full_stretch(self):
         params = prg_params_gen(13, 16)

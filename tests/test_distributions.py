@@ -3,7 +3,7 @@
 Unlike the byte pins in test_determinism, these hold for any correct
 draw of the same laws, so they stay true when a change of draw
 algorithm moves the digests.  Each bound is set so that a correct draw
-fails it with probability below 1e-6; neither needs scipy.
+fails it with probability below 1e-6; none needs scipy.
 """
 
 import math
@@ -13,6 +13,7 @@ import pytest
 
 from ttpa.crypto import LOCAL_PRG, prg_params_gen
 from ttpa.fpcode import DEFAULT_EPS_FP, fp_gen
+from ttpa.sanitize import ADVANCED, BASIC, LAPLACE, SanitizerConfig, sanitize_truths
 from ttpa.seeds import stream
 from ttpa.ttscheme import tr_enc, tt_gen
 
@@ -76,3 +77,35 @@ def test_codebook_columns_follow_their_biases(seed):
         mean, variance = n * p.sum(), n * (p * (1 - p)).sum()
         z = (ones[cols].sum() - mean) / math.sqrt(variance)
         assert abs(z) < bernstein_z_bound(variance, bins, FALSE_FAILURE)
+
+
+LAPLACE_K = 100_000
+
+
+@pytest.mark.parametrize(
+    "cfg, m, scale",
+    [
+        # k / (eps m)
+        (SanitizerConfig(LAPLACE, 1.0, None, BASIC), 40_000_000, LAPLACE_K / 40_000_000),
+        # sqrt(2 k ln(1/delta)) / (eps m)
+        (
+            SanitizerConfig(LAPLACE, 1.0, 1e-6, ADVANCED),
+            400_000,
+            math.sqrt(2 * LAPLACE_K * math.log(1e6)) / 400_000,
+        ),
+    ],
+    ids=["basic", "advanced"],
+)
+def test_laplace_noise_exceeds_each_margin_at_its_rate(cfg, m, scale):
+    # truths at 1/2 and a scale under 1/200: clamping to [0, 1] needs |noise|
+    # > 100 scales somewhere in the batch, odds below k e^-100 < e^-40
+    assert scale < 1 / 200
+    truths = np.full(LAPLACE_K, 0.5)
+    noise = np.abs(sanitize_truths(cfg, truths, m, stream(4, "dist-laplace", cfg.composition)) - 0.5)
+    # |Laplace(scale)| > c scale with probability e^-c, at each margin c
+    margins = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    for c in margins:
+        p = math.exp(-c)
+        variance = LAPLACE_K * p * (1 - p)
+        z = (int((noise > c * scale).sum()) - LAPLACE_K * p) / math.sqrt(variance)
+        assert abs(z) < bernstein_z_bound(variance, len(margins), FALSE_FAILURE)
