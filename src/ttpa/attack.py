@@ -228,15 +228,13 @@ def _run_trial(cfg: AttackConfig, prg, tag: str, coalition: tuple[int, ...], t: 
     except SanitizerFailure:
         return TrialRecord(None, False, None, True)
     feasible = fp_feasible(out.codebook.words[list(coalition)], out.word)
-    return TrialRecord(out.accused, bool(feasible), pirate.stats["max_abs_err"], False)
+    return TrialRecord(out.accused, feasible, pirate.stats["max_abs_err"], False)
 
 
 def _run_experiment(
     cfg: AttackConfig, prg, tag: str, coalition: Sequence[int], jobs: int
 ) -> ExperimentStats:
     coalition = tuple(sorted(int(u) for u in coalition))
-    if not coalition:
-        raise InputShapeError("coalition must be nonempty")
     if jobs > 1 and hasattr(os, "fork"):
         import multiprocessing  # here, so a serial run never loads the pool's modules
 

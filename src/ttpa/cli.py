@@ -289,9 +289,7 @@ def _cmd_tt_trace(args) -> int:
         )
     out = tt_trace_report(ks, pirate, args.eps_fp, stream(args.seed, "tt-trace", "trace"), a=args.a)
     feasible = (
-        None
-        if coalition is None
-        else bool(fp_feasible(out.codebook.words[list(coalition)], out.word))
+        None if coalition is None else fp_feasible(out.codebook.words[list(coalition)], out.word)
     )
     prg = ks.params.prg
     obj = {

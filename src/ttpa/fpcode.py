@@ -136,13 +136,13 @@ def _check_word(cb_ell: int, word: np.ndarray) -> np.ndarray:
 
 def fp_scores(cb: Codebook, word: np.ndarray) -> np.ndarray:
     """Per-user accusation scores against a suspect word."""
-    ones = _check_word(cb.ell, word).view(bool)
     # only columns with w'_j = 1 score: each adds miss_j, plus hit_j - miss_j
     # for the users holding a 1 there
-    p = cb.biases[ones]
+    scored = np.flatnonzero(_check_word(cb.ell, word))
+    p = cb.biases[scored]
     hit = np.sqrt((1.0 - p) / p)
     miss = -np.sqrt(p / (1.0 - p))
-    return np.compress(ones, cb.words, axis=1) @ (hit - miss) + miss.sum()
+    return np.take(cb.words, scored, axis=1) @ (hit - miss) + miss.sum()
 
 
 def fp_trace(cb: Codebook, word: np.ndarray) -> int | None:

@@ -383,10 +383,10 @@ class TTDecQueryFamily:
 # cell adds its nonce's bytes.
 CELL_BYTES = 10
 # Per ciphertext: seven 8-byte vectors at most at once, the biases plus
-# the truths and error temporaries, or plus the scored columns' p, hit,
-# miss and hit - miss and their temporaries, and the one intp row that
-# np.take makes of a user's narrow index row.  A scan's shuffled levels,
-# a byte or two per ciphertext, take their room here too.
+# the truths and error temporaries, or plus the scored columns' index,
+# p, hit, miss and hit - miss and their temporaries, and the one intp
+# row that np.take makes of a user's narrow index row.  A scan's shuffled
+# levels, a byte or two per ciphertext, take their room here too.
 COLUMN_BYTES = 56
 # Per PRG output position, besides one uint8 expansion per user:
 # prg_expand's uint64 accumulator, two gathered columns and their intp

@@ -1,8 +1,9 @@
 """Acceptance gate: ten numbered end-to-end criteria, one test each.
 
-Every test funnels its verdict through the `acceptance` fixture so the
-run ends with a PASS/FAIL line per criterion.  Tolerances and trial
+Every criterion funnels its verdict through the `acceptance` fixture so
+the run ends with a PASS/FAIL line per criterion.  Tolerances and trial
 counts here are fixed; loosening them defeats the point of the gate.
+One more test replays criterion 6's run without cryptography.
 """
 
 import json
@@ -47,6 +48,8 @@ from ttpa.ttscheme import (
     tt_enc,
     tt_gen,
 )
+
+from reference import replay_trial
 
 
 def all_rows(width: int) -> np.ndarray:
@@ -285,6 +288,16 @@ def test_criterion_06_reduction_end_to_end(acceptance, exact_attack_report):
         f"exp1 accused someone in {some_rate:.0%}, exp2 accused i*={i_star} "
         f"in {hits2}/{trials2}, audit margin {audit['margin']:.4f} -> violated",
     )
+
+
+def test_default_run_replays_without_cryptography(exact_attack_report):
+    # all 400 records, max_abs_err included, from the codebook and the noise alone
+    cfg = AttackConfig(seed=0)
+    for exp in ("exp1", "exp2"):
+        d = exact_attack_report[exp]
+        coalition = tuple(d["coalition"])
+        for t, record in enumerate(d["trial_records"]):
+            assert record == replay_trial(cfg, d["label"], coalition, t)._asdict(), (exp, t)
 
 
 def test_criterion_07_feasible_words(acceptance, exact_attack_report):

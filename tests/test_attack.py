@@ -22,12 +22,19 @@ from ttpa.attack import (
 from ttpa.crypto import LOCAL_PRG, PRF, prg_params_gen
 from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
 from ttpa.fpcode import code_length, fp_feasible
-from ttpa.sanitize import ADVANCED, BASIC, LAPLACE, SanitizerConfig
+from ttpa.sanitize import ADVANCED, BASIC, EXACT, LAPLACE, SanitizerConfig
 from ttpa.seeds import derive_seed, stream
-from ttpa.ttscheme import check_batch, honest_pirate, tr_enc, tt_gen, tt_trace_report
+from ttpa.ttscheme import (
+    check_batch,
+    honest_pirate,
+    linear_scan_report,
+    tr_enc,
+    tt_gen,
+    tt_trace_report,
+)
 
 import ttpa.attack as attack_mod
-from reference import replay_trial
+from reference import replay_scan, replay_trial
 
 
 def small_keyset(n=3, kappa=16, seed=40):
@@ -363,10 +370,6 @@ class TestRunAttack:
         assert r1.to_dict(a1) == r2.to_dict(dp_audit(r2, 1.0, 0.01))
         assert r1.to_dict(a1) == r3.to_dict(dp_audit(r3, 1.0, 0.01))
 
-    def test_empty_coalition_refused(self):
-        with pytest.raises(InputShapeError, match="nonempty"):
-            attack_mod._run_experiment(self.small_cfg(), None, EXP_FULL, [], 1)
-
     def test_jobs_validated_and_clamped(self):
         for bad in (0, -3):
             with pytest.raises(InputShapeError):
@@ -502,7 +505,7 @@ class TestRunAttack:
 
 
 class TestReplay:
-    """Each trial's record is what tests/reference.py replays without cryptography."""
+    """Each trial and scan is what tests/reference.py replays without cryptography."""
 
     @settings(derandomize=True)
     @given(
@@ -529,3 +532,19 @@ class TestReplay:
         prg = prg_params_gen(derive_seed(seed, "attack", "prg"), kappa // 2)
         got = attack_mod._run_trial(cfg, prg, tag, coalition, t)
         assert got == replay_trial(cfg, tag, coalition, t)
+
+    @settings(derandomize=True)
+    @given(st.integers(2, 5), st.sampled_from((16, 20)), st.data())
+    def test_exact_scan_matches_replay(self, n, kappa, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        coalition = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        rng = stream(seed, "scan-replay")
+        ks = tt_gen(kappa, n, LOCAL_PRG, rng)
+        pirate = pirate_from_sanitizer(
+            ks.params, ks.rows[list(coalition)], SanitizerConfig(EXACT), rng
+        )
+        got, want = linear_scan_report(ks, pirate, rng), replay_scan(n, coalition)
+        assert got.accused == want.accused and want.accused - 1 in coalition
+        assert got.repetitions == want.repetitions
+        assert np.array_equal(got.counts, want.counts)
+        assert got.levels.tobytes() == want.levels.tobytes()

@@ -234,6 +234,34 @@ class TestScores:
                 word = fp_adversary(cb.words[: n - 1], strategy, rng)
                 assert fp_trace(cb, word) == full_matrix_trace(cb, word), (strategy, seed)
 
+    @settings(derandomize=True)
+    @given(
+        st.integers(2, 12),
+        st.sampled_from((0.05, 0.2)),
+        st.sampled_from((1.0, 20.0, 100.0)),
+        st.sampled_from(("uniform", "zeros", "ones", "majority")),
+        st.data(),
+    )
+    def test_scores_keep_the_boolean_compress_bytes(self, n, eps_fp, a, kind, data):
+        # the boolean-mask form the scores were computed by: BLAS must sum
+        # the same float64 copy of the same (n, s) block in the same order
+        def compress_scores(cb, w):
+            ones = w.view(bool)
+            p = cb.biases[ones]
+            hit, miss = np.sqrt((1.0 - p) / p), -np.sqrt(p / (1.0 - p))
+            return np.compress(ones, cb.words, axis=1) @ (hit - miss) + miss.sum()
+
+        rng = stream(data.draw(st.integers(0, 2**32 - 1), label="seed"), "fp-compress")
+        cb = fp_gen(n, eps_fp, rng, a=a)
+        if kind == "majority":
+            coalition = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+            word = fp_adversary(cb.words[coalition], MAJORITY, rng)
+        elif kind == "uniform":
+            word = rng.integers(0, 2, cb.ell, dtype=np.uint8)
+        else:
+            word = np.full(cb.ell, kind == "ones", dtype=np.uint8)
+        assert fp_scores(cb, word).tobytes() == compress_scores(cb, word).tobytes()
+
     def test_member_word_traces_to_owner(self):
         cb = fp_gen(2, 0.1, stream(2, "fp-owner"))
         assert cb.ell == 1199

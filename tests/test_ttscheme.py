@@ -24,6 +24,7 @@ from ttpa.errors import (
     canonical_json,
     read_json,
 )
+from ttpa.fpcode import fp_gen
 from ttpa.sanitize import LAPLACE, Database, SanitizerConfig, evaluate_batch
 from ttpa.seeds import stream
 from ttpa.ttscheme import (
@@ -428,6 +429,25 @@ class TestQueryFamily:
         for j in (0, 17, 49):
             circ = tt_dec_circuit(fam.cts[j], fam.params, FOLDED)
             assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
+
+    @pytest.mark.parametrize("a", [1.0, 20.0])
+    def test_literal_netlists_decrypt_each_cell(self, a):
+        # 3 keys x 25 cells at a=1 read the default 512-bit PRG at gathered
+        # positions, 3 x 488 at a=20 by expanding each seed
+        ks = small_keyset(kappa=16, n=3, seed=17)
+        assert ks.params.prg.ell == 512
+        rng = stream(17, "fam-cells", a)
+        cb = fp_gen(3, 0.2, rng, a=a)
+        assert (3 * cb.ell < 512) == (a == 1.0)
+        cts = tr_enc(ks, cb.words, rng)
+        dead = ks.rows[0].copy()
+        dead[8:10] = 1  # index 3 names no user of 3
+        rows = np.vstack([ks.rows, dead])
+        bulk = TTDecQueryFamily.from_ciphertexts(cts, ks.params).evaluate_on_rows(rows)
+        assert np.array_equal(bulk[:, :3].T, cb.words) and not bulk[:, 3].any()
+        for j in rng.choice(cb.ell, 4, replace=False):
+            lit = eval_on_rows(tt_dec_circuit(cts[j], ks.params, LITERAL), rows)
+            assert np.array_equal(lit, [*cb.words[:, j], 0]) and np.array_equal(lit, bulk[j])
 
     def test_empty_batch(self):
         ks = small_keyset()
