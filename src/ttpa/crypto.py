@@ -219,6 +219,7 @@ def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
 
 _LANES = 64  # seeds per uint64 lane word
 _LANE_SHIFTS = np.arange(_LANES, dtype=np.uint64)
+EXPAND_DIVISOR = 16  # see prg_bits_at
 
 
 def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
@@ -256,22 +257,31 @@ def prg_expand(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape[:-1] + (params.ell,))
 
 
-def _prg_indices(rs, error: type[ValueError]) -> np.ndarray:
-    """Unsigned rs as they are, signed ones as int64; error for any other dtype,
-    which an int64 cast would floor (0.9 to 0) or read as 0/1 (bool)."""
+def check_prg_indices(rs, ell: int, error=MalformedCiphertextError) -> np.ndarray:
+    """rs as PRG indices, raising error unless they are integers in [0, ell): unsigned
+    as they are, signed as int64, whose negatives wrap above ell as uint64.  Other
+    dtypes are refused, which an int64 cast would floor (0.9 to 0) or read as 0/1."""
     arr = np.asarray(rs)
     if arr.dtype.kind not in "iu":
         raise error(f"PRG indices must be integers, got dtype {arr.dtype}")
-    return arr if arr.dtype.kind == "u" else np.asarray(arr, dtype=np.int64)
+    idx = arr if arr.dtype.kind == "u" else np.asarray(arr, dtype=np.int64)
+    unsigned = idx.view(np.uint64) if idx.dtype.kind == "i" else idx
+    if idx.size and unsigned.max() >= ell:
+        raise error("PRG index outside stretch range")
+    return idx
 
 
 def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """G at selected output positions: (k,) for one seed, (m, k) for a stack of m.
 
-    Row i of a stack reads seed i.  At least ell positions in all cost
-    more to gather than to expand every seed once and index the
-    expansions; fewer gather each position's L seed bits and run the
-    predicate's ANF on them, as prg_expand does on lane words.
+    Row i of a stack reads seed i, at positions in [0, ell).  Seeds that
+    read at least ell / EXPAND_DIVISOR positions each are expanded and the
+    expansions indexed; fewer gather each position's L seed bits and run
+    the predicate's ANF on them, as prg_expand does on lane words.  At
+    ell = 32,768 on a 2-vCPU Xeon, gathering wins below about ell/5
+    positions a seed for one seed, ell/16 for four and ell/30 for ten:
+    16 takes the faster path for every default kappa = 64 tracing batch,
+    and gathers a wide stack that reads a few positions a seed (tt_enc's).
     """
     arr = _check_seeds(params, seeds)
     pos = np.asarray(positions)
@@ -279,12 +289,12 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
         raise InputShapeError(
             f"positions {pos.shape} do not match seeds {arr.shape}: need one row per seed"
         )
-    pos = _prg_indices(pos, InputShapeError)
+    pos = check_prg_indices(pos, params.ell, InputShapeError)
     stack = arr.reshape(-1, params.kappa)
-    if pos.size >= params.ell:
+    if pos.shape[-1] * EXPAND_DIVISOR >= params.ell:
         expanded = prg_expand(params, stack)
         out = np.empty(pos.shape, dtype=np.uint8)
-        rows = zip(out.reshape(len(stack), -1), pos.reshape(len(stack), -1), expanded)
+        rows = zip(out.reshape(-1, pos.shape[-1]), pos.reshape(-1, pos.shape[-1]), expanded)
         for row, at, expansion in rows:  # about 5x faster than np.take_along_axis
             np.take(expansion, at, out=row)
         return out
@@ -328,6 +338,10 @@ class EncKey:
     prg: LocalPrgParams | None   # public PRG description for LOCAL_PRG
 
     def __post_init__(self):
+        bits = np.asarray(self.bits)
+        if bits.ndim not in (1, 2) or bits.shape[-1] < 1:
+            raise InputShapeError(f"key bits must be (kappa,) or (m, kappa), got {bits.shape}")
+        object.__setattr__(self, "bits", as_bits(bits, "key bits must be 0/1"))
         check_scheme(self.scheme, self.prg, self.kappa)
 
     @property
@@ -355,10 +369,7 @@ def enc_gen(
 
 
 def nonce_chunk_rows(kappa: int) -> int:
-    """PRF nonces per chunk: whole 4 ceil(kappa/4)-bit draw rows in NONCE_CHUNK_BYTES.
-
-    Both the draw and the HMAC pass take a key's nonces this many at a time.
-    """
+    """A key's PRF nonce draw rows, 4 ceil(kappa/4) bytes each, per NONCE_CHUNK_BYTES chunk."""
     return max(1, NONCE_CHUNK_BYTES // (-(-kappa // 4) * 4))
 
 
@@ -367,16 +378,14 @@ def _pad_bits(key: EncKey, rs: np.ndarray) -> np.ndarray:
     if key.scheme == LOCAL_PRG:
         return prg_bits_at(key.prg, key.bits, rs)
     m, (k, width) = key.bits.size // key.kappa, rs.shape[-2:]
-    step = nonce_chunk_rows(key.kappa)
     out = np.empty((m, k), dtype=np.uint8)
-    # a view, also of a strided user column: only a chunk of nonces is copied at once
+    # a view, also of a strided user column: HMAC reads each nonce row in place,
+    # and only a layout whose rows are not runs of adjacent bytes is copied
     for row, nonces, pads in zip(key.bits.reshape(m, -1), rs.reshape(m, k, width), out):
         kb = np.packbits(row).tobytes()
-        for lo in range(0, k, step):
-            raw = nonces[lo : lo + step].tobytes()
-            cells = range(0, len(raw), width)
-            digests = (hmac.digest(kb, raw[i : i + width], "sha256")[0] & 1 for i in cells)
-            pads[lo : lo + step] = np.fromiter(digests, np.uint8, len(cells))
+        if nonces.strides[-1] != 1:
+            nonces = np.ascontiguousarray(nonces)
+        pads[:] = np.fromiter((hmac.digest(kb, r, "sha256")[0] & 1 for r in nonces), np.uint8, k)
     return out.reshape(rs.shape[:-1])
 
 
@@ -415,16 +424,6 @@ def enc_encrypt_many(
     ms = _pad_bits(key, rs)
     ms ^= arr
     return rs, ms
-
-
-def check_prg_indices(rs: np.ndarray, ell: int) -> np.ndarray:
-    """rs, refused unless they are integers in [0, ell): unsigned rs are kept as
-    they are, signed ones read as int64, whose negatives wrap above ell as uint64."""
-    idx = _prg_indices(rs, MalformedCiphertextError)
-    unsigned = idx.view(np.uint64) if idx.dtype.kind == "i" else idx
-    if idx.size and unsigned.max() >= ell:
-        raise MalformedCiphertextError("PRG index outside stretch range")
-    return idx
 
 
 def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndarray:

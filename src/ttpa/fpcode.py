@@ -137,8 +137,8 @@ def _check_word(cb_ell: int, word: np.ndarray) -> np.ndarray:
 def fp_scores(cb: Codebook, word: np.ndarray) -> np.ndarray:
     """Per-user accusation scores against a suspect word."""
     # only columns with w'_j = 1 score: each adds miss_j, plus hit_j - miss_j
-    # for the users holding a 1 there
-    scored = np.flatnonzero(_check_word(cb.ell, word))
+    # for the users holding a 1 there (nonzero is faster on a bool view)
+    scored = np.flatnonzero(_check_word(cb.ell, word).view(bool))
     p = cb.biases[scored]
     hit = np.sqrt((1.0 - p) / p)
     miss = -np.sqrt(p / (1.0 - p))

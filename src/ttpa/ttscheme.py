@@ -390,8 +390,8 @@ CELL_BYTES = 10
 COLUMN_BYTES = 56
 # Per PRG output position, besides one uint8 expansion per user:
 # prg_expand's uint64 accumulator, two gathered columns and their intp
-# index.  A batch with fewer cells than positions is gathered instead,
-# and prg_bits_at holds less per cell than that (28 bytes at locality 5).
+# index.  Users reading under ell/16 positions each are gathered instead,
+# in under 2 bytes per user and position, covered up to about n = 85.
 POSITION_BYTES = 32
 # Per ciphertext and Laplace amplification round: the float64 noise
 # plus its sum with the truths, then, from two rounds up, that sum plus
@@ -413,7 +413,7 @@ def check_batch(n: int, k: int, prg_ell: int, rounds: int = 0, nonce_bits: int =
     """
     nonce = (nonce_bits + 7) // 8
     width = -(-nonce_bits // 4) * 4
-    # the HMAC pass over a chunk holds its nonce bytes and pad bits: less than this
+    # the HMAC pass hashes the nonce rows in place and writes the cells' pad bits
     draw = min(k, nonce_chunk_rows(nonce_bits)) * (width + nonce) if nonce_bits else 0
     need = (
         k * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)

@@ -17,6 +17,7 @@ from ttpa.crypto import (
     LITERAL,
     LOCAL_PRG,
     PRF,
+    EXPAND_DIVISOR,
     MAX_ALLOC_BYTES,
     EncKey,
     LocalPrgParams,
@@ -282,11 +283,12 @@ class TestPrgExpand:
                     assert np.array_equal(row, scalar_bits(params, seed))
 
     def test_bits_at_agrees_with_expand(self):
-        # below ell the positions are gathered, from ell up expanded and indexed
+        # a seed reading under ell/16 positions is gathered, from ell/16 up
+        # expanded and indexed: at ell=50, 3 positions gather and 4 expand
         params = prg_params_gen(5, 12, ell=50)
         rng = np.random.default_rng(12)
         seed = rng.integers(0, 2, 12, dtype=np.uint8)
-        for size in (0, 1, 5, 49, 50, 51, 400):
+        for size in (0, 1, 3, 4, 5, 49, 50, 51, 400):
             pos = rng.integers(0, 50, size)
             if size >= 5:
                 pos[:5] = [0, 17, 17, 49, 3]  # repeats and both ends
@@ -294,9 +296,10 @@ class TestPrgExpand:
             assert got.dtype == np.uint8 and got.shape == (size,)
             assert np.array_equal(got, prg_expand(params, seed)[pos])
             assert np.array_equal(got, gathered_bits(params, seed, pos))
-        # a stack of 3 seeds, one position row each: the rule counts all 3k
+        # a stack of 3 seeds, one position row each: the rule counts the k
+        # positions of each seed, not all 3k
         seeds = rng.integers(0, 2, (3, 12), dtype=np.uint8)
-        for k in (0, 1, 16, 17, 140):  # 3k = 0, 3, 48 gather; 51, 420 expand
+        for k in (0, 1, 3, 4, 17, 140):  # k = 0, 1, 3 gather; 4, 17, 140 expand
             pos = rng.integers(0, 50, (3, k))
             got = prg_bits_at(params, seeds, pos)
             assert got.dtype == np.uint8 and got.shape == (3, k)
@@ -305,7 +308,7 @@ class TestPrgExpand:
                 assert np.array_equal(row, gathered_bits(params, s, p))
 
     def test_gather_matches_the_table_under_every_kind_of_table(self):
-        # fewer cells than the 400 positions: the gather path runs the ANF
+        # fewer than 400/16 positions a seed: the gather path runs the ANF
         rng = np.random.default_rng(13)
         for table in predicate_tables(rng):
             loc = table.size.bit_length() - 1
@@ -314,7 +317,7 @@ class TestPrgExpand:
             pos = rng.integers(0, 400, 7)
             assert np.array_equal(prg_bits_at(params, seed, pos), gathered_bits(params, seed, pos))
             for m in (0, 1, 63, 64, 65, 130):
-                k = 399 // max(m, 1)  # m * k < 400 cells
+                k = 399 // EXPAND_DIVISOR  # 24 positions a seed, 16k < 400
                 seeds = rng.integers(0, 2, (m, 12), dtype=np.uint8)
                 pos = rng.integers(0, 400, (m, k))
                 got = prg_bits_at(params, seeds, pos)
@@ -323,11 +326,13 @@ class TestPrgExpand:
                     assert np.array_equal(row, gathered_bits(params, s, p))
 
     def test_gathered_cell_peak(self):
-        # the n=4, kappa=64 trial's batch: 4 x 7,012 cells under 32,768 positions
+        # the widest batch of four seeds that still gathers under 32,768
+        # positions: 2,047 a seed (the n=4, kappa=64 trial's 7,012 expand)
         params = prg_params_gen(3, 32)
+        k = params.ell // EXPAND_DIVISOR - 1
         rng = np.random.default_rng(14)
         seeds = rng.integers(0, 2, (4, 32), dtype=np.uint8)
-        pos = rng.integers(0, params.ell, (4, 7012))
+        pos = rng.integers(0, params.ell, (4, k))
         prg_bits_at(params, seeds, pos)  # numpy sets up some routines on first use
         tracemalloc.start()
         try:
@@ -336,6 +341,43 @@ class TestPrgExpand:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * pos.size
+
+    def test_wide_stack_peak_grows_with_its_cells(self):
+        # tt_enc's stack at kappa=32: 16,000 seeds reading one position each
+        # under 4,096 positions.  Expanding them held 66 MB of output bits
+        params = prg_params_gen(3, 16)
+        rng = np.random.default_rng(15)
+        peaks = []
+        for m in (8000, 16000):
+            seeds = rng.integers(0, 2, (m, 16), dtype=np.uint8)
+            pos = rng.integers(0, params.ell, (m, 1)).astype(np.uint16)
+            prg_bits_at(params, seeds, pos)
+            tracemalloc.start()
+            try:
+                prg_bits_at(params, seeds, pos)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 32 bytes a cell, against the 4,096 that one expansion a seed holds
+        assert peaks[1] <= 32 * 16000
+        assert peaks[1] - peaks[0] <= 32 * 8000
+
+    @pytest.mark.parametrize("k", [1, 4], ids=["gather", "expand"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, np.uint64])
+    def test_out_of_range_positions_refused(self, k, dtype):
+        # -1 read as the last output bit and ell raised IndexError
+        params = prg_params_gen(0, 8, ell=50)
+        seeds = np.zeros((2, 8), dtype=np.uint8)
+        bad = [-1, 50] if np.dtype(dtype).kind == "i" else [50, np.iinfo(dtype).max]
+        for index in bad:
+            pos = np.zeros((2, k), dtype=dtype)
+            pos[1, -1] = index
+            with pytest.raises(InputShapeError, match="outside stretch range"):
+                prg_bits_at(params, seeds, pos)
+            with pytest.raises(InputShapeError, match="outside stretch range"):
+                prg_bits_at(params, seeds[1], pos[1])
+        pos[1, -1] = 49
+        assert prg_bits_at(params, seeds, pos).shape == (2, k)
 
     def test_seed_shape_checked(self):
         params = prg_params_gen(0, 8, ell=4)
@@ -433,6 +475,24 @@ class TestEncGen:
             enc_gen(16, PRF, rng, prg=prg_params_gen(0, 16))
         with pytest.raises(InputShapeError):
             enc_gen(32, LOCAL_PRG, rng, prg=prg_params_gen(0, 16))
+
+    @pytest.mark.parametrize("scheme", [LOCAL_PRG, PRF])
+    def test_key_checks_its_bits(self, scheme):
+        # packbits read a PRF key's 2 as a 1, so it decrypted what its 0/1
+        # twin does; a LOCAL_PRG key with a 2 was refused only at first use
+        prg = prg_params_gen(0, 16, ell=8) if scheme == LOCAL_PRG else None
+        bits = np.zeros((3, 16), dtype=np.uint8)
+        assert EncKey(scheme, bits, prg).kappa == 16
+        assert EncKey(scheme, bits[0], prg).kappa == 16
+        bits[1, 4] = 2
+        for bad in (bits, bits[1], bits[1].astype(float)):
+            with pytest.raises(InputShapeError, match="key bits must be 0/1"):
+                EncKey(scheme, bad, prg)
+        key = EncKey(scheme, [True] * 16, prg)
+        assert key.bits.dtype == np.uint8 and key.bits.tolist() == [1] * 16
+        for shape in ((), (2, 3, 16), (0,)):
+            with pytest.raises(InputShapeError, match="key bits must be"):
+                EncKey(scheme, np.zeros(shape, dtype=np.uint8), prg)
 
     def test_key_checks_its_scheme(self):
         bits = np.zeros(16, dtype=np.uint8)
@@ -615,7 +675,7 @@ class TestPrfNonceDraw:
     @pytest.mark.parametrize("chunk", [4, 100, 1000])
     def test_chunks_read_the_stream_as_one_draw(self, monkeypatch, chunk):
         # a 36-bit nonce draws a 36-byte row: a chunk of 4, 100 or 1000 bytes
-        # holds 1, 2 or 27 of them, so the draw and the HMAC pass span chunks
+        # holds 1, 2 or 27 of them, so the draw spans chunks
         keys = np.random.default_rng(5).integers(0, 2, (3, 36), dtype=np.uint8)
         stack = EncKey(PRF, keys, None)
         bits = np.random.default_rng(6).integers(0, 2, (3, 41), dtype=np.uint8)
@@ -628,13 +688,26 @@ class TestPrfNonceDraw:
         for _ in range(3 * 41):
             ref.integers(0, 2, 36, dtype=np.uint8)
         assert rng.bit_generator.state == ref.bit_generator.state
-        # a strided user column decrypts chunk by chunk too
-        column = EncKey(PRF, keys[1], None)
-        cols = np.ascontiguousarray(rs.swapaxes(0, 1)).swapaxes(0, 1)
-        assert enc_decrypt_many(column, cols[1], ms[1]).tolist() == bits[1].tolist()
-        pads = [hmac.digest(np.packbits(keys[1]).tobytes(), r.tobytes(), "sha256")[0] & 1
-                for r in rs[1]]
-        assert (ms[1] ^ bits[1]).tolist() == pads
+
+    def test_pads_read_from_any_nonce_layout(self):
+        # HMAC reads each nonce row in place: a strided user column of a
+        # batch, as honest decryption reads it, is not copied, and a
+        # byte-reversed view is copied first; both give a copy's pads
+        keys = np.random.default_rng(5).integers(0, 2, (3, 36), dtype=np.uint8)
+        bits = np.random.default_rng(6).integers(0, 2, (3, 41), dtype=np.uint8)
+        rs, ms = enc_encrypt_many(EncKey(PRF, keys, None), bits, np.random.default_rng(7))
+        batch = np.ascontiguousarray(rs.swapaxes(0, 1))  # (k, m, bytes), as tr_enc holds it
+        reversed_bytes = np.ascontiguousarray(rs[..., ::-1])[..., ::-1]
+        for i, key in enumerate(keys):
+            column = EncKey(PRF, key, None)
+            pads = [hmac.digest(np.packbits(key).tobytes(), r.tobytes(), "sha256")[0] & 1
+                    for r in rs[i]]
+            assert (ms[i] ^ bits[i]).tolist() == pads
+            strided = batch[:, i]
+            assert not strided.flags.c_contiguous and strided.strides[-1] == 1
+            for layout in (np.ascontiguousarray(rs[i]), strided, reversed_bytes[i]):
+                assert np.array_equal(layout, rs[i])
+                assert enc_decrypt_many(column, layout, ms[i]).tolist() == bits[i].tolist()
 
 
 class TestStackedEncrypt:

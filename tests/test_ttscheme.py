@@ -7,6 +7,7 @@ import pytest
 from ttpa.attack import pirate_from_sanitizer
 from ttpa.circuit import circuit_metrics, eval_on_rows
 from ttpa.crypto import (
+    EXPAND_DIVISOR,
     FOLDED,
     LITERAL,
     LOCAL_PRG,
@@ -433,12 +434,12 @@ class TestQueryFamily:
     @pytest.mark.parametrize("a", [1.0, 20.0])
     def test_literal_netlists_decrypt_each_cell(self, a):
         # 3 keys x 25 cells at a=1 read the default 512-bit PRG at gathered
-        # positions, 3 x 488 at a=20 by expanding each seed
+        # positions (under 512/16 a seed), 3 x 488 at a=20 by expanding each seed
         ks = small_keyset(kappa=16, n=3, seed=17)
         assert ks.params.prg.ell == 512
         rng = stream(17, "fam-cells", a)
         cb = fp_gen(3, 0.2, rng, a=a)
-        assert (3 * cb.ell < 512) == (a == 1.0)
+        assert (cb.ell * EXPAND_DIVISOR < 512) == (a == 1.0)
         cts = tr_enc(ks, cb.words, rng)
         dead = ks.rows[0].copy()
         dead[8:10] = 1  # index 3 names no user of 3
