@@ -213,41 +213,28 @@ def circuit_metrics(circ: Circuit) -> CircuitMetrics:
     return CircuitMetrics(size=size, depth=depths[circ.output])
 
 
-def append_minterm_dnf(b: CircuitBuilder, table: Sequence[int], wires: Sequence[int]) -> int:
-    """Append the canonical minterm DNF of a truth table onto existing wires.
+def append_dnf(b: CircuitBuilder, minterms: Sequence[Sequence[bool]], wires: Sequence[int]) -> int:
+    """Append the DNF with these minterms onto existing wires.
 
-    table[a] is the function value on the assignment whose big-endian
-    encoding is a; wires maps the function's variables onto builder
-    wires.  Returns the output gate id (a CONST 0 for the empty DNF).
+    Each minterm holds one literal sign per variable (True for the
+    variable, False for its negation), and wires maps the variables onto
+    builder wires.  Returns the output gate id (a CONST 0 for the empty
+    DNF).
     """
-    nvars = len(wires)
-    if len(table) != (1 << nvars):
-        raise InputShapeError(
-            f"table length {len(table)} != 2^{nvars}"
-        )
+    wires = [b.input(w) for w in wires]  # checked once, not once per literal
     terms = []
-    for a, v in enumerate(table):
-        if v not in (0, 1):
-            raise InputShapeError("truth table entries must be 0/1")
-        if v:
-            lits = [
-                b.literal(wires[t], bool((a >> (nvars - 1 - t)) & 1))
-                for t in range(nvars)
-            ]
-            terms.append(b.and_(lits) if len(lits) > 1 else lits[0])
-    if not terms:
-        return b.const(0)
-    return b.or_(terms)
+    for signs in minterms:
+        lits = [w if positive else b.not_(w) for w, positive in zip(wires, signs, strict=True)]
+        terms.append(b.and_(lits) if len(lits) > 1 else lits[0])
+    return b.or_(terms) if terms else b.const(0)
 
 
 def circuit_to_json(circ: Circuit) -> dict:
     gates = []
     for i, (op, args, aux) in enumerate(circ.gates):
         g: dict = {"id": i, "op": op, "args": list(args)}
-        if op == INPUT:
-            g["input_index"] = aux
-        elif op == CONST:
-            g["value"] = aux
+        if op in _AUX_FIELDS:
+            g[_AUX_FIELDS[op]] = aux
         gates.append(g)
     return {"input_width": circ.input_width, "gates": gates, "output": circ.output}
 

@@ -24,11 +24,12 @@ fast are far below anything cryptographically meaningful.
 from __future__ import annotations
 
 import hmac
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder, append_minterm_dnf
+from .circuit import Circuit, CircuitBuilder, append_dnf
 from .errors import (
     InputShapeError,
     MalformedCiphertextError,
@@ -121,8 +122,13 @@ class LocalPrgParams:
     # uint8 up to 256-bit seeds, uint16 up to prg_params_gen's 2048-bit cap
     index_sets: np.ndarray
     table: np.ndarray       # (2^L,) uint8 predicate truth table
-    # the table's ANF, derived once and outside equality and repr
+    # the table's ANF and its minterms, derived once and outside equality and repr:
+    # minterms[v] holds the literal signs of each assignment on which the table
+    # is v, in table order, variable t first (bit L-1-t of the table index)
     monomials: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    minterms: tuple[tuple[tuple[bool, ...], ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         kappa, ell, loc = self.kappa, self.ell, self.locality
@@ -145,6 +151,10 @@ class LocalPrgParams:
         object.__setattr__(self, "index_sets", sets)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "monomials", _anf(table, loc))
+        # product runs in table order: variable 0 is the table index's top bit
+        rows = list(zip(table.tolist(), itertools.product((False, True), repeat=loc)))
+        minterms = tuple(tuple(signs for v, signs in rows if v == want) for want in (0, 1))
+        object.__setattr__(self, "minterms", minterms)
 
 
 def default_stretch(kappa: int) -> int:
@@ -464,17 +474,14 @@ def append_dec_component(
     r, masked = int(r), int(masked)
     if not 0 <= r < prg.ell:
         raise MalformedCiphertextError(f"PRG index {r} outside [0, {prg.ell})")
-    table = prg.table
     if mode == FOLDED:
-        eff = (table ^ masked).tolist()
-        return append_minterm_dnf(b, eff, prg.index_sets[r].tolist())
+        return append_dnf(b, prg.minterms[1 ^ masked], prg.index_sets[r].tolist())
     if mode != LITERAL:
         raise InputShapeError(f"unknown circuit mode {mode!r}")
-    tbl = table.tolist()
     terms = []
-    for i in range(prg.ell):
+    for i, wires in enumerate(prg.index_sets.tolist()):
         ind = b.const(1 if i == r else 0)
-        g = append_minterm_dnf(b, tbl, prg.index_sets[i].tolist())
+        g = append_dnf(b, prg.minterms[1], wires)
         if masked:
             g = b.not_(g)
         terms.append(b.and_((ind, g)))

@@ -388,10 +388,10 @@ CELL_BYTES = 10
 # row that np.take makes of a user's narrow index row.  A scan's shuffled
 # levels, a byte or two per ciphertext, take their room here too.
 COLUMN_BYTES = 56
-# Per PRG output position, besides one uint8 expansion per user:
-# prg_expand's uint64 accumulator, two gathered columns and their intp
-# index.  Users reading under ell/16 positions each are gathered instead,
-# in under 2 bytes per user and position, covered up to about n = 85.
+# Per PRG output position: prg_expand's uint64 accumulator, two gathered
+# columns and their intp index.  Each user adds 2 bytes per position: its
+# uint8 expansion or, when users read under ell/16 positions each and are
+# gathered instead, at most 32 bytes a gathered cell.
 POSITION_BYTES = 32
 # Per ciphertext and Laplace amplification round: the float64 noise
 # plus its sum with the truths, then, from two rounds up, that sum plus
@@ -405,7 +405,7 @@ def check_batch(n: int, k: int, prg_ell: int, rounds: int = 0, nonce_bits: int =
     """Peak bytes of a tracing batch of k ciphertexts to n users, answered and traced.
 
     k * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds) + draw
-    + prg_ell * (POSITION_BYTES + n) + TRIAL_BYTES: prg_ell is the PRG's
+    + prg_ell * (POSITION_BYTES + 2 * n) + TRIAL_BYTES: prg_ell is the PRG's
     stretch (0 for PRF keys), nonce a PRF nonce row's bytes, draw one chunk
     of a key's nonce draw (a byte per bit) and its packed rows, rounds the
     pirate's Laplace rounds.  Checked against tracemalloc peaks in the
@@ -418,7 +418,7 @@ def check_batch(n: int, k: int, prg_ell: int, rounds: int = 0, nonce_bits: int =
     need = (
         k * ((CELL_BYTES + nonce) * n + COLUMN_BYTES + ROUND_BYTES * rounds)
         + draw
-        + prg_ell * (POSITION_BYTES + n)
+        + prg_ell * (POSITION_BYTES + 2 * n)
         + TRIAL_BYTES
     )
     if need > MAX_ALLOC_BYTES:

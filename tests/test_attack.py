@@ -391,6 +391,10 @@ class TestRunAttack:
             (10, 16, 0.05, 100.0),
             (10, 64, 0.05, 100.0),
             (4, 16, 0.2, 2.0),  # 96 ciphertexts: the fixed part dominates
+            # each user reads under ell/16 = 2,048 of the PRG's positions (323
+            # and 361), so prg_bits_at gathers many users' cells
+            (85, 64, 0.05, 0.006),
+            (150, 64, 0.05, 0.002),
         ],
     )
     def test_trial_peak_within_the_batch_estimate(self, n, kappa, eps_fp, a, kind):

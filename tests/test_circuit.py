@@ -20,14 +20,14 @@ from ttpa.circuit import (
     CircuitMetrics,
     Gate,
     _eval_packed,
-    append_minterm_dnf,
+    append_dnf,
     circuit_from_json,
     circuit_metrics,
     circuit_to_json,
     eval_on_rows,
     pack_rows,
 )
-from ttpa.crypto import xor_and_table
+from ttpa.crypto import LocalPrgParams, xor_and_table
 from ttpa.errors import (
     CircuitFormatError,
     FileFormatError,
@@ -211,33 +211,45 @@ class TestMetrics:
         assert circuit_metrics(c) == CircuitMetrics(0, 0)
 
 
+# the minterms of x0 ^ x1: literal signs, variable 0 first
+XOR_MINTERMS = [(False, True), (True, False)]
+
+
+def table_minterms(table) -> tuple:
+    """The minterms on which a truth table is 1, as a PRG over its variables derives them."""
+    width = len(table).bit_length() - 1
+    return LocalPrgParams(width, 1, width, np.arange(width)[None], table).minterms[1]
+
+
 class TestDnf:
     def test_xor_two_terms_depth_two(self):
         b = CircuitBuilder(2)
-        c = b.build(append_minterm_dnf(b, [0, 1, 1, 0], [0, 1]))
+        c = b.build(append_dnf(b, XOR_MINTERMS, [0, 1]))
         m = circuit_metrics(c)
         assert m.depth == 2
         ands = sum(1 for g in c.gates if g.op == AND)
         assert ands == 2
         assert eval_on_rows(c, all_rows(2)).tolist() == [0, 1, 1, 0]
 
-    @pytest.mark.parametrize("table,why", [
-        ([0, 1, 1], "table length 3 != 2"),
-        ([0, 1, 2, 0], "entries must be 0/1"),
-    ])
-    def test_malformed_table_refused(self, table, why):
-        with pytest.raises(InputShapeError, match=why):
-            append_minterm_dnf(CircuitBuilder(2), table, [0, 1])
-
     def test_constant_zero_table(self):
         b = CircuitBuilder(2)
-        c = b.build(append_minterm_dnf(b, [0, 0, 0, 0], [0, 1]))
+        c = b.build(append_dnf(b, [], [0, 1]))
         assert c.gates[c.output].op == CONST
         assert eval_on_rows(c, all_rows(2)).tolist() == [0, 0, 0, 0]
 
+    def test_one_variable_minterm_is_a_lone_literal(self):
+        b = CircuitBuilder(3)
+        c = b.build(append_dnf(b, [(False,)], [2]))
+        assert [g.op for g in c.gates[3:]] == [NOT, OR]
+        assert eval_on_rows(c, all_rows(3)).tolist() == [1, 0] * 4
+
+    def test_minterm_of_another_width_refused(self):
+        with pytest.raises(ValueError):
+            append_dnf(CircuitBuilder(3), XOR_MINTERMS, [0, 1, 2])
+
     def test_xor_and_predicate_16_terms(self):
         b = CircuitBuilder(5)
-        c = b.build(append_minterm_dnf(b, xor_and_table(5).tolist(), list(range(5))))
+        c = b.build(append_dnf(b, table_minterms(xor_and_table(5)), list(range(5))))
         assert sum(1 for g in c.gates if g.op == AND) == 16
         x = all_rows(5)
         assert np.array_equal(eval_on_rows(c, x), x[:, 0] ^ x[:, 1] ^ x[:, 2] ^ (x[:, 3] & x[:, 4]))
@@ -248,12 +260,12 @@ class TestDnf:
             st.lists(st.integers(0, 1), min_size=1 << width, max_size=1 << width)
         )
         b = CircuitBuilder(width)
-        c = b.build(append_minterm_dnf(b, table, list(range(width))))
+        c = b.build(append_dnf(b, table_minterms(table), list(range(width))))
         assert eval_on_rows(c, all_rows(width)).tolist() == table
 
     def test_append_on_subset_of_wires(self):
         b = CircuitBuilder(4)
-        out = append_minterm_dnf(b, [0, 1, 1, 0], [3, 1])  # xor of wires 3 and 1
+        out = append_dnf(b, XOR_MINTERMS, [3, 1])  # xor of wires 3 and 1
         c = b.build(out)
         x = all_rows(4)
         assert np.array_equal(eval_on_rows(c, x), x[:, 3] ^ x[:, 1])

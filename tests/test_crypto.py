@@ -51,6 +51,17 @@ def all_rows(width: int) -> np.ndarray:
     return rows
 
 
+def direct_prgs():
+    """PRGs built directly at localities 1-4, with constant 0, constant 1, XOR and random tables."""
+    rng = np.random.default_rng(11)
+    kappa, ell = 6, 5
+    for loc in range(1, 5):
+        sets = np.stack([rng.permutation(kappa)[:loc] for _ in range(ell)])
+        xor = np.array([bin(a).count("1") & 1 for a in range(1 << loc)], dtype=np.uint8)
+        for table in (np.zeros_like(xor), np.ones_like(xor), xor, rng.integers(0, 2, xor.size)):
+            yield LocalPrgParams(kappa, ell, loc, sets, table)
+
+
 def bits_of(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - t)) & 1 for t in range(width)], dtype=np.uint8)
 
@@ -105,6 +116,15 @@ class TestPrgParams:
         assert "monomials" not in repr(params)
         ones = prg_params_gen(1, 8, ell=4, table=np.ones(32, dtype=np.uint8))
         assert ones.monomials == ((),)
+
+    def test_minterms_cover_each_assignment_once(self):
+        for prg in direct_prgs():
+            loc, table = prg.locality, prg.table
+            signs = [tuple(bool(b) for b in bits_of(a, loc)) for a in range(1 << loc)]
+            for v in (0, 1):
+                assert prg.minterms[v] == tuple(s for s, t in zip(signs, table) if t == v)
+            assert sorted(prg.minterms[0] + prg.minterms[1]) == sorted(signs)
+            assert "minterms" not in repr(prg)
 
     def test_deterministic_in_master_seed(self):
         a = prg_params_gen(7, 16, ell=32)
@@ -786,6 +806,16 @@ class TestDecCircuit:
         assert lit.input_width == 10 and fol.input_width == 10
         assert np.array_equal(eval_on_rows(lit, rows), expected)
         assert np.array_equal(eval_on_rows(fol, rows), expected)
+
+    def test_circuits_match_prg_bits_under_every_kind_of_table(self):
+        rows = all_rows(6)
+        for prg in direct_prgs():
+            for r in range(prg.ell):
+                bits = prg_bits_at(prg, rows, np.full((len(rows), 1), r))[:, 0]
+                for masked in (0, 1):
+                    for mode in (FOLDED, LITERAL):
+                        circ = enc_dec_circuit(r, masked, prg, mode)
+                        assert np.array_equal(eval_on_rows(circ, rows), bits ^ masked)
 
     def test_depth_bounds(self):
         params = self._params()

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from ttpa.crypto import LOCAL_PRG, prg_params_gen
-from ttpa.fpcode import DEFAULT_EPS_FP, fp_gen
+from ttpa.crypto import EXPAND_DIVISOR, LOCAL_PRG, PRF, prg_params_gen
+from ttpa.fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, code_length, fp_gen
 from ttpa.sanitize import ADVANCED, BASIC, LAPLACE, SanitizerConfig, sanitize_truths
 from ttpa.seeds import stream
 from ttpa.ttscheme import tr_enc, tt_gen
@@ -43,6 +43,15 @@ def bernstein_z_bound(variance: float, tests: int, failure: float) -> float:
     return t / math.sqrt(variance)
 
 
+def hoeffding_bound(summands: int, width: int, tests: int, failure: float) -> float:
+    """|S - E S| bound for a sum S of independent summands, each in [0, width].
+
+    Hoeffding: P(|S - E S| >= t) <= 2 exp(-2 t^2 / (summands width^2)),
+    solved for t at failure / tests.
+    """
+    return width * math.sqrt(summands * math.log(2 * tests / failure) / 2)
+
+
 @pytest.mark.parametrize(
     "kappa, n, k",
     [
@@ -62,6 +71,37 @@ def test_tracing_batch_indices_are_uniform(kappa, n, k):
     chi2 = float(((counts - expected) ** 2).sum() / expected)
     lo, hi = chi_square_bounds(prg.ell - 1, FALSE_FAILURE)
     assert lo < chi2 < hi
+
+
+@pytest.mark.parametrize(
+    "scheme, kappa, n, a",
+    [
+        (LOCAL_PRG, 16, 2, 1.0),  # 15 of 512 PRG positions a user: prg_bits_at gathers
+        (LOCAL_PRG, 64, 4, DEFAULT_LENGTH_CONSTANT),  # 7,012 of 32,768: it expands
+        (PRF, 64, 4, 1.0),
+    ],
+    ids=["prg-gather", "prg-expand", "prf"],
+)
+def test_pads_hide_the_plaintext(scheme, kappa, n, a):
+    # a masked bit agrees with its word bit when its pad is 0, which under a
+    # uniform key has probability 1/2: a local-PRG output XORs distinct seed
+    # bits, and an HMAC bit is taken as a PRF's.  Under one key the cells are
+    # not independent (an 8-bit seed of all zeros pads every cell with 0), so
+    # each batch draws fresh keys and a user's k cells in it are one summand
+    batches, k = 100, code_length(n, DEFAULT_EPS_FP, a)
+    prg = prg_params_gen(5, kappa // 2) if scheme == LOCAL_PRG else None
+    if prg is not None:
+        assert (k * EXPAND_DIVISOR >= prg.ell) == (kappa == 64)
+    agree = np.zeros(n, dtype=np.int64)
+    for b in range(batches):
+        ks = tt_gen(kappa, n, scheme, stream(5, "dist-pad-keys", scheme, kappa, b), prg=prg)
+        rng = stream(5, "dist-pads", scheme, kappa, b)
+        words = fp_gen(n, DEFAULT_EPS_FP, rng, a).words
+        agree += (tr_enc(ks, words, rng).masked.T == words).sum(axis=1)
+    # overall, then per user
+    for hits, summands in [(agree.sum(), n * batches)] + [(h, batches) for h in agree]:
+        bound = hoeffding_bound(summands, k, n + 1, FALSE_FAILURE)
+        assert abs(hits - summands * k / 2) < bound
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -577,7 +577,7 @@ class TestFingerprintTracing:
         # n=100 needs ell_FP = 7,600,903 columns, about 7.5 GiB: refused
         # before the codebook is drawn, so neither the rng nor the oracle moves
         assert check_batch(10, 52984, 32768) == (
-            52984 * (10 * 10 + 56) + 32768 * (32 + 10) + 65536
+            52984 * (10 * 10 + 56) + 32768 * (32 + 2 * 10) + 65536
         )
         with pytest.raises(InputShapeError, match="7.5 GiB"):
             check_batch(100, 7600903, 512)
@@ -699,7 +699,7 @@ class TestLinearScan:
         # kappa=16 allows 256 users; at n=64 the default s is 128,832, so the
         # 65 levels' batch would hold about 5.4 GiB
         assert check_batch(16, 17 * 6679, 32768) == (
-            17 * 6679 * (10 * 16 + 56) + 32768 * (32 + 16) + 65536
+            17 * 6679 * (10 * 16 + 56) + 32768 * (32 + 2 * 16) + 65536
         )
         ks = tt_gen(16, 64, LOCAL_PRG, stream(25, "big-scan"))
         rng, pirate = stream(25, "big-scan", "s"), zeros_pirate()
