@@ -12,6 +12,7 @@ pushed onto literals.  Multi-bit values are big-endian throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,6 +28,7 @@ OR = "OR"
 
 # JSON field holding a gate's aux value, by op
 _AUX_FIELDS = {INPUT: "input_index", CONST: "value"}
+_SERIALS = itertools.count()  # Circuit.serial
 
 class Gate(NamedTuple):
     op: str
@@ -39,9 +41,8 @@ class Circuit:
     input_width: int
     gates: tuple[Gate, ...]
     output: int
-    # the hash, taken once: per-database answer memos key on this int
-    # itself (hashed in C) and check the stored circuit on a hit
-    _hash: int = field(init=False, compare=False, repr=False)
+    # the next number in this process, never reused: answer memos key on it
+    serial: int = field(default_factory=_SERIALS.__next__, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         width = self.input_width
@@ -68,13 +69,9 @@ class Circuit:
                 raise CircuitFormatError(f"unknown op {op!r}")
         if not 0 <= self.output < len(self.gates):
             raise CircuitFormatError(f"output gate {self.output} out of range")
-        object.__setattr__(self, "_hash", hash((width, self.gates, self.output)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
-        # rebuilt by the constructor: str hashes are salted per process
+        # rebuilt by the constructor: an unpickled circuit takes a fresh serial
         return Circuit, (self.input_width, self.gates, self.output)
 
 

@@ -18,7 +18,10 @@ rejects.  PRF mode round-trips identically but is opaque: there is no
 small decryption circuit, and the circuit exporters refuse it.
 
 Security here is desk-scale only: parameters that make the experiments
-fast are far below anything cryptographically meaningful.
+fast are far below anything cryptographically meaningful.  Under the
+default xor-and predicate (L = 5) the all-zero and all-one seeds expand
+to all-zero output at every seed length, so such a user's components
+carry the plaintext (2 keys in 256 at kappa = 16).
 """
 
 from __future__ import annotations

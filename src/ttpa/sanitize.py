@@ -43,15 +43,12 @@ ADVANCED = "ADVANCED"
 class Database:
     """m rows of d bits.  The rows are a read-only view once built: m, d
     and the packed columns are taken from them once, because every
-    counting query reads them, and each distinct query is answered once."""
+    counting query reads them, and each circuit is answered once."""
 
     rows: np.ndarray  # (m, d) uint8
     _packed: list[int] | None = field(default=None, init=False, repr=False)
-    # circuit._hash -> (circuit, answer); a circuit whose hash collides
-    # with a stored one's evicts it, so no answer rests on the hash
-    _answers: dict[int, tuple[Circuit, float]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    # circuit serial -> answer
+    _answers: dict[int, float] = field(default_factory=dict, init=False, repr=False)
     m: int = field(init=False)
     d: int = field(init=False)
 
@@ -94,10 +91,14 @@ class SanitizerConfig:
             raise InputShapeError(f"unknown composition rule {self.composition!r}")
         if self.amplification_rounds < 0:
             raise InputShapeError("amplification rounds must be >= 0")
-        if self.kind == EXACT and self.amplification_rounds > 0:
-            raise InputShapeError("amplification rounds apply to LAPLACE only")
         if self.delta is not None and not math.isfinite(self.delta):
             raise InputShapeError(f"delta must be finite, got {self.delta}")
+        # an EXACT run reads none of these, yet reports would echo them
+        unread = (self.epsilon, self.delta, self.composition, self.amplification_rounds)
+        if self.kind == EXACT and unread != (None, None, BASIC, 0):
+            raise InputShapeError(
+                "epsilon, delta, ADVANCED composition and amplification rounds are LAPLACE only"
+            )
         if self.kind == LAPLACE:
             if self.epsilon is None or not 0 < self.epsilon < math.inf:
                 raise InputShapeError(f"LAPLACE needs a finite epsilon > 0, got {self.epsilon}")
@@ -135,26 +136,19 @@ def _check_queries(width: int, db: Database) -> None:
 
 def evaluate_query(query: Circuit, db: Database) -> float:
     """True answer: the fraction of rows satisfying the predicate, taken
-    once per distinct circuit on db and kept in its answer memo.
+    once per circuit on db and kept under the circuit's serial number.
 
-    The memo is keyed by the circuit's stored hash, an int, so a repeat
-    costs one subscript hashed in C and an identity check (equality for
-    an equal copy).  The width and empty-database checks run on a miss:
-    an entry exists only for a circuit that passed both on db, an equal
-    circuit has the same width, and an empty database stores none.  A
-    circuit that shares its hash with a stored unequal one is a miss too:
-    it is checked, evaluated and overwrites that entry.
+    The width and empty-database checks run on a miss only: an entry
+    exists only for a circuit that passed both on db.  An equal circuit
+    built separately has its own serial and is evaluated again.
     """
     try:
-        circuit, answer = db._answers[query._hash]
+        return db._answers[query.serial]
     except KeyError:
         pass
-    else:
-        if circuit is query or circuit == query:
-            return answer
     _check_queries(query.input_width, db)
     answer = _eval_packed(query, db.packed_columns(), (1 << db.m) - 1).bit_count() / db.m
-    db._answers[query._hash] = query, answer
+    db._answers[query.serial] = answer
     return answer
 
 

@@ -103,6 +103,18 @@ class TTKeySet:
     params: TTParams
     rows: np.ndarray  # (n, kappa) uint8 user key rows
 
+    def __post_init__(self):
+        n, kappa = self.params.n, self.params.kappa
+        rows = as_bits(self.rows, "key rows must be bits")
+        if rows.shape != (n, kappa):
+            raise InputShapeError(f"expected {n} rows of {kappa} bits, got shape {rows.shape}")
+        # row u decrypts through component u: a wrong index field traces wrongly
+        idxs = decode_index(rows, n)
+        bad = np.flatnonzero(idxs != np.arange(n))
+        if bad.size:
+            raise InputShapeError(f"row {bad[0]} decodes to index {idxs[bad[0]]}")
+        object.__setattr__(self, "rows", rows)
+
     def key(self, user: int | slice) -> EncKey:
         """The user's component encryption key; a slice gives a stack of them."""
         ke = self.params.enc_bits
@@ -534,7 +546,7 @@ def keyset_to_json(ks: TTKeySet) -> dict:
 
 
 def keyset_from_json(obj: dict) -> TTKeySet:
-    """Parse a key set object; TTParams and LocalPrgParams check what they get."""
+    """Parse a key set object; TTKeySet, TTParams and LocalPrgParams check what they get."""
     try:
         kappa, n = int(obj["kappa"]), int(obj["n"])
         g = obj["prg"]
@@ -556,16 +568,9 @@ def keyset_from_json(obj: dict) -> TTKeySet:
                 bits_from_hex(g["table"], 1 << g_loc, "prg.table"),
             )
         params = TTParams(kappa, n, obj["scheme"], prg)
-        raw_rows = obj["rows"]
-        if len(raw_rows) != n:
-            raise FileFormatError(f"expected {n} rows, found {len(raw_rows)}")
         rows = np.array(
-            [bits_from_hex(h, kappa, f"row {u}") for u, h in enumerate(raw_rows)]
+            [bits_from_hex(h, kappa, f"row {u}") for u, h in enumerate(obj["rows"])]
         )
+        return TTKeySet(params, rows)
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad key set JSON: {e}") from e
-    idxs = decode_index(rows, n)
-    bad = np.flatnonzero(idxs != np.arange(n))
-    if bad.size:
-        raise FileFormatError(f"row {bad[0]} decodes to index {idxs[bad[0]]}")
-    return TTKeySet(params, rows)

@@ -30,12 +30,13 @@ import json
 import numpy as np
 import pytest
 
-from ttpa.attack import pirate_from_sanitizer
+from ttpa.attack import EXP_FULL, AttackConfig, pirate_from_sanitizer
 from ttpa.circuit import circuit_to_json
 from ttpa.cli import canonical_json, main
-from ttpa.crypto import LOCAL_PRG, PRF
+from ttpa.crypto import LOCAL_PRG, PRF, prg_params_gen
+from ttpa.fpcode import fp_gen
 from ttpa.sanitize import LAPLACE, Database, SanitizerConfig, dictator_circuit, save_database
-from ttpa.seeds import stream
+from ttpa.seeds import derive_seed, stream
 from ttpa.ttscheme import linear_scan_report, tr_enc, tt_gen
 
 ATTACK_REPORTS = {
@@ -137,6 +138,15 @@ TR_ENC = {
         "rs": "e7e5c762baf2f49063a63e8b9fb9ad274ff120309d4c0fd22895cec52973f581",
         "masked": "d91caa64860d298a3d98c5d0539e22f9332e89ec5398f731d55d92bfc036db54",
     },
+}
+
+# the tracing batch of exp1 trial 0 at AttackConfig() defaults (n=10,
+# kappa=64, 52,984 ciphertexts): the headline's batch, encrypted on the
+# path that expands each seed in full; the masked bits packed, the PRG
+# indices as little-endian uint16
+HEADLINE_BATCH = {
+    "masked": "c62f1b6e82e34bd318457932fb30583e37cb8939b58d8fd489f73c0b6ad46b4e",
+    "rs": "ae044092953129e5b92dce1d2734b415a1b5475aeda25a9fb873a6994bd9df5e",
 }
 
 # `fpcode gen --n 3 --eps-fp 0.2 --a 2 --coalition 0,2 --seed 5`
@@ -275,6 +285,20 @@ def test_tr_enc_bytes(scheme, kappa, n, k):
     got = {name: sha256(canonical_json(cells).encode())
            for name, cells in (("rs", rs), ("masked", cts.masked.tolist()))}
     assert got == TR_ENC[(scheme, kappa, n, k)]
+
+
+def test_headline_trial_batch_bytes():
+    # the keys and the batch that attack._run_trial makes for exp1 trial 0
+    cfg = AttackConfig()
+    prg = prg_params_gen(derive_seed(cfg.seed, "attack", "prg"), cfg.kappa // 2)
+    keys = stream(cfg.seed, "attack", EXP_FULL, 0, "keys")
+    ks = tt_gen(cfg.kappa, cfg.n, LOCAL_PRG, keys, prg=prg)
+    rng = stream(cfg.seed, "attack", EXP_FULL, 0, "trace")
+    cts = tr_enc(ks, fp_gen(cfg.n, cfg.eps_fp, rng, a=cfg.a).words, rng)
+    assert cts.masked.shape == (52_984, 10)
+    got = {"masked": sha256(np.packbits(cts.masked).tobytes()),
+           "rs": sha256(cts.rs.astype("<u2").tobytes())}
+    assert got == HEADLINE_BATCH
 
 
 def test_laplace_demo_report_bytes(tightness_report):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ttpa.fpcode as fpcode_mod
 from ttpa.errors import FileFormatError, InputShapeError, canonical_json, read_json
 from ttpa.fpcode import (
     COPY_ONE,
@@ -372,6 +373,19 @@ class TestExperiment:
         )
         assert abs(total - 1.0) < 1e-12
 
+    def test_infeasible_words_are_counted(self, monkeypatch):
+        # user 0's word flipped leaves every column the coalition agrees on
+        monkeypatch.setattr(fpcode_mod, "fp_adversary", lambda ws, strategy, rng: 1 - ws[0])
+        r = run_code_experiment(3, 0.2, MAJORITY, 5, 11, a=1.0)
+        assert r["infeasible_rate"] == 1.0
+
+    def test_innocent_accusations_are_counted(self, monkeypatch):
+        # the coalition is users 0 and 1, so user 2 is innocent
+        monkeypatch.setattr(fpcode_mod, "fp_trace", lambda cb, word: 2)
+        r = run_code_experiment(3, 0.2, MAJORITY, 5, 11, a=1.0)
+        rates = (r["innocent_accused_rate"], r["coalition_accused_rate"], r["none_rate"])
+        assert rates == (1.0, 0.0, 0.0)
+
     def test_deterministic_in_master_seed(self):
         a = run_code_experiment(3, 0.2, MINORITY, 10, 9, a=1.0)
         b = run_code_experiment(3, 0.2, MINORITY, 10, 9, a=1.0)
@@ -431,6 +445,13 @@ class TestSerialization:
         good["biases"][3] = bias
         with pytest.raises(FileFormatError, match="biases"):
             codebook_from_json(good)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_codebook_needs_a_positive_threshold(self, threshold):
+        # an all-zero word scores 0 for everyone: a threshold of 0 or less
+        # would accuse someone of it, and NaN compares false either way
+        with pytest.raises(InputShapeError, match="threshold must be positive"):
+            tiny_codebook(threshold=threshold)
 
     def test_codebook_checks_its_shapes(self):
         cb = fp_gen(3, 0.2, stream(4, "fp-shape"), a=1.0)

@@ -1,4 +1,6 @@
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -186,8 +188,7 @@ class TestAnswerMemo:
         assert evaluate_query(circ, db) == want
         copy = circuit_from_json(net)
         assert evaluate_query(copy, db) == want
-        assert db._answers == {copy._hash: (copy, want)}
-        assert db._answers[circ._hash][0] is circ
+        assert db._answers == {circ.serial: want, copy.serial: want}
 
     def test_hand_netlists_off_the_leading_run(self):
         rows = stream(39, "memo-hand").integers(0, 2, (300, 16), dtype=np.uint8)
@@ -198,13 +199,6 @@ class TestAnswerMemo:
             assert [evaluate_query(c, db) for c in circs] == want
         assert len(db._answers) == len(circs)
 
-    def test_equal_circuits_share_one_entry(self):
-        db = Database(stream(40, "memo-eq").integers(0, 2, (25, 5), dtype=np.uint8))
-        a, b = dictator_circuit(3, 5), dictator_circuit(3, 5)
-        assert a is not b and a == b
-        assert evaluate_query(a, db) == evaluate_query(b, db)
-        assert list(db._answers) == [a._hash] and db._answers[a._hash][0] is a
-
     def test_databases_never_share_entries(self):
         rows = stream(41, "memo-db").integers(0, 2, (25, 5), dtype=np.uint8)
         one, two = Database(rows), Database(rows)
@@ -212,7 +206,7 @@ class TestAnswerMemo:
         evaluate_query(q, one)
         assert one._answers is not two._answers and two._answers == {}
         evaluate_batch([q, q], two)
-        assert two._answers == one._answers == {q._hash: (q, fresh_answer(q, rows))}
+        assert two._answers == one._answers == {q.serial: fresh_answer(q, rows)}
 
     def test_errors_still_raised_on_repeat(self):
         # the memo is read before the checks: the first bad call and every
@@ -229,26 +223,11 @@ class TestAnswerMemo:
                 evaluate_query(dictator_circuit(0, 3), empty)
         assert len(db._answers) == 1 and empty._answers == {}
 
-    def test_equal_circuit_is_answered_from_the_memo(self, monkeypatch):
-        db = Database(stream(42, "memo-hit").integers(0, 2, (25, 5), dtype=np.uint8))
-        a, b = dictator_circuit(2, 5), dictator_circuit(2, 5)
-        want = evaluate_query(a, db)
-
-        def no_evaluation(*_args):
-            raise AssertionError("a memo hit evaluated the circuit")
-
-        monkeypatch.setattr(sanitize_mod, "_eval_packed", no_evaluation)
-        assert b is not a and evaluate_query(b, db) == want
-        assert evaluate_batch([b, a, b], db).tolist() == [want] * 3
-
-    def test_colliding_circuits_evict_each_other(self, monkeypatch):
-        rows = stream(43, "memo-clash").integers(0, 2, (25, 5), dtype=np.uint8)
+    def test_repeat_is_a_hit_and_an_equal_copy_is_evaluated_once(self, monkeypatch):
+        rows = stream(42, "memo-hit").integers(0, 2, (25, 5), dtype=np.uint8)
         db = Database(rows)
-        a, b = dictator_circuit(1, 5), const_circuit(1, 5)
-        object.__setattr__(b, "_hash", a._hash)
-        assert a != b and hash(a) == hash(b)
-        want = {a: fresh_answer(a, rows), b: fresh_answer(b, rows)}
-        assert want[a] != want[b]
+        a, b = dictator_circuit(2, 5), dictator_circuit(2, 5)
+        assert b is not a and b == a and b.serial != a.serial
         evaluated = []
 
         def counting(circ, cols, mask):
@@ -256,11 +235,28 @@ class TestAnswerMemo:
             return _eval_packed(circ, cols, mask)
 
         monkeypatch.setattr(sanitize_mod, "_eval_packed", counting)
-        for q in (a, b, a, b, b, a, a):
-            assert evaluate_query(q, db) == want[q]
-            assert db._answers == {a._hash: (q, want[q])}
-        # a repeat hits; every switch evicts the other circuit and evaluates
-        assert [q is a for q in evaluated] == [True, False, True, False, True]
+        want = fresh_answer(a, rows)
+        assert evaluate_batch([a, a, b, a, b], db).tolist() == [want] * 5
+        # each object is evaluated on its first call only
+        assert [q is a for q in evaluated] == [True, False]
+
+    def test_serials_are_never_reused(self):
+        rows = np.zeros((25, 5), dtype=np.uint8)
+        db = Database(rows)
+        first = dictator_circuit(1, 5)
+        assert evaluate_query(first, db) == 0.0
+        freed = first.serial
+        del first
+        gc.collect()
+        # an address-like key could pass the freed circuit's answer on to this one
+        later = const_circuit(1, 5)
+        assert later.serial > freed
+        assert evaluate_query(later, db) == 1.0
+        # unpickled, a circuit is built afresh and takes a new serial
+        back = pickle.loads(pickle.dumps(later))
+        assert back == later and back.serial > later.serial
+        assert evaluate_query(back, db) == 1.0
+        assert db._answers == {freed: 0.0, later.serial: 1.0, back.serial: 1.0}
 
     @given(
         nets=st.lists(json_netlists(), min_size=1, max_size=4),
@@ -275,20 +271,15 @@ class TestAnswerMemo:
         circs = [circuit_from_json(net) for net in nets]
         index = st.integers(0, len(nets) - 1)
         batch = []
-        for i, j, kind in data.draw(
-            st.lists(st.tuples(index, index, st.sampled_from(("same", "copy", "clash"))))
-        ):
-            q = circs[i] if kind == "same" else circuit_from_json(nets[i])
-            if kind == "clash":
-                object.__setattr__(q, "_hash", circs[j]._hash)
-            batch.append(q)
+        for i, kind in data.draw(st.lists(st.tuples(index, st.sampled_from(("same", "copy"))))):
+            batch.append(circs[i] if kind == "same" else circuit_from_json(nets[i]))
         rows = stream(seed, "memo-mix").integers(0, 2, (m, width), dtype=np.uint8)
         db = Database(rows)
         want = [fresh_answer(q, rows) for q in batch]
         for _ in range(2):
             assert evaluate_batch(batch, db).tolist() == want
-        for key, (circ, answer) in db._answers.items():
-            assert key == circ._hash and answer == fresh_answer(circ, rows)
+        # each object in the batch has its own entry, whatever its netlist
+        assert db._answers == {q.serial: a for q, a in zip(batch, want)}
 
     def test_demo_evaluates_each_distinct_circuit_once(self, monkeypatch, tightness_report):
         # 1 calibration circuit, then 16 wires on each of the 2 databases:
@@ -373,6 +364,19 @@ class TestConfig:
             SanitizerConfig(amplification_rounds=-1)
         with pytest.raises(InputShapeError, match="LAPLACE only"):
             SanitizerConfig(EXACT, amplification_rounds=7)
+
+    @pytest.mark.parametrize("given", [
+        {"epsilon": 1.0},
+        {"delta": 0.01},
+        {"delta": 0.0},
+        {"composition": ADVANCED},
+        {"epsilon": 1.0, "delta": 1e-9, "composition": ADVANCED},
+        {"amplification_rounds": 1},
+    ])
+    def test_exact_refuses_what_it_would_ignore(self, given):
+        why = "^epsilon, delta, ADVANCED composition and amplification rounds are LAPLACE only$"
+        with pytest.raises(InputShapeError, match=why):
+            SanitizerConfig(EXACT, **given)
 
 
 class TestSanitize:

@@ -109,6 +109,24 @@ class TestKeyLayout:
             assert idx == u
             assert not ks.rows[u, ke + iw :].any()
 
+    def test_key_set_checks_its_rows(self):
+        ks = small_keyset(kappa=32, n=4, seed=31)
+        rows = ks.rows.copy()
+        rows[[0, 3], 16:18] = rows[[3, 0], 16:18]
+        # traced with these rows, row 0's component would be user 3's
+        with pytest.raises(InputShapeError, match=r"^row 0 decodes to index 3$"):
+            TTKeySet(ks.params, rows)
+        with pytest.raises(InputShapeError, match=r"^expected 4 rows of 32 bits, got shape \(3, 32\)$"):
+            TTKeySet(ks.params, ks.rows[:3])
+        with pytest.raises(InputShapeError, match=r"got shape \(4, 31\)$"):
+            TTKeySet(ks.params, ks.rows[:, :31])
+        rows = ks.rows.copy()
+        rows[2, 0] = 2
+        with pytest.raises(InputShapeError, match="key rows must be bits"):
+            TTKeySet(ks.params, rows)
+        kept = TTKeySet(ks.params, ks.rows.astype(bool))
+        assert kept.rows.dtype == np.uint8 and np.array_equal(kept.rows, ks.rows)
+
     def test_rows_distinct(self):
         ks = tt_gen(32, 8, LOCAL_PRG, stream(2, "distinct"))
         assert len({tuple(r.tolist()) for r in ks.rows}) == 8
@@ -772,16 +790,14 @@ class TestSerialization:
 
     def test_swapped_index_fields_name_the_row(self):
         # whole rows in the wrong order, or index fields swapped between
-        # rows, leave row u decoding to some other user
-        ks = small_keyset(kappa=16, n=3, seed=29)
-        rows = ks.rows.copy()
-        rows[[0, 2], 8:10] = rows[[2, 0], 8:10]
-        with pytest.raises(FileFormatError, match="row 0 decodes to index 2"):
-            keyset_from_json(keyset_to_json(TTKeySet(ks.params, rows)))
-        rows = ks.rows.copy()
-        rows[[1, 2], 8:10] = rows[[2, 1], 8:10]
-        with pytest.raises(FileFormatError, match="row 1 decodes to index 2"):
-            keyset_from_json(keyset_to_json(TTKeySet(ks.params, rows)))
+        # rows, leave row u decoding to some other user; a kappa=16 row's
+        # second byte (hex digits 2-3) is its 2-bit index field and padding
+        obj = keyset_to_json(small_keyset(kappa=16, n=3, seed=29))
+        for u, v in ((0, 2), (1, 2)):
+            rows = list(obj["rows"])
+            rows[u], rows[v] = rows[u][:2] + rows[v][2:], rows[v][:2] + rows[u][2:]
+            with pytest.raises(FileFormatError, match=f"row {u} decodes to index {v}"):
+                keyset_from_json(dict(obj, rows=rows))
 
     def test_extra_rows_rejected(self):
         obj = keyset_to_json(small_keyset(seed=27))
