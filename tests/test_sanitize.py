@@ -223,11 +223,14 @@ class TestAnswerMemo:
                 evaluate_query(dictator_circuit(0, 3), empty)
         assert len(db._answers) == 1 and empty._answers == {}
 
-    def test_repeat_is_a_hit_and_an_equal_copy_is_evaluated_once(self, monkeypatch):
-        rows = stream(42, "memo-hit").integers(0, 2, (25, 5), dtype=np.uint8)
+    def test_equal_circuits_share_one_entry(self, monkeypatch):
+        rows = stream(40, "memo-eq").integers(0, 2, (25, 5), dtype=np.uint8)
         db = Database(rows)
-        a, b = dictator_circuit(2, 5), dictator_circuit(2, 5)
-        assert b is not a and b == a and b.serial != a.serial
+        a, b = dictator_circuit(3, 5), dictator_circuit(3, 5)
+        assert b is not a and b == a and hash(b) == hash(a) and b.serial != a.serial
+        # keyed on the circuit, equal copies share one entry; the memo keys on
+        # the serial, so each object is evaluated once, to the same answer
+        assert len({a: 0, b: 1}) == 1
         evaluated = []
 
         def counting(circ, cols, mask):
@@ -237,8 +240,22 @@ class TestAnswerMemo:
         monkeypatch.setattr(sanitize_mod, "_eval_packed", counting)
         want = fresh_answer(a, rows)
         assert evaluate_batch([a, a, b, a, b], db).tolist() == [want] * 5
-        # each object is evaluated on its first call only
         assert [q is a for q in evaluated] == [True, False]
+        assert db._answers == {a.serial: want, b.serial: want}
+
+    def test_equal_circuit_is_answered_from_the_memo(self, monkeypatch):
+        db = Database(stream(42, "memo-hit").integers(0, 2, (25, 5), dtype=np.uint8))
+        a, b = dictator_circuit(2, 5), dictator_circuit(2, 5)
+        want = evaluate_query(a, db)
+        # the copy's first call evaluates it; every later call is a hit
+        assert evaluate_query(b, db) == want
+
+        def no_evaluation(*_args):
+            raise AssertionError("a memo hit evaluated the circuit")
+
+        monkeypatch.setattr(sanitize_mod, "_eval_packed", no_evaluation)
+        assert b is not a and evaluate_query(b, db) == want
+        assert evaluate_batch([b, a, b], db).tolist() == [want] * 3
 
     def test_serials_are_never_reused(self):
         rows = np.zeros((25, 5), dtype=np.uint8)
