@@ -257,6 +257,12 @@ def worker_count(jobs: int, trials: int, cpus: int) -> int:
     return min(jobs, trials, cpus)
 
 
+def elect_i_star(stats: ExperimentStats) -> int | None:
+    """The most accused user, ties to the smallest index; None if no trial accused anyone."""
+    counts = stats.accused_counts()
+    return min(counts, key=lambda u: (-counts[u], u), default=None)
+
+
 def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     """Both experiments, deterministically seeded; jobs never affects output.
 
@@ -271,15 +277,10 @@ def run_attack(cfg: AttackConfig, jobs: int = 1) -> AttackReport:
     jobs = min(worker_count(jobs, cfg.trials, os.cpu_count() or 1), MAX_ALLOC_BYTES // need)
     prg = prg_params_gen(derive_seed(cfg.seed, "attack", "prg"), cfg.kappa // 2)
     exp_full = _run_experiment(cfg, prg, EXP_FULL, range(cfg.n), jobs)
-    counts = exp_full.accused_counts()
-    if counts:
-        top = max(counts.values())
-        i_star = min(u for u, c in counts.items() if c == top)
-        exp_minus = _run_experiment(
-            cfg, prg, EXP_MINUS, [u for u in range(cfg.n) if u != i_star], jobs
-        )
-    else:
-        i_star, exp_minus = None, None
+    i_star = elect_i_star(exp_full)
+    exp_minus = None if i_star is None else _run_experiment(
+        cfg, prg, EXP_MINUS, [u for u in range(cfg.n) if u != i_star], jobs
+    )
     return AttackReport(cfg, exp_full, exp_minus, i_star)
 
 

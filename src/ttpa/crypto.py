@@ -53,6 +53,7 @@ MAX_ALLOC_BYTES = 2 << 30
 
 # a key's PRF nonce bits are drawn, a byte per bit, at most this many at once
 NONCE_CHUNK_BYTES = 64 << 10
+INDEX_CHUNK = 1 << 16  # PRG indices a key stack draws at once: 256 KiB of raw words
 
 LITERAL = "literal"
 FOLDED = "folded"
@@ -119,12 +120,12 @@ class LocalPrgParams:
     """Public description of the local PRG: who reads which seed bits."""
 
     kappa: int           # seed length in bits
-    ell: int             # output length (stretch)
-    locality: int        # L, seed bits per output
     # (ell, L) ordered distinct positions, held in np.min_scalar_type(kappa - 1):
     # uint8 up to 256-bit seeds, uint16 up to prg_params_gen's 2048-bit cap
     index_sets: np.ndarray
     table: np.ndarray       # (2^L,) uint8 predicate truth table
+    ell: int = field(init=False)       # output length (stretch): index_sets.shape[0]
+    locality: int = field(init=False)  # L, seed bits per output: index_sets.shape[1]
     # the table's ANF and its minterms, derived once and outside equality and repr:
     # minterms[v] holds the literal signs of each assignment on which the table
     # is v, in table order, variable t first (bit L-1-t of the table index)
@@ -134,7 +135,10 @@ class LocalPrgParams:
     )
 
     def __post_init__(self):
-        kappa, ell, loc = self.kappa, self.ell, self.locality
+        kappa, sets = self.kappa, np.asarray(self.index_sets)
+        if sets.ndim != 2:
+            raise InputShapeError(f"prg.index_sets must be (ell, L), got shape {sets.shape}")
+        ell, loc = sets.shape
         check_stretch(ell)
         if not 1 <= loc <= kappa:
             raise InputShapeError(f"prg.locality {loc} must be in 1..{kappa}")
@@ -142,17 +146,15 @@ class LocalPrgParams:
         if table.shape != (1 << loc,):
             raise InputShapeError(f"prg.table must be 2^{loc} bits, got shape {table.shape}")
         table = as_bits(table, "prg.table entries must be bits")
-        sets = np.asarray(self.index_sets)
         if sets.dtype.kind not in "iu":
             raise InputShapeError(f"prg.index_sets must be integers, got dtype {sets.dtype}")
-        if sets.shape != (ell, loc) or sets.min() < 0 or sets.max() >= kappa:
-            raise InputShapeError(
-                f"prg.index_sets must be ({ell}, {loc}) positions in the {kappa}-bit"
-                f" seed, got shape {sets.shape}"
-            )
+        if sets.min() < 0 or sets.max() >= kappa:
+            raise InputShapeError(f"prg.index_sets must be positions in the {kappa}-bit seed")
         sets = sets.astype(np.min_scalar_type(kappa - 1), copy=False)
         object.__setattr__(self, "index_sets", sets)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "locality", loc)
         object.__setattr__(self, "monomials", _anf(table, loc))
         # product runs in table order: variable 0 is the table index's top bit
         rows = list(zip(table.tolist(), itertools.product((False, True), repeat=loc)))
@@ -216,7 +218,7 @@ def prg_params_gen(
     keys.sort(axis=1)
     sets = keys[:, :locality]
     sets &= np.uint64((1 << b) - 1)
-    return LocalPrgParams(kappa, ell, locality, sets, table)
+    return LocalPrgParams(kappa, sets, table)
 
 
 def _check_seeds(params: LocalPrgParams, seeds: np.ndarray) -> np.ndarray:
@@ -311,11 +313,13 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
         for row, at, expansion in rows:  # about 5x faster than np.take_along_axis
             np.take(expansion, at, out=row)
         return out
-    # (L, *pos.shape): variable t at pos[i, j] is bit index_sets[pos[i, j], t]
-    # of seed i, as bool so that the constant monomial is one bit
-    which_seed = np.arange(len(stack)).reshape(arr.shape[:-1] + (1,))
-    bits = stack.view(bool)[which_seed, params.index_sets.T[:, pos]]
-    return _eval_anf(params.monomials, bits.__getitem__, pos.shape, bool).view(np.uint8)
+    # variable t at pos[i, j] is flat seed bit i * kappa + rows[i, j, t], read as bool so
+    # that the constant monomial is one bit, a variable at a time as prg_expand does
+    rows, flat = params.index_sets.take(pos, axis=0), stack.view(bool).reshape(-1)
+    offsets = (np.arange(len(stack)) * params.kappa).reshape(arr.shape[:-1] + (1,))
+    return _eval_anf(
+        params.monomials, lambda t: flat.take(rows[..., t] + offsets), pos.shape, bool
+    ).view(np.uint8)
 
 
 def check_scheme(scheme: str, prg: LocalPrgParams | None, seed_bits: int) -> None:
@@ -420,8 +424,10 @@ def enc_encrypt_many(
     m, k, kappa = key.bits.size // key.kappa, arr.shape[-1], key.kappa
     if key.scheme == LOCAL_PRG:
         rs = np.empty((m, k), dtype=np.min_scalar_type(key.prg.ell - 1))
-        for row in rs:  # one draw per key, in row order: the RNG stream
-            integers_below(rng, key.prg.ell, row)
+        # one draw in key order, as per-key draws read the stream: a chunk or a key
+        # that ends on a word's low 32-bit half leaves the high half to the next
+        for lo in range(0, rs.size, INDEX_CHUNK):
+            integers_below(rng, key.prg.ell, rs.reshape(-1)[lo : lo + INDEX_CHUNK])
     else:  # one draw per key is k kappa-bit draws: see the module docstring
         width, step = -(-kappa // 4) * 4, nonce_chunk_rows(kappa)
         rs = np.empty((m, k, (kappa + 7) // 8), dtype=np.uint8)

@@ -24,7 +24,7 @@ probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,32 +57,34 @@ def bias_cutoff(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Tracer-side state: the words are distributed, the biases stay secret."""
+    """Tracer-side state: the words are distributed, the biases stay secret.
+    n is the words' row count; ell, cutoff and threshold follow from n, eps_fp and a."""
 
-    n: int
-    ell: int
     eps_fp: float
     a: float
-    cutoff: float
-    threshold: float
     biases: np.ndarray  # (ell,) float64 in [cutoff, 1-cutoff]
     words: np.ndarray   # (n, ell) uint8
+    n: int = field(init=False)
+    ell: int = field(init=False)
+    cutoff: float = field(init=False)
+    threshold: float = field(init=False)  # > 0, so an all-zero word accuses no one
 
     def __post_init__(self):
-        _check_params(self.n, self.eps_fp, self.a)
-        # an all-zero word scores 0 for everyone and must accuse no one
-        if not self.threshold > 0:
-            raise InputShapeError(f"threshold must be positive, got {self.threshold}")
+        n = len(self.words)
+        ell, t = code_length(n, self.eps_fp, self.a), bias_cutoff(n)
+        z = accusation_threshold(n, self.eps_fp)
         # the words are not scanned for bits: fp_gen draws one codebook
         # per tracing trial, and its words are bits by construction
-        if self.biases.shape != (self.ell,) or self.words.shape != (self.n, self.ell):
+        if self.biases.shape != (ell,) or self.words.shape != (n, ell):
             raise InputShapeError(
                 f"codebook biases {self.biases.shape} and words {self.words.shape}"
-                f" must be ({self.ell},) and ({self.n}, {self.ell})"
+                f" must be ({ell},) and ({n}, {ell}), as code_length gives ell={ell} at n={n}"
             )
-        # the scores divide by p and by 1 - p
-        if not ((self.biases > 0.0) & (self.biases < 1.0)).all():
-            raise InputShapeError("codebook biases must lie strictly inside (0, 1)")
+        # where fp_gen draws them, which keeps the scores' 1 / p and 1 / (1 - p) finite
+        if not ((self.biases >= t) & (self.biases <= 1.0 - t)).all():
+            raise InputShapeError(f"codebook biases must lie in [{t}, 1 - {t}]")
+        for name, value in zip(("n", "ell", "cutoff", "threshold"), (n, ell, t, z)):
+            object.__setattr__(self, name, value)
 
 
 def _check_params(n: int, eps_fp: float, a: float) -> None:
@@ -110,7 +112,6 @@ def fp_gen(
     """Draw biases from the truncated arcsine density, then the word matrix."""
     ell = code_length(n, eps_fp, a)
     t = bias_cutoff(n)
-    z = accusation_threshold(n, eps_fp)
     # p = sin^2(x) with x uniform maps to the arcsine density; truncating x
     # to [asin(sqrt(t)), pi/2 - asin(sqrt(t))] truncates p to [t, 1-t].
     xt = math.asin(math.sqrt(t))
@@ -124,7 +125,7 @@ def fp_gen(
     for row in words:
         rng.random(out=draw)
         np.less(draw, biases, out=row.view(bool))
-    return Codebook(n, ell, eps_fp, a, t, z, biases, words)
+    return Codebook(eps_fp, a, biases, words)
 
 
 def _check_word(cb_ell: int, word: np.ndarray) -> np.ndarray:
@@ -270,12 +271,13 @@ def adversary_view_json(cb: Codebook, coalition: list[int]) -> dict:
 
 
 def codebook_from_json(obj: dict) -> Codebook:
-    """Parse a codebook file; its ell, cutoff and threshold must be the ones
-    its n, eps_fp and a give."""
+    """Parse a codebook file; its word count, ell, cutoff and threshold must be
+    the ones its n, eps_fp and a give."""
     try:
         n, eps_fp, a = int(obj["n"]), float(obj["eps_fp"]), float(obj["a"])
         ell, cutoff, threshold = int(obj["ell"]), float(obj["cutoff"]), float(obj["threshold"])
         for name, stored, derived in (
+            ("words", len(obj["words"]), n),
             ("ell", ell, code_length(n, eps_fp, a)),
             ("cutoff", cutoff, bias_cutoff(n)),
             ("threshold", threshold, accusation_threshold(n, eps_fp)),
@@ -286,15 +288,7 @@ def codebook_from_json(obj: dict) -> Codebook:
                     f" which give {derived}"
                 )
         words = [bits_from_hex(h, ell, f"word {u}") for u, h in enumerate(obj["words"])]
-        return Codebook(
-            n,
-            ell,
-            eps_fp,
-            a,
-            cutoff,
-            threshold,
-            np.asarray(obj["biases"], dtype=np.float64),
-            np.array(words, dtype=np.uint8).reshape(len(words), ell),
-        )
+        biases = np.asarray(obj["biases"], dtype=np.float64)
+        return Codebook(eps_fp, a, biases, np.array(words, dtype=np.uint8).reshape(n, ell))
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad codebook JSON: {e}") from e

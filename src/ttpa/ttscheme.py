@@ -560,13 +560,8 @@ def keyset_from_json(obj: dict) -> TTKeySet:
                     f" {4 * g_ell * g_loc} for ({g_ell}, {g_loc}) 2-byte positions"
                 )
             sets = np.frombuffer(bytes.fromhex(text), dtype=">u2")
-            prg = LocalPrgParams(
-                int(g["kappa"]),
-                g_ell,
-                g_loc,
-                sets.reshape(g_ell, g_loc),
-                bits_from_hex(g["table"], 1 << g_loc, "prg.table"),
-            )
+            table = bits_from_hex(g["table"], 1 << g_loc, "prg.table")
+            prg = LocalPrgParams(int(g["kappa"]), sets.reshape(g_ell, g_loc), table)
         params = TTParams(kappa, n, obj["scheme"], prg)
         rows = np.array(
             [bits_from_hex(h, kappa, f"row {u}") for u, h in enumerate(obj["rows"])]

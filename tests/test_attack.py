@@ -14,6 +14,7 @@ from ttpa.attack import (
     ExperimentStats,
     TrialRecord,
     dp_audit,
+    elect_i_star,
     pirate_from_sanitizer,
     run_attack,
     wilson_interval,
@@ -353,6 +354,17 @@ class TestExperimentStats:
             "max_abs_err": None,
             "failed": True,
         }
+
+
+    @pytest.mark.parametrize("accused,want", [
+        # users 3 and 1 tie on two accusations each: the smaller index wins
+        ((3, None, 1, 3, 0, 1), 1),
+        ((None, 2, 0, 2, 2), 2),
+        ((None, None), None),
+    ])
+    def test_i_star_election(self, accused, want):
+        records = tuple(TrialRecord(u, True, 0.0, u is None) for u in accused)
+        assert elect_i_star(ExperimentStats(EXP_FULL, (0, 1, 2, 3), records)) == want
 
 
 class TestRunAttack:

@@ -218,7 +218,7 @@ XOR_MINTERMS = [(False, True), (True, False)]
 def table_minterms(table) -> tuple:
     """The minterms on which a truth table is 1, as a PRG over its variables derives them."""
     width = len(table).bit_length() - 1
-    return LocalPrgParams(width, 1, width, np.arange(width)[None], table).minterms[1]
+    return LocalPrgParams(width, np.arange(width)[None], table).minterms[1]
 
 
 class TestDnf:

@@ -59,7 +59,7 @@ def direct_prgs():
         sets = np.stack([rng.permutation(kappa)[:loc] for _ in range(ell)])
         xor = np.array([bin(a).count("1") & 1 for a in range(1 << loc)], dtype=np.uint8)
         for table in (np.zeros_like(xor), np.ones_like(xor), xor, rng.integers(0, 2, xor.size)):
-            yield LocalPrgParams(kappa, ell, loc, sets, table)
+            yield LocalPrgParams(kappa, sets, table)
 
 
 def bits_of(value: int, width: int) -> np.ndarray:
@@ -160,14 +160,17 @@ class TestPrgParams:
     def test_description_checks_itself(self):
         good = prg_params_gen(1, 8, ell=4)
         sets, table = good.index_sets, good.table
-        LocalPrgParams(8, 4, 5, sets, table)
+        built = LocalPrgParams(8, sets, table)
+        assert (built.ell, built.locality) == (4, 5)
         for field, args in [
-            ("prg.ell", (8, 0, 5, sets[:0], table)),
-            ("prg.locality", (4, 4, 5, sets, table)),
-            ("prg.table", (8, 4, 5, sets, table[:16])),
-            ("prg.index_sets", (8, 4, 5, sets[:, :4], table)),
-            ("prg.index_sets", (8, 4, 5, np.where(sets == sets[0, 0], 8, sets), table)),
-            ("prg.index_sets", (8, 4, 5, sets - 8, table)),
+            ("prg.ell", (8, sets[:0], table)),
+            ("prg.locality", (4, sets, table)),
+            ("prg.locality", (8, sets[:, :0], table[:1])),
+            ("prg.table", (8, sets, table[:16])),
+            ("prg.table", (8, sets[:, :4], table)),
+            ("prg.index_sets", (8, sets[0], table)),
+            ("prg.index_sets", (8, np.where(sets == sets[0, 0], 8, sets), table)),
+            ("prg.index_sets", (8, sets - 8, table)),
         ]:
             with pytest.raises(InputShapeError, match=field):
                 LocalPrgParams(*args)
@@ -179,7 +182,7 @@ class TestPrgParams:
     def test_non_integer_index_sets_refused(self, sets):
         # in range, so once accepted prg_expand and prg_bits_at failed on them
         with pytest.raises(InputShapeError, match="prg.index_sets must be integers"):
-            LocalPrgParams(8, 2, 3, np.array(sets), xor_and_table(3))
+            LocalPrgParams(8, np.array(sets), xor_and_table(3))
 
     def test_oversized_draw_refused_before_allocation(self):
         # kappa=128 seed bits at the cubic stretch would sort a 2.01 GiB draw
@@ -237,7 +240,7 @@ class TestPrgParams:
         assert params.index_sets.dtype == dtype
         # wide or signed sets are checked, then narrowed to the same positions
         for wide in (np.int64, np.uint32):
-            again = LocalPrgParams(kappa, 64, 5, params.index_sets.astype(wide), params.table)
+            again = LocalPrgParams(kappa, params.index_sets.astype(wide), params.table)
             assert again.index_sets.dtype == dtype
             assert np.array_equal(again.index_sets, params.index_sets)
         position = np.dtype(dtype).itemsize
@@ -753,6 +756,25 @@ class TestStackedEncrypt:
             assert rs[i].tolist() == r1.tolist()
             assert ms[i].tolist() == m1.tolist()
             assert enc_decrypt_many(key, rs[i], ms[i]).tolist() == bits[i].tolist()
+
+    @pytest.mark.parametrize("ell", [32768, 1000, 2])
+    @pytest.mark.parametrize("chunk", [7, 1000, 1 << 16])
+    def test_stack_indices_are_one_draw_per_key(self, monkeypatch, ell, chunk):
+        # the stack's indices are drawn in one chunked pass; numpy's own
+        # per-key draws give the same indices and leave the generator in
+        # step, a buffered 32-bit half included, under every bit generator
+        monkeypatch.setattr(crypto_mod, "INDEX_CHUNK", chunk)
+        prg = prg_params_gen(3, 8, ell=ell)
+        for bitgen in (np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox):
+            for m, k in ((1, 1), (3, 5), (4, 2001), (40, 1), (2, 1 << 16)):
+                key = EncKey(LOCAL_PRG, stream(m, "stack-keys").integers(0, 2, (m, 8)), prg)
+                rng, ref = np.random.Generator(bitgen(k)), np.random.Generator(bitgen(k))
+                rs, _ = enc_encrypt_many(key, np.zeros((m, k), dtype=np.uint8), rng)
+                want = [ref.integers(0, ell, k) for _ in range(m)]
+                assert rs.dtype == np.min_scalar_type(ell - 1)
+                assert np.array_equal(rs, want), (bitgen.__name__, m, k)
+                assert np.array_equal(rng.integers(0, 9, 3), ref.integers(0, 9, 3))
+                assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
     @pytest.mark.parametrize("scheme", [LOCAL_PRG, PRF])
     def test_bits_must_match_the_key_stack(self, scheme):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -30,14 +31,11 @@ from ttpa.fpcode import (
 from ttpa.seeds import stream
 
 
-def tiny_codebook(threshold: float = 0.75) -> Codebook:
+def tiny_codebook() -> Codebook:
+    # n=2, eps_fp=0.5 and a=0.3 give ell = ceil(1.2 ln 4) = 2
     return Codebook(
-        n=2,
-        ell=2,
         eps_fp=0.5,
-        a=1.0,
-        cutoff=0.1,
-        threshold=threshold,
+        a=0.3,
         biases=np.array([0.5, 0.2]),
         words=np.array([[1, 0], [0, 1]], dtype=np.uint8),
     )
@@ -159,10 +157,13 @@ class TestScores:
         assert np.array_equal(fp_scores(cb, np.array([1, 0])), np.array([1.0, -1.0]))
         assert np.array_equal(fp_scores(cb, np.array([0, 0])), np.array([0.0, 0.0]))
 
-    def test_trace_threshold_is_strict(self):
-        assert fp_trace(tiny_codebook(threshold=0.75), np.array([1, 1])) == 1
-        assert fp_trace(tiny_codebook(threshold=1.0), np.array([1, 1])) is None
-        assert fp_trace(tiny_codebook(threshold=1.5), np.array([1, 1])) is None
+    def test_trace_threshold_is_strict(self, monkeypatch):
+        # user 1 scores 1.0: accused over a threshold of 0.75, not at 1.0 or 1.5
+        for threshold, accused in ((0.75, 1), (1.0, None), (1.5, None)):
+            monkeypatch.setattr(fpcode_mod, "accusation_threshold", lambda n, e, z=threshold: z)
+            cb = tiny_codebook()
+            assert cb.threshold == threshold
+            assert fp_trace(cb, np.array([1, 1])) == accused
 
     def test_word_validation(self):
         cb = tiny_codebook()
@@ -446,20 +447,37 @@ class TestSerialization:
         with pytest.raises(FileFormatError, match="biases"):
             codebook_from_json(good)
 
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
-    def test_codebook_needs_a_positive_threshold(self, threshold):
-        # an all-zero word scores 0 for everyone: a threshold of 0 or less
-        # would accuse someone of it, and NaN compares false either way
-        with pytest.raises(InputShapeError, match="threshold must be positive"):
-            tiny_codebook(threshold=threshold)
-
     def test_codebook_checks_its_shapes(self):
         cb = fp_gen(3, 0.2, stream(4, "fp-shape"), a=1.0)
-        fields = (cb.n, cb.ell, cb.eps_fp, cb.a, cb.cutoff, cb.threshold)
         with pytest.raises(InputShapeError):
-            Codebook(*fields, cb.biases[:-1], cb.words)
+            Codebook(cb.eps_fp, cb.a, cb.biases[:-1], cb.words)
         with pytest.raises(InputShapeError):
-            Codebook(*fields, cb.biases, cb.words[:2])
+            Codebook(cb.eps_fp, cb.a, cb.biases, cb.words[:2])
+
+    def test_codebook_derives_what_it_does_not_draw(self):
+        cb = fp_gen(4, 0.2, stream(4, "fp-derived"), a=2.0)
+        assert (cb.n, cb.ell) == (4, 96) == (4, code_length(4, 0.2, 2.0))
+        # given a 1e-9 threshold, this codebook accused user 0 of an all-ones
+        # word; none can be given, and the derived one accuses no one of it
+        assert list(inspect.signature(Codebook).parameters) == ["eps_fp", "a", "biases", "words"]
+        for name, value in (("n", 4), ("ell", 96), ("cutoff", 0.25), ("threshold", 1e-9)):
+            with pytest.raises(TypeError):
+                Codebook(cb.eps_fp, cb.a, cb.biases, cb.words, **{name: value})
+        assert cb.threshold == accusation_threshold(4, 0.2)
+        assert fp_trace(cb, np.ones(96, dtype=np.uint8)) is None
+        # words 7 columns wide, where code_length gives 96
+        with pytest.raises(InputShapeError, match="code_length gives ell=96 at n=4"):
+            Codebook(cb.eps_fp, cb.a, cb.biases[:7], cb.words[:, :7])
+        # biases inside (0, 1) but outside [cutoff, 1 - cutoff]
+        t = bias_cutoff(4)
+        for bias in (t / 2, 1.0 - t / 2, np.nextafter(t, 0.0)):
+            biases = cb.biases.copy()
+            biases[5] = bias
+            with pytest.raises(InputShapeError, match="biases must lie in"):
+                Codebook(cb.eps_fp, cb.a, biases, cb.words)
+        edge = cb.biases.copy()
+        edge[:2] = t, 1.0 - t
+        assert np.array_equal(Codebook(cb.eps_fp, cb.a, edge, cb.words).biases, edge)
 
     @pytest.mark.parametrize("field,value,why", [
         ("n", 1, "n >= 2"),
@@ -484,6 +502,13 @@ class TestSerialization:
         if field == "n":
             obj["words"] = obj["words"][:1]
         with pytest.raises(FileFormatError, match=why):
+            codebook_from_json(obj)
+
+    def test_codebook_file_n_is_its_word_count(self):
+        # ell, cutoff and threshold all agree with n=3: only the count disagrees
+        obj = codebook_to_json(fp_gen(3, 0.2, stream(4, "fp-count"), a=1.0))
+        obj["words"] = obj["words"][:2]
+        with pytest.raises(FileFormatError, match="words 2 disagrees with n=3"):
             codebook_from_json(obj)
 
     @pytest.mark.parametrize("suffix,why", [("ff", "bytes"), (None, "padding")])
