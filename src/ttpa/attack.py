@@ -65,6 +65,12 @@ Z_95 = 1.959963984540054
 # fewer trials than this on either side leave an audit inconclusive
 MIN_AUDIT_TRIALS = 20
 
+# Peak bytes per trial record while attack run holds both experiments' records,
+# the report dict and its JSON text, measured under tracemalloc serially and
+# with --jobs 2: about 940 a record while the JSON encoder keeps every fragment
+# of a small report, about 510 in a large one
+RECORD_BYTES = 1024
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -81,6 +87,12 @@ class AttackConfig:
             raise InputShapeError("the experiment needs at least two users")
         if self.trials < 1:
             raise InputShapeError("need at least one trial")
+        records = 2 * self.trials * RECORD_BYTES
+        if records > MAX_ALLOC_BYTES:
+            raise InputShapeError(
+                f"{self.trials} trials per experiment would hold {records} bytes of"
+                f" records, over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
+            )
         check_key_shape(self.kappa, self.n)
         check_prg_draw(self.kappa // 2)
         self.trial_bytes()

@@ -316,7 +316,7 @@ def _cmd_tt_export_circuit(args) -> int:
     rng = stream(args.seed, "tt-export")
     bit = 1 if args.bit is None else args.bit
     ct = tt_enc(ks, bit, rng) if args.level is None else tr_enc_index(ks, args.level, rng)
-    circ = tt_dec_circuit(ct, ks.params, args.mode)
+    [circ] = tt_dec_circuit(ct, ks.params, args.mode)
     _write_json(circuit_to_json(circ), args.out)
     met = circuit_metrics(circ)
     obj = {

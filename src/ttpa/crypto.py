@@ -293,10 +293,12 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
     read at least ell / EXPAND_DIVISOR positions each are expanded and the
     expansions indexed; fewer gather each position's L seed bits and run
     the predicate's ANF on them, as prg_expand does on lane words.  At
-    ell = 32,768 on a 2-vCPU Xeon, gathering wins below about ell/5
-    positions a seed for one seed, ell/16 for four and ell/30 for ten:
-    16 takes the faster path for every default kappa = 64 tracing batch,
-    and gathers a wide stack that reads a few positions a seed (tt_enc's).
+    ell = 32,768 on a 2-vCPU Xeon, gathering wins up to about 2 ell/3
+    positions a seed for one seed, ell/5 for four and ell/11 for ten.  16
+    is kept for memory, not speed: check_batch's 2n bytes per PRG position
+    hold a gathered user's cells, up to 32 bytes each, only while it reads
+    under ell/16 positions.  It still gathers a wide stack that reads a few
+    positions a seed (tt_enc's).
     """
     arr = _check_seeds(params, seeds)
     pos = np.asarray(positions)

@@ -213,6 +213,8 @@ def run_code_experiment(
     size = n - 1 if coalition_size is None else int(coalition_size)
     if not 1 <= size <= n:
         raise InputShapeError(f"coalition size must be in [1, {n}], got {size}")
+    # only counters outlive a trial, so, unlike attack run's records, no trial
+    # count is refused for memory
     caught = innocent = none = infeasible = 0
     for t in range(trials):
         rng = stream(master_seed, "fpcode-bench", n, strategy, t)

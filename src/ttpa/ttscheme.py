@@ -125,8 +125,8 @@ class TTKeySet:
 class TTCiphertext:
     """A batch of k ciphertexts: row j is ciphertext j, column u user u's components.
 
-    A single ciphertext is the k=1 batch, and ct[j] is ciphertext j as
-    one.  Every consumer reads the batch whole or by user column.
+    A single ciphertext is the k=1 batch.  Every consumer reads the batch
+    whole or by user column.
     """
 
     # (k, n) PRG indices in the narrowest unsigned dtype that holds the
@@ -152,12 +152,13 @@ class TTCiphertext:
     def __len__(self) -> int:
         return int(self.rs.shape[0])
 
-    def __getitem__(self, j: int) -> "TTCiphertext":
-        return TTCiphertext(self.rs[[j]], self.masked[[j]])
-
 
 def check_key_shape(kappa: int, n: int) -> None:
-    """Key sets have kappa even and >= 16, and 1 <= n <= 2^(kappa/2) users."""
+    """Key sets have kappa even and >= 16, 1 <= n <= 2^(kappa/2) users, and
+    (n, kappa) byte rows within MAX_ALLOC_BYTES, so callers refuse before drawing.
+
+    n is compared through its index width: 2^(kappa/2) is never formed.
+    """
     if kappa % 2:
         raise InputShapeError(f"kappa must be even, got {kappa}")
     if kappa < 2 * MIN_KEY_BITS:
@@ -166,8 +167,13 @@ def check_key_shape(kappa: int, n: int) -> None:
         )
     if n < 1:
         raise InputShapeError(f"need at least one user, got {n}")
-    if n > (1 << (kappa // 2)):
+    if index_width(n) > kappa // 2:
         raise InputShapeError(f"n={n} exceeds 2^(kappa/2) with kappa={kappa}")
+    if n * kappa > MAX_ALLOC_BYTES:
+        raise InputShapeError(
+            f"{n} key rows of {kappa} bits would hold {n * kappa} bytes,"
+            f" over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
+        )
 
 
 def tt_gen(
@@ -234,45 +240,47 @@ def tr_enc_index(ks: TTKeySet, i: int, rng: np.random.Generator) -> TTCiphertext
     return tr_enc(ks, col, rng)
 
 
-def _check_single(ct: TTCiphertext, params: TTParams) -> None:
-    if len(ct) != 1:
-        raise MalformedCiphertextError(f"expected one ciphertext, got a batch of {len(ct)}")
-    if ct.n != params.n:
+def _check_components(cts: TTCiphertext, params: TTParams) -> None:
+    if cts.n != params.n:
         raise MalformedCiphertextError(
-            f"ciphertext has {ct.n} components, scheme has {params.n} users"
+            f"ciphertexts have {cts.n} components, scheme has {params.n} users"
         )
 
 
-def tt_dec(params: TTParams, row: np.ndarray, ct: TTCiphertext) -> int:
-    """Decrypt one (k=1) ciphertext with any single user key row (its own component)."""
+def tt_dec(params: TTParams, row: np.ndarray, cts: TTCiphertext) -> np.ndarray:
+    """(k,) bits: each ciphertext of the batch decrypted through the row's own component."""
     key_bits, idx = decode_key_row(params, row)
     if idx >= params.n:
         raise InputShapeError(
             f"decoded index {idx} outside the {params.n}-user key space"
         )
-    _check_single(ct, params)
+    _check_components(cts, params)
     key = EncKey(params.scheme, key_bits, params.prg)
-    return int(enc_decrypt_many(key, ct.rs[:, idx], ct.masked[:, idx])[0])
+    return enc_decrypt_many(key, cts.rs[:, idx], cts.masked[:, idx])
 
 
-def tt_dec_circuit(ct: TTCiphertext, params: TTParams, mode: str = FOLDED) -> Circuit:
-    """Decryption circuit of a fixed (k=1) ciphertext over the kappa key-row wires.
+def tt_dec_circuit(cts: TTCiphertext, params: TTParams, mode: str = FOLDED) -> list[Circuit]:
+    """Decryption circuits of a batch, one per ciphertext, over the kappa key-row wires.
 
     Per user: an indicator conjunction over the index wires joined with
     that user's component decryption circuit; one outer OR.  Built from
-    the ciphertext and public parameters only — no key material.  Depth
+    the ciphertexts and public parameters only — no key material.  Depth
     <= 6 in literal mode, <= 4 folded.
     """
     prg = circuit_prg(params.prg)
-    _check_single(ct, params)
+    _check_components(cts, params)
     ke = params.enc_bits
-    b = CircuitBuilder(params.kappa)
-    user_terms = []
-    for u, bits in enumerate(encode_index(np.arange(params.n), params.n).tolist()):
-        ind = [b.literal(ke + t, bool(v)) for t, v in enumerate(bits)] or [b.const(1)]
-        comp = append_dec_component(b, ct.rs[0, u], ct.masked[0, u], prg, mode)
-        user_terms.append(b.and_((*ind, comp)))
-    return b.build(b.or_(user_terms))
+    index = list(enumerate(encode_index(np.arange(params.n), params.n).tolist()))
+    circuits = []
+    for rs, masked in zip(cts.rs, cts.masked):
+        b = CircuitBuilder(params.kappa)
+        user_terms = []
+        for u, bits in index:
+            ind = [b.literal(ke + t, bool(v)) for t, v in enumerate(bits)] or [b.const(1)]
+            comp = append_dec_component(b, rs[u], masked[u], prg, mode)
+            user_terms.append(b.and_((*ind, comp)))
+        circuits.append(b.build(b.or_(user_terms)))
+    return circuits
 
 
 class PirateOracle:
@@ -312,12 +320,8 @@ def honest_pirate(ks: TTKeySet, user: int) -> PirateOracle:
     """Decrypts every ciphertext with one user's key, honestly."""
     if not 0 <= user < ks.params.n:
         raise InputShapeError(f"no user {user} in a {ks.params.n}-user key set")
-    key = ks.key(user)
-
-    def fn(cts: TTCiphertext, _o: PirateOracle) -> np.ndarray:
-        return enc_decrypt_many(key, cts.rs[:, user], cts.masked[:, user])
-
-    return PirateOracle(fn, label=f"honest:{user}")
+    row = ks.rows[user]
+    return PirateOracle(lambda cts, _o: tt_dec(ks.params, row, cts), label=f"honest:{user}")
 
 
 def zeros_pirate() -> PirateOracle:
@@ -331,7 +335,7 @@ def zeros_pirate() -> PirateOracle:
 class TTDecQueryFamily:
     """All tracing-query circuits of one batch, evaluated in bulk.
 
-    Semantically this is [tt_dec_circuit(cts[j], params) for j in range(k)]:
+    Semantically this is tt_dec_circuit(cts, params) evaluated on rows:
     evaluate_on_rows computes every circuit on every row by sharing the
     per-row PRG expansion instead of walking 50k netlists gate by gate.
     The equivalence tests check it against those netlists; only the cost
@@ -344,10 +348,7 @@ class TTDecQueryFamily:
     @classmethod
     def from_ciphertexts(cls, cts: TTCiphertext, params: TTParams) -> "TTDecQueryFamily":
         prg = circuit_prg(params.prg)
-        if cts.n != params.n:
-            raise MalformedCiphertextError(
-                f"ciphertexts have {cts.n} components, scheme has {params.n} users"
-            )
+        _check_components(cts, params)
         check_prg_indices(cts.rs, prg.ell)
         return cls(params, cts)
 

@@ -95,13 +95,14 @@ def test_criterion_01_perfect_correctness(acceptance):
     for block in range(4):
         rng = stream(0, "acceptance-1", "tt", block)
         ks = tt_gen(64, 16, LOCAL_PRG, rng)
+        bits, cts = [], []
         for _ in range(trials // (4 * 16) + 1):
-            bit = int(rng.integers(2))
-            ct = tt_enc(ks, bit, rng)
-            for u in range(16):
-                tt_trials += 1
-                if tt_dec(ks.params, ks.rows[u], ct) != bit:
-                    failures += 1
+            bits.append(int(rng.integers(2)))
+            cts.append(tt_enc(ks, bits[-1], rng))
+        batch = concat(*cts)
+        for u in range(16):
+            tt_trials += len(batch)
+            failures += int(np.count_nonzero(tt_dec(ks.params, ks.rows[u], batch) != bits))
 
     elapsed = time.perf_counter() - t0
     acceptance(
@@ -140,17 +141,17 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     cts = concat(tt_enc(ks, 1, rng), tt_enc(ks, 0, rng), tr_enc_index(ks, 2, rng))
     fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params)
     bulk = fam.evaluate_on_rows(rows16)
-    for j, ct in enumerate(cts):
-        for mode in (LITERAL, FOLDED):
-            got = eval_on_rows(tt_dec_circuit(ct, ks.params, mode), rows16)
+    for mode in (LITERAL, FOLDED):
+        for j, circ in enumerate(tt_dec_circuit(cts, ks.params, mode)):
+            got = eval_on_rows(circ, rows16)
             mismatches += int((got != bulk[j]).sum())
             compared += rows16.shape[0]
     # spot-check the per-key decryptor itself on decodable rows
     valid = rows16[(rows16[:, 8] * 2 + rows16[:, 9]) < 3]
     sample = valid[stream(0, "acceptance-2", "pick").integers(0, len(valid), 500)]
-    circ = tt_dec_circuit(cts[2], ks.params, FOLDED)
+    circ = tt_dec_circuit(cts, ks.params, FOLDED)[2]
     got = eval_on_rows(circ, sample)
-    want = np.array([tt_dec(ks.params, r, cts[2]) for r in sample], dtype=np.uint8)
+    want = np.array([tt_dec(ks.params, r, cts)[2] for r in sample], dtype=np.uint8)
     mismatches += int((got != want).sum())
     compared += len(sample)
 
@@ -162,8 +163,8 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     cts64 = concat(tt_enc(ks64, 1, rng), tt_enc(ks64, 0, rng), tr_enc_index(ks64, 8, rng))
     fam64 = TTDecQueryFamily.from_ciphertexts(cts64, ks64.params)
     bulk64 = fam64.evaluate_on_rows(rows_s)
-    for j, ct in enumerate(cts64):
-        got = eval_on_rows(tt_dec_circuit(ct, ks64.params, FOLDED), rows_s)
+    for j, circ in enumerate(tt_dec_circuit(cts64, ks64.params, FOLDED)):
+        got = eval_on_rows(circ, rows_s)
         mismatches += int((got != bulk64[j]).sum())
         compared += rows_s.shape[0]
     # same kappa and n with a short PRG keeps literal buildable
@@ -173,7 +174,8 @@ def test_criterion_02_circuit_oracle_equivalence(acceptance):
     fam_s = TTDecQueryFamily.from_ciphertexts(ct_s, ks64s.params)
     bulk_s = fam_s.evaluate_on_rows(rows_s)
     for mode in (LITERAL, FOLDED):
-        got = eval_on_rows(tt_dec_circuit(ct_s, ks64s.params, mode), rows_s)
+        [circ] = tt_dec_circuit(ct_s, ks64s.params, mode)
+        got = eval_on_rows(circ, rows_s)
         mismatches += int((got != bulk_s[0]).sum())
         compared += rows_s.shape[0]
 
@@ -206,8 +208,8 @@ def test_criterion_03_depth_bounds(acceptance):
     for i in range(100):
         ct = tr_enc_index(ks, i % 4, rng) if i % 2 else tt_enc(ks, i % 2, rng)
         for mode in (LITERAL, FOLDED):
-            d = circuit_metrics(tt_dec_circuit(ct, ks.params, mode)).depth
-            worst_tt = max(worst_tt, d)
+            [circ] = tt_dec_circuit(ct, ks.params, mode)
+            worst_tt = max(worst_tt, circuit_metrics(circ).depth)
             checked += 1
 
     # a few at the default full stretch, where only folded is buildable
@@ -221,10 +223,8 @@ def test_criterion_03_depth_bounds(acceptance):
         checked += 1
     ks64 = tt_gen(64, 16, LOCAL_PRG, rng)
     for bit in (0, 1):
-        ct = tt_enc(ks64, bit, rng)
-        worst_tt = max(
-            worst_tt, circuit_metrics(tt_dec_circuit(ct, ks64.params, FOLDED)).depth
-        )
+        [circ] = tt_dec_circuit(tt_enc(ks64, bit, rng), ks64.params, FOLDED)
+        worst_tt = max(worst_tt, circuit_metrics(circ).depth)
         checked += 1
 
     acceptance(
@@ -243,9 +243,8 @@ def test_criterion_04_decode_identity(acceptance):
         ks = tt_gen(64, 10, LOCAL_PRG, rng, prg=prg)
         w = rng.integers(0, 2, size=(10, 200), dtype=np.uint8)
         cts = tr_enc(ks, w, rng)
-        for j, ct in enumerate(cts):
-            for u in range(10):
-                bad += int(tt_dec(ks.params, ks.rows[u], ct) != w[u, j])
+        for u in range(10):
+            bad += int(np.count_nonzero(tt_dec(ks.params, ks.rows[u], cts) != w[u]))
     acceptance(4, bad == 0, f"20 trials x 10x200 decode matrix, {bad} mismatches")
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttpa.attack import (
+    RECORD_BYTES,
     AttackConfig,
     AttackReport,
     EXP_FULL,
@@ -20,6 +21,7 @@ from ttpa.attack import (
     wilson_interval,
     worker_count,
 )
+from ttpa.cli import main
 from ttpa.crypto import LOCAL_PRG, PRF, prg_params_gen
 from ttpa.errors import InputShapeError, SanitizerFailure, UnsupportedSchemeError
 from ttpa.fpcode import code_length, fp_feasible
@@ -41,6 +43,10 @@ from reference import replay_scan, replay_trial
 def small_keyset(n=3, kappa=16, seed=40):
     prg = prg_params_gen(seed, kappa // 2)
     return tt_gen(kappa, n, LOCAL_PRG, stream(seed, "atk-ks"), prg=prg)
+
+
+def instant_trial(cfg, prg, tag, coalition, t) -> TrialRecord:
+    return TrialRecord(1000 + t % 7, bool(t % 2), 1.0 / (t + 3), False)
 
 
 def trial_peak(cfg, prg) -> int:
@@ -211,6 +217,13 @@ class TestConfig:
         noisy = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=5000)
         with pytest.raises(InputShapeError, match="rounds=5000 would hold about 4.0 GiB"):
             AttackConfig(sanitizer=noisy)
+
+    def test_trials_past_the_memory_limit_refused(self):
+        # two experiments of 1 KiB records: 2^20 trials fill the 2 GiB bound
+        assert AttackConfig(n=3, kappa=16, trials=1 << 20).trials == 1 << 20
+        for trials in ((1 << 20) + 1, 1 << 62, 1 << 63):
+            with pytest.raises(InputShapeError, match="bytes of records"):
+                AttackConfig(n=3, kappa=16, trials=trials)
 
     def test_prg_too_large_to_draw_refused(self):
         # kappa=256 holds 128 seed bits: a 4 GiB index-set draw, refused unallocated
@@ -464,6 +477,30 @@ class TestRunAttack:
             with pytest.raises(AssertionError, match="reached the experiment"):
                 run_attack(cfg, jobs=jobs)
         assert workers == [1, 1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_records_peak_within_the_record_estimate(self, monkeypatch, tmp_path, capsys, jobs):
+        # trials that return at once, each record a fresh int and a 17-digit
+        # float, through attack run's report, its JSON text and its CSV
+        monkeypatch.setattr(attack_mod, "_run_trial", instant_trial)
+        monkeypatch.setattr(attack_mod, "prg_params_gen", lambda *args: None)
+
+        def peak(trials):
+            argv = [
+                "attack", "run", "--n", "3", "--kappa", "16", "--trials", str(trials),
+                "--jobs", jobs, "--out", str(tmp_path / "r.json"),
+                "--summary-csv", str(tmp_path / "r.csv"),
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(50)  # numpy and json set up some routines on first use
+        assert peak(2000) <= 2 * 2000 * RECORD_BYTES
 
     @pytest.mark.parametrize("rounds,workers", [(1200, 2), (1500, 1)])
     def test_worker_cap_counts_laplace_rounds(self, monkeypatch, rounds, workers):

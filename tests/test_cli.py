@@ -887,6 +887,77 @@ def test_settings_a_run_ignores_are_refused_before_any_draw(
     assert not (tmp_path / "r.json").exists()
 
 
+# Every numeric flag of each command, over edge values.  The bases are small, so
+# an accepted value runs in milliseconds, and attack run's one trial starts no
+# worker even at --jobs 2, which makes --trials reach the pool's sizing.
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e308", "5e-324", str(1 << 63))
+NUMERIC_FLAGS = {
+    ("attack", "run", "--n", "3", "--kappa", "16", "--trials", "1", "--jobs", "2",
+     "--sanitizer", "laplace"):
+        ("--n", "--kappa", "--eps-fp", "--trials", "--a", "--jobs", "--eps", "--delta",
+         "--amp-rounds", "--seed"),
+    (*TRACE, "sanitizer:laplace"): ("--eps-fp", "--a", "--eps", "--delta", "--amp-rounds", "--seed"),
+    ("tt", "keygen", "--kappa", "16", "--n", "3"): ("--kappa", "--n", "--seed"),
+    ("fpcode", "gen", "--n", "3"): ("--n", "--eps-fp", "--a", "--seed"),
+    ("fpcode", "bench", "--n", "3", "--trials", "1", "--strategy", "majority"):
+        ("--n", "--eps-fp", "--a", "--trials", "--coalition-size", "--seed"),
+    ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace"):
+        ("--eps", "--delta", "--amp-rounds", "--seed"),
+    ("tt", "export-circuit", "--keys", "{keys}"): ("--level", "--seed"),
+    ("demo", "laplace-tightness"): ("--seed",),
+}
+ENDLESS = pytest.mark.skip(
+    reason="fpcode bench keeps only counters, so it refuses no trial count: 2^63 trials never end"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(
+        (*base, flag, value),
+        id=f"{base[0]}-{base[1]}{flag}={value}",
+        marks=[ENDLESS] if (base[0], flag, value) == ("fpcode", "--trials", str(1 << 63)) else [],
+    )
+    for base, flags in NUMERIC_FLAGS.items()
+    for flag in flags
+    for value in EDGE_VALUES
+])
+def test_numeric_flags_run_or_refuse_cleanly(capsys, tmp_path, argv):
+    files = input_files(capsys, tmp_path)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
+    assert code in (0, 2), err
+    if code == 2:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+        assert stdout == "" and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tt", "keygen", "--kappa", str(1 << 63), "--n", "2"),
+    ("tt", "keygen", "--kappa", "64", "--n", "4000000000"),
+    ("tt", "trace", "--keys", "{big_kappa}", "--pirate", "honest:1"),
+    ("attack", "run", "--kappa", str(1 << 63)),
+    ("attack", "run", "--n", "3", "--kappa", "16", "--jobs", "2", "--trials", str(1 << 62)),
+    ("attack", "run", "--n", "3", "--kappa", "16", "--jobs", "2", "--trials", str(1 << 63)),
+])
+def test_sizes_past_the_memory_limit_refused_before_any_draw(capsys, tmp_path, monkeypatch, argv):
+    # these ended in a MemoryError or OverflowError traceback, numpy's "Unable to
+    # allocate 238. GiB", or, run serially, trials that could never finish
+    files = input_files(capsys, tmp_path)
+    keys = read_json(files["keys"])
+    files["big_kappa"] = str(tmp_path / "big-kappa.json")
+    with open(files["big_kappa"], "w") as f:
+        json.dump(dict(keys, kappa=1 << 63), f)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew or ran before refusing")
+
+    monkeypatch.setattr(ttscheme_mod, "prg_params_gen", no_draw)
+    monkeypatch.setattr(cli_mod, "run_attack", no_draw)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("fpcode", "bench", "--n", "3", "--eps-fp", "0.2", "--a", "2", "--trials", "2"),
     (*TRACE, "honest:1", "--eps-fp", "0.2", "--a", "2"),

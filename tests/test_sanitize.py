@@ -113,7 +113,7 @@ class TestEvaluate:
         ks, db = keyrow_setup()
         rng = stream(30, "san-q")
         for bit in (0, 1):
-            q = tt_dec_circuit(tt_enc(ks, bit, rng), ks.params)
+            [q] = tt_dec_circuit(tt_enc(ks, bit, rng), ks.params)
             assert evaluate_query(q, db) == float(bit)
 
     def test_validation(self):
@@ -131,9 +131,7 @@ class TestEvaluate:
         words = rng.integers(0, 2, (4, 25), dtype=np.uint8)
         fam = TTDecQueryFamily.from_ciphertexts(tr_enc(ks, words, rng), ks.params)
         via_family = evaluate_batch(fam, db)
-        via_circuits = evaluate_batch(
-            [tt_dec_circuit(fam.cts[j], fam.params, FOLDED) for j in range(len(fam))], db
-        )
+        via_circuits = evaluate_batch(tt_dec_circuit(fam.cts, fam.params, FOLDED), db)
         assert np.allclose(via_family, via_circuits)
         with pytest.raises(InputShapeError):
             evaluate_batch(fam, Database(np.zeros((2, 15), dtype=np.uint8)))

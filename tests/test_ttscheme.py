@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ttpa.attack import pirate_from_sanitizer
-from ttpa.circuit import circuit_metrics, eval_on_rows
+from ttpa.circuit import circuit_metrics, circuit_to_json, eval_on_rows
 from ttpa.crypto import (
     EXPAND_DIVISOR,
     FOLDED,
@@ -35,6 +35,7 @@ from ttpa.ttscheme import (
     TTKeySet,
     TTParams,
     check_batch,
+    check_key_shape,
     decode_index,
     decode_key_row,
     default_scan_repetitions,
@@ -148,6 +149,26 @@ class TestKeyLayout:
         with pytest.raises(InputShapeError):
             tt_gen(32, 2, LOCAL_PRG, rng, prg=prg_params_gen(0, 8))
 
+    def test_key_shape_checked_before_any_draw(self, monkeypatch):
+        # 256 users fill a 16-bit key's 8 index bits; 2^25 rows of 64 bits fill
+        # the 2 GiB bound.  kappa = 2^63 once formed 2^(2^62) and raised MemoryError
+        check_key_shape(16, 256)
+        check_key_shape(64, 1 << 25)
+        for kappa, n, why in (
+            (16, 257, "exceeds"),
+            (64, (1 << 25) + 1, "over the 2 GiB limit"),
+            (1 << 63, 2, "over the 2 GiB limit"),
+        ):
+            with pytest.raises(InputShapeError, match=why):
+                check_key_shape(kappa, n)
+
+        def no_draw(*args):
+            raise AssertionError("drew the PRG")
+
+        monkeypatch.setattr(ttscheme_mod, "prg_params_gen", no_draw)
+        with pytest.raises(InputShapeError, match="256000000000 bytes"):
+            tt_gen(64, 4_000_000_000, LOCAL_PRG, stream(0, "huge"))
+
     def test_params_check_themselves(self):
         prg = prg_params_gen(0, 8, ell=8)
         TTParams(16, 2, LOCAL_PRG, prg)
@@ -179,14 +200,14 @@ class TestEncryptDecrypt:
             for _ in range(50):
                 ct = tt_enc(ks, bit, rng)
                 for u in range(8):
-                    assert tt_dec(ks.params, ks.rows[u], ct) == bit
+                    assert tt_dec(ks.params, ks.rows[u], ct).tolist() == [bit]
 
     def test_single_user_degenerate(self):
         rng = stream(4, "one")
         ks = tt_gen(16, 1, LOCAL_PRG, rng)
         assert ks.params.index_bits == 0
         ct = tt_enc(ks, 1, rng)
-        assert tt_dec(ks.params, ks.rows[0], ct) == 1
+        assert tt_dec(ks.params, ks.rows[0], ct).tolist() == [1]
 
     def test_component_isolation(self):
         rng = stream(5, "iso")
@@ -194,8 +215,20 @@ class TestEncryptDecrypt:
         words = rng.integers(0, 2, (10, 50), dtype=np.uint8)
         cts = tr_enc(ks, words, rng)
         for u in range(10):
-            got = [tt_dec(ks.params, ks.rows[u], ct) for ct in cts]
-            assert got == words[u].tolist()
+            assert tt_dec(ks.params, ks.rows[u], cts).tolist() == words[u].tolist()
+
+    @pytest.mark.parametrize("k", [0, 1, 52_984])
+    def test_dec_reads_a_whole_batch_through_the_rows_own_component(self, k):
+        # 52,984 is the tracing batch at n=10 and the attack's defaults
+        ks = small_keyset(kappa=16, n=10, seed=5)
+        rng = stream(5, "dec-batch", k)
+        words = rng.integers(0, 2, (10, k), dtype=np.uint8)
+        cts = tr_enc(ks, words, rng)
+        for u in (0, 6, 9):
+            got = tt_dec(ks.params, ks.rows[u], cts)
+            own = enc_decrypt_many(ks.key(u), cts.rs[:, u], cts.masked[:, u])
+            assert got.shape == (k,) and got.dtype == np.uint8
+            assert np.array_equal(got, own) and np.array_equal(got, words[u])
 
     def test_batch_is_one_columnar_object(self):
         rng = stream(5, "batch")
@@ -205,11 +238,6 @@ class TestEncryptDecrypt:
         assert isinstance(cts, TTCiphertext)
         assert len(cts) == 7 and cts.n == 3
         assert cts.rs.shape == cts.masked.shape == (7, 3)
-        one = cts[4]
-        assert len(one) == 1
-        assert np.array_equal(one.rs[0], cts.rs[4])
-        assert np.array_equal(one.masked, cts[-3].masked)
-        assert len(list(cts)) == 7
         assert len(tt_enc(ks, 1, rng)) == 1
         with pytest.raises(MalformedCiphertextError):
             TTCiphertext(cts.rs[0], cts.masked[0])
@@ -233,7 +261,7 @@ class TestEncryptDecrypt:
         fam = TTDecQueryFamily.from_ciphertexts(wide, ks.params)
         assert np.array_equal(fam.evaluate_on_rows(ks.rows).T, words)
         for u in range(3):
-            assert [tt_dec(ks.params, ks.rows[u], ct) for ct in wide] == words[u].tolist()
+            assert tt_dec(ks.params, ks.rows[u], wide).tolist() == words[u].tolist()
             assert honest_pirate(ks, u).answer(wide).tolist() == words[u].tolist()
             assert honest_pirate(ks, u).answer(cts).tolist() == words[u].tolist()
 
@@ -244,17 +272,17 @@ class TestEncryptDecrypt:
         words = rng.integers(0, 2, (3, 7), dtype=np.uint8)
         cts = tr_enc(ks, words, rng)
         assert cts.rs.shape == (7, 3, 2) and cts.rs.dtype == np.uint8
-        assert cts.masked.shape == (7, 3) and cts[4].rs.shape == (1, 3, 2)
+        assert cts.masked.shape == (7, 3)
         for u in range(3):
             assert cts.rs[:, u].flags.c_contiguous
-            assert [tt_dec(ks.params, ks.rows[u], ct) for ct in cts] == words[u].tolist()
+            assert tt_dec(ks.params, ks.rows[u], cts).tolist() == words[u].tolist()
         with pytest.raises(MalformedCiphertextError):
             TTCiphertext(cts.rs[:, :2], cts.masked)
 
     def test_indexed_levels(self):
         rng = stream(6, "lvl")
         ks = tt_gen(16, 4, LOCAL_PRG, rng)
-        decode_all = lambda ct: [tt_dec(ks.params, ks.rows[u], ct) for u in range(4)]
+        decode_all = lambda ct: [tt_dec(ks.params, ks.rows[u], ct).item() for u in range(4)]
         assert decode_all(tr_enc_index(ks, 0, rng)) == [0, 0, 0, 0]
         assert decode_all(tr_enc_index(ks, 4, rng)) == [1, 1, 1, 1]
         assert decode_all(tr_enc_index(ks, 2, rng)) == [1, 1, 0, 0]
@@ -275,8 +303,6 @@ class TestEncryptDecrypt:
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
             tt_dec(ks.params, ks.rows[0], TTCiphertext(ct.rs[:, :1], ct.masked[:, :1]))
-        with pytest.raises(MalformedCiphertextError):
-            tt_dec(ks.params, ks.rows[0], tr_enc(ks, np.zeros((2, 2), dtype=np.uint8), rng))
         ks3 = small_keyset()
         ct3 = tt_enc(ks3, 0, rng)
         row = ks3.rows[0].copy()
@@ -358,26 +384,41 @@ class TestDecCircuit:
         rng = stream(8, "cc")
         words = rng.integers(0, 2, (4, 6), dtype=np.uint8)
         cts = tr_enc(ks, words, rng)
-        for ct in cts:
-            for mode in (LITERAL, FOLDED):
-                circ = tt_dec_circuit(ct, ks.params, mode)
-                assert circ.input_width == 16
-                got = eval_on_rows(circ, ks.rows)
-                want = [tt_dec(ks.params, ks.rows[u], ct) for u in range(4)]
-                assert got.tolist() == want
+        want = np.array([tt_dec(ks.params, ks.rows[u], cts) for u in range(4)])
+        assert np.array_equal(want, words)
+        for mode in (LITERAL, FOLDED):
+            circs = tt_dec_circuit(cts, ks.params, mode)
+            assert len(circs) == 6 and all(c.input_width == 16 for c in circs)
+            got = np.array([eval_on_rows(c, ks.rows) for c in circs])
+            assert np.array_equal(got.T, want)
+
+    @pytest.mark.parametrize("mode", [LITERAL, FOLDED])
+    def test_batch_circuits_are_the_one_ciphertext_circuits(self, mode):
+        # one build per batch gives ciphertext j the netlist its own k=1 batch gets
+        ks = small_keyset(kappa=16, n=3, seed=8, ell=32)
+        rng = stream(8, "cc-batch", mode)
+        cts = tr_enc(ks, rng.integers(0, 2, (3, 5), dtype=np.uint8), rng)
+        circs = tt_dec_circuit(cts, ks.params, mode)
+        assert len(circs) == len(cts)
+        for j, circ in enumerate(circs):
+            [one] = tt_dec_circuit(TTCiphertext(cts.rs[[j]], cts.masked[[j]]), ks.params, mode)
+            assert circuit_to_json(circ) == circuit_to_json(one)
+        empty = TTCiphertext(cts.rs[:0], cts.masked[:0])
+        assert tt_dec_circuit(empty, ks.params, mode) == []
 
     def test_depth_bounds(self):
         ks = small_keyset(kappa=16, n=4, seed=9)
         rng = stream(9, "depth")
         ct = tt_enc(ks, 1, rng)
-        assert circuit_metrics(tt_dec_circuit(ct, ks.params, LITERAL)).depth <= 6
-        assert circuit_metrics(tt_dec_circuit(ct, ks.params, FOLDED)).depth <= 4
+        [lit], [fol] = (tt_dec_circuit(ct, ks.params, mode) for mode in (LITERAL, FOLDED))
+        assert circuit_metrics(lit).depth <= 6
+        assert circuit_metrics(fol).depth <= 4
 
     def test_size_bound_folded(self):
         ks = small_keyset(kappa=32, n=8, seed=10)
         rng = stream(10, "size")
         ct = tt_enc(ks, 0, rng)
-        circ = tt_dec_circuit(ct, ks.params, FOLDED)
+        [circ] = tt_dec_circuit(ct, ks.params, FOLDED)
         comp_max = max(
             circuit_metrics(
                 enc_dec_circuit(ct.rs[0, u], ct.masked[0, u], ks.params.prg, FOLDED)
@@ -392,9 +433,8 @@ class TestDecCircuit:
         rng = stream(11, "agree")
         ct = tt_enc(ks, 1, rng)
         rows = rng.integers(0, 2, (1000, 32), dtype=np.uint8)
-        lit = eval_on_rows(tt_dec_circuit(ct, ks.params, LITERAL), rows)
-        fol = eval_on_rows(tt_dec_circuit(ct, ks.params, FOLDED), rows)
-        assert np.array_equal(lit, fol)
+        [lit], [fol] = (tt_dec_circuit(ct, ks.params, mode) for mode in (LITERAL, FOLDED))
+        assert np.array_equal(eval_on_rows(lit, rows), eval_on_rows(fol, rows))
 
     def test_prf_refused(self):
         rng = stream(12, "prf")
@@ -409,8 +449,6 @@ class TestDecCircuit:
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
             tt_dec_circuit(TTCiphertext(ct.rs[:, :2], ct.masked[:, :2]), ks.params)
-        with pytest.raises(MalformedCiphertextError):
-            tt_dec_circuit(tr_enc(ks, np.ones((3, 2), dtype=np.uint8), rng), ks.params)
 
 
 class TestQueryFamily:
@@ -423,8 +461,7 @@ class TestQueryFamily:
         assert len(fam) == 6 and fam.input_width == 16
         rows = all_rows(16)
         bulk = fam.evaluate_on_rows(rows)
-        for j in range(6):
-            circ = tt_dec_circuit(fam.cts[j], fam.params, FOLDED)
+        for j, circ in enumerate(tt_dec_circuit(fam.cts, fam.params, FOLDED)):
             assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
 
     def test_exhaustive_equivalence_literal(self):
@@ -434,8 +471,7 @@ class TestQueryFamily:
         fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params)
         rows = all_rows(16)
         bulk = fam.evaluate_on_rows(rows)
-        for j in range(4):
-            circ = tt_dec_circuit(fam.cts[j], fam.params, LITERAL)
+        for j, circ in enumerate(tt_dec_circuit(fam.cts, fam.params, LITERAL)):
             assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
 
     def test_sampled_equivalence_at_working_size(self):
@@ -445,8 +481,9 @@ class TestQueryFamily:
         fam = TTDecQueryFamily.from_ciphertexts(cts, ks.params)
         rows = rng.integers(0, 2, (200, 32), dtype=np.uint8)
         bulk = fam.evaluate_on_rows(rows)
-        for j in (0, 17, 49):
-            circ = tt_dec_circuit(fam.cts[j], fam.params, FOLDED)
+        picks = [0, 17, 49]
+        circs = tt_dec_circuit(TTCiphertext(cts.rs[picks], cts.masked[picks]), ks.params, FOLDED)
+        for j, circ in zip(picks, circs):
             assert np.array_equal(bulk[j], eval_on_rows(circ, rows))
 
     @pytest.mark.parametrize("a", [1.0, 20.0])
@@ -464,8 +501,10 @@ class TestQueryFamily:
         rows = np.vstack([ks.rows, dead])
         bulk = TTDecQueryFamily.from_ciphertexts(cts, ks.params).evaluate_on_rows(rows)
         assert np.array_equal(bulk[:, :3].T, cb.words) and not bulk[:, 3].any()
-        for j in rng.choice(cb.ell, 4, replace=False):
-            lit = eval_on_rows(tt_dec_circuit(cts[j], ks.params, LITERAL), rows)
+        picks = rng.choice(cb.ell, 4, replace=False)
+        circs = tt_dec_circuit(TTCiphertext(cts.rs[picks], cts.masked[picks]), ks.params, LITERAL)
+        for j, circ in zip(picks, circs):
+            lit = eval_on_rows(circ, rows)
             assert np.array_equal(lit, [*cb.words[:, j], 0]) and np.array_equal(lit, bulk[j])
 
     def test_empty_batch(self):
@@ -564,6 +603,18 @@ class TestPirates:
             pirate.answer(tt_enc(ks, 0, stream(19, "nonbit")))
         fine = PirateOracle(lambda cts, _o: np.ones(len(cts)))
         assert fine.answer(tt_enc(ks, 0, stream(19, "nonbit"))).tolist() == [1]
+
+    def test_honest_pirate_is_tt_dec(self):
+        ks = small_keyset(kappa=16, n=4, seed=6)
+        rng = stream(6, "honest-dec")
+        cts = tr_enc(ks, rng.integers(0, 2, (4, 30), dtype=np.uint8), rng)
+        for u in range(4):
+            want = tt_dec(ks.params, ks.rows[u], cts)
+            assert np.array_equal(honest_pirate(ks, u).answer(cts), want)
+        # a batch built for three users is refused, not read at column u
+        other = tr_enc(small_keyset(kappa=16, n=3, seed=6), np.ones((3, 5), np.uint8), rng)
+        with pytest.raises(MalformedCiphertextError, match="3 components, scheme has 4 users"):
+            honest_pirate(ks, 1).answer(other)
 
     def test_honest_pirate_bounds(self):
         ks = small_keyset()
@@ -766,7 +817,7 @@ class TestSerialization:
         back = through_text(ks)
         rng = stream(23, "behave")
         ct = tt_enc(ks, 1, rng)
-        assert all(tt_dec(back.params, back.rows[u], ct) == 1 for u in range(3))
+        assert all(tt_dec(back.params, back.rows[u], ct).tolist() == [1] for u in range(3))
 
     def test_prf_roundtrip(self):
         ks = tt_gen(16, 2, PRF, stream(24, "prf-json"))
