@@ -27,15 +27,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .crypto import (
-    LOCAL_PRG,
-    MAX_ALLOC_BYTES,
-    check_prg_draw,
-    circuit_prg,
-    default_stretch,
-    prg_params_gen,
-)
-from .errors import InputShapeError, SanitizerFailure
+from .crypto import LOCAL_PRG, check_prg_draw, circuit_prg, default_stretch, prg_params_gen
+from .errors import MAX_ALLOC_BYTES, InputShapeError, SanitizerFailure, check_alloc
 from .fpcode import DEFAULT_EPS_FP, DEFAULT_LENGTH_CONSTANT, code_length, fp_feasible
 from .sanitize import (
     LAPLACE,
@@ -88,11 +81,7 @@ class AttackConfig:
         if self.trials < 1:
             raise InputShapeError("need at least one trial")
         records = 2 * self.trials * RECORD_BYTES
-        if records > MAX_ALLOC_BYTES:
-            raise InputShapeError(
-                f"{self.trials} trials per experiment would hold {records} bytes of"
-                f" records, over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
-            )
+        check_alloc(records, f"the records of {self.trials} trials per experiment")
         check_key_shape(self.kappa, self.n)
         check_prg_draw(self.kappa // 2)
         self.trial_bytes()

@@ -38,6 +38,7 @@ from .errors import (
     MalformedCiphertextError,
     UnsupportedSchemeError,
     as_bits,
+    check_alloc,
 )
 from .seeds import integers_below, stream
 
@@ -46,10 +47,6 @@ PRF = "PRF"
 
 DEFAULT_LOCALITY = 5
 MIN_KEY_BITS = 8
-
-# largest array the library allocates before refusing: a PRG index-set
-# draw or a tracing batch
-MAX_ALLOC_BYTES = 2 << 30
 
 # a key's PRF nonce bits are drawn, a byte per bit, at most this many at once
 NONCE_CHUNK_BYTES = 64 << 10
@@ -170,8 +167,7 @@ def check_prg_draw(kappa: int, ell: int | None = None, locality: int = DEFAULT_L
     """Bytes prg_params_gen holds: (ell, kappa) uint64 keys, (ell, locality)
     index sets of np.min_scalar_type(kappa - 1) and 128 KiB of ufunc buffers.
     Raises for a seed over 2048 bits (a key packs an 11-bit column under 53),
-    a stretch below 1 or above MAX_ALLOC_BYTES, so callers refuse before
-    allocating.
+    a stretch below 1 or a draw check_alloc refuses, so callers refuse first.
     """
     ell = default_stretch(kappa) if ell is None else ell
     check_stretch(ell)
@@ -179,13 +175,7 @@ def check_prg_draw(kappa: int, ell: int | None = None, locality: int = DEFAULT_L
         raise InputShapeError(f"PRG index sets are drawn over at most 2048 seed bits, got {kappa}")
     position = np.min_scalar_type(kappa - 1).itemsize
     need = ell * (kappa * 8 + locality * position) + (128 << 10)
-    if need > MAX_ALLOC_BYTES:
-        raise InputShapeError(
-            f"PRG index sets over a {kappa}-bit seed at stretch {ell} need about"
-            f" {need / 2**30:.1f} GiB to draw, over the"
-            f" {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
-        )
-    return need
+    return check_alloc(need, f"PRG index sets over a {kappa}-bit seed at stretch {ell}")
 
 
 def prg_params_gen(
@@ -293,12 +283,12 @@ def prg_bits_at(params: LocalPrgParams, seeds: np.ndarray, positions: np.ndarray
     read at least ell / EXPAND_DIVISOR positions each are expanded and the
     expansions indexed; fewer gather each position's L seed bits and run
     the predicate's ANF on them, as prg_expand does on lane words.  At
-    ell = 32,768 on a 2-vCPU Xeon, gathering wins up to about 2 ell/3
-    positions a seed for one seed, ell/5 for four and ell/11 for ten.  16
-    is kept for memory, not speed: check_batch's 2n bytes per PRG position
-    hold a gathered user's cells, up to 32 bytes each, only while it reads
-    under ell/16 positions.  It still gathers a wide stack that reads a few
-    positions a seed (tt_enc's).
+    ell = 32,768 on a 2-vCPU Xeon, gathering wins up to about 0.85 ell
+    positions a seed for one seed, ell/2 for two, ell/4 for four and ell/10
+    for ten.  16 is kept for memory, not speed: check_batch's 2n bytes per
+    PRG position hold a gathered user's cells, up to 32 bytes each, only
+    while it reads under ell/16 positions.  It still gathers a wide stack
+    that reads a few positions a seed (tt_enc's).
     """
     arr = _check_seeds(params, seeds)
     pos = np.asarray(positions)

@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError, InputShapeError, as_bits, bits_from_hex, bits_to_hex
+from .errors import (
+    FileFormatError,
+    InputShapeError,
+    as_bits,
+    bits_from_hex,
+    bits_to_hex,
+    check_alloc,
+)
 from .seeds import stream
 
 MAJORITY = "MAJORITY"
@@ -109,8 +116,13 @@ def _check_params(n: int, eps_fp: float, a: float) -> None:
 def fp_gen(
     n: int, eps_fp: float, rng: np.random.Generator, a: float = DEFAULT_LENGTH_CONSTANT
 ) -> Codebook:
-    """Draw biases from the truncated arcsine density, then the word matrix."""
+    """Draw biases from the truncated arcsine density, then the word matrix.
+
+    Holds n + 32 bytes a column: the words, a byte a user, and float64
+    angles, biases and one row's draw, with numpy's temporaries.
+    """
     ell = code_length(n, eps_fp, a)
+    check_alloc(ell * (n + 32), f"a codebook of {ell} columns for n={n} users")
     t = bias_cutoff(n)
     # p = sin^2(x) with x uniform maps to the arcsine density; truncating x
     # to [asin(sqrt(t)), pi/2 - asin(sqrt(t))] truncates p to [t, 1-t].

@@ -30,13 +30,26 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _eval_packed, pack_rows
-from .errors import FileFormatError, InputShapeError, as_bits, bits_from_hex, bits_to_hex
+from .errors import (
+    FileFormatError,
+    InputShapeError,
+    as_bits,
+    bits_from_hex,
+    bits_to_hex,
+    check_alloc,
+)
 from .seeds import stream
 
 EXACT = "EXACT"
 LAPLACE = "LAPLACE"
 BASIC = "BASIC"
 ADVANCED = "ADVANCED"
+
+# Per query and Laplace amplification round: the float64 noise plus its
+# sum with the truths, then, from two rounds up, that sum plus the
+# median's copy.  sanitize_truths holds at most ROUND_BYTES * (rounds + 2)
+# bytes a query, rounds counted from 1.
+ROUND_BYTES = 16
 
 
 @dataclass(eq=False)
@@ -171,7 +184,8 @@ def evaluate_batch(queries: Sequence[Circuit] | QueryFamily, db: Database) -> np
 def sanitize_truths(
     cfg: SanitizerConfig, truths: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Apply the mechanism to already-computed true answers."""
+    """Apply the mechanism to already-computed true answers; noise that
+    check_alloc refuses is refused before the draw."""
     if cfg.kind == EXACT:
         return truths
     k = truths.shape[0]
@@ -179,6 +193,7 @@ def sanitize_truths(
         return truths
     scale = laplace_scale(cfg, k, m)
     rounds = max(1, cfg.amplification_rounds)
+    check_alloc(k * ROUND_BYTES * (rounds + 2), f"Laplace noise for {k} queries at rounds={rounds}")
     noisy = truths[None, :] + rng.laplace(0.0, scale, size=(rounds, k))
     np.clip(noisy, 0.0, 1.0, out=noisy)
     # the median of one value is that value, so one round skips the copy

@@ -27,7 +27,6 @@ from .circuit import Circuit, CircuitBuilder
 from .crypto import (
     FOLDED,
     LOCAL_PRG,
-    MAX_ALLOC_BYTES,
     MIN_KEY_BITS,
     EncKey,
     LocalPrgParams,
@@ -49,8 +48,10 @@ from .errors import (
     as_bits,
     bits_from_hex,
     bits_to_hex,
+    check_alloc,
 )
 from .fpcode import DEFAULT_LENGTH_CONSTANT, Codebook, code_length, fp_gen, fp_trace
+from .sanitize import ROUND_BYTES
 
 
 def index_width(n: int) -> int:
@@ -155,7 +156,7 @@ class TTCiphertext:
 
 def check_key_shape(kappa: int, n: int) -> None:
     """Key sets have kappa even and >= 16, 1 <= n <= 2^(kappa/2) users, and
-    (n, kappa) byte rows within MAX_ALLOC_BYTES, so callers refuse before drawing.
+    (n, kappa) byte rows that check_alloc admits, so callers refuse before drawing.
 
     n is compared through its index width: 2^(kappa/2) is never formed.
     """
@@ -169,11 +170,7 @@ def check_key_shape(kappa: int, n: int) -> None:
         raise InputShapeError(f"need at least one user, got {n}")
     if index_width(n) > kappa // 2:
         raise InputShapeError(f"n={n} exceeds 2^(kappa/2) with kappa={kappa}")
-    if n * kappa > MAX_ALLOC_BYTES:
-        raise InputShapeError(
-            f"{n} key rows of {kappa} bits would hold {n * kappa} bytes,"
-            f" over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
-        )
+    check_alloc(n * kappa, f"{n} key rows of {kappa} bits")
 
 
 def tt_gen(
@@ -406,10 +403,9 @@ COLUMN_BYTES = 56
 # uint8 expansion or, when users read under ell/16 positions each and are
 # gathered instead, at most 32 bytes a gathered cell.
 POSITION_BYTES = 32
-# Per ciphertext and Laplace amplification round: the float64 noise
-# plus its sum with the truths, then, from two rounds up, that sum plus
-# the median's copy.  One round takes no median, so this bounds it.
-ROUND_BYTES = 16
+# ROUND_BYTES counts the pirate's noise a Laplace round; sanitize_truths
+# counts at most 48 bytes a query more, which COLUMN_BYTES covers, so it
+# never refuses a batch admitted here.
 # The trial's Python objects and small arrays: keys, streams, closures.
 TRIAL_BYTES = 64 << 10
 
@@ -422,7 +418,7 @@ def check_batch(n: int, k: int, prg_ell: int, rounds: int = 0, nonce_bits: int =
     stretch (0 for PRF keys), nonce a PRF nonce row's bytes, draw one chunk
     of a key's nonce draw (a byte per bit) and its packed rows, rounds the
     pirate's Laplace rounds.  Checked against tracemalloc peaks in the
-    tests; raises above MAX_ALLOC_BYTES, so callers refuse before allocating.
+    tests and passed to check_alloc, so callers refuse before allocating.
     """
     nonce = (nonce_bits + 7) // 8
     width = -(-nonce_bits // 4) * 4
@@ -434,13 +430,7 @@ def check_batch(n: int, k: int, prg_ell: int, rounds: int = 0, nonce_bits: int =
         + prg_ell * (POSITION_BYTES + 2 * n)
         + TRIAL_BYTES
     )
-    if need > MAX_ALLOC_BYTES:
-        raise InputShapeError(
-            f"a batch of {k} ciphertexts to n={n} users at rounds={rounds}"
-            f" would hold about {need / 2**30:.1f} GiB,"
-            f" over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
-        )
-    return need
+    return check_alloc(need, f"a batch of {k} ciphertexts to n={n} users at rounds={rounds}")
 
 
 @dataclass(frozen=True)

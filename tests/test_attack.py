@@ -222,7 +222,7 @@ class TestConfig:
         # two experiments of 1 KiB records: 2^20 trials fill the 2 GiB bound
         assert AttackConfig(n=3, kappa=16, trials=1 << 20).trials == 1 << 20
         for trials in ((1 << 20) + 1, 1 << 62, 1 << 63):
-            with pytest.raises(InputShapeError, match="bytes of records"):
+            with pytest.raises(InputShapeError, match="records of"):
                 AttackConfig(n=3, kappa=16, trials=trials)
 
     def test_prg_too_large_to_draw_refused(self):

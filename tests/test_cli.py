@@ -890,7 +890,10 @@ def test_settings_a_run_ignores_are_refused_before_any_draw(
 # Every numeric flag of each command, over edge values.  The bases are small, so
 # an accepted value runs in milliseconds, and attack run's one trial starts no
 # worker even at --jobs 2, which makes --trials reach the pool's sizing.
-EDGE_VALUES = ("0", "-1", "nan", "inf", "1e308", "5e-324", str(1 << 63))
+EDGE_VALUES = (
+    "0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "1e-320", "100000", "10000000000",
+    str(1 << 63),
+)
 NUMERIC_FLAGS = {
     ("attack", "run", "--n", "3", "--kappa", "16", "--trials", "1", "--jobs", "2",
      "--sanitizer", "laplace"):
@@ -907,15 +910,19 @@ NUMERIC_FLAGS = {
     ("demo", "laplace-tightness"): ("--seed",),
 }
 ENDLESS = pytest.mark.skip(
-    reason="fpcode bench keeps only counters, so it refuses no trial count: 2^63 trials never end"
+    reason="fpcode bench keeps only counters, so it refuses no trial count, and attack run's"
+    " records admit 100,000 trials: these run for minutes, and 2^63 trials never end"
 )
+ENDLESS_ARGS = {("fpcode", "--trials", v) for v in ("100000", "10000000000", str(1 << 63))} | {
+    ("attack", "--trials", "100000")
+}
 
 
 @pytest.mark.parametrize("argv", [
     pytest.param(
         (*base, flag, value),
         id=f"{base[0]}-{base[1]}{flag}={value}",
-        marks=[ENDLESS] if (base[0], flag, value) == ("fpcode", "--trials", str(1 << 63)) else [],
+        marks=[ENDLESS] if (base[0], flag, value) in ENDLESS_ARGS else [],
     )
     for base, flags in NUMERIC_FLAGS.items()
     for flag in flags
@@ -937,10 +944,15 @@ def test_numeric_flags_run_or_refuse_cleanly(capsys, tmp_path, argv):
     ("attack", "run", "--kappa", str(1 << 63)),
     ("attack", "run", "--n", "3", "--kappa", "16", "--jobs", "2", "--trials", str(1 << 62)),
     ("attack", "run", "--n", "3", "--kappa", "16", "--jobs", "2", "--trials", str(1 << 63)),
+    ("fpcode", "gen", "--n", "100000"),
+    ("fpcode", "bench", "--n", "100000", "--trials", "1"),
+    ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace",
+     "--amp-rounds", "10000000000"),
 ])
 def test_sizes_past_the_memory_limit_refused_before_any_draw(capsys, tmp_path, monkeypatch, argv):
     # these ended in a MemoryError or OverflowError traceback, numpy's "Unable to
-    # allocate 238. GiB", or, run serially, trials that could never finish
+    # allocate 238. GiB" (106. TiB for the codebook, 74.5 GiB for the noise), or,
+    # run serially, trials that could never finish
     files = input_files(capsys, tmp_path)
     keys = read_json(files["keys"])
     files["big_kappa"] = str(tmp_path / "big-kappa.json")

@@ -18,7 +18,6 @@ from ttpa.crypto import (
     LOCAL_PRG,
     PRF,
     EXPAND_DIVISOR,
-    MAX_ALLOC_BYTES,
     EncKey,
     LocalPrgParams,
     append_dec_component,
@@ -36,6 +35,7 @@ from ttpa.crypto import (
 )
 from ttpa.circuit import CircuitBuilder
 from ttpa.errors import (
+    MAX_ALLOC_BYTES,
     InputShapeError,
     MalformedCiphertextError,
     UnsupportedSchemeError,

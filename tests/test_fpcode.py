@@ -1,13 +1,14 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ttpa.fpcode as fpcode_mod
-from ttpa.errors import FileFormatError, InputShapeError, canonical_json, read_json
+from ttpa.errors import MAX_ALLOC_BYTES, FileFormatError, InputShapeError, canonical_json, read_json
 from ttpa.fpcode import (
     COPY_ONE,
     MAJORITY,
@@ -147,6 +148,28 @@ class TestGen:
         assert np.array_equal(cb.biases, biases)
         assert np.array_equal(cb.words, words)
         assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+    def test_codebook_past_the_memory_limit_refused_before_any_draw(self):
+        # n + 32 bytes a column: the defaults admit n=129, not 130.  n=100,000
+        # and a=1e10 once died in numpy's "Unable to allocate 106. TiB"; at
+        # n=10^12 and a=1e281 the bytes are past float range
+        assert code_length(129, 0.05) * (129 + 32) <= MAX_ALLOC_BYTES
+        for n, a in ((130, 100.0), (100_000, 100.0), (3, 1e10), (10**12, 1e281)):
+            rng = stream(7, "fp-huge")
+            with pytest.raises(InputShapeError, match=f"for n={n} users would hold about"):
+                fp_gen(n, 0.05, rng, a=a)
+            assert rng.bit_generator.state == stream(7, "fp-huge").bit_generator.state
+
+    @pytest.mark.parametrize("n,a", [(2, 1000.0), (8, 20.0), (32, 2.0), (64, 1.0)])
+    def test_gen_peak_within_the_estimate(self, n, a):
+        fp_gen(n, 0.05, stream(8, "fp-peak"), a=a)  # numpy sets up some routines on first use
+        tracemalloc.start()
+        try:
+            cb = fp_gen(n, 0.05, stream(9, "fp-peak"), a=a)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cb.ell * (n + 32)
 
 
 class TestScores:

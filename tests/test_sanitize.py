@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ttpa.sanitize import (
     BASIC,
     EXACT,
     LAPLACE,
+    ROUND_BYTES,
     Database,
     SanitizerConfig,
     accuracy_check,
@@ -31,7 +33,7 @@ from ttpa.sanitize import (
     save_database,
 )
 from ttpa.seeds import stream
-from ttpa.ttscheme import TTDecQueryFamily, tr_enc, tt_dec_circuit, tt_enc, tt_gen
+from ttpa.ttscheme import TTDecQueryFamily, check_batch, tr_enc, tt_dec_circuit, tt_enc, tt_gen
 
 
 def const_circuit(value: int, width: int):
@@ -450,6 +452,31 @@ class TestSanitize:
         cfg = SanitizerConfig(LAPLACE, epsilon=1.0)
         out = sanitize_truths(cfg, np.zeros(0), 10, stream(37, "e"))
         assert out.shape == (0,)
+
+    def test_noise_past_the_memory_limit_refused_before_the_draw(self):
+        # one query at 10^10 rounds once died in numpy's "Unable to allocate 74.5 GiB"
+        cfg = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=10**10)
+        rng = stream(38, "huge")
+        with pytest.raises(InputShapeError, match="rounds=10000000000 would hold about 149.0 GiB"):
+            sanitize_truths(cfg, np.full(1, 0.5), 10, rng)
+        assert rng.bit_generator.state == stream(38, "huge").bit_generator.state
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 3, 10])
+    def test_noise_peak_within_the_estimate(self, rounds):
+        # and within what check_batch counts for the same batch, so a tracing
+        # trial it admits is never refused inside the pirate
+        cfg = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=rounds)
+        k = 100_000
+        truths = np.full(k, 0.5)
+        sanitize_truths(cfg, truths, 10, stream(39, "peak"))  # numpy sets up routines on first use
+        tracemalloc.start()
+        try:
+            sanitize_truths(cfg, truths, 10, stream(40, "peak"))
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = k * ROUND_BYTES * (max(1, rounds) + 2)
+        assert peak <= need <= check_batch(1, k, 0, rounds)
 
 
 class TestAccuracyCheck:

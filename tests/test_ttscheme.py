@@ -166,7 +166,7 @@ class TestKeyLayout:
             raise AssertionError("drew the PRG")
 
         monkeypatch.setattr(ttscheme_mod, "prg_params_gen", no_draw)
-        with pytest.raises(InputShapeError, match="256000000000 bytes"):
+        with pytest.raises(InputShapeError, match="key rows of 64 bits would hold about 238.4 GiB"):
             tt_gen(64, 4_000_000_000, LOCAL_PRG, stream(0, "huge"))
 
     def test_params_check_themselves(self):
