@@ -453,14 +453,17 @@ def enc_decrypt_many(key: EncKey, rs: np.ndarray, masked: np.ndarray) -> np.ndar
     return _pad_bits(key, nonces) ^ ms
 
 
-def append_dec_component(
-    b: CircuitBuilder,
-    r: int,
-    masked: int,
-    prg: LocalPrgParams,
-    mode: str = LITERAL,
+def check_circuit_mode(mode: str) -> None:
+    if mode not in (LITERAL, FOLDED):
+        raise InputShapeError(f"unknown circuit mode {mode!r}")
+
+
+def _append_dec_component(
+    b: CircuitBuilder, r: int, masked: int, prg: LocalPrgParams, mode: str
 ) -> int:
     """Append the decryption function of ciphertext (r, masked) onto seed wires 0..kappa-1.
+
+    The caller has checked r, masked and mode; they are used as given.
 
     literal: one conjunction per PRG output index — a CONST indicator
     [i == r] ANDed with (G_i(s) xor masked), all joined by one OR.  The
@@ -470,15 +473,8 @@ def append_dec_component(
     folded: the minterm DNF of G_r(s) xor masked, depth <= 2.  This is
     the only build that stays small at real stretch values.
     """
-    if masked not in (0, 1):  # before the int cast, which reads 0.9 as 0
-        raise InputShapeError(f"masked bit must be 0/1, got {masked!r}")
-    r, masked = int(r), int(masked)
-    if not 0 <= r < prg.ell:
-        raise MalformedCiphertextError(f"PRG index {r} outside [0, {prg.ell})")
     if mode == FOLDED:
         return append_dnf(b, prg.minterms[1 ^ masked], prg.index_sets[r].tolist())
-    if mode != LITERAL:
-        raise InputShapeError(f"unknown circuit mode {mode!r}")
     terms = []
     for i, wires in enumerate(prg.index_sets.tolist()):
         ind = b.const(1 if i == r else 0)
@@ -494,8 +490,11 @@ def enc_dec_circuit(
 ) -> Circuit:
     """Decryption circuit of ciphertext (r, masked) over the kappa seed wires (LOCAL_PRG only)."""
     prg = circuit_prg(prg)
+    r = check_prg_indices(r, prg.ell).item()
+    masked = as_bits(masked, "masked bit must be 0/1").item()
+    check_circuit_mode(mode)
     b = CircuitBuilder(prg.kappa)
-    return b.build(append_dec_component(b, r, masked, prg, mode))
+    return b.build(_append_dec_component(b, r, masked, prg, mode))
 
 
 def collision_bound(ell: int, k: int) -> float:

@@ -30,7 +30,8 @@ from .crypto import (
     MIN_KEY_BITS,
     EncKey,
     LocalPrgParams,
-    append_dec_component,
+    _append_dec_component,
+    check_circuit_mode,
     check_prg_indices,
     check_scheme,
     circuit_prg,
@@ -93,10 +94,6 @@ class TTParams:
     @property
     def enc_bits(self) -> int:
         return self.kappa // 2
-
-    @property
-    def index_bits(self) -> int:
-        return index_width(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,31 +189,16 @@ def tt_gen(
     params = TTParams(kappa, n, scheme, prg)
     rows = np.zeros((n, kappa), dtype=np.uint8)
     rows[:, :ke] = rng.integers(0, 2, (n, ke), dtype=np.uint8)
-    rows[:, ke : ke + params.index_bits] = encode_index(np.arange(n), n)
+    rows[:, ke : ke + index_width(n)] = encode_index(np.arange(n), n)
     return TTKeySet(params, rows)
-
-
-def decode_key_row(params: TTParams, row: np.ndarray) -> tuple[np.ndarray, int]:
-    """Split a key row into (component key bits, decoded user index)."""
-    arr = np.asarray(row)
-    if arr.shape != (params.kappa,):
-        raise InputShapeError(
-            f"key row must be {params.kappa} bits, got shape {arr.shape}"
-        )
-    arr = as_bits(arr, "key row entries must be bits")
-    return arr[: params.enc_bits], int(decode_index(arr[None], params.n)[0])
 
 
 def tr_enc(ks: TTKeySet, words: np.ndarray, rng: np.random.Generator) -> TTCiphertext:
     """Tracing batch: ciphertext j carries W[u, j] to user u, for every j."""
-    w = np.asarray(words)  # enc_encrypt_many checks the bits
-    if w.ndim != 2 or w.shape[0] != ks.params.n:
-        raise InputShapeError(
-            f"word matrix must be (n={ks.params.n}, k), got shape {w.shape}"
-        )
+    # enc_encrypt_many checks that the words are (n, k) bits; they are
     # encrypted user by user, returned with axes 0 and 1 swapped: every per-user
     # column (what decryption and the query family read) is contiguous
-    rs, ms = enc_encrypt_many(ks.key(slice(None)), w, rng)
+    rs, ms = enc_encrypt_many(ks.key(slice(None)), words, rng)
     return TTCiphertext(rs.swapaxes(0, 1), ms.T)
 
 
@@ -231,8 +213,8 @@ def tt_enc(ks: TTKeySet, bit: int, rng: np.random.Generator) -> TTCiphertext:
 def tr_enc_index(ks: TTKeySet, i: int, rng: np.random.Generator) -> TTCiphertext:
     """Mixed ciphertext at level i: users 0..i-1 decrypt 1, the rest 0."""
     n = ks.params.n
-    if not 0 <= i <= n:
-        raise InputShapeError(f"level must be in [0, {n}], got {i}")
+    if not 0 <= i <= n or i != int(i):  # checked as given: 1.5 is refused, not read as 2
+        raise InputShapeError(f"level must be an integer in [0, {n}], got {i!r}")
     col = (np.arange(n) < i).astype(np.uint8)[:, None]
     return tr_enc(ks, col, rng)
 
@@ -244,15 +226,28 @@ def _check_components(cts: TTCiphertext, params: TTParams) -> None:
         )
 
 
+def _check_circuit_batch(cts: TTCiphertext, params: TTParams) -> LocalPrgParams:
+    """The PRG a batch's decryption circuits compute, once the batch is checked:
+    LOCAL_PRG keys, one component per user and (k, n) PRG indices in [0, ell)."""
+    prg = circuit_prg(params.prg)
+    _check_components(cts, params)
+    if cts.rs.ndim != 2:
+        raise MalformedCiphertextError(f"PRG indices must be (k, n), got shape {cts.rs.shape}")
+    check_prg_indices(cts.rs, prg.ell)
+    return prg
+
+
 def tt_dec(params: TTParams, row: np.ndarray, cts: TTCiphertext) -> np.ndarray:
     """(k,) bits: each ciphertext of the batch decrypted through the row's own component."""
-    key_bits, idx = decode_key_row(params, row)
+    arr = np.asarray(row)
+    if arr.shape != (params.kappa,):
+        raise InputShapeError(f"key row must be {params.kappa} bits, got shape {arr.shape}")
+    arr = as_bits(arr, "key row entries must be bits")
+    idx = int(decode_index(arr[None], params.n)[0])
     if idx >= params.n:
-        raise InputShapeError(
-            f"decoded index {idx} outside the {params.n}-user key space"
-        )
+        raise InputShapeError(f"decoded index {idx} outside the {params.n}-user key space")
     _check_components(cts, params)
-    key = EncKey(params.scheme, key_bits, params.prg)
+    key = EncKey(params.scheme, arr[: params.enc_bits], params.prg)
     return enc_decrypt_many(key, cts.rs[:, idx], cts.masked[:, idx])
 
 
@@ -262,19 +257,19 @@ def tt_dec_circuit(cts: TTCiphertext, params: TTParams, mode: str = FOLDED) -> l
     Per user: an indicator conjunction over the index wires joined with
     that user's component decryption circuit; one outer OR.  Built from
     the ciphertexts and public parameters only — no key material.  Depth
-    <= 6 in literal mode, <= 4 folded.
+    <= 6 in literal mode, <= 4 folded.  Refuses what the query family does.
     """
-    prg = circuit_prg(params.prg)
-    _check_components(cts, params)
+    prg = _check_circuit_batch(cts, params)
+    check_circuit_mode(mode)
     ke = params.enc_bits
     index = list(enumerate(encode_index(np.arange(params.n), params.n).tolist()))
     circuits = []
-    for rs, masked in zip(cts.rs, cts.masked):
+    for rs, masked in zip(cts.rs.tolist(), cts.masked.tolist()):
         b = CircuitBuilder(params.kappa)
         user_terms = []
         for u, bits in index:
             ind = [b.literal(ke + t, bool(v)) for t, v in enumerate(bits)] or [b.const(1)]
-            comp = append_dec_component(b, rs[u], masked[u], prg, mode)
+            comp = _append_dec_component(b, rs[u], masked[u], prg, mode)
             user_terms.append(b.and_((*ind, comp)))
         circuits.append(b.build(b.or_(user_terms)))
     return circuits
@@ -344,9 +339,7 @@ class TTDecQueryFamily:
 
     @classmethod
     def from_ciphertexts(cls, cts: TTCiphertext, params: TTParams) -> "TTDecQueryFamily":
-        prg = circuit_prg(params.prg)
-        _check_components(cts, params)
-        check_prg_indices(cts.rs, prg.ell)
+        _check_circuit_batch(cts, params)
         return cls(params, cts)
 
     def __len__(self) -> int:

@@ -10,6 +10,7 @@ from ttpa.circuit import (
     AND,
     CircuitMetrics,
     circuit_metrics,
+    circuit_to_json,
     eval_on_rows,
 )
 from ttpa.crypto import (
@@ -20,7 +21,6 @@ from ttpa.crypto import (
     EXPAND_DIVISOR,
     EncKey,
     LocalPrgParams,
-    append_dec_component,
     check_prg_draw,
     collision_bound,
     default_stretch,
@@ -33,7 +33,6 @@ from ttpa.crypto import (
     prg_params_gen,
     xor_and_table,
 )
-from ttpa.circuit import CircuitBuilder
 from ttpa.errors import (
     MAX_ALLOC_BYTES,
     InputShapeError,
@@ -853,16 +852,20 @@ class TestDecCircuit:
         assert m.size <= 40
 
     def test_mode_and_index_validation(self):
+        # each input is checked as given: 0.9 is not read as 0, 2.4 not as
+        # index 2, True not as index 1, -1 not as the last index
         params = self._params()
-        b = CircuitBuilder(10)
-        with pytest.raises(InputShapeError):
-            append_dec_component(b, 0, 0, params, mode="nope")
-        with pytest.raises(InputShapeError):
-            append_dec_component(b, 0, 2, params)
-        with pytest.raises(InputShapeError, match="masked bit must be 0/1"):
-            append_dec_component(b, 0, 0.9, params)  # not read as 0
-        with pytest.raises(MalformedCiphertextError):
-            enc_dec_circuit(6, 0, params)
+        with pytest.raises(InputShapeError, match="unknown circuit mode 'nope'"):
+            enc_dec_circuit(0, 0, params, mode="nope")
+        for masked in (2, 0.9, -1):
+            with pytest.raises(InputShapeError, match="masked bit must be 0/1"):
+                enc_dec_circuit(0, masked, params)
+        for r in (6, -1, 2.4, True, np.uint32(6), 1 << 70):
+            with pytest.raises(MalformedCiphertextError):
+                enc_dec_circuit(r, 0, params)
+        want = circuit_to_json(enc_dec_circuit(5, 1, params, FOLDED))
+        for r, masked in ((np.int64(5), True), (np.uint8(5), np.uint8(1)), (5, 1.0)):
+            assert circuit_to_json(enc_dec_circuit(r, masked, params, FOLDED)) == want
 
 
 class TestCollisionBound:

@@ -12,8 +12,10 @@ from ttpa.crypto import (
     LITERAL,
     LOCAL_PRG,
     PRF,
+    EncKey,
     enc_dec_circuit,
     enc_decrypt_many,
+    enc_encrypt_many,
     prg_params_gen,
 )
 from ttpa.errors import (
@@ -37,7 +39,6 @@ from ttpa.ttscheme import (
     check_batch,
     check_key_shape,
     decode_index,
-    decode_key_row,
     default_scan_repetitions,
     encode_index,
     honest_pirate,
@@ -94,20 +95,25 @@ class TestKeyLayout:
         assert decode_index(rows, 5).tolist() == [6]
 
     def test_hand_row_decodes(self):
-        # 8 key bits, 2 index bits (big-endian), 6 zero pad
+        # 8 key bits, 2 index bits (big-endian), 6 zero pad: the row decrypts
+        # component 2 under its first 8 bits, and only that component carries a 1
         params = TTParams(16, 3, PRF, None)
         row = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        bits, idx = decode_key_row(params, row)
-        assert bits.tolist() == [1, 0, 1, 1, 0, 0, 0, 1]
-        assert idx == 2
+        keys = EncKey(PRF, np.tile(row[:8], (3, 1)), None)
+        rs, ms = enc_encrypt_many(keys, np.array([[0], [0], [1]]), stream(0, "hand-row"))
+        ct = TTCiphertext(rs.swapaxes(0, 1), ms.T)
+        assert tt_dec(params, row, ct).tolist() == [1]
+        row[8:10] = [0, 1]
+        assert tt_dec(params, row, ct).tolist() == [0]
 
     def test_generated_rows_follow_layout(self):
         ks = small_keyset(kappa=16, n=3)
-        ke, iw = ks.params.enc_bits, ks.params.index_bits
+        ke, iw = ks.params.enc_bits, index_width(ks.params.n)
         assert (ke, iw) == (8, 2)
+        # ciphertext u carries a 1 to user u alone: row u decodes to index u
+        cts = tr_enc(ks, np.eye(3, dtype=np.uint8), stream(0, "layout"))
         for u in range(3):
-            _bits, idx = decode_key_row(ks.params, ks.rows[u])
-            assert idx == u
+            assert tt_dec(ks.params, ks.rows[u], cts).tolist() == np.eye(3)[u].tolist()
             assert not ks.rows[u, ke + iw :].any()
 
     def test_key_set_checks_its_rows(self):
@@ -183,12 +189,13 @@ class TestKeyLayout:
 
     def test_decode_validation(self):
         ks = small_keyset()
-        with pytest.raises(InputShapeError):
-            decode_key_row(ks.params, np.zeros(15, dtype=np.uint8))
+        ct = tt_enc(ks, 1, stream(0, "decode"))
+        with pytest.raises(InputShapeError, match="key row must be 16 bits"):
+            tt_dec(ks.params, np.zeros(15, dtype=np.uint8), ct)
         row = ks.rows[1].astype(np.float64)
         row[-1] = 256  # a uint8 cast would read user 1 as user 0
         with pytest.raises(InputShapeError, match="key row entries must be bits"):
-            decode_key_row(ks.params, row)
+            tt_dec(ks.params, row, ct)
 
 
 class TestEncryptDecrypt:
@@ -205,7 +212,7 @@ class TestEncryptDecrypt:
     def test_single_user_degenerate(self):
         rng = stream(4, "one")
         ks = tt_gen(16, 1, LOCAL_PRG, rng)
-        assert ks.params.index_bits == 0
+        assert index_width(ks.params.n) == 0
         ct = tt_enc(ks, 1, rng)
         assert tt_dec(ks.params, ks.rows[0], ct).tolist() == [1]
 
@@ -286,8 +293,13 @@ class TestEncryptDecrypt:
         assert decode_all(tr_enc_index(ks, 0, rng)) == [0, 0, 0, 0]
         assert decode_all(tr_enc_index(ks, 4, rng)) == [1, 1, 1, 1]
         assert decode_all(tr_enc_index(ks, 2, rng)) == [1, 1, 0, 0]
+        assert decode_all(tr_enc_index(ks, np.int64(1), rng)) == [1, 0, 0, 0]
         with pytest.raises(InputShapeError):
             tr_enc_index(ks, 5, rng)
+        # checked as given: an int cast would read 1.5 as level 2 and 0.5 as level 1
+        for level in (1.5, np.float64(0.5), -1):
+            with pytest.raises(InputShapeError, match="level must be an integer in"):
+                tr_enc_index(ks, level, rng)
 
     def test_input_validation(self):
         rng = stream(7, "bad")
@@ -425,7 +437,7 @@ class TestDecCircuit:
             ).size
             for u in range(8)
         )
-        n, iw = 8, ks.params.index_bits
+        n, iw = 8, index_width(8)
         assert circuit_metrics(circ).size <= n * (comp_max + iw + 1) + 1
 
     def test_modes_agree_on_random_rows(self):
@@ -449,6 +461,46 @@ class TestDecCircuit:
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
             tt_dec_circuit(TTCiphertext(ct.rs[:, :2], ct.masked[:, :2]), ks.params)
+
+    @pytest.mark.parametrize(
+        "fault", [None, "float", "bool", "negative", "ell", "uint32", "nonce-axis"]
+    )
+    def test_decryption_routes_refuse_the_same_batches(self, fault):
+        # the bit route, the query family and the circuits in both modes accept
+        # the same batches and decrypt them alike: each fault sits in user 1's
+        # component, which tt_dec reads through row 1
+        ks = small_keyset(kappa=16, n=3, seed=15, ell=32)
+        rng = stream(15, "routes")
+        words = rng.integers(0, 2, (3, 4), dtype=np.uint8)
+        ct = tr_enc(ks, words, rng)
+        rs = ct.rs.astype(
+            {"float": np.float64, "bool": bool, "negative": np.int64, "uint32": np.uint32}.get(
+                fault, ct.rs.dtype
+            )
+        )
+        rs[0, 1] = {"float": rs[0, 1] + 0.4, "negative": -1, "ell": 32, "uint32": 1 << 31}.get(
+            fault, rs[0, 1]
+        )
+        if fault == "nonce-axis":  # a PRF-shaped (k, n, 1) block of in-range indices
+            rs = rs[:, :, None]
+        batch = TTCiphertext(rs, ct.masked)
+        circuit_route = lambda mode: lambda: np.array(
+            [eval_on_rows(c, ks.rows[1:2])[0] for c in tt_dec_circuit(batch, ks.params, mode)]
+        )
+        routes = {
+            "tt_dec": lambda: tt_dec(ks.params, ks.rows[1], batch),
+            "query_family": lambda: TTDecQueryFamily.from_ciphertexts(
+                batch, ks.params
+            ).evaluate_on_rows(ks.rows)[:, 1],
+            LITERAL: circuit_route(LITERAL),
+            FOLDED: circuit_route(FOLDED),
+        }
+        for name, route in routes.items():
+            if fault is None:
+                assert route().tolist() == words[1].tolist(), name
+            else:
+                with pytest.raises(MalformedCiphertextError):
+                    route()
 
 
 class TestQueryFamily:
