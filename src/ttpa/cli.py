@@ -34,12 +34,23 @@ from .attack import (
     run_attack,
 )
 from .circuit import circuit_from_json, circuit_metrics, circuit_to_json
-from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, collision_bound
+from .crypto import (
+    EXPORT_BYTES,
+    EXPORT_GATE_BYTES,
+    FOLDED,
+    LITERAL,
+    LOCAL_PRG,
+    PRF,
+    circuit_prg,
+    collision_bound,
+    dec_circuit_gates,
+)
 from .errors import (
     FileFormatError,
     InputShapeError,
     bits_from_hex,
     canonical_json,
+    check_alloc,
     read_json,
 )
 from .fpcode import (
@@ -50,6 +61,7 @@ from .fpcode import (
     DEFAULT_LENGTH_CONSTANT,
     RANDOM_FEASIBLE,
     adversary_view_json,
+    check_codebook_file,
     code_length,
     codebook_from_json,
     codebook_to_json,
@@ -178,6 +190,7 @@ def _cmd_fpcode_gen(args) -> int:
     if args.coalition is not None and not args.adversary_view:
         raise InputShapeError("--coalition needs --adversary-view")
     coalition = _parse_coalition(args.coalition, args.n) if args.adversary_view else None
+    check_codebook_file(args.n, args.eps_fp, args.a)
     cb = fp_gen(args.n, args.eps_fp, stream(args.seed, "fpcode-gen"), a=args.a)
     _write_json(codebook_to_json(cb), args.out)
     if coalition:
@@ -313,6 +326,9 @@ def _cmd_tt_trace(args) -> int:
 
 def _cmd_tt_export_circuit(args) -> int:
     ks = keyset_from_json(read_json(args.keys))
+    p = ks.params
+    gates = dec_circuit_gates(circuit_prg(p.prg), args.mode, p.kappa, p.n)
+    check_alloc(gates * EXPORT_GATE_BYTES + EXPORT_BYTES, f"a netlist file of {gates} gates")
     rng = stream(args.seed, "tt-export")
     bit = 1 if args.bit is None else args.bit
     ct = tt_enc(ks, bit, rng) if args.level is None else tr_enc_index(ks, args.level, rng)

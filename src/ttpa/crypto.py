@@ -54,6 +54,13 @@ INDEX_CHUNK = 1 << 16  # PRG indices a key stack draws at once: 256 KiB of raw w
 
 LITERAL = "literal"
 FOLDED = "folded"
+# Bytes a decryption netlist holds per gate, as tracemalloc peaks at kappa 10-64
+# and n 1-256 put them: at most 205 while it is built (a Gate, its args tuple,
+# its id and its list slot), and 600-650 while circuit_to_json and the canonical
+# text are made as well, with up to 2 MiB more of the JSON encoder's chunks
+GATE_BYTES = 224
+EXPORT_GATE_BYTES = 650
+EXPORT_BYTES = 4 << 20
 
 
 def xor_and_table(locality: int = DEFAULT_LOCALITY) -> np.ndarray:
@@ -458,6 +465,18 @@ def check_circuit_mode(mode: str) -> None:
         raise InputShapeError(f"unknown circuit mode {mode!r}")
 
 
+def dec_circuit_gates(prg: LocalPrgParams, mode: str, width: int, components: int = 1) -> int:
+    """Most gates a decryption netlist over width wires holds with this many components.
+
+    Per wire an input and a NOT, 2 constants and the outer OR; per
+    component an indicator AND and an OR of ANDs: in folded mode an AND per
+    minterm, at most 2^L, and in literal mode 3 gates more than the
+    predicate's 1-minterms per PRG position (18.5 on average under xor-and).
+    """
+    per = prg.ell * (len(prg.minterms[1]) + 3) if mode == LITERAL else 1 << prg.locality
+    return 2 * width + 3 + components * (per + 2)
+
+
 def _append_dec_component(
     b: CircuitBuilder, r: int, masked: int, prg: LocalPrgParams, mode: str
 ) -> int:
@@ -493,6 +512,8 @@ def enc_dec_circuit(
     r = check_prg_indices(r, prg.ell).item()
     masked = as_bits(masked, "masked bit must be 0/1").item()
     check_circuit_mode(mode)
+    gates = dec_circuit_gates(prg, mode, prg.kappa)
+    check_alloc(gates * GATE_BYTES, f"a {mode} decryption circuit of {gates} gates")
     b = CircuitBuilder(prg.kappa)
     return b.build(_append_dec_component(b, r, masked, prg, mode))
 

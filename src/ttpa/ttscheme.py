@@ -26,6 +26,7 @@ import numpy as np
 from .circuit import Circuit, CircuitBuilder
 from .crypto import (
     FOLDED,
+    GATE_BYTES,
     LOCAL_PRG,
     MIN_KEY_BITS,
     EncKey,
@@ -35,6 +36,7 @@ from .crypto import (
     check_prg_indices,
     check_scheme,
     circuit_prg,
+    dec_circuit_gates,
     enc_decrypt_many,
     enc_encrypt_many,
     nonce_chunk_rows,
@@ -261,6 +263,8 @@ def tt_dec_circuit(cts: TTCiphertext, params: TTParams, mode: str = FOLDED) -> l
     """
     prg = _check_circuit_batch(cts, params)
     check_circuit_mode(mode)
+    gates = len(cts) * dec_circuit_gates(prg, mode, params.kappa, params.n)
+    check_alloc(gates * GATE_BYTES, f"{len(cts)} {mode} decryption circuits of {gates} gates")
     ke = params.enc_bits
     index = list(enumerate(encode_index(np.arange(params.n), params.n).tolist()))
     circuits = []

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from ttpa.cli import (
     resolve_seed,
     summary_csv,
 )
+from ttpa.crypto import EXPORT_BYTES, EXPORT_GATE_BYTES, LITERAL, dec_circuit_gates
 from ttpa.errors import InputShapeError, read_json
-from ttpa.fpcode import codebook_from_json
+from ttpa.fpcode import DEFAULT_EPS_FP, check_codebook_file, codebook_from_json
 from ttpa.sanitize import Database, dictator_circuit, save_database
 from ttpa.seeds import stream
 from ttpa.ttscheme import keyset_from_json
@@ -948,26 +950,64 @@ def test_numeric_flags_run_or_refuse_cleanly(capsys, tmp_path, argv):
     ("fpcode", "bench", "--n", "100000", "--trials", "1"),
     ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace",
      "--amp-rounds", "10000000000"),
+    ("tt", "export-circuit", "--keys", "{keys64}", "--mode", "literal"),
+    ("fpcode", "gen", "--n", "120"),
 ])
 def test_sizes_past_the_memory_limit_refused_before_any_draw(capsys, tmp_path, monkeypatch, argv):
     # these ended in a MemoryError or OverflowError traceback, numpy's "Unable to
     # allocate 238. GiB" (106. TiB for the codebook, 74.5 GiB for the noise), or,
-    # run serially, trials that could never finish
+    # run serially, trials that could never finish; a kappa-64 literal netlist
+    # for 32 users (12 GiB to write) and the 3.1 GiB of an n=120 codebook file
+    # passed every count and were built
     files = input_files(capsys, tmp_path)
     keys = read_json(files["keys"])
     files["big_kappa"] = str(tmp_path / "big-kappa.json")
     with open(files["big_kappa"], "w") as f:
         json.dump(dict(keys, kappa=1 << 63), f)
+    if "{keys64}" in argv:
+        files["keys64"] = str(tmp_path / "keys64.json")
+        run_cli(capsys, "tt", "keygen", "--kappa", "64", "--n", "32", "--out", files["keys64"])
 
     def no_draw(*args, **kwargs):
         raise AssertionError("drew or ran before refusing")
 
-    monkeypatch.setattr(ttscheme_mod, "prg_params_gen", no_draw)
-    monkeypatch.setattr(cli_mod, "run_attack", no_draw)
+    for module, name in (
+        (ttscheme_mod, "prg_params_gen"), (cli_mod, "run_attack"),
+        (cli_mod, "fp_gen"), (cli_mod, "tt_dec_circuit"),
+    ):
+        monkeypatch.setattr(module, name, no_draw)
     code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def traced_peak(capsys, *argv) -> int:
+    """Tracemalloc peak of one warm CLI run, which must succeed."""
+    assert run_cli(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, *argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,a", [(2, 1000.0), (16, 50.0), (80, 5.0)])
+def test_codebook_file_peak_within_the_count(capsys, tmp_path, n, a):
+    out = str(tmp_path / "cb.json")
+    peak = traced_peak(capsys, "fpcode", "gen", "--n", str(n), "--a", str(a), "--out", out)
+    assert peak <= check_codebook_file(n, DEFAULT_EPS_FP, a)
+
+
+@pytest.mark.parametrize("kappa,n", [(16, 1), (16, 3), (18, 2)])
+def test_literal_export_peak_within_the_count(capsys, tmp_path, kappa, n):
+    keys, out = str(tmp_path / "ks.json"), str(tmp_path / "c.json")
+    run_cli(capsys, "tt", "keygen", "--kappa", str(kappa), "--n", str(n), "--out", keys)
+    export = ("tt", "export-circuit", "--keys", keys, "--mode", "literal", "--out", out)
+    peak = traced_peak(capsys, *export)
+    prg = keyset_from_json(read_json(keys)).params.prg
+    assert peak <= dec_circuit_gates(prg, LITERAL, kappa, n) * EXPORT_GATE_BYTES + EXPORT_BYTES
 
 
 @pytest.mark.parametrize("argv", [

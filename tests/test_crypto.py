@@ -15,6 +15,7 @@ from ttpa.circuit import (
 )
 from ttpa.crypto import (
     FOLDED,
+    GATE_BYTES,
     LITERAL,
     LOCAL_PRG,
     PRF,
@@ -23,6 +24,7 @@ from ttpa.crypto import (
     LocalPrgParams,
     check_prg_draw,
     collision_bound,
+    dec_circuit_gates,
     default_stretch,
     enc_dec_circuit,
     enc_decrypt_many,
@@ -850,6 +852,30 @@ class TestDecCircuit:
         m = circuit_metrics(enc_dec_circuit(4095, 1, params, FOLDED))
         assert m.depth <= 2
         assert m.size <= 40
+
+    def test_build_peak_within_the_count(self):
+        params = prg_params_gen(1, 16)  # stretch 4096: 77,859 gates literal
+        for mode in (LITERAL, FOLDED):
+            tracemalloc.start()
+            try:
+                circ = enc_dec_circuit(4095, 1, params, mode)
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            gates = dec_circuit_gates(params, mode, 16)
+            assert len(circ.gates) <= gates and peak <= gates * GATE_BYTES
+
+    def test_netlist_past_the_memory_limit_refused_before_building(self, monkeypatch):
+        # 600,000 PRG positions: 11.4M literal gates
+        params = LocalPrgParams(10, np.zeros((600_000, 5), dtype=np.uint8), xor_and_table())
+        assert circuit_metrics(enc_dec_circuit(0, 0, params, FOLDED)).depth == 2
+
+        def no_build(*args):
+            raise AssertionError("built a netlist")
+
+        monkeypatch.setattr(crypto_mod, "CircuitBuilder", no_build)
+        with pytest.raises(InputShapeError, match="of 11400025 gates would hold about 2.4 GiB"):
+            enc_dec_circuit(0, 0, params, LITERAL)
 
     def test_mode_and_index_validation(self):
         # each input is checked as given: 0.9 is not read as 0, 2.4 not as

@@ -9,10 +9,12 @@ from ttpa.circuit import circuit_metrics, circuit_to_json, eval_on_rows
 from ttpa.crypto import (
     EXPAND_DIVISOR,
     FOLDED,
+    GATE_BYTES,
     LITERAL,
     LOCAL_PRG,
     PRF,
     EncKey,
+    dec_circuit_gates,
     enc_dec_circuit,
     enc_decrypt_many,
     enc_encrypt_many,
@@ -461,6 +463,35 @@ class TestDecCircuit:
         ct = tt_enc(ks, 0, rng)
         with pytest.raises(MalformedCiphertextError):
             tt_dec_circuit(TTCiphertext(ct.rs[:, :2], ct.masked[:, :2]), ks.params)
+
+    @pytest.mark.parametrize("mode", [LITERAL, FOLDED])
+    @pytest.mark.parametrize("kappa,n,k", [(16, 1, 1), (16, 3, 2), (20, 4, 1)])
+    def test_build_peak_within_the_count(self, mode, kappa, n, k):
+        ks = small_keyset(kappa=kappa, n=n, seed=16)
+        rng = stream(16, "gate-bytes", kappa, n)
+        cts = tr_enc(ks, rng.integers(0, 2, (n, k), dtype=np.uint8), rng)
+        tracemalloc.start()
+        try:
+            circs = tt_dec_circuit(cts, ks.params, mode)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gates = k * dec_circuit_gates(ks.params.prg, mode, kappa, n)
+        assert sum(len(c.gates) for c in circs) <= gates
+        assert peak <= gates * GATE_BYTES
+
+    def test_netlist_past_the_memory_limit_refused_before_building(self, monkeypatch):
+        # 32 users at kappa 64: 19.9M literal gates.  Folded, the netlist is small
+        ks = tt_gen(64, 32, LOCAL_PRG, stream(17, "big-netlist"))
+        ct = tt_enc(ks, 1, stream(17, "big-netlist-ct"))
+        assert len(tt_dec_circuit(ct, ks.params, FOLDED)[0].gates) < 2000
+
+        def no_build(*args):
+            raise AssertionError("built a netlist")
+
+        monkeypatch.setattr(ttscheme_mod, "CircuitBuilder", no_build)
+        with pytest.raises(InputShapeError, match="of 19923139 gates would hold about 4.2 GiB"):
+            tt_dec_circuit(ct, ks.params, LITERAL)
 
     @pytest.mark.parametrize(
         "fault", [None, "float", "bool", "negative", "ell", "uint32", "nonce-axis"]
