@@ -465,7 +465,7 @@ def check_circuit_mode(mode: str) -> None:
         raise InputShapeError(f"unknown circuit mode {mode!r}")
 
 
-def dec_circuit_gates(prg: LocalPrgParams, mode: str, width: int, components: int = 1) -> int:
+def dec_circuit_gates(prg: LocalPrgParams, mode: str, width: int, components: int) -> int:
     """Most gates a decryption netlist over width wires holds with this many components.
 
     Per wire an input and a NOT, 2 constants and the outer OR; per
@@ -512,7 +512,7 @@ def enc_dec_circuit(
     r = check_prg_indices(r, prg.ell).item()
     masked = as_bits(masked, "masked bit must be 0/1").item()
     check_circuit_mode(mode)
-    gates = dec_circuit_gates(prg, mode, prg.kappa)
+    gates = dec_circuit_gates(prg, mode, prg.kappa, 1)
     check_alloc(gates * GATE_BYTES, f"a {mode} decryption circuit of {gates} gates")
     b = CircuitBuilder(prg.kappa)
     return b.build(_append_dec_component(b, r, masked, prg, mode))

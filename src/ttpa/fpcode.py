@@ -256,14 +256,15 @@ def run_code_experiment(
     }
 
 
-def check_codebook_file(n: int, eps_fp: float, a: float = DEFAULT_LENGTH_CONSTANT) -> int:
+def check_codebook_file(n: int, eps_fp: float, a: float) -> int:
     """Bytes a codebook holds while codebook_to_json and canonical_json write it.
 
     7n/4 + 84 bytes a column and 2 MiB of the JSON encoder's chunks: the
     words, a byte a user, and a quarter byte a user of hex in each of the
-    JSON object, its text and the text with a newline; a column's float64
-    bias, its Python float and its text.  Tracemalloc peaks of fpcode gen at
-    n = 2-80 were 7n/4 + 79 bytes a column and up to 1.3 MiB more.
+    JSON object, the encoder's quoted chunks and the joined text; a
+    column's float64 bias, its Python float and its text.  Tracemalloc
+    peaks of fpcode gen at n = 2-80 were 7n/4 + 79 bytes a column and up
+    to 1.3 MiB more.
     """
     ell = code_length(n, eps_fp, a)
     need = ell * ((7 * n + 3) // 4 + 84) + (2 << 20)

@@ -862,7 +862,7 @@ class TestDecCircuit:
                 _now, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            gates = dec_circuit_gates(params, mode, 16)
+            gates = dec_circuit_gates(params, mode, 16, 1)
             assert len(circ.gates) <= gates and peak <= gates * GATE_BYTES
 
     def test_netlist_past_the_memory_limit_refused_before_building(self, monkeypatch):
