@@ -14,7 +14,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ttpa.cli import canonical_json, resolve_seed
+from ttpa.cli import resolve_seed
+from ttpa.errors import write_json
 from ttpa.sanitize import laplace_tightness_demo
 
 
@@ -52,8 +53,7 @@ def main() -> int:
     print(f"all_pass: {report['all_pass']}")
 
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(canonical_json(report) + "\n")
+        write_json(report, args.out)
         print(f"report: {args.out}")
     return 0
 

@@ -226,14 +226,25 @@ def append_dnf(b: CircuitBuilder, minterms: Sequence[Sequence[bool]], wires: Seq
     return b.or_(terms) if terms else b.const(0)
 
 
+GATE_PIECE = 256  # gates circuit_to_json gives write_json a piece
+
+
+def _gate_json(i: int, gate: Gate) -> dict:
+    op, args, aux = gate
+    g: dict = {"id": i, "op": op, "args": list(args)}
+    if op in _AUX_FIELDS:
+        g[_AUX_FIELDS[op]] = aux
+    return g
+
+
 def circuit_to_json(circ: Circuit) -> dict:
-    gates = []
-    for i, (op, args, aux) in enumerate(circ.gates):
-        g: dict = {"id": i, "op": op, "args": list(args)}
-        if op in _AUX_FIELDS:
-            g[_AUX_FIELDS[op]] = aux
-        gates.append(g)
-    return {"input_width": circ.input_width, "gates": gates, "output": circ.output}
+    """The netlist file's object; its gates are pieces, for write_json."""
+    gates = circ.gates
+    pieces = (
+        [_gate_json(i, gates[i]) for i in range(lo, min(lo + GATE_PIECE, len(gates)))]
+        for lo in range(0, len(gates), GATE_PIECE)
+    )
+    return {"input_width": circ.input_width, "gates": pieces, "output": circ.output}
 
 
 def circuit_from_json(obj: dict) -> Circuit:

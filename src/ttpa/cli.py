@@ -34,24 +34,14 @@ from .attack import (
     run_attack,
 )
 from .circuit import circuit_from_json, circuit_metrics, circuit_to_json
-from .crypto import (
-    EXPORT_BYTES,
-    EXPORT_GATE_BYTES,
-    FOLDED,
-    LITERAL,
-    LOCAL_PRG,
-    PRF,
-    circuit_prg,
-    collision_bound,
-    dec_circuit_gates,
-)
+from .crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, collision_bound
 from .errors import (
     FileFormatError,
     InputShapeError,
     bits_from_hex,
     canonical_json,
-    check_alloc,
     read_json,
+    write_json,
 )
 from .fpcode import (
     MAJORITY,
@@ -61,7 +51,6 @@ from .fpcode import (
     DEFAULT_LENGTH_CONSTANT,
     RANDOM_FEASIBLE,
     adversary_view_json,
-    check_codebook_file,
     code_length,
     codebook_from_json,
     codebook_to_json,
@@ -121,15 +110,6 @@ def resolve_seed(explicit: int | None) -> int:
     return 0 if explicit is None else int(explicit)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text)
-
-
-def _write_json(obj, path: str) -> None:
-    _write_text(path, canonical_json(obj) + "\n")
-
-
 def _report(args, obj: dict, out: str | None = None) -> int:
     """Print a command's report, and write it to out when one is named.
 
@@ -140,7 +120,7 @@ def _report(args, obj: dict, out: str | None = None) -> int:
     if "seed" in args:
         obj["config"]["seed"] = args.seed
     if out:
-        _write_json(obj, out)
+        write_json(obj, out)
     print(canonical_json(obj))
     return 0
 
@@ -190,11 +170,10 @@ def _cmd_fpcode_gen(args) -> int:
     if args.coalition is not None and not args.adversary_view:
         raise InputShapeError("--coalition needs --adversary-view")
     coalition = _parse_coalition(args.coalition, args.n) if args.adversary_view else None
-    check_codebook_file(args.n, args.eps_fp, args.a)
     cb = fp_gen(args.n, args.eps_fp, stream(args.seed, "fpcode-gen"), a=args.a)
-    _write_json(codebook_to_json(cb), args.out)
+    write_json(codebook_to_json(cb), args.out)
     if coalition:
-        _write_json(adversary_view_json(cb, list(coalition)), args.adversary_view)
+        write_json(adversary_view_json(cb, list(coalition)), args.adversary_view)
     obj = {
         "config": {
             "n": args.n,
@@ -261,7 +240,7 @@ def _cmd_fpcode_bench(args) -> int:
 def _cmd_tt_keygen(args) -> int:
     scheme = _SCHEMES[args.scheme]
     ks = tt_gen(args.kappa, args.n, scheme, stream(args.seed, "tt-keygen"))
-    _write_json(keyset_to_json(ks), args.out)
+    write_json(keyset_to_json(ks), args.out)
     obj = {
         "config": {
             "kappa": args.kappa,
@@ -326,14 +305,11 @@ def _cmd_tt_trace(args) -> int:
 
 def _cmd_tt_export_circuit(args) -> int:
     ks = keyset_from_json(read_json(args.keys))
-    p = ks.params
-    gates = dec_circuit_gates(circuit_prg(p.prg), args.mode, p.kappa, p.n)
-    check_alloc(gates * EXPORT_GATE_BYTES + EXPORT_BYTES, f"a netlist file of {gates} gates")
     rng = stream(args.seed, "tt-export")
     bit = 1 if args.bit is None else args.bit
     ct = tt_enc(ks, bit, rng) if args.level is None else tr_enc_index(ks, args.level, rng)
     [circ] = tt_dec_circuit(ct, ks.params, args.mode)
-    _write_json(circuit_to_json(circ), args.out)
+    write_json(circuit_to_json(circ), args.out)
     met = circuit_metrics(circ)
     obj = {
         "config": {
@@ -483,9 +459,10 @@ def _cmd_attack_run(args) -> int:
     check_audit_budget(args.eps, args.delta)
     report = run_attack(cfg, jobs=args.jobs)
     obj = report.to_dict(dp_audit(report, args.eps, args.delta))
-    _write_json(obj, args.out)
+    write_json(obj, args.out)
     if args.summary_csv:
-        _write_text(args.summary_csv, summary_csv(obj))
+        with open(args.summary_csv, "w") as f:
+            f.write(summary_csv(obj))
     print(emit_summary(obj))
     print(f"report: {args.out}")
     return 0

@@ -55,12 +55,9 @@ INDEX_CHUNK = 1 << 16  # PRG indices a key stack draws at once: 256 KiB of raw w
 LITERAL = "literal"
 FOLDED = "folded"
 # Bytes a decryption netlist holds per gate, as tracemalloc peaks at kappa 10-64
-# and n 1-256 put them: at most 205 while it is built (a Gate, its args tuple,
-# its id and its list slot), and 600-650 while circuit_to_json and the canonical
-# text are made as well, with up to 2 MiB more of the JSON encoder's chunks
+# and n 1-256 put them: at most 205 (a Gate, its args tuple, its id and its list
+# slot).  write_json writes a netlist a piece of gates at a time, within this.
 GATE_BYTES = 224
-EXPORT_GATE_BYTES = 650
-EXPORT_BYTES = 4 << 20
 
 
 def xor_and_table(locality: int = DEFAULT_LOCALITY) -> np.ndarray:

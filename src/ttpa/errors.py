@@ -4,13 +4,15 @@ Everything derives from ValueError so callers that only care about
 "bad input" can catch one thing; the CLI maps these to exit code 2.
 Every size the library allocates from its inputs is counted and passed
 to check_alloc before the allocation.  Every JSON artifact and report
-is written as canonical JSON and read with read_json; every bit row is
-one hex string (bits_to_hex, bits_from_hex), and every bit array is
-checked by as_bits.
+is canonical JSON, whose files write_json writes and read_json reads;
+every bit row is one hex string (bits_to_hex, bits_from_hex), and every
+bit array is checked by as_bits.
 """
 
 import json
 import math
+import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -65,17 +67,69 @@ class SanitizerFailure(RuntimeError):
     """
 
 
+def _join_pieces(value):
+    """An iterator of pieces as the one list or dict they join into (json's default hook)."""
+    if not isinstance(value, Iterator):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    pieces = list(value)
+    if pieces and isinstance(pieces[0], dict):
+        return {key: v for piece in pieces for key, v in piece.items()}
+    return [item for piece in pieces for item in piece]
+
+
 def canonical_json(obj) -> str:
     """Sorted keys, no whitespace: the same object always gives the same bytes.
 
-    Only RFC 8259 JSON is written: a NaN or infinite number is a program
-    fault, raised as RuntimeError (exit 1), since inputs that give one
-    are refused before any run.
+    An iterator of pieces, lists or dicts, is written as the one list or
+    dict they join into, as write_json writes it.  Only RFC 8259 JSON is
+    written: a NaN or infinite number is a program fault, raised as
+    RuntimeError (exit 1), since inputs that give one are refused before
+    any run.
     """
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_join_pieces
+        )
     except ValueError as e:
         raise RuntimeError(f"report is not JSON: {e}") from e
+
+
+def _write_pieces(f, pieces: Iterator) -> None:
+    """Write the one list or dict that pieces join into, holding one piece's text at a time."""
+    first = canonical_json(next(pieces, []))
+    f.write(first[:-1])
+    sep = "," if len(first) > 2 else ""
+    for piece in pieces:
+        inner = canonical_json(piece)[1:-1]
+        if inner:
+            f.write(sep + inner)
+            sep = ","
+    f.write(first[-1])
+
+
+def write_json(obj: dict, path: str) -> None:
+    """Write canonical_json(obj) + "\\n" to path, one top-level value at a time.
+
+    A value that is an iterator of pieces, lists or dicts whose keys
+    arrive in canonical (sorted string) order, is written a piece at a
+    time, as the one list or dict they join into, so no artifact's whole
+    text is held.  A write that raises leaves no file at path.
+    """
+    with open(path, "w") as f:
+        try:
+            f.write("{")
+            for i, key in enumerate(sorted(obj)):
+                f.write(("," if i else "") + canonical_json(key) + ":")
+                value = obj[key]
+                if isinstance(value, Iterator):
+                    _write_pieces(f, value)
+                else:
+                    f.write(canonical_json(value))
+            f.write("}\n")
+        except BaseException:
+            f.close()
+            os.remove(path)
+            raise
 
 
 def read_json(path: str):

@@ -256,22 +256,12 @@ def run_code_experiment(
     }
 
 
-def check_codebook_file(n: int, eps_fp: float, a: float) -> int:
-    """Bytes a codebook holds while codebook_to_json and canonical_json write it.
-
-    7n/4 + 84 bytes a column and 2 MiB of the JSON encoder's chunks: the
-    words, a byte a user, and a quarter byte a user of hex in each of the
-    JSON object, the encoder's quoted chunks and the joined text; a
-    column's float64 bias, its Python float and its text.  Tracemalloc
-    peaks of fpcode gen at n = 2-80 were 7n/4 + 79 bytes a column and up
-    to 1.3 MiB more.
-    """
-    ell = code_length(n, eps_fp, a)
-    need = ell * ((7 * n + 3) // 4 + 84) + (2 << 20)
-    return check_alloc(need, f"a codebook file of {ell} columns for n={n} users")
+BIAS_PIECE = 1024  # biases codebook_to_json gives write_json a piece
 
 
 def codebook_to_json(cb: Codebook) -> dict:
+    """The codebook file's object; biases and words are pieces, one hex word a piece,
+    for write_json, so the file is written without its whole text held."""
     return {
         "n": cb.n,
         "ell": cb.ell,
@@ -279,23 +269,28 @@ def codebook_to_json(cb: Codebook) -> dict:
         "a": cb.a,
         "cutoff": cb.cutoff,
         "threshold": cb.threshold,
-        "biases": cb.biases.tolist(),
-        "words": [bits_to_hex(w) for w in cb.words],
+        "biases": (cb.biases[lo : lo + BIAS_PIECE].tolist() for lo in range(0, cb.ell, BIAS_PIECE)),
+        "words": ([bits_to_hex(w)] for w in cb.words),
     }
 
 
 def adversary_view_json(cb: Codebook, coalition: list[int]) -> dict:
-    """What a coalition legitimately sees: its own rows, nothing else."""
-    for u in coalition:
+    """What a coalition legitimately sees: its own rows, nothing else.
+
+    The words are one {user: hex} piece per user, keyed in string order
+    (10 before 2), as canonical JSON sorts them.
+    """
+    users = sorted(int(u) for u in coalition)
+    if not users:
+        raise InputShapeError("coalition is empty")
+    for u in users:
         if not 0 <= u < cb.n:
             raise InputShapeError(f"no user {u} in an n={cb.n} codebook")
     return {
         "n": cb.n,
         "ell": cb.ell,
-        "coalition": sorted(int(u) for u in coalition),
-        "words": {
-            str(u): bits_to_hex(cb.words[u]) for u in sorted(coalition)
-        },
+        "coalition": users,
+        "words": ({u: bits_to_hex(cb.words[int(u)])} for u in sorted({str(u) for u in users})),
     }
 
 

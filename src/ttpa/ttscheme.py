@@ -62,22 +62,33 @@ def index_width(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def _index_shifts(n: int) -> np.ndarray:
-    return np.arange(index_width(n) - 1, -1, -1, dtype=np.int64)
-
-
 def encode_index(users: np.ndarray, n: int) -> np.ndarray:
-    """Users (m,) as their (m, index_width(n)) big-endian index bits."""
-    users = np.asarray(users, dtype=np.int64)
-    return ((users[:, None] >> _index_shifts(n)) & 1).astype(np.uint8)
+    """Users (m,) as their (m, index_width(n)) big-endian index bits.
+
+    Filled a bit column at a time in uint8, holding one shifted copy of
+    the users beside them.
+    """
+    users = np.asarray(users)
+    width = index_width(n)
+    out = np.empty((len(users), width), dtype=np.uint8)
+    for t in range(width):
+        np.bitwise_and(users >> (width - 1 - t), 1, out=out[:, t], casting="unsafe")
+    return out
 
 
 def decode_index(rows: np.ndarray, n: int) -> np.ndarray:
-    """User indices (m,) read from the index field of key rows (m, kappa)."""
+    """User indices (m,) read from the index field of key rows (m, kappa), as uint32.
+
+    A key set within the 2 GiB rule has index_width(n) <= 27, so 32 bits
+    hold every field; it is read a bit column at a time.
+    """
     arr = np.asarray(rows)
     ke = arr.shape[1] // 2
-    field = arr[:, ke : ke + index_width(n)].astype(np.int64)
-    return field @ (1 << _index_shifts(n))
+    idx = np.zeros(len(arr), dtype=np.uint32)
+    for bit in arr[:, ke : ke + index_width(n)].T:
+        idx <<= 1
+        idx |= bit
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +121,7 @@ class TTKeySet:
             raise InputShapeError(f"expected {n} rows of {kappa} bits, got shape {rows.shape}")
         # row u decrypts through component u: a wrong index field traces wrongly
         idxs = decode_index(rows, n)
-        bad = np.flatnonzero(idxs != np.arange(n))
+        bad = np.flatnonzero(idxs != np.arange(n, dtype=idxs.dtype))
         if bad.size:
             raise InputShapeError(f"row {bad[0]} decodes to index {idxs[bad[0]]}")
         object.__setattr__(self, "rows", rows)
@@ -153,9 +164,14 @@ class TTCiphertext:
         return int(self.rs.shape[0])
 
 
-def check_key_shape(kappa: int, n: int) -> None:
+def check_key_shape(kappa: int, n: int) -> int:
     """Key sets have kappa even and >= 16, 1 <= n <= 2^(kappa/2) users, and
-    (n, kappa) byte rows that check_alloc admits, so callers refuse before drawing.
+    the arrays tt_gen holds at once, which check_alloc must admit, so callers
+    refuse before drawing: the (n, kappa) byte rows, and beside them either
+    the (n, kappa/2) key draw or the index field's arrays, at most 9 bytes a
+    row more than its width (two uint32 vectors and a bool or uint8 column),
+    and 4 KiB of Python objects.  Tracemalloc measured 96 bytes a row and
+    1.7 KiB more at kappa 64 and n = 20,000 to 1,000,000.
 
     n is compared through its index width: 2^(kappa/2) is never formed.
     """
@@ -169,7 +185,8 @@ def check_key_shape(kappa: int, n: int) -> None:
         raise InputShapeError(f"need at least one user, got {n}")
     if index_width(n) > kappa // 2:
         raise InputShapeError(f"n={n} exceeds 2^(kappa/2) with kappa={kappa}")
-    check_alloc(n * kappa, f"{n} key rows of {kappa} bits")
+    need = n * (kappa + max(kappa // 2, index_width(n) + 9)) + (4 << 10)
+    return check_alloc(need, f"{n} key rows of {kappa} bits")
 
 
 def tt_gen(
@@ -191,7 +208,7 @@ def tt_gen(
     params = TTParams(kappa, n, scheme, prg)
     rows = np.zeros((n, kappa), dtype=np.uint8)
     rows[:, :ke] = rng.integers(0, 2, (n, ke), dtype=np.uint8)
-    rows[:, ke : ke + index_width(n)] = encode_index(np.arange(n), n)
+    rows[:, ke : ke + index_width(n)] = encode_index(np.arange(n, dtype=np.uint32), n)
     return TTKeySet(params, rows)
 
 
@@ -511,13 +528,20 @@ def linear_scan_report(ks: TTKeySet, pirate: PirateOracle, rng: np.random.Genera
     return ScanOutcome(accused, counts / float(s), counts, s)
 
 
+ROW_PIECE = 1024  # key rows keyset_to_json gives write_json a piece
+
+
 def keyset_to_json(ks: TTKeySet) -> dict:
-    p = ks.params
+    """The key file's object; its rows are pieces of hex rows, for write_json."""
+    p, rows = ks.params, ks.rows
     obj: dict = {
         "kappa": p.kappa,
         "n": p.n,
         "scheme": p.scheme,
-        "rows": [bits_to_hex(r) for r in ks.rows],
+        "rows": (
+            [bits_to_hex(r) for r in rows[lo : lo + ROW_PIECE]]
+            for lo in range(0, p.n, ROW_PIECE)
+        ),
         "prg": None,
     }
     if p.prg is not None:

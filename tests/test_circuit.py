@@ -282,7 +282,7 @@ class TestJson:
     def test_json_shape(self):
         b = CircuitBuilder(2)
         c = b.build(b.and_([0, b.const(1)]))
-        obj = circuit_to_json(c)
+        obj = json.loads(canonical_json(circuit_to_json(c)))
         assert set(obj) == {"input_width", "gates", "output"}
         assert obj["gates"][0] == {"id": 0, "op": INPUT, "args": [], "input_index": 0}
         assert obj["gates"][2] == {"id": 2, "op": CONST, "args": [], "value": 1}

@@ -20,9 +20,9 @@ from ttpa.cli import (
     resolve_seed,
     summary_csv,
 )
-from ttpa.crypto import EXPORT_BYTES, EXPORT_GATE_BYTES, LITERAL, dec_circuit_gates
+from ttpa.crypto import GATE_BYTES, LITERAL, dec_circuit_gates
 from ttpa.errors import InputShapeError, read_json
-from ttpa.fpcode import DEFAULT_EPS_FP, check_codebook_file, codebook_from_json
+from ttpa.fpcode import DEFAULT_EPS_FP, code_length, codebook_from_json
 from ttpa.sanitize import Database, dictator_circuit, save_database
 from ttpa.seeds import stream
 from ttpa.ttscheme import keyset_from_json
@@ -461,12 +461,13 @@ class TestSanitizeCommand:
             f.write(canonical_json(circuit_to_json(dictator_circuit(0, 3))))
         qs = str(tmp_path / "qs.json")
         with open(qs, "w") as f:
-            json.dump(
-                [
-                    circuit_to_json(dictator_circuit(1, 3)),
-                    circuit_to_json(dictator_circuit(2, 3)),
-                ],
-                f,
+            f.write(
+                canonical_json(
+                    [
+                        circuit_to_json(dictator_circuit(1, 3)),
+                        circuit_to_json(dictator_circuit(2, 3)),
+                    ]
+                )
             )
         return db_path, q0, qs
 
@@ -951,14 +952,14 @@ def test_numeric_flags_run_or_refuse_cleanly(capsys, tmp_path, argv):
     ("sanitize", "run", "--db", "{db}", "--queries", "{query}", "--kind", "laplace",
      "--amp-rounds", "10000000000"),
     ("tt", "export-circuit", "--keys", "{keys64}", "--mode", "literal"),
-    ("fpcode", "gen", "--n", "120"),
+    ("fpcode", "gen", "--n", "130"),
 ])
 def test_sizes_past_the_memory_limit_refused_before_any_draw(capsys, tmp_path, monkeypatch, argv):
     # these ended in a MemoryError or OverflowError traceback, numpy's "Unable to
     # allocate 238. GiB" (106. TiB for the codebook, 74.5 GiB for the noise), or,
     # run serially, trials that could never finish; a kappa-64 literal netlist
-    # for 32 users (12 GiB to write) and the 3.1 GiB of an n=120 codebook file
-    # passed every count and were built
+    # for 32 users (4.2 GiB of gates) and an n=130 codebook (2.1 GiB, the first
+    # n past fp_gen's count at the defaults) are refused by the library's counts
     files = input_files(capsys, tmp_path)
     keys = read_json(files["keys"])
     files["big_kappa"] = str(tmp_path / "big-kappa.json")
@@ -971,9 +972,11 @@ def test_sizes_past_the_memory_limit_refused_before_any_draw(capsys, tmp_path, m
     def no_draw(*args, **kwargs):
         raise AssertionError("drew or ran before refusing")
 
+    # fp_gen takes its bias cutoff just before its first draw, and
+    # tt_dec_circuit starts a builder just before its first gate
     for module, name in (
         (ttscheme_mod, "prg_params_gen"), (cli_mod, "run_attack"),
-        (cli_mod, "fp_gen"), (cli_mod, "tt_dec_circuit"),
+        (fpcode_mod, "bias_cutoff"), (ttscheme_mod, "CircuitBuilder"),
     ):
         monkeypatch.setattr(module, name, no_draw)
     code, stdout, err = run_cli(capsys, *(a.format(**files) for a in argv), "--out", files["out"])
@@ -993,11 +996,18 @@ def traced_peak(capsys, *argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n,a", [(2, 1000.0), (16, 50.0), (80, 5.0)])
-def test_codebook_file_peak_within_the_count(capsys, tmp_path, n, a):
-    out = str(tmp_path / "cb.json")
-    peak = traced_peak(capsys, "fpcode", "gen", "--n", str(n), "--a", str(a), "--out", out)
-    assert peak <= check_codebook_file(n, DEFAULT_EPS_FP, a)
+@pytest.mark.parametrize("n,a,view", [
+    (2, 1000.0, False), (16, 50.0, False), (80, 5.0, False), (129, 0.2, True),
+], ids=["2-1000.0", "16-50.0", "80-5.0", "129-0.2-full-view"])
+def test_codebook_file_peak_within_the_count(capsys, tmp_path, n, a, view):
+    # write_json writes the file a word and 1,024 biases at a time, so the
+    # command holds no more than the codebook fp_gen counts
+    argv = ["fpcode", "gen", "--n", str(n), "--a", str(a), "--out", str(tmp_path / "cb.json")]
+    if view:  # the full coalition's view: every word again
+        argv += ["--adversary-view", str(tmp_path / "view.json"), "--coalition",
+                 ",".join(map(str, range(n)))]
+    peak = traced_peak(capsys, *argv)
+    assert peak <= code_length(n, DEFAULT_EPS_FP, a) * (n + 32)
 
 
 @pytest.mark.parametrize("kappa,n", [(16, 1), (16, 3), (18, 2)])
@@ -1007,7 +1017,7 @@ def test_literal_export_peak_within_the_count(capsys, tmp_path, kappa, n):
     export = ("tt", "export-circuit", "--keys", keys, "--mode", "literal", "--out", out)
     peak = traced_peak(capsys, *export)
     prg = keyset_from_json(read_json(keys)).params.prg
-    assert peak <= dec_circuit_gates(prg, LITERAL, kappa, n) * EXPORT_GATE_BYTES + EXPORT_BYTES
+    assert peak <= dec_circuit_gates(prg, LITERAL, kappa, n) * GATE_BYTES
 
 
 @pytest.mark.parametrize("argv", [

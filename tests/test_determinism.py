@@ -338,7 +338,7 @@ def test_sanitize_run_stdout_bytes(capsys, kind):
     rows = np.random.default_rng(11).integers(0, 2, (333, 16), dtype=np.uint8)
     save_database(Database(rows), "db.txt")
     with open("dictators.json", "w") as f:
-        json.dump([circuit_to_json(dictator_circuit(w, 16)) for w in (0, 7, 15)], f)
+        f.write(canonical_json([circuit_to_json(dictator_circuit(w, 16)) for w in (0, 7, 15)]))
     with open("hand.json", "w") as f:
         json.dump(HAND_NETLISTS, f)
     run_cli(capsys, "tt", "keygen", "--kappa", "16", "--n", "3", "--out", "keys.json",

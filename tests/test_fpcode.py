@@ -424,6 +424,11 @@ class TestExperiment:
             run_code_experiment(3, 0.2, MAJORITY, 10, 0, coalition_size=4)
 
 
+def file_obj(cb: Codebook) -> dict:
+    """The codebook's file object, as canonical JSON text reads back."""
+    return json.loads(canonical_json(codebook_to_json(cb)))
+
+
 class TestSerialization:
     def test_roundtrip(self):
         # the loader compares ell, cutoff and threshold with the values n,
@@ -431,7 +436,7 @@ class TestSerialization:
         for n, eps_fp, a in ((3, 0.2, 1.0), (2, 0.2, 2), (7, 0.01, 20.0), (10, 0.05, 1.0),
                              (16, 0.05, 0.3)):
             cb = fp_gen(n, eps_fp, stream(4, "fp-json"), a=a)
-            back = codebook_from_json(json.loads(canonical_json(codebook_to_json(cb))))
+            back = codebook_from_json(file_obj(cb))
             assert back.n == cb.n and back.ell == cb.ell
             assert back.eps_fp == cb.eps_fp and back.a == cb.a
             assert back.cutoff == cb.cutoff and back.threshold == cb.threshold
@@ -440,7 +445,7 @@ class TestSerialization:
 
     def test_adversary_view_excludes_secrets(self):
         cb = fp_gen(4, 0.2, stream(4, "fp-view"), a=1.0)
-        view = adversary_view_json(cb, [2, 0])
+        view = json.loads(canonical_json(adversary_view_json(cb, [2, 0])))
         assert set(view) == {"n", "ell", "coalition", "words"}
         assert view["coalition"] == [0, 2]
         assert set(view["words"]) == {"0", "2"}
@@ -450,6 +455,9 @@ class TestSerialization:
         assert np.array_equal(got, cb.words[2])
         with pytest.raises(InputShapeError):
             adversary_view_json(cb, [4])
+        # no pieces would write the words as [], not {}
+        with pytest.raises(InputShapeError, match="coalition is empty"):
+            adversary_view_json(cb, [])
 
     def test_malformed_json_rejected(self, tmp_path):
         (tmp_path / "cb.json").write_text("{")
@@ -457,7 +465,7 @@ class TestSerialization:
             read_json(str(tmp_path / "cb.json"))
         with pytest.raises(FileFormatError):
             codebook_from_json({"n": 2})
-        good = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-bad"), a=1.0))
+        good = file_obj(fp_gen(2, 0.2, stream(4, "fp-bad"), a=1.0))
         bad = dict(good, biases=good["biases"][:-1])
         with pytest.raises(FileFormatError):
             codebook_from_json(bad)
@@ -465,7 +473,7 @@ class TestSerialization:
     @pytest.mark.parametrize("bias", [0.0, 1.0, -0.5, float("nan")])
     def test_bias_outside_open_interval_refused(self, bias):
         # the scores divide by p and by 1 - p
-        good = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-bias"), a=1.0))
+        good = file_obj(fp_gen(2, 0.2, stream(4, "fp-bias"), a=1.0))
         good["biases"][3] = bias
         with pytest.raises(FileFormatError, match="biases"):
             codebook_from_json(good)
@@ -520,7 +528,7 @@ class TestSerialization:
     def test_codebook_checks_its_scalars(self, field, value, why):
         # fp_gen never draws these, but a codebook file used to carry them
         # into fp_trace, which then accused user 0 of an all-zero word
-        obj = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-scalar"), a=1.0))
+        obj = file_obj(fp_gen(2, 0.2, stream(4, "fp-scalar"), a=1.0))
         obj[field] = value
         if field == "n":
             obj["words"] = obj["words"][:1]
@@ -529,7 +537,7 @@ class TestSerialization:
 
     def test_codebook_file_n_is_its_word_count(self):
         # ell, cutoff and threshold all agree with n=3: only the count disagrees
-        obj = codebook_to_json(fp_gen(3, 0.2, stream(4, "fp-count"), a=1.0))
+        obj = file_obj(fp_gen(3, 0.2, stream(4, "fp-count"), a=1.0))
         obj["words"] = obj["words"][:2]
         with pytest.raises(FileFormatError, match="words 2 disagrees with n=3"):
             codebook_from_json(obj)
@@ -537,7 +545,7 @@ class TestSerialization:
     @pytest.mark.parametrize("suffix,why", [("ff", "bytes"), (None, "padding")])
     def test_word_rows_must_fit_exactly(self, suffix, why):
         # ell=10: two bytes per word, the last six bits padding
-        obj = codebook_to_json(fp_gen(2, 0.2, stream(4, "fp-hex"), a=1.0))
+        obj = file_obj(fp_gen(2, 0.2, stream(4, "fp-hex"), a=1.0))
         assert obj["ell"] == 10
         w = obj["words"][1]
         obj["words"][1] = w + suffix if suffix else w[:2] + f"{int(w[2:], 16) | 1:02x}"

@@ -1,7 +1,8 @@
-"""The README's library example, the package's module imports and the
-scripts/ front ends still run."""
+"""The README's library example, the package's module imports, the
+scripts/ front ends and the benchmark tracer's targets still run."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scripts", "run_attack_demo.py")
 TIGHTNESS = os.path.join(ROOT, "scripts", "laplace_tightness.py")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def test_readme_library_block_runs(capsys):
@@ -84,3 +86,17 @@ def test_laplace_tightness_refuses_bad_env_seed():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "TTPA_SEED must be an integer" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_every_tracer_target_is_where_the_tracer_looks(monkeypatch):
+    # the benchmark's tracer wraps owner.__dict__[attr] for each target, so a
+    # function moved out of the module that calls it fails only when a
+    # benchmark run installs the tracer
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{t.owner.__name__}.{t.attr}" for t in tracer.TARGETS if t.attr not in t.owner.__dict__
+    ]
+    assert tracer.TARGETS and missing == []

@@ -158,13 +158,15 @@ class TestKeyLayout:
             tt_gen(32, 2, LOCAL_PRG, rng, prg=prg_params_gen(0, 8))
 
     def test_key_shape_checked_before_any_draw(self, monkeypatch):
-        # 256 users fill a 16-bit key's 8 index bits; 2^25 rows of 64 bits fill
-        # the 2 GiB bound.  kappa = 2^63 once formed 2^(2^62) and raised MemoryError
+        # 256 users fill a 16-bit key's 8 index bits; 21,913,056 rows of 64 bits
+        # fill the 2 GiB bound at 98 bytes a row (64 for the rows, 34 for the
+        # 25-bit index field's arrays) and 4 KiB.  kappa = 2^63 once formed
+        # 2^(2^62) and raised MemoryError
         check_key_shape(16, 256)
-        check_key_shape(64, 1 << 25)
+        check_key_shape(64, 21_913_056)
         for kappa, n, why in (
             (16, 257, "exceeds"),
-            (64, (1 << 25) + 1, "over the 2 GiB limit"),
+            (64, 21_913_057, "over the 2 GiB limit"),
             (1 << 63, 2, "over the 2 GiB limit"),
         ):
             with pytest.raises(InputShapeError, match=why):
@@ -174,8 +176,23 @@ class TestKeyLayout:
             raise AssertionError("drew the PRG")
 
         monkeypatch.setattr(ttscheme_mod, "prg_params_gen", no_draw)
-        with pytest.raises(InputShapeError, match="key rows of 64 bits would hold about 238.4 GiB"):
+        with pytest.raises(InputShapeError, match="key rows of 64 bits would hold about 391.2 GiB"):
             tt_gen(64, 4_000_000_000, LOCAL_PRG, stream(0, "huge"))
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_key_set_peak_within_the_count(self, n):
+        # the index field was built and read through (n, width) int64 arrays:
+        # 207 and 234 bytes a row at kappa 64, where 64 were counted.  The PRG
+        # is drawn outside the trace; check_prg_draw counts it
+        prg = prg_params_gen(0, 32)
+        tt_gen(64, n, LOCAL_PRG, stream(3, "key-peak"), prg=prg)  # numpy's first-use setup
+        tracemalloc.start()
+        try:
+            tt_gen(64, n, LOCAL_PRG, stream(3, "key-peak"), prg=prg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_key_shape(64, n)
 
     def test_params_check_themselves(self):
         prg = prg_params_gen(0, 8, ell=8)
@@ -416,7 +433,7 @@ class TestDecCircuit:
         assert len(circs) == len(cts)
         for j, circ in enumerate(circs):
             [one] = tt_dec_circuit(TTCiphertext(cts.rs[[j]], cts.masked[[j]]), ks.params, mode)
-            assert circuit_to_json(circ) == circuit_to_json(one)
+            assert canonical_json(circuit_to_json(circ)) == canonical_json(circuit_to_json(one))
         empty = TTCiphertext(cts.rs[:0], cts.masked[:0])
         assert tt_dec_circuit(empty, ks.params, mode) == []
 
@@ -868,9 +885,14 @@ class TestLinearScan:
         assert pirate.answer(tt_enc(ks, 0, rng)).tolist() == [0]
 
 
+def text_obj(ks: TTKeySet) -> dict:
+    """The key set's file object, as canonical JSON text reads back."""
+    return json.loads(canonical_json(keyset_to_json(ks)))
+
+
 def through_text(ks: TTKeySet) -> TTKeySet:
     """Write the key set as canonical JSON text and parse it back."""
-    return keyset_from_json(json.loads(canonical_json(keyset_to_json(ks))))
+    return keyset_from_json(text_obj(ks))
 
 
 class TestSerialization:
@@ -893,7 +915,7 @@ class TestSerialization:
         back = through_text(ks)
         assert back.params.prg.index_sets.dtype == dtype
         assert np.array_equal(back.params.prg.index_sets, sets)
-        assert keyset_to_json(back) == keyset_to_json(ks)
+        assert text_obj(back) == text_obj(ks)
 
     def test_roundtrip_preserves_behavior(self):
         ks = small_keyset(kappa=16, n=3, seed=23)
@@ -915,7 +937,7 @@ class TestSerialization:
             read_json(str(tmp_path / "ks.json"))
         with pytest.raises(FileFormatError):
             keyset_from_json({"kappa": 16, "n": 2})
-        obj = keyset_to_json(ks)
+        obj = text_obj(ks)
         swapped = dict(obj, rows=[obj["rows"][1], obj["rows"][0], obj["rows"][2]])
         with pytest.raises(FileFormatError):
             keyset_from_json(swapped)
@@ -926,7 +948,7 @@ class TestSerialization:
         # whole rows in the wrong order, or index fields swapped between
         # rows, leave row u decoding to some other user; a kappa=16 row's
         # second byte (hex digits 2-3) is its 2-bit index field and padding
-        obj = keyset_to_json(small_keyset(kappa=16, n=3, seed=29))
+        obj = text_obj(small_keyset(kappa=16, n=3, seed=29))
         for u, v in ((0, 2), (1, 2)):
             rows = list(obj["rows"])
             rows[u], rows[v] = rows[u][:2] + rows[v][2:], rows[v][:2] + rows[u][2:]
@@ -934,7 +956,7 @@ class TestSerialization:
                 keyset_from_json(dict(obj, rows=rows))
 
     def test_extra_rows_rejected(self):
-        obj = keyset_to_json(small_keyset(seed=27))
+        obj = text_obj(small_keyset(seed=27))
         obj["rows"].append(obj["rows"][0])
         with pytest.raises(FileFormatError, match="expected 3 rows"):
             keyset_from_json(obj)
@@ -948,7 +970,7 @@ class TestSerialization:
         # kappa=18 rows are 3 bytes with 6 padding bits; a row with a byte
         # appended or a padding bit set used to load silently
         ks = tt_gen(18, 3, LOCAL_PRG, stream(26, "hex"), prg=prg_params_gen(26, 9, ell=16))
-        obj = keyset_to_json(ks)
+        obj = text_obj(ks)
         assert keyset_from_json(obj).rows.tolist() == ks.rows.tolist()
         edit(obj)
         with pytest.raises(FileFormatError, match=field):
@@ -959,7 +981,7 @@ class TestSerialization:
     )
     def test_index_sets_length_checked_before_reshape(self, edit):
         # a wrong length used to reach numpy's reshape, whose message names no field
-        obj = keyset_to_json(small_keyset(kappa=16, n=3, seed=28))
+        obj = text_obj(small_keyset(kappa=16, n=3, seed=28))
         obj["prg"]["index_sets"] = edit(obj["prg"]["index_sets"])
         with pytest.raises(FileFormatError, match="prg.index_sets is .* expected 10240"):
             keyset_from_json(obj)
