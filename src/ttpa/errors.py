@@ -12,6 +12,7 @@ bit array is checked by as_bits.
 import json
 import math
 import os
+import stat
 from collections.abc import Iterator
 
 import numpy as np
@@ -113,7 +114,7 @@ def write_json(obj: dict, path: str) -> None:
     A value that is an iterator of pieces, lists or dicts whose keys
     arrive in canonical (sorted string) order, is written a piece at a
     time, as the one list or dict they join into, so no artifact's whole
-    text is held.  A write that raises leaves no file at path.
+    text is held.  A write that raises leaves no regular file at path.
     """
     with open(path, "w") as f:
         try:
@@ -128,7 +129,9 @@ def write_json(obj: dict, path: str) -> None:
             f.write("}\n")
         except BaseException:
             f.close()
-            os.remove(path)
+            # a regular file only: not a link such as /dev/stdout, a device or a pipe
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
             raise
 
 

@@ -115,6 +115,17 @@ def test_failed_write_leaves_no_file(tmp_path, obj):
     assert not path.exists()
 
 
+def test_failed_write_through_a_link_keeps_the_link(tmp_path):
+    # a path such as /dev/stdout is a link to what the caller opened: removing
+    # it would remove the link, not what was written
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("")
+    link.symlink_to(target)
+    with pytest.raises(RuntimeError):
+        write_json({"a": math.nan}, str(link))
+    assert link.is_symlink() and target.exists()
+
+
 def test_pieces_join_into_one_value(tmp_path):
     # empty pieces add nothing, and no pieces at all make an empty list
     def make():
