@@ -22,6 +22,7 @@ import io
 import os
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -192,11 +193,8 @@ def _cmd_fpcode_gen(args) -> int:
 
 def _cmd_fpcode_trace(args) -> int:
     cb = codebook_from_json(read_json(args.codebook))
-    hex_word = args.word
-    if hex_word is None:
-        with open(args.word_file) as f:
-            hex_word = f.read()
-    word = bits_from_hex(hex_word, cb.ell, "word")
+    hex_word = Path(args.word_file).read_text() if args.word is None else args.word
+    [word] = bits_from_hex([hex_word], cb.ell, "word".format)
     scores = fp_scores(cb, word)
     obj = {
         "config": {"codebook": args.codebook},

@@ -5,15 +5,16 @@ Everything derives from ValueError so callers that only care about
 Every size the library allocates from its inputs is counted and passed
 to check_alloc before the allocation.  Every JSON artifact and report
 is canonical JSON, whose files write_json writes and read_json reads;
-every bit row is one hex string (bits_to_hex, bits_from_hex), and every
-bit array is checked by as_bits.
+every bit matrix is hex rows, encoded and decoded whole (bits_to_hex,
+bits_from_hex), and every bit array is checked by as_bits.
 """
 
 import json
 import math
 import os
+import re
 import stat
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +32,10 @@ MAX_ALLOC_BYTES = 2 << 30
 def check_alloc(need: int, what: str) -> int:
     """need, the bytes what would hold, or InputShapeError past MAX_ALLOC_BYTES."""
     if need > MAX_ALLOC_BYTES:
-        # an int past float range (a code length near it times n) divides to an OverflowError
-        gib = need / 2**30 if need < 1 << 1000 else math.inf
+        # rounded up, so no size past the limit prints as it; inf past float range
+        gib = math.ceil(need * 100 / 2**30) / 100 if need < 1 << 1000 else math.inf
         raise InputShapeError(
-            f"{what} would hold about {gib:.1f} GiB,"
+            f"{what} would hold about {gib:.2f} GiB,"
             f" over the {MAX_ALLOC_BYTES / 2**30:.0f} GiB limit"
         )
     return need
@@ -143,31 +144,46 @@ def read_json(path: str):
             raise FileFormatError(f"{path}: not valid JSON: {e}") from e
 
 
-def bits_to_hex(bits: np.ndarray) -> str:
-    """The hex row bits_from_hex reads back."""
-    return np.packbits(bits).tobytes().hex()
+PIECE = 1024  # rows or biases a file is written, and a database file read, a piece at a time
 
 
-def bits_from_hex(text: str, nbits: int, what: str) -> np.ndarray:
-    """Unpack a hex bit row, most significant bit first, zero-padded to whole bytes.
+def bits_to_hex(bits: np.ndarray) -> list[str]:
+    """The hex rows of an (m, nbits) bit matrix, which bits_from_hex reads back:
+    one packbits, whose hex text is split a row at a time."""
+    packed = np.packbits(bits, axis=1)
+    return packed.tobytes().hex(" ", packed.shape[1]).split()
 
-    Key rows, codebook words, database rows and pirate words are all
-    stored this way: exactly ceil(nbits / 8) bytes, with every padding
-    bit 0.  what names the row in the error.
-    """
+
+def bytes_from_hex(rows: Sequence[str], nbytes: int, what, error=InputShapeError) -> np.ndarray:
+    """The (m, nbytes) uint8 matrix of m rows of 2 * nbytes hex digits, each
+    with whitespace around it allowed but none inside, decoded whole, not a
+    row at a time; error names the first bad row u what(u)."""
     try:
-        raw = bytes.fromhex(text)
-    except (TypeError, ValueError) as e:
-        raise InputShapeError(f"{what} must be a hex string: {e}") from e
-    nbytes = (nbits + 7) // 8
-    if len(raw) != nbytes:
-        raise InputShapeError(
-            f"{what} is {len(raw)} bytes, expected {nbytes} for {nbits} bits"
-        )
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits[nbits:].any():
-        raise InputShapeError(f"{what} has nonzero padding bits")
-    return bits[:nbits]
+        lengths = np.fromiter(map(len, map(str.strip, rows)), np.intp, len(rows))
+    except TypeError:
+        u = list(map(isinstance, rows, [str] * len(rows))).index(False)
+        raise error(f"{what(u)} must be a hex string") from None
+    bad = np.flatnonzero(lengths != 2 * nbytes)
+    if bad.size:
+        u = bad[0]
+        raise error(f"{what(u)} is {lengths[u]} hex digits, expected {2 * nbytes} ({nbytes} bytes)")
+    text = "".join(map(str.strip, rows))
+    try:  # fromhex skips whitespace, so a row holding some decodes short
+        return np.frombuffer(bytes.fromhex(text), np.uint8).reshape(len(rows), nbytes)
+    except ValueError:
+        u = re.search("[^0-9a-fA-F]", text).start() // (2 * nbytes)
+        raise error(f"{what(u)} holds a character that is not a hex digit") from None
+
+
+def bits_from_hex(rows: Sequence[str], nbits: int, what, error=InputShapeError) -> np.ndarray:
+    """The (m, nbits) bit matrix of m rows of ceil(nbits / 8) hex bytes, most significant
+    bit first and every padding bit 0: key rows, the PRG table, codebook words,
+    database rows and pirate words are all stored this way."""
+    packed = bytes_from_hex(rows, (nbits + 7) // 8, what, error)
+    bad = np.flatnonzero(packed[:, -1] & (0xFF >> (nbits % 8 or 8)))
+    if bad.size:
+        raise error(f"{what(bad[0])} has nonzero padding bits")
+    return np.unpackbits(packed, axis=1, count=nbits)
 
 
 def as_bits(values, message: str, error: type[ValueError] = InputShapeError) -> np.ndarray:

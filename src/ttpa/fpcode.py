@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    PIECE,
     FileFormatError,
     InputShapeError,
     as_bits,
@@ -256,9 +257,6 @@ def run_code_experiment(
     }
 
 
-BIAS_PIECE = 1024  # biases codebook_to_json gives write_json a piece
-
-
 def codebook_to_json(cb: Codebook) -> dict:
     """The codebook file's object; biases and words are pieces, one hex word a piece,
     for write_json, so the file is written without its whole text held."""
@@ -269,8 +267,8 @@ def codebook_to_json(cb: Codebook) -> dict:
         "a": cb.a,
         "cutoff": cb.cutoff,
         "threshold": cb.threshold,
-        "biases": (cb.biases[lo : lo + BIAS_PIECE].tolist() for lo in range(0, cb.ell, BIAS_PIECE)),
-        "words": ([bits_to_hex(w)] for w in cb.words),
+        "biases": (cb.biases[lo : lo + PIECE].tolist() for lo in range(0, cb.ell, PIECE)),
+        "words": (bits_to_hex(cb.words[u : u + 1]) for u in range(cb.n)),
     }
 
 
@@ -290,7 +288,9 @@ def adversary_view_json(cb: Codebook, coalition: list[int]) -> dict:
         "n": cb.n,
         "ell": cb.ell,
         "coalition": users,
-        "words": ({u: bits_to_hex(cb.words[int(u)])} for u in sorted({str(u) for u in users})),
+        "words": (
+            {u: bits_to_hex(cb.words[int(u) : int(u) + 1])[0]} for u in sorted(set(map(str, users)))
+        ),
     }
 
 
@@ -311,8 +311,7 @@ def codebook_from_json(obj: dict) -> Codebook:
                     f"{name} {stored} disagrees with n={n}, eps_fp={eps_fp}, a={a},"
                     f" which give {derived}"
                 )
-        words = [bits_from_hex(h, ell, f"word {u}") for u, h in enumerate(obj["words"])]
-        biases = np.asarray(obj["biases"], dtype=np.float64)
-        return Codebook(eps_fp, a, biases, np.array(words, dtype=np.uint8).reshape(n, ell))
+        words = bits_from_hex(obj["words"], ell, "word {}".format)
+        return Codebook(eps_fp, a, np.asarray(obj["biases"], dtype=np.float64), words)
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad codebook JSON: {e}") from e

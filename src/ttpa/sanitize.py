@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .circuit import Circuit, CircuitBuilder, _eval_packed, pack_rows
 from .errors import (
+    PIECE,
     FileFormatError,
     InputShapeError,
     as_bits,
@@ -231,34 +233,34 @@ def dictator_circuit(wire: int, width: int) -> Circuit:
 
 
 def save_database(db: Database, path: str) -> None:
+    """A d=<width> header line, then one hex row a line, written PIECE rows at a time."""
     with open(path, "w") as f:
         f.write(f"d={db.d}\n")
-        for row in db.rows:
-            f.write(bits_to_hex(row) + "\n")
+        for lo in range(0, db.m, PIECE):
+            f.write("\n".join(bits_to_hex(db.rows[lo : lo + PIECE])) + "\n")
 
 
 def load_database(path: str) -> Database:
+    """A save_database file's rows, read PIECE lines at a time; a blank line holds none.
+
+    A row takes 2 * ceil(d / 8) + 1 characters or more, so the file's size bounds the rows,
+    whose bits are counted twice (the pieces, then their join) before any is read."""
     with open(path) as f:
         header = f.readline().strip()
-        if not header.startswith("d="):
-            raise FileFormatError(f"database header must be 'd=<int>', got {header!r}")
-        try:
-            d = int(header[2:])
-        except ValueError as e:
-            raise FileFormatError(f"bad width in header {header!r}") from e
+        d = int(header[2:]) if header[:2] == "d=" and header[2:].isdecimal() else 0
         if d < 1:
-            raise FileFormatError("database width must be >= 1")
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                rows.append(bits_from_hex(line, d, f"line {lineno}"))
-            except InputShapeError as e:
-                raise FileFormatError(str(e)) from e
-    if not rows:
+            raise FileFormatError(f"database header must be 'd=<int >= 1>', got {header!r}")
+        most = (os.fstat(f.fileno()).st_size + 1) // (2 * ((d + 7) // 8) + 1)
+        check_alloc(2 * most * d, f"a database file of up to {most} rows of {d} bits")
+        pieces = []
+        for k, lines in enumerate(iter(lambda: list(itertools.islice(f, PIECE)), [])):
+            filled = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+            lineno = 2 + k * PIECE + np.flatnonzero(filled)
+            rows = list(itertools.compress(lines, filled))
+            pieces.append(bits_from_hex(rows, d, lambda u: f"line {lineno[u]}", FileFormatError))
+    if not sum(map(len, pieces)):
         raise FileFormatError("database has no rows")
-    return Database(np.stack(rows))
+    return Database(np.concatenate(pieces))
 
 
 def laplace_tightness_demo(master_seed: int = 0) -> dict:

@@ -44,6 +44,7 @@ from .crypto import (
     prg_params_gen,
 )
 from .errors import (
+    PIECE,
     FileFormatError,
     InputShapeError,
     MalformedCiphertextError,
@@ -51,6 +52,7 @@ from .errors import (
     as_bits,
     bits_from_hex,
     bits_to_hex,
+    bytes_from_hex,
     check_alloc,
 )
 from .fpcode import DEFAULT_LENGTH_CONSTANT, Codebook, code_length, fp_gen, fp_trace
@@ -528,33 +530,23 @@ def linear_scan_report(ks: TTKeySet, pirate: PirateOracle, rng: np.random.Genera
     return ScanOutcome(accused, counts / float(s), counts, s)
 
 
-ROW_PIECE = 1024  # key rows keyset_to_json gives write_json a piece
-
-
 def keyset_to_json(ks: TTKeySet) -> dict:
     """The key file's object; its rows are pieces of hex rows, for write_json."""
-    p, rows = ks.params, ks.rows
-    obj: dict = {
+    p, g = ks.params, ks.params.prg
+    return {
         "kappa": p.kappa,
         "n": p.n,
         "scheme": p.scheme,
-        "rows": (
-            [bits_to_hex(r) for r in rows[lo : lo + ROW_PIECE]]
-            for lo in range(0, p.n, ROW_PIECE)
-        ),
-        "prg": None,
-    }
-    if p.prg is not None:
-        g = p.prg
-        obj["prg"] = {
+        "rows": (bits_to_hex(ks.rows[lo : lo + PIECE]) for lo in range(0, p.n, PIECE)),
+        "prg": None if g is None else {
             "kappa": g.kappa,
             "ell": g.ell,
             "locality": g.locality,
-            "table": bits_to_hex(g.table),
+            "table": bits_to_hex(g.table[None])[0],
             # 2-byte big-endian per position, row-major
             "index_sets": g.index_sets.astype(">u2").tobytes().hex(),
-        }
-    return obj
+        },
+    }
 
 
 def keyset_from_json(obj: dict) -> TTKeySet:
@@ -565,19 +557,11 @@ def keyset_from_json(obj: dict) -> TTKeySet:
         prg = None
         if g is not None:
             g_ell, g_loc = int(g["ell"]), int(g["locality"])
-            text = g["index_sets"]
-            if len(text) != 4 * g_ell * g_loc:
-                raise FileFormatError(
-                    f"prg.index_sets is {len(text)} hex digits, expected"
-                    f" {4 * g_ell * g_loc} for ({g_ell}, {g_loc}) 2-byte positions"
-                )
-            sets = np.frombuffer(bytes.fromhex(text), dtype=">u2")
-            table = bits_from_hex(g["table"], 1 << g_loc, "prg.table")
-            prg = LocalPrgParams(int(g["kappa"]), sets.reshape(g_ell, g_loc), table)
+            # 2-byte big-endian positions, their length checked before they are read
+            [sets] = bytes_from_hex([g["index_sets"]], 2 * g_ell * g_loc, "prg.index_sets".format)
+            [table] = bits_from_hex([g["table"]], 1 << g_loc, "prg.table".format)
+            prg = LocalPrgParams(int(g["kappa"]), sets.view(">u2").reshape(g_ell, g_loc), table)
         params = TTParams(kappa, n, obj["scheme"], prg)
-        rows = np.array(
-            [bits_from_hex(h, kappa, f"row {u}") for u, h in enumerate(obj["rows"])]
-        )
-        return TTKeySet(params, rows)
+        return TTKeySet(params, bits_from_hex(obj["rows"], kappa, "row {}".format))
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"bad key set JSON: {e}") from e

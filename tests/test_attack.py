@@ -215,7 +215,7 @@ class TestConfig:
         assert AttackConfig(n=64).trial_bytes() < 2 << 30
         # 5000 Laplace rounds at n=10 hold about 4 GiB of noise
         noisy = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=5000)
-        with pytest.raises(InputShapeError, match="rounds=5000 would hold about 4.0 GiB"):
+        with pytest.raises(InputShapeError, match="rounds=5000 would hold about 3.96 GiB"):
             AttackConfig(sanitizer=noisy)
 
     def test_trials_past_the_memory_limit_refused(self):

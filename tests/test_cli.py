@@ -29,7 +29,9 @@ from ttpa.ttscheme import keyset_from_json
 
 import ttpa.attack as attack_mod
 import ttpa.cli as cli_mod
+import ttpa.errors as errors_mod
 import ttpa.fpcode as fpcode_mod
+import ttpa.sanitize as sanitize_mod
 import ttpa.ttscheme as ttscheme_mod
 
 
@@ -983,6 +985,23 @@ def test_sizes_past_the_memory_limit_refused_before_any_draw(capsys, tmp_path, m
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_database_file_counted_before_any_row_is_decoded(capsys, tmp_path, monkeypatch):
+    # the file's size bounds its rows; with the limit patched under their
+    # count, sanitize run refuses the file before decoding a line of it
+    files = input_files(capsys, tmp_path)
+    save_database(Database(np.zeros((5000, 16), dtype=np.uint8)), files["db"])
+
+    def no_decode(*args):
+        raise AssertionError("decoded a row")
+
+    monkeypatch.setattr(errors_mod, "MAX_ALLOC_BYTES", 1 << 16)
+    monkeypatch.setattr(sanitize_mod, "bits_from_hex", no_decode)
+    code, stdout, err = run_cli(capsys, *(a.format(**files) for a in SANITIZE_EXACT))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: a database file of up to 5001 rows of 16 bits")
+    assert err.count("\n") == 1 and "limit" in err
 
 
 def traced_peak(capsys, *argv) -> int:

@@ -875,7 +875,7 @@ class TestDecCircuit:
             raise AssertionError("built a netlist")
 
         monkeypatch.setattr(crypto_mod, "CircuitBuilder", no_build)
-        with pytest.raises(InputShapeError, match="of 11400025 gates would hold about 2.4 GiB"):
+        with pytest.raises(InputShapeError, match="of 11400025 gates would hold about 2.38 GiB"):
             enc_dec_circuit(0, 0, params, LITERAL)
 
     def test_mode_and_index_validation(self):

@@ -1,17 +1,22 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ttpa.attack import AttackConfig, dp_audit, run_attack
 from ttpa.circuit import circuit_to_json
-from ttpa.crypto import FOLDED, LITERAL, LOCAL_PRG, prg_params_gen
+from ttpa.crypto import FOLDED, LITERAL, LOCAL_PRG, PRF, prg_params_gen
 from ttpa.errors import (
+    MAX_ALLOC_BYTES,
     FileFormatError,
     InputShapeError,
     as_bits,
+    bits_from_hex,
+    bits_to_hex,
     canonical_json,
+    check_alloc,
     write_json,
 )
 from ttpa.fpcode import adversary_view_json, codebook_to_json, fp_gen
@@ -61,6 +66,72 @@ class TestAsBits:
             assert as_bits(values, "x").size == 0
 
 
+class TestHexCodec:
+    @pytest.mark.parametrize("nbits", [1, 8, 13, 64])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_round_trip(self, nbits, m):
+        bits = stream(3, "hex", nbits, m).integers(0, 2, (m, nbits), dtype=np.uint8)
+        rows = bits_to_hex(bits)
+        # each row is its own packbits, as one hex row a call once wrote it
+        assert rows == [np.packbits(row).tobytes().hex() for row in bits]
+        assert len(rows) == m and {len(r) for r in rows} == {2 * ((nbits + 7) // 8)}
+        back = bits_from_hex(rows, nbits, "row {}".format)
+        assert back.dtype == np.uint8 and np.array_equal(back, bits)
+
+    def test_no_rows(self):
+        assert bits_to_hex(np.zeros((0, 13), dtype=np.uint8)) == []
+        assert bits_from_hex([], 13, "row {}".format).shape == (0, 13)
+
+    @pytest.mark.parametrize("bad,why", [
+        ("ff", "is 2 hex digits, expected 4 \\(2 bytes\\)$"),
+        ("ff00ff", "is 6 hex digits"),
+        ("fz00", "holds a character that is not a hex digit"),
+        ("f\u00e900", "holds a character that is not a hex digit"),
+        (1234, "must be a hex string"),
+        (["ff00"], "must be a hex string"),
+        (None, "must be a hex string"),
+        ("ff01", "has nonzero padding bits"),  # 13 bits: the last byte's low 3 bits pad
+    ])
+    def test_refusal_names_the_first_bad_row(self, bad, why):
+        with pytest.raises(InputShapeError, match=f"^row 1 {why}"):
+            bits_from_hex(["fff8", bad, "0000", bad], 13, "row {}".format)
+
+    def test_whitespace_around_a_row_is_accepted(self):
+        # a word file's or a database line's newline
+        rows = ["fff8\n", " 0008", "\t1230\r\n"]
+        assert bits_from_hex(rows, 13, "row {}".format).tolist() == bits_from_hex(
+            [r.strip() for r in rows], 13, "row {}".format
+        ).tolist()
+
+    @pytest.mark.parametrize("rows,bad", [
+        (["a0 0", "0000"], 0),
+        (["a0b0", "c0 d"], 1),
+        # fromhex skips both spaces and decodes 3 bytes, not 4
+        (["a0 b", "c 0d"], 0),
+    ])
+    def test_whitespace_inside_a_row_is_refused(self, rows, bad):
+        with pytest.raises(InputShapeError, match=f"^line {bad + 2} holds a character"):
+            bits_from_hex(rows, 16, lambda u: f"line {u + 2}")
+
+    def test_one_row_names_itself(self):
+        [word] = bits_from_hex(["a0\n"], 8, "word".format)
+        assert word.tolist() == [1, 0, 1, 0, 0, 0, 0, 0]
+        with pytest.raises(InputShapeError, match="^word is 3 hex digits"):
+            bits_from_hex(["a00"], 8, "word".format)
+
+
+def test_check_alloc_reads_past_the_limit():
+    assert check_alloc(MAX_ALLOC_BYTES, "x") == MAX_ALLOC_BYTES
+    # rounded up, so one byte past the limit, or fpcode gen --n 130's
+    # 2,152,805,202 bytes, no longer reads as "about 2.0 GiB"
+    for need in (MAX_ALLOC_BYTES + 1, 2_152_805_202):
+        with pytest.raises(InputShapeError) as info:
+            check_alloc(need, "x")
+        assert str(info.value) == "x would hold about 2.01 GiB, over the 2 GiB limit"
+    with pytest.raises(InputShapeError, match="about inf GiB"):
+        check_alloc(1 << 2000, "x")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_canonical_json_refuses_non_finite_numbers(value):
     # NaN and Infinity are not RFC 8259 JSON: a report holding one is a
@@ -101,6 +172,22 @@ def test_written_file_holds_the_canonical_bytes(tmp_path):
         write_json(make(), str(path))
         assert path.read_text() == canonical_json(make()) + "\n", kind
     assert list(json.loads((tmp_path / "view.json").read_text())["words"]) == ["0", "10", "2"]
+
+
+def test_key_file_write_peak_is_flat_in_its_size(tmp_path):
+    # 1,024 rows a piece: a file 10x the size holds no more while written
+    peaks, sizes = [], []
+    for n in (10_000, 100_000):
+        ks = tt_gen(64, n, PRF, stream(6, "flat", n))
+        path = tmp_path / f"ks{n}.json"
+        tracemalloc.start()
+        try:
+            write_json(keyset_to_json(ks), str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+    assert sizes[1] > 9 * sizes[0] and peaks[1] <= 1.1 * peaks[0] and peaks[1] < sizes[1] / 4
 
 
 @pytest.mark.parametrize("obj", [

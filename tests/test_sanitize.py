@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ttpa.errors as errors_mod
 import ttpa.sanitize as sanitize_mod
 from test_circuit import json_netlists
 from test_determinism import HAND_NETLISTS
@@ -457,7 +458,7 @@ class TestSanitize:
         # one query at 10^10 rounds once died in numpy's "Unable to allocate 74.5 GiB"
         cfg = SanitizerConfig(LAPLACE, epsilon=1.0, amplification_rounds=10**10)
         rng = stream(38, "huge")
-        with pytest.raises(InputShapeError, match="rounds=10000000000 would hold about 149.0 GiB"):
+        with pytest.raises(InputShapeError, match="rounds=10000000000 would hold about 149.02 GiB"):
             sanitize_truths(cfg, np.full(1, 0.5), 10, rng)
         assert rng.bit_generator.state == stream(38, "huge").bit_generator.state
 
@@ -506,6 +507,48 @@ class TestFileFormat:
         with open(path, "a") as f:
             f.write("\n")
         assert load_database(path).m == 1
+
+    def test_errors_name_the_line_across_pieces(self, tmp_path):
+        # rows are read ROW_PIECE lines at a time; blank lines hold no row
+        # but keep their line numbers
+        lines = ["d=16", *["a0b0"] * 1500]
+        lines[700] = ""
+        lines[1300] = "a0 b"
+        path = tmp_path / "db.txt"
+        path.write_text("\n".join(lines) + "\n\n")
+        with pytest.raises(FileFormatError, match="^line 1301 holds a character"):
+            load_database(str(path))
+        lines[1300] = " a0b0 "
+        path.write_text("\n".join(lines) + "\n\n")
+        a0b0 = [1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0]
+        assert load_database(str(path)).rows.tolist() == [a0b0] * 1499
+
+    def test_read_holds_under_100_bytes_a_row(self, tmp_path):
+        # a piece of lines at a time, joined once: 2 x 16 B a row of bits,
+        # where one array a line, then stacked, held 433 B a row
+        m, path = 100_000, str(tmp_path / "db.txt")
+        rows = stream(38, "big-db").integers(0, 2, (m, 16), dtype=np.uint8)
+        save_database(Database(rows), path)
+        tracemalloc.start()
+        try:
+            db = load_database(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(db.rows, rows) and peak <= 100 * m
+
+    def test_rows_counted_from_the_file_size_before_any_is_read(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "db.txt")
+        save_database(Database(np.zeros((1000, 16), dtype=np.uint8)), path)
+        # 5,005 bytes bound the rows at 1,001: twice 1,001 x 16 bytes of bits
+        monkeypatch.setattr(errors_mod, "MAX_ALLOC_BYTES", 2 * 1001 * 16 - 1)
+
+        def no_decode(*args):
+            raise AssertionError("decoded a row")
+
+        monkeypatch.setattr(sanitize_mod, "bits_from_hex", no_decode)
+        with pytest.raises(InputShapeError, match="up to 1001 rows of 16 bits .* limit"):
+            load_database(path)
 
     @pytest.mark.parametrize(
         "text",
